@@ -40,10 +40,22 @@ EXIT_ASSUMPTION = 3
 EXIT_VERIFY = 4
 
 
+def _count(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return count
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="JSON configuration file")
     p.add_argument("--out-dir", required=True, help="output directory")
-    p.add_argument("--grid-points", type=int, default=2000,
+    p.add_argument("--grid-points", type=_count(1), default=2000,
                    help="minimum number of time steps (default 2000)")
     p.add_argument("--gamma", type=int, choices=(1, -1), default=1,
                    help="overall portfolio direction applied at load")
@@ -72,7 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="Monte Carlo oracle report")
     _add_common(p)
-    p.add_argument("--paths", type=int, default=100_000)
+    p.add_argument("--paths", type=_count(2), default=100_000,
+                   help="Monte Carlo paths, at least 2 for a standard error "
+                        "(default 100000)")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("sweep", help="comparative statics table")

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .grids import LatticeSurface, StateSpace, zero_surface
-from .market import ContagionModel, MarketConfig, PiecewiseTable, Portfolio
+from .market import ConfigError, ContagionModel, MarketConfig, PiecewiseTable, Portfolio
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +204,10 @@ def margin_schedule(
                 ])
         else:
             if mc_var is None:
-                raise ValueError(
-                    "multi-name initial margins need an empirical VaR callback"
+                raise ConfigError(
+                    "initial margin (beta > 0) is priced for single-name "
+                    "portfolios only; multi-name portfolios need an empirical "
+                    "VaR callback"
                 )
             for key in space.keys:
                 if space.count(key) >= portfolio.n:

@@ -9,6 +9,7 @@ entity ``i`` (1-based) has defaulted.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -135,6 +136,17 @@ class PiecewiseTable:
         return row[min(count, len(row) - 1)]
 
 
+def _number(value, where: str) -> float:
+    """A config value as a finite float; ConfigError otherwise."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    return number
+
+
 def _as_table(spec) -> PiecewiseTable:
     """Builds a PiecewiseTable from a config fragment.
 
@@ -143,14 +155,14 @@ def _as_table(spec) -> PiecewiseTable:
     dependence) or a list indexed by default count.
     """
     if isinstance(spec, (int, float)):
-        return PiecewiseTable(breaks=(), values=((float(spec),),))
-    breaks = tuple(float(b) for b in spec.get("breaks", ()))
+        return PiecewiseTable(breaks=(), values=((_number(spec, "intensity"),),))
+    breaks = tuple(_number(b, "table break") for b in spec.get("breaks", ()))
     rows = []
     for row in spec["values"]:
         if isinstance(row, (int, float)):
-            rows.append((float(row),))
+            rows.append((_number(row, "intensity"),))
         else:
-            rows.append(tuple(float(v) for v in row))
+            rows.append(tuple(_number(v, "intensity") for v in row))
     return PiecewiseTable(breaks=breaks, values=tuple(rows))
 
 
@@ -208,27 +220,16 @@ class ContagionModel:
         ``who`` is a 1-based entity id, or one of the markers ``"I"``/``"C"``.
         Raises for a reference entity that already defaulted.
         """
-        if who == INVESTOR:
-            if self.investor_table is not None:
-                return self.investor_table.at(t, state.k)
-            return self.a10 + self.a13 * state.k
-        if who == COUNTERPARTY:
-            if self.counterparty_table is not None:
-                return self.counterparty_table.at(t, state.k)
-            return self.a20 + self.a23 * state.k
-        entity = int(who)
-        if state.contains(entity):
-            raise ValueError(f"entity {entity} has defaulted and carries no intensity")
-        count = state.k  # i is alive, so |J \ {i}| == |J|
-        if self.general_mode:
-            return self._ref_table(entity).at(t, count)
-        return self.a30 + self.a33 * count
+        if who not in (INVESTOR, COUNTERPARTY) and state.contains(int(who)):
+            raise ValueError(f"entity {who} has defaulted and carries no intensity")
+        # a surviving i has |J \ {i}| == |J|
+        return self.intensity_by_count(who, t, state.k)
 
     def intensity_by_count(self, who, t: float, count: int) -> float:
         """Intensity as a function of the default count only.
 
-        Valid whenever the model is count-based (always true in parametric
-        mode; in general mode this uses the shared/first table).
+        Every intensity of the model depends on the defaulted set through its
+        size; a reference entity ``who`` reads its own table in general mode.
         """
         if who == INVESTOR:
             if self.investor_table is not None:
@@ -239,7 +240,7 @@ class ContagionModel:
                 return self.counterparty_table.at(t, count)
             return self.a20 + self.a23 * count
         if self.general_mode:
-            return self.reference_tables[0].at(t, count)
+            return self._ref_table(int(who)).at(t, count)
         return self.a30 + self.a33 * count
 
     def breakpoints(self) -> tuple[float, ...]:
@@ -460,6 +461,10 @@ def _require(d: dict, key: str, where: str):
     return d[key]
 
 
+def _required_number(d: dict, key: str, where: str) -> float:
+    return _number(_require(d, key, where), f"{where}.{key}")
+
+
 def market_from_dict(doc: dict) -> tuple[MarketConfig, ContagionModel, Portfolio, ContagionModel]:
     """Parses a configuration document.
 
@@ -472,34 +477,37 @@ def market_from_dict(doc: dict) -> tuple[MarketConfig, ContagionModel, Portfolio
     pf = _require(doc, "portfolio", "config")
     contracts = tuple(
         Contract(
-            spread=float(_require(c, "spread", "contract")),
-            loss=float(_require(c, "loss", "contract")),
-            direction=int(c.get("direction", 1)),
+            spread=_required_number(c, "spread", "contract"),
+            loss=_required_number(c, "loss", "contract"),
+            direction=int(_number(c.get("direction", 1), "contract.direction")),
         )
         for c in _require(pf, "contracts", "portfolio")
     )
     coll = pf.get("collateral", {})
     portfolio = Portfolio(
         contracts=contracts,
-        maturity=float(_require(pf, "maturity", "portfolio")),
-        loss_investor=float(_require(pf, "L_I", "portfolio")),
-        loss_counterparty=float(_require(pf, "L_C", "portfolio")),
+        maturity=_required_number(pf, "maturity", "portfolio"),
+        loss_investor=_required_number(pf, "L_I", "portfolio"),
+        loss_counterparty=_required_number(pf, "L_C", "portfolio"),
         collateral=CollateralSpec(
-            alpha=float(coll.get("alpha", 0.0)),
-            beta=float(coll.get("beta", 0.0)),
-            q=float(coll.get("q", 0.99)),
-            delta=float(coll.get("delta", 10.0 / 252.0)),
+            alpha=_number(coll.get("alpha", 0.0), "collateral.alpha"),
+            beta=_number(coll.get("beta", 0.0), "collateral.beta"),
+            q=_number(coll.get("q", 0.99), "collateral.q"),
+            delta=_number(coll.get("delta", 10.0 / 252.0), "collateral.delta"),
         ),
     )
+    mu_true = band.get("mu_true")
+    if mu_true is not None and not isinstance(mu_true, str):
+        mu_true = _number(mu_true, "counterparty_band.mu_true")
     cfg = MarketConfig(
-        r_D=float(_require(rates, "r_D", "rates")),
-        r_f_plus=float(_require(rates, "r_f_plus", "rates")),
-        r_f_minus=float(_require(rates, "r_f_minus", "rates")),
-        r_m_plus=float(_require(rates, "r_m_plus", "rates")),
-        r_m_minus=float(_require(rates, "r_m_minus", "rates")),
-        mu_C_lower=float(_require(band, "mu_lower", "counterparty_band")),
-        mu_C_upper=float(_require(band, "mu_upper", "counterparty_band")),
-        mu_C_true=band.get("mu_true"),
+        r_D=_required_number(rates, "r_D", "rates"),
+        r_f_plus=_required_number(rates, "r_f_plus", "rates"),
+        r_f_minus=_required_number(rates, "r_f_minus", "rates"),
+        r_m_plus=_required_number(rates, "r_m_plus", "rates"),
+        r_m_minus=_required_number(rates, "r_m_minus", "rates"),
+        mu_C_lower=_required_number(band, "mu_lower", "counterparty_band"),
+        mu_C_upper=_required_number(band, "mu_upper", "counterparty_band"),
+        mu_C_true=mu_true,
     )
     model = _contagion_from_dict(_require(doc, "contagion", "config"), portfolio.n)
     phys_doc = doc.get("physical_contagion")
@@ -511,7 +519,7 @@ def _contagion_from_dict(doc: dict, n: int) -> ContagionModel:
     kwargs: dict = {"n": n}
     for key in ("a10", "a13", "a20", "a23", "a30", "a33", "a12", "a21", "a31", "a32"):
         if key in doc:
-            kwargs[key] = float(doc[key])
+            kwargs[key] = _number(doc[key], f"contagion.{key}")
     if "investor_table" in doc:
         kwargs["investor_table"] = _as_table(doc["investor_table"])
     if "counterparty_table" in doc:

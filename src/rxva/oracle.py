@@ -14,8 +14,10 @@ portfolio cash flows pathwise, and audits the ODE outputs:
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,22 +32,9 @@ from .xva import g_check, resolve_true_h_c
 # Exact default-time sampling
 # ---------------------------------------------------------------------------
 
-def _invert_hazard(h_of_t, breaks, t0: float, target: float, horizon: float) -> float:
-    """First time after t0 at which the cumulated intensity reaches target.
-
-    ``h_of_t`` is piecewise constant between ``breaks``; returns +inf when
-    the target is not reached before ``horizon``.
-    """
-    prev = t0
-    remaining = target
-    for edge in [b for b in breaks if t0 < b < horizon] + [horizon]:
-        h = h_of_t(0.5 * (prev + edge))
-        span = edge - prev
-        if h > 0.0 and h * span >= remaining:
-            return prev + remaining / h
-        remaining -= h * span
-        prev = edge
-    return math.inf
+PARTY_NONE, PARTY_I, PARTY_C = 0, 1, 2
+_MAX_BLOCK = 1 << 15  # exponentials per block; bounds the per-offset arrays
+_PARTY_NAMES = (None, "I", "C")
 
 
 @dataclass
@@ -61,6 +50,154 @@ class ScenarioPath:
     party_time: float
 
 
+@dataclass
+class PathBatch:
+    """Sampled scenarios in columns, one row per path.
+
+    ``event_time[p, r]`` and ``event_entity[p, r]`` are the time and the
+    1-based entity of the r-th reference default of path p, for
+    r < ``n_events[p]`` (inf and 0 beyond).  ``party[p]`` is PARTY_I or
+    PARTY_C when a trading party defaulted before T, else PARTY_NONE, and
+    ``party_time[p]`` is its default time (inf for PARTY_NONE).  Indexing and
+    iteration give ScenarioPath views.
+    """
+
+    event_time: np.ndarray
+    event_entity: np.ndarray
+    n_events: np.ndarray
+    party: np.ndarray
+    party_time: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.party)
+
+    def __getitem__(self, p: int) -> ScenarioPath:
+        k = int(self.n_events[p])
+        return ScenarioPath(
+            ref_events=list(zip(self.event_time[p, :k].tolist(),
+                                self.event_entity[p, :k].tolist())),
+            party=_PARTY_NAMES[self.party[p]],
+            party_time=float(self.party_time[p]),
+        )
+
+    def __iter__(self):
+        return (self[p] for p in range(len(self)))
+
+    def default_times(self) -> np.ndarray:
+        """(paths, entities) default time of each entity, inf when it survived."""
+        n_paths, n = self.event_time.shape
+        out = np.full((n_paths, n), math.inf)
+        rows, rounds = np.nonzero(self.event_entity)
+        out[rows, self.event_entity[rows, rounds] - 1] = self.event_time[rows, rounds]
+        return out
+
+
+class _Clocks:
+    """Competing default clocks of one portfolio, tabulated per time piece.
+
+    Clock c < n is reference entity c + 1; with parties, clocks n and n + 1
+    are the investor and the counterparty.  ``h[c, k, q]`` is the intensity
+    of clock c with k prior reference defaults on piece q of the model's
+    breakpoints (piece q covers [breaks[q-1], breaks[q])).
+    """
+
+    def __init__(self, model, portfolio, include_parties, h_C_true):
+        n, T = portfolio.n, portfolio.maturity
+        breaks = model.breakpoints()
+        self.n, self.T = n, T
+        self.breaks = np.asarray(breaks, dtype=float)
+        self.edges = np.array([b for b in breaks if 0.0 < b < T] + [T])
+        fns = [lambda t, k, i=i: model.intensity_by_count(i, t, k) for i in range(1, n + 1)]
+        if include_parties:
+            fns.append(lambda t, k: model.intensity_by_count("I", t, k))
+            fns.append(h_C_true if h_C_true is not None
+                       else lambda t, k: model.intensity_by_count("C", t, k))
+        # the left end of each piece lies in it (side="right" lookup)
+        left = [-math.inf, *breaks]
+        self.h = np.array([[[fn(t, k) for t in left] for k in range(n + 1)] for fn in fns])
+
+    def invert(self, clock: int, count: int, t0: np.ndarray, target: np.ndarray) -> np.ndarray:
+        """First time after t0 at which the cumulated intensity reaches target.
+
+        Crosses the pieces one segment at a time with the scalar recursion
+        (``remaining -= h * span``, then ``prev + remaining / h``), so each
+        time is bit-identical to a per-path loop; inf when not before T.
+        """
+        h_of_piece = self.h[clock, count]
+        last = len(self.edges) - 1
+        out = np.full(len(t0), math.inf)
+        rows = np.arange(len(t0))
+        j = np.searchsorted(self.edges[:-1], t0, side="right")
+        prev, remaining = t0, target
+        while rows.size:
+            edge = self.edges[j]
+            h = h_of_piece[np.searchsorted(self.breaks, 0.5 * (prev + edge), side="right")]
+            mass = h * (edge - prev)
+            hit = (h > 0.0) & (mass >= remaining)
+            k = np.flatnonzero(hit)
+            out[rows[k]] = prev[k] + remaining[k] / h[k]
+            go = np.flatnonzero(~hit & (j < last))
+            rows, j = rows[go], j[go] + 1
+            prev, remaining = edge[go], (remaining - mass)[go]
+        return out
+
+    def from_every_offset(self, draws: np.ndarray):
+        """Runs one path from each offset of the exponential stream ``draws``.
+
+        Round r of a path draws one clock per surviving name (ascending),
+        then the investor's and the counterparty's, and ends the path unless
+        a reference name defaults first before T.  Returns the draws each
+        path consumed (-1 when it would read past the end of ``draws``) and
+        the PathBatch of all offsets.
+        """
+        size, n, n_clocks = len(draws), self.n, len(self.h)
+        used = np.full(size, -1)
+        batch = PathBatch(
+            event_time=np.full((size, n), math.inf),
+            event_entity=np.zeros((size, n), dtype=np.int64),
+            n_events=np.zeros(size, dtype=np.int64),
+            party=np.zeros(size, dtype=np.int8),
+            party_time=np.full(size, math.inf),
+        )
+        live = np.arange(size)
+        pos = live.copy()
+        t = np.zeros(size)
+        mask = np.zeros(size, dtype=np.int64)
+        for r in range(n + 1):  # every live path has r reference defaults
+            live = live[pos[live] + (n_clocks - r) <= size]
+            if not live.size:
+                break
+            head, t0, alive = pos[live], t[live], ~mask[live]
+            best_t = np.full(live.size, math.inf)
+            best = np.full(live.size, -1)
+            for c in range(n_clocks):
+                sel = np.flatnonzero(alive >> c & 1) if c < n else slice(None)
+                cand = self.invert(c, r, t0[sel], draws[head[sel]])
+                head[sel] += 1
+                win = cand < best_t[sel]
+                best_t[sel] = np.where(win, cand, best_t[sel])
+                best[sel] = np.where(win, c, best[sel])
+            ended = (best < 0) | (best_t >= self.T)
+            party = ~ended & (best >= n)
+            batch.party[live[party]] = best[party] - n + 1
+            batch.party_time[live[party]] = best_t[party]
+            ref = ~ended & ~party
+            used[live[~ref]] = head[~ref] - live[~ref]
+            pos[live] = head
+            live, who = live[ref], best[ref]
+            if not live.size:
+                break
+            batch.event_time[live, r] = t[live] = best_t[ref]
+            batch.event_entity[live, r] = who + 1
+            batch.n_events[live] = r + 1
+            mask[live] |= 1 << who
+        return used, batch
+
+
+def _take(batch: PathBatch, rows) -> PathBatch:
+    return PathBatch(*(getattr(batch, f.name)[rows] for f in fields(PathBatch)))
+
+
 def simulate_paths(
     model: ContagionModel,
     portfolio: Portfolio,
@@ -68,62 +205,44 @@ def simulate_paths(
     seed: int,
     include_parties: bool = True,
     h_C_true=None,
-) -> list[ScenarioPath]:
+) -> PathBatch:
     """Exact stepwise sampling of correlated default times.
 
     After every reference default the surviving intensities are re-evaluated
     in the new state and all exponential clocks are redrawn, which is
     distributionally exact by the memoryless property.  ``h_C_true``
-    overrides the model counterparty intensity (callable of (t, count)).
+    overrides the model counterparty intensity (callable of (t, count),
+    piecewise constant on the model's breakpoints).
+
+    Path p reads the next unused exponentials of ``default_rng(seed)``:
+    one per surviving name in ascending order, then the investor's and the
+    counterparty's, in every round.  The stream is drawn in blocks, a path
+    is run from every offset of a block at once, and the offsets are then
+    chained (each path starts where the previous one stopped), so a seed
+    gives the same paths as one scalar draw per clock would.
     """
     rng = np.random.default_rng(seed)
-    n = portfolio.n
-    T = portfolio.maturity
-    breaks = list(model.breakpoints())
-    paths = []
-    for _ in range(n_paths):
-        mask = 0
-        t = 0.0
-        ref_events: list[tuple[float, int]] = []
-        party = None
-        party_time = math.inf
-        while True:
-            state = DefaultState(mask, n)
-            count = state.k
-            best_t, best_who = math.inf, None
-            for i in state.alive():
-                cand = _invert_hazard(
-                    lambda tt, i=i, state=state: model.intensity(i, tt, state),
-                    breaks, t, rng.exponential(), T,
-                )
-                if cand < best_t:
-                    best_t, best_who = cand, i
-            if include_parties:
-                cand = _invert_hazard(
-                    lambda tt, c=count: model.intensity_by_count("I", tt, c),
-                    breaks, t, rng.exponential(), T,
-                )
-                if cand < best_t:
-                    best_t, best_who = cand, "I"
-                if h_C_true is not None:
-                    h_c = lambda tt, c=count: h_C_true(tt, c)
-                else:
-                    h_c = lambda tt, c=count: model.intensity_by_count("C", tt, c)
-                cand = _invert_hazard(h_c, breaks, t, rng.exponential(), T)
-                if cand < best_t:
-                    best_t, best_who = cand, "C"
-            if best_who is None or best_t >= T:
+    clocks = _Clocks(model, portfolio, include_parties, h_C_true)
+    draws = np.empty(0)
+    parts = []
+    taken = 0
+    while not parts or taken < n_paths:
+        block = (n_paths - taken) * len(clocks.h) * 5 // 4 + 64
+        draws = np.concatenate([draws, rng.exponential(size=min(block, _MAX_BLOCK))])
+        used, batch = clocks.from_every_offset(draws)
+        used = used.tolist() + [-1]  # the end of the block stops the chain
+        starts = []
+        s = 0
+        for _ in range(n_paths - taken):
+            if used[s] < 0:
                 break
-            if best_who in ("I", "C"):
-                party, party_time = best_who, best_t
-                break
-            ref_events.append((best_t, best_who))
-            mask |= 1 << (best_who - 1)
-            t = best_t
-            if mask == (1 << n) - 1 and not include_parties:
-                break
-        paths.append(ScenarioPath(ref_events=ref_events, party=party, party_time=party_time))
-    return paths
+            starts.append(s)
+            s += used[s]
+        parts.append(_take(batch, starts))
+        taken += len(starts)
+        draws = draws[s:]
+    return PathBatch(*(np.concatenate([getattr(b, f.name) for b in parts])
+                       for f in fields(PathBatch)))
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +282,15 @@ def mc_clean_value(
         return _mc_clean_single_stratified(cfg, model, portfolio, n_paths, seed)
     paths = simulate_paths(model, portfolio, n_paths, seed, include_parties=False)
     T = portfolio.maturity
-    vals = np.empty(n_paths)
-    for p, path in enumerate(paths):
-        taus = {who: t for t, who in path.ref_events}
+    contracts = portfolio.contracts
+    vals = np.full(
+        n_paths, sum(_contract_cash_flow(cfg, con, math.inf, T) for con in contracts)
+    )
+    taus = paths.default_times()
+    for p in np.flatnonzero(paths.n_events).tolist():
         vals[p] = sum(
-            _contract_cash_flow(cfg, con, taus.get(i + 1, math.inf), T)
-            for i, con in enumerate(portfolio.contracts)
+            _contract_cash_flow(cfg, con, tau, T)
+            for con, tau in zip(contracts, taus[p].tolist())
         )
     est = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(n_paths))
@@ -232,8 +354,44 @@ def is_linear_driver(cfg: MarketConfig, portfolio: Portfolio) -> bool:
     )
 
 
-def _state_key(result: EngineResult, mask: int) -> int:
-    return bin(mask).count("1") if result.space.homogeneous else mask
+def _state_keys(result: EngineResult, paths: PathBatch, rows, times) -> np.ndarray:
+    """State key of each path in ``rows`` at ``times``: its earlier defaults."""
+    before = paths.event_time[rows] < times[:, None]
+    if result.space.homogeneous:
+        return np.count_nonzero(before, axis=1)
+    bits = np.zeros(before.shape, dtype=np.int64)
+    np.left_shift(1, paths.event_entity[rows] - 1, out=bits, where=before)
+    return bits.sum(axis=1)
+
+
+def _at(surface: LatticeSurface, keys: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """``surface.at(key, t)`` for paired arrays, one np.interp per distinct key."""
+    out = np.empty(len(times))
+    for key in np.unique(keys).tolist():
+        sel = keys == key
+        out[sel] = np.interp(times[sel], surface.grid, surface.values[key])
+    return out
+
+
+def _closeout_payoff(result: EngineResult, party, keys, times) -> np.ndarray:
+    """Closeout payoff of each trading-party default in state ``keys``.
+
+    ``np.where(0.0 > x, 0.0, x)`` is ``max(x, 0.0)`` including the sign of
+    zero, so the values match the scalar formula bit for bit.
+    """
+    gap = _at(result.clean, keys, times) - _at(result.margins.m, keys, times)
+    L_I = result.portfolio.loss_investor
+    L_C = result.portfolio.loss_counterparty
+    return np.where(
+        party == PARTY_I,
+        -L_I * np.where(0.0 > gap, 0.0, gap),
+        L_C * np.where(0.0 > -gap, 0.0, -gap),
+    )
+
+
+def _running_sum(values: np.ndarray) -> float:
+    """Left-to-right sum from 0.0, the order of an accumulating loop."""
+    return functools.reduce(operator.add, values.tolist(), 0.0)
 
 
 def mc_xva_closeout(
@@ -252,22 +410,14 @@ def mc_xva_closeout(
     paths = simulate_paths(
         result.model, portfolio, n_paths, seed, include_parties=True, h_C_true=h_true
     )
+    rows = np.flatnonzero(paths.party)
+    tau = paths.party_time[rows]
+    payoff = _closeout_payoff(
+        result, paths.party[rows], _state_keys(result, paths, rows, tau), tau
+    )
     vals = np.zeros(n_paths)
-    L_I, L_C = portfolio.loss_investor, portfolio.loss_counterparty
-    for p, path in enumerate(paths):
-        if path.party is None:
-            continue
-        tau = path.party_time
-        mask = 0
-        for t_ev, who in path.ref_events:
-            if t_ev < tau:
-                mask |= 1 << (who - 1)
-        key = _state_key(result, mask)
-        v = result.clean.at(key, tau)
-        m = result.margins.m.at(key, tau)
-        gap = v - m
-        payoff = -L_I * max(gap, 0.0) if path.party == "I" else L_C * max(-gap, 0.0)
-        vals[p] = math.exp(-cfg.r_D * tau) * payoff
+    # math.exp, not np.exp, keeps the last bits of the scalar estimator
+    vals[rows] = np.array([math.exp(-cfg.r_D * t) for t in tau.tolist()]) * payoff
     est = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(n_paths))
     return est, se
@@ -315,46 +465,29 @@ def pathwise_wealth_check(
         include_parties=True, h_C_true=h_true,
     )
     pocket_surface = xres.pocket
-    T = result.portfolio.maturity
-    violations = 0
-    worst = math.inf
-    surplus_sum = 0.0
-    payoff_sum = 0.0
-    sign = 1.0 if which == "upper" else -1.0
-    for path in paths:
-        end = path.party_time if path.party is not None else T
-        pocket = 0.0
-        mask = 0
-        t_prev = 0.0
-        for t_ev, who in path.ref_events:
-            if t_ev >= end:
-                break
-            key = _state_key(result, mask)
-            pocket += pocket_surface.at(key, t_prev) - pocket_surface.at(key, t_ev)
-            mask |= 1 << (who - 1)
-            t_prev = t_ev
-        key = _state_key(result, mask)
-        pocket += pocket_surface.at(key, t_prev) - pocket_surface.at(key, end)
-        surplus = sign * pocket
-        surplus_sum += surplus
-        worst = min(worst, surplus)
-        if surplus < -tolerance:
-            violations += 1
-        if path.party is not None:
-            v = result.clean.at(key, end)
-            m = result.margins.m.at(key, end)
-            gap = v - m
-            payoff_sum += (
-                -result.portfolio.loss_investor * max(gap, 0.0)
-                if path.party == "I"
-                else result.portfolio.loss_counterparty * max(-gap, 0.0)
-            )
+    end = np.where(paths.party == PARTY_NONE, result.portfolio.maturity, paths.party_time)
+    pocket = np.zeros(n_paths)
+    key = np.zeros(n_paths, dtype=np.int64)
+    t_prev = np.zeros(n_paths)
+    rows = np.arange(n_paths)
+    for r in range(result.portfolio.n):
+        t_ev = paths.event_time[rows, r]
+        keep = t_ev < end[rows]  # events before the path's end; padding is inf
+        rows, t_ev = rows[keep], t_ev[keep]
+        k = key[rows]
+        pocket[rows] += _at(pocket_surface, k, t_prev[rows]) - _at(pocket_surface, k, t_ev)
+        key[rows] += 1 if result.space.homogeneous else 1 << (paths.event_entity[rows, r] - 1)
+        t_prev[rows] = t_ev
+    pocket += _at(pocket_surface, key, t_prev) - _at(pocket_surface, key, end)
+    surplus = (1.0 if which == "upper" else -1.0) * pocket
+    party = np.flatnonzero(paths.party)
+    payoff = _closeout_payoff(result, paths.party[party], key[party], end[party])
     return WealthReport(
         n_paths=n_paths,
-        violations=violations,
-        worst_margin=worst,
-        mean_surplus=surplus_sum / n_paths,
-        payoff_mean=payoff_sum / n_paths,
+        violations=int(np.count_nonzero(surplus < -tolerance)),
+        worst_margin=functools.reduce(min, surplus.tolist(), math.inf),
+        mean_surplus=_running_sum(surplus) / n_paths,
+        payoff_mean=_running_sum(payoff) / n_paths,
     )
 
 

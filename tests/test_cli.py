@@ -162,6 +162,43 @@ class TestExitCodes:
         assert _run("price", "--config", str(bad),
                     "--out-dir", str(tmp_path / "o")) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--paths", "0"), ("--paths", "-5"), ("--paths", "1"), ("--grid-points", "0"),
+    ])
+    def test_degenerate_counts_refused(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            _run("verify", "--config", str(SINGLE_NAME), "--out-dir", str(out),
+                 flag, value)
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert f"argument {flag}: must be at least" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_spread_refused(self, tmp_path, capsys):
+        doc = _minimal_doc()
+        doc["portfolio"]["contracts"][0]["spread"] = float("nan")
+        cfg = _write_config(tmp_path, doc)
+        assert _run("xva", "--config", str(cfg), "--out-dir", str(tmp_path / "o"),
+                    "--grid-points", "100") == cli.EXIT_CONFIG
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_multi_name_initial_margin_refused(self, tmp_path, capsys):
+        doc = _minimal_doc()
+        doc["portfolio"]["contracts"] *= 2
+        doc["portfolio"]["collateral"] = {"beta": 0.5}
+        cfg = _write_config(tmp_path, doc)
+        assert _run("price", "--config", str(cfg), "--out-dir", str(tmp_path / "o"),
+                    "--grid-points", "100") == cli.EXIT_CONFIG
+        assert "VaR callback" in capsys.readouterr().err
+
+    def test_zero_intensity_entity_fails_validation(self, tmp_path):
+        doc = _minimal_doc()
+        doc["portfolio"]["contracts"] *= 2
+        doc["contagion"]["reference_tables"] = [0.2, 0.0]
+        cfg = _write_config(tmp_path, doc)
+        assert _run("price", "--config", str(cfg), "--out-dir", str(tmp_path / "o"),
+                    "--grid-points", "100") == cli.EXIT_ASSUMPTION
+
     def test_assumption_violation_gate(self, tmp_path):
         out = tmp_path / "out"
         assert _run("price", "--config", str(FIVE_NAME), "--out-dir", str(out),

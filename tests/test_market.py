@@ -116,6 +116,15 @@ class TestIntensity:
         assert model.min_intensity("C", 2.0) == 0.2
         assert model.min_intensity("C", 0.5) == 0.2
 
+    def test_min_intensity_reads_each_entity_table(self):
+        model = ContagionModel(
+            n=2, a10=0.2,
+            reference_tables=(_as_table(0.2), _as_table({"breaks": [1.0], "values": [0.3, 0.0]})),
+        )
+        assert model.min_intensity(1, 2.0) == 0.2
+        assert model.min_intensity(2, 0.5) == 0.3
+        assert model.min_intensity(2, 2.0) == 0.0
+
 
 # ---------------------------------------------------------------------------
 # Tables
@@ -299,6 +308,20 @@ class TestValidation:
         assert not report.passed
         assert any("r_f_minus" in c.name for c in report.failures())
 
+    def test_zero_intensity_of_a_later_entity_fails(self):
+        # mu_2 = h_2 + r_D = r_D when entity 2 has zero intensity
+        cfg = MarketConfig(
+            r_D=0.001, r_f_plus=0.001, r_f_minus=0.001,
+            r_m_plus=0.001, r_m_minus=0.001,
+            mu_C_lower=0.1501, mu_C_upper=0.2501,
+        )
+        model = ContagionModel(
+            n=2, a10=0.2, reference_tables=(_as_table(0.2), _as_table(0.0))
+        )
+        report = validate_assumptions(cfg, model)
+        assert not report.passed
+        assert report.checks[0].rhs == cfg.r_D
+
     def test_report_as_dict(self, single_name_setup):
         cfg, model, portfolio, _ = single_name_setup
         doc = validate_assumptions(cfg, model, horizon=portfolio.maturity).as_dict()
@@ -338,6 +361,38 @@ class TestConfigLoading:
                 "portfolio": {"contracts": [], "L_I": 0.5, "L_C": 0.5},
                 "contagion": {},
             })
+
+    @pytest.mark.parametrize("where, key", [
+        (("portfolio", "contracts", 0), "spread"),
+        (("portfolio",), "maturity"),
+        (("rates",), "r_f_plus"),
+        (("counterparty_band",), "mu_true"),
+        (("contagion",), "a30"),
+        (("contagion",), "investor_table"),
+    ])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_numbers_rejected(self, where, key, bad):
+        doc = {
+            "rates": {"r_D": 0.001, "r_f_plus": 0.001, "r_f_minus": 0.001,
+                      "r_m_plus": 0.001, "r_m_minus": 0.001},
+            "counterparty_band": {"mu_lower": 0.15, "mu_upper": 0.25, "mu_true": 0.2},
+            "portfolio": {
+                "contracts": [{"spread": 0.02, "loss": 0.5}],
+                "maturity": 1.0, "L_I": 0.5, "L_C": 0.5,
+            },
+            "contagion": {"a10": 0.1, "a20": 0.15, "a30": 0.2},
+        }
+        market_from_dict(doc)
+        node = doc
+        for step in where:
+            node = node[step]
+        node[key] = bad
+        with pytest.raises(ConfigError, match="finite"):
+            market_from_dict(doc)
+
+    def test_table_break_must_be_finite(self):
+        with pytest.raises(ConfigError, match="finite"):
+            _as_table({"breaks": [float("nan")], "values": [0.1, 0.2]})
 
     def test_round_trip_single_name(self, single_name_setup):
         cfg, model, portfolio, model_P = single_name_setup

@@ -5,7 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from rxva.market import ContagionModel, Contract, MarketConfig, Portfolio
+from rxva import oracle
+from rxva.market import (
+    ContagionModel,
+    Contract,
+    DefaultState,
+    MarketConfig,
+    Portfolio,
+    load_config,
+    market_from_dict,
+)
 from rxva.oracle import (
     drift_identity_error,
     is_linear_driver,
@@ -15,6 +24,9 @@ from rxva.oracle import (
     simulate_paths,
     verify,
 )
+from rxva.xva import resolve_true_h_c
+
+from conftest import FIVE_NAME, SINGLE_NAME
 
 
 def _cfg(r_D=0.0):
@@ -28,6 +40,102 @@ def _portfolio(n, S=0.02, L=0.5, T=1.0, direction=1):
     con = Contract(spread=S, loss=L, direction=direction)
     return Portfolio(contracts=(con,) * n, maturity=T,
                      loss_investor=0.5, loss_counterparty=0.5)
+
+
+def _invert_hazard(h_of_t, breaks, t0, target, horizon):
+    prev = t0
+    remaining = target
+    for edge in [b for b in breaks if t0 < b < horizon] + [horizon]:
+        h = h_of_t(0.5 * (prev + edge))
+        span = edge - prev
+        if h > 0.0 and h * span >= remaining:
+            return prev + remaining / h
+        remaining -= h * span
+        prev = edge
+    return math.inf
+
+
+def _reference_paths(model, portfolio, n_paths, seed, include_parties, h_C_true):
+    """Scalar sampler: one path at a time, one exponential per clock, drawn
+    in the order surviving names (ascending), investor, counterparty."""
+    rng = np.random.default_rng(seed)
+    n, T = portfolio.n, portfolio.maturity
+    breaks = list(model.breakpoints())
+    paths = []
+    for _ in range(n_paths):
+        mask, t, events, party, party_time = 0, 0.0, [], None, math.inf
+        while True:
+            state = DefaultState(mask, n)
+            clocks = [(i, lambda tt, i=i: model.intensity(i, tt, state))
+                      for i in state.alive()]
+            if include_parties:
+                clocks.append(("I", lambda tt: model.intensity_by_count("I", tt, state.k)))
+                clocks.append(("C", lambda tt: h_C_true(tt, state.k)))
+            best_t, best_who = math.inf, None
+            for who, h in clocks:
+                cand = _invert_hazard(h, breaks, t, rng.exponential(), T)
+                if cand < best_t:
+                    best_t, best_who = cand, who
+            if best_who is None or best_t >= T:
+                break
+            if best_who in ("I", "C"):
+                party, party_time = best_who, best_t
+                break
+            events.append((best_t, best_who))
+            mask |= 1 << (best_who - 1)
+            t = best_t
+        paths.append((events, party, party_time))
+    return paths
+
+
+_GENERAL_THREE_NAME = {
+    "rates": {"r_D": 0.001, "r_f_plus": 0.001, "r_f_minus": 0.001,
+              "r_m_plus": 0.001, "r_m_minus": 0.001},
+    "counterparty_band": {"mu_lower": 0.05, "mu_upper": 0.9, "mu_true": "model"},
+    "contagion": {
+        "investor_table": {"breaks": [0.7], "values": [[0.1, 0.3], [0.2, 0.5, 0.6]]},
+        "counterparty_table": {"breaks": [1.5], "values": [[0.15, 0.25, 0.4], 0.3]},
+        "reference_tables": [
+            {"breaks": [0.5, 1.2], "values": [[0.3, 0.6], [0.2, 0.9, 1.1], [0.4]]},
+            {"breaks": [1.0], "values": [[0.5, 0.7, 0.9], [0.1, 0.2]]},
+            0.35,
+        ],
+    },
+    "portfolio": {
+        "maturity": 2.0, "L_I": 0.5, "L_C": 0.5,
+        "contracts": [{"spread": 0.02, "loss": 0.5},
+                      {"spread": 0.03, "loss": 0.4},
+                      {"spread": 0.01, "loss": 0.6, "direction": -1}],
+    },
+}
+
+
+class TestSamplerExactness:
+    """The block-drawn sampler gives the scalar sampler's paths bit for bit."""
+
+    @pytest.mark.parametrize("max_block", [None, 97])
+    @pytest.mark.parametrize("include_parties", [False, True])
+    @pytest.mark.parametrize("setup", ["single", "five", "general"])
+    def test_paths_match_scalar_reference(self, monkeypatch, setup, include_parties,
+                                          max_block):
+        if max_block is not None:  # many blocks: paths continue across block ends
+            monkeypatch.setattr(oracle, "_MAX_BLOCK", max_block)
+        if setup == "general":
+            cfg, model, portfolio, _ = market_from_dict(_GENERAL_THREE_NAME)
+        else:
+            cfg, model, portfolio, _ = load_config(
+                SINGLE_NAME if setup == "single" else FIVE_NAME
+            )
+        h_true = resolve_true_h_c(cfg, model)
+        want = _reference_paths(model, portfolio, 1500, 21, include_parties, h_true)
+        got = simulate_paths(model, portfolio, 1500, 21,
+                             include_parties=include_parties, h_C_true=h_true)
+        assert len(got) == len(want)
+        assert sum(len(events) for events, _, _ in want) > 50
+        for path, (events, party, party_time) in zip(got, want):
+            assert path.ref_events == events
+            assert path.party == party
+            assert path.party_time == party_time
 
 
 class TestSimulatePaths:
