@@ -44,18 +44,12 @@ class StateCoeffs:
     transitions: tuple
 
 
-@dataclass(frozen=True)
-class _Coeffs:
-    """Per-state coefficient bundle for one constant-coefficient time piece."""
-
-    states: tuple  # one StateCoeffs per lattice state, in key order
-
-
 class LatticeCoefficients:
     """Builds and caches per-time-piece coefficient bundles for the lattice.
 
-    Coefficients are piecewise constant in time; the cache is keyed by the
-    index of the piece containing the queried time.
+    Coefficients are piecewise constant in time; a bundle is the tuple of
+    StateCoeffs of every lattice state in key order, cached by the index of
+    the piece containing the queried time.
     """
 
     def __init__(self, model: ContagionModel, portfolio: Portfolio, space: StateSpace):
@@ -63,9 +57,9 @@ class LatticeCoefficients:
         self.portfolio = portfolio
         self.space = space
         self.breaks = np.asarray(model.breakpoints())
-        self._cache: dict[int, _Coeffs] = {}
+        self._cache: dict[int, tuple[StateCoeffs, ...]] = {}
 
-    def at(self, t: float) -> _Coeffs:
+    def at(self, t: float) -> tuple[StateCoeffs, ...]:
         piece = int(np.searchsorted(self.breaks, t, side="right"))
         cached = self._cache.get(piece)
         if cached is not None:
@@ -82,7 +76,7 @@ class LatticeCoefficients:
         """
         return [self.at(float(t)) for t in mids]
 
-    def _build(self, t: float) -> _Coeffs:
+    def _build(self, t: float) -> tuple[StateCoeffs, ...]:
         model, pf, space = self.model, self.portfolio, self.space
         states = []
         for key in space.keys:
@@ -114,7 +108,7 @@ class LatticeCoefficients:
                     sum_L += con.direction * con.loss
                     moves.append((
                         key | 1 << (i - 1),
-                        self._entity_intensity(i, t, key),
+                        model.intensity_by_count(i, t, count),
                         con.direction * con.loss,
                         1,
                     ))
@@ -123,17 +117,13 @@ class LatticeCoefficients:
                 sum_S=sum_S, sum_L=sum_L, h_I=h_I, h_C=h_C,
                 alive_count=alive_count, transitions=transitions,
             ))
-        return _Coeffs(states=tuple(states))
+        return tuple(states)
 
-    def _entity_intensity(self, i: int, t: float, mask: int) -> float:
-        from .market import DefaultState
-        return self.model.intensity(i, t, DefaultState(mask, self.portfolio.n))
-
-    def clean_rhs(self, coeffs: _Coeffs, r_D: float, v: np.ndarray) -> np.ndarray:
+    def clean_rhs(self, coeffs: tuple, r_D: float, v: np.ndarray) -> np.ndarray:
         """dv/ds for the clean system on one constant-coefficient piece."""
         vl = v.tolist()
         out = [0.0] * len(vl)
-        for k, st in enumerate(coeffs.states):
+        for k, st in enumerate(coeffs):
             vk = vl[k]
             dv = -r_D * vk - st.sum_S
             for child, rate, loss, _count in st.transitions:

@@ -32,12 +32,17 @@ from .reporting import (
     write_sweep_csv,
     write_xva_csv,
 )
-from .sweeps import SweepSpec, default_grid, run_sweep
+from .sweeps import SWEEPABLE, SweepSpec, default_grid, run_sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ASSUMPTION = 3
 EXIT_VERIFY = 4
+
+# options besides the config, the seed and the grid that change an artifact;
+# the manifest records each one the subcommand takes
+ARTIFACT_FLAGS = ("gamma", "full_lattice", "which", "allow_assumption_violation",
+                  "param", "points", "span", "paths")
 
 
 def _count(minimum: int):
@@ -91,9 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="comparative statics table")
     _add_common(p)
-    p.add_argument("--param", required=True,
-                   choices=("a20", "a23", "a33", "a30", "alpha", "band_width"))
-    p.add_argument("--points", type=int, default=21)
+    p.add_argument("--param", required=True, choices=SWEEPABLE)
+    p.add_argument("--points", type=_count(1), default=21)
     p.add_argument("--span", type=float, default=0.5)
 
     return parser
@@ -149,6 +153,7 @@ def _write_manifest(args, out_dir: Path, outputs: list[str], started: float,
         version=__version__,
         seed=seed,
         grid_points=args.grid_points,
+        flags={k: v for k, v in vars(args).items() if k in ARTIFACT_FLAGS},
         outputs=[Path(o).name for o in outputs],
         wall_clock_s=time.perf_counter() - started,
     )

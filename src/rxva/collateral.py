@@ -1,11 +1,12 @@
 """Variation margin, VaR-based initial margin, and closeout values.
 
-The total collateral is M = VM + IM with VM = alpha * gamma * v_hat and
-IM = beta * (VaR_q of the clean-value increment over the margin period
-delta)^+.  The single-name increment law admits a closed form for constant
-intensities; the general case is solved by root bisection on the quantile
-equation, and multi-name portfolios fall back to an empirical Monte Carlo
-quantile.
+The total collateral is M = VM + IM with VM = alpha * v_hat (the clean value
+already carries the portfolio direction) and IM = beta * (VaR_q of the
+clean-value increment over the margin period delta)^+.  The single-name
+increment law admits a closed form for constant intensities; for a
+piecewise-constant intensity the quantile equation is solved exactly by
+inverting the piecewise-linear cumulated hazard.  Multi-name portfolios need
+an empirical quantile callback.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .grids import LatticeSurface, StateSpace, zero_surface
+from .grids import LatticeSurface, zero_surface
 from .market import ConfigError, ContagionModel, MarketConfig, PiecewiseTable, Portfolio
 
 
@@ -48,11 +48,11 @@ def closeout_theta(kind: str, v_hat: float, m: float, L_I: float, L_C: float) ->
 # Variation margin
 # ---------------------------------------------------------------------------
 
-def variation_margin(v_hat: LatticeSurface, alpha: float, gamma: int = 1) -> LatticeSurface:
-    """VM surface: alpha * gamma * v_hat nodewise."""
+def variation_margin(v_hat: LatticeSurface, alpha: float) -> LatticeSurface:
+    """VM surface: alpha * v_hat nodewise."""
     out = zero_surface(v_hat.grid, v_hat.space, "vm")
     for k in v_hat.space.keys:
-        out.values[k] = alpha * gamma * v_hat.values[k]
+        out.values[k] = alpha * v_hat.values[k]
     return out
 
 
@@ -60,14 +60,33 @@ def variation_margin(v_hat: LatticeSurface, alpha: float, gamma: int = 1) -> Lat
 # Initial margin
 # ---------------------------------------------------------------------------
 
-def _cum_hazard(table: PiecewiseTable, t0: float, t1: float, count: int = 0) -> float:
+def _pieces(table: PiecewiseTable, t0: float, t1: float):
+    """(start, end, intensity) of each constant piece of ``table`` in [t0, t1]."""
+    edges = [t0] + [b for b in table.breaks if t0 < b < t1] + [t1]
+    return [(a, b, table.at(0.5 * (a + b), 0)) for a, b in zip(edges, edges[1:])]
+
+
+def _cum_hazard(table: PiecewiseTable, t0: float, t1: float) -> float:
     """Integral of a piecewise-constant intensity over [t0, t1]."""
     if t1 <= t0:
         return 0.0
-    edges = [t0] + [b for b in table.breaks if t0 < b < t1] + [t1]
-    return sum(
-        table.at(0.5 * (a + b), count) * (b - a) for a, b in zip(edges, edges[1:])
-    )
+    return sum(h * (b - a) for a, b, h in _pieces(table, t0, t1))
+
+
+def _hazard_horizon(table: PiecewiseTable, t0: float, t1: float, target: float) -> float:
+    """Shortest h with int_t0^{t0+h} table = target, over the pieces of [t0, t1].
+
+    The cumulated hazard is piecewise linear in h, so the crossing is exact
+    on the piece where it happens; t1 - t0 when rounding leaves the target
+    just out of reach.
+    """
+    acc = 0.0
+    for a, b, h in _pieces(table, t0, t1):
+        mass = h * (b - a)
+        if h > 0.0 and acc + mass >= target:
+            return a - t0 + (target - acc) / h
+        acc += mass
+    return t1 - t0
 
 
 def initial_margin_var(
@@ -80,61 +99,39 @@ def initial_margin_var(
     gamma: int,
     t: float,
     T: float,
-    tol: float = 1e-12,
-    max_iter: int = 200,
 ) -> float:
     """Single-name VaR-based initial margin at time t.
 
     ``h_P`` is the physical default intensity, a scalar or a PiecewiseTable.
     For gamma = -1 the margin is beta * K where K solves the quantile
-    equation exp(-int_t^{t+((L-K)/S) ^ delta_eff} h_P) = q; the constant-
-    intensity case with t < T - delta reduces to the closed form
+    equation exp(-int_t^{t+((L-K)/S) ^ delta_eff} h_P) = q, that is
+    K = L - S * Lambda^{-1}(-log q) with Lambda the cumulated hazard from t;
+    the constant-intensity case with t < T - delta reduces to the closed form
     beta * (L + S log(q) / h_P) when q > exp(-h_P delta), and 0 otherwise.
-    For gamma = +1 the adverse tail is the no-default scenario; with
-    L >= S * T the value-at-risk is negative and the margin is 0.
+    For gamma = +1 the adverse outcomes are capped by the spread paid over
+    the window: the margin is beta * S * delta_eff unless a default within
+    min(L / S, delta_eff) has probability at least 1 - q, and then it is 0.
     """
     if isinstance(h_P, (int, float)):
         h_P = PiecewiseTable(breaks=(), values=((float(h_P),),))
     if t >= T:
         return 0.0
     delta_eff = min(delta, T - t)
-    surv_window = np.exp(-_cum_hazard(h_P, t, t + delta_eff))
     if gamma == -1:
-        if surv_window >= q:
+        if np.exp(-_cum_hazard(h_P, t, t + delta_eff)) >= q:
             return 0.0
         if S == 0.0:
             # the loss leg alone drives the increment; the quantile sits at L
             return beta * max(L, 0.0)
-
-        def f(K):
-            horizon = min((L - K) / S, delta_eff)
-            return np.exp(-_cum_hazard(h_P, t, t + max(horizon, 0.0))) - q
-
-        if f(0.0) >= 0.0:
+        if np.exp(-_cum_hazard(h_P, t, t + max(min(L / S, delta_eff), 0.0))) >= q:
             return 0.0
-        k_star = brentq(f, 0.0, L, xtol=tol, maxiter=max_iter)
+        k_star = L - S * _hazard_horizon(h_P, t, t + delta_eff, -np.log(q))
         return beta * max(k_star, 0.0)
     if gamma == 1:
-        # adverse outcomes for the position are capped by the spread paid
-        # over the window; beyond that cap the quantile is attained with
-        # certainty
-        cap = S * delta_eff
-        hit_at_zero = 1.0 - np.exp(
-            -_cum_hazard(h_P, t, t + min(L / S, delta_eff) if S > 0.0 else t + delta_eff)
-        )
-        if hit_at_zero >= 1.0 - q:
+        horizon = min(L / S, delta_eff) if S > 0.0 else delta_eff
+        if 1.0 - np.exp(-_cum_hazard(h_P, t, t + horizon)) >= 1.0 - q:
             return 0.0
-        if 1.0 - surv_window >= 1.0 - q and S > 0.0:
-
-            def g(K):
-                horizon = min((L + K) / S, delta_eff)
-                return np.exp(-_cum_hazard(h_P, t, t + horizon)) - q
-
-            if g(cap) < 0.0:
-                return beta * cap
-            k_star = brentq(g, 0.0, cap, xtol=tol, maxiter=max_iter)
-            return beta * max(k_star, 0.0)
-        return beta * cap
+        return beta * (S * delta_eff)
     raise ValueError(f"gamma must be +1 or -1, got {gamma}")
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -21,46 +20,6 @@ COUNTERPARTY = "C"
 
 class ConfigError(ValueError):
     """Raised when a configuration file or dictionary is malformed."""
-
-
-# ---------------------------------------------------------------------------
-# Default states
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DefaultState:
-    """Set of defaulted reference entities.
-
-    Attributes:
-        mask: bitmask over entities; bit (i - 1) set means entity i defaulted.
-        n: total number of reference entities.
-    """
-
-    mask: int
-    n: int
-
-    def __post_init__(self):
-        if self.mask < 0 or self.mask >= (1 << self.n):
-            raise ValueError(f"mask {self.mask} out of range for n={self.n}")
-
-    @property
-    def k(self) -> int:
-        """Number of defaulted entities |J|."""
-        return bin(self.mask).count("1")
-
-    def contains(self, entity: int) -> bool:
-        """True when the 1-based ``entity`` is in the defaulted set."""
-        return bool(self.mask >> (entity - 1) & 1)
-
-    def with_default(self, entity: int) -> "DefaultState":
-        """State after the additional default of 1-based ``entity``."""
-        if self.contains(entity):
-            raise ValueError(f"entity {entity} already defaulted")
-        return DefaultState(self.mask | (1 << (entity - 1)), self.n)
-
-    def alive(self) -> list[int]:
-        """Surviving 1-based entity ids, ascending."""
-        return [i for i in range(1, self.n + 1) if not self.contains(i)]
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +115,21 @@ def _as_table(spec) -> PiecewiseTable:
     """
     if isinstance(spec, (int, float)):
         return PiecewiseTable(breaks=(), values=((_number(spec, "intensity"),),))
-    breaks = tuple(_number(b, "table break") for b in spec.get("breaks", ()))
+    if not isinstance(spec, dict):
+        raise ConfigError(f"an intensity table must be a number or a mapping, got {spec!r}")
+    breaks = spec.get("breaks", [])
+    values = _require(spec, "values", "intensity table")
+    if not isinstance(breaks, list) or not isinstance(values, list):
+        raise ConfigError("intensity table breaks and values must be lists")
+    breaks = tuple(_number(b, "table break") for b in breaks)
     rows = []
-    for row in spec["values"]:
+    for row in values:
         if isinstance(row, (int, float)):
             rows.append((_number(row, "intensity"),))
-        else:
+        elif isinstance(row, list):
             rows.append(tuple(_number(v, "intensity") for v in row))
+        else:
+            raise ConfigError(f"an intensity row must be a number or a list, got {row!r}")
     return PiecewiseTable(breaks=breaks, values=tuple(rows))
 
 
@@ -176,10 +143,6 @@ class ContagionModel:
         h_C(t, J) = a20 + a23 |J|
         h_i(t, J) = a30 + a33 |J \\ {i}|     for surviving i
 
-    The cross-party couplings a12, a21, a31, a32 are accepted but play no
-    role before the first trading-party default; they are kept only so that
-    configurations carrying them round-trip.
-
     In general mode, per-entity piecewise-constant tables keyed by
     (time piece, default count) replace the affine parameterization.
     """
@@ -191,10 +154,6 @@ class ContagionModel:
     a23: float = 0.0
     a30: float = 0.0
     a33: float = 0.0
-    a12: float = 0.0
-    a21: float = 0.0
-    a31: float = 0.0
-    a32: float = 0.0
     investor_table: PiecewiseTable | None = None
     counterparty_table: PiecewiseTable | None = None
     reference_tables: tuple[PiecewiseTable, ...] | None = None
@@ -214,22 +173,13 @@ class ContagionModel:
         tables = self.reference_tables
         return tables[0] if len(tables) == 1 else tables[entity - 1]
 
-    def intensity(self, who, t: float, state: DefaultState) -> float:
-        """Risk-neutral default intensity h_who(t, J).
+    def intensity_by_count(self, who, t: float, count: int) -> float:
+        """Risk-neutral default intensity h_who(t, J) with ``count`` = |J|.
 
         ``who`` is a 1-based entity id, or one of the markers ``"I"``/``"C"``.
-        Raises for a reference entity that already defaulted.
-        """
-        if who not in (INVESTOR, COUNTERPARTY) and state.contains(int(who)):
-            raise ValueError(f"entity {who} has defaulted and carries no intensity")
-        # a surviving i has |J \ {i}| == |J|
-        return self.intensity_by_count(who, t, state.k)
-
-    def intensity_by_count(self, who, t: float, count: int) -> float:
-        """Intensity as a function of the default count only.
-
         Every intensity of the model depends on the defaulted set through its
-        size; a reference entity ``who`` reads its own table in general mode.
+        size (a surviving entity i has |J \\ {i}| == |J|); a reference entity
+        reads its own table in general mode.
         """
         if who == INVESTOR:
             if self.investor_table is not None:
@@ -517,7 +467,7 @@ def market_from_dict(doc: dict) -> tuple[MarketConfig, ContagionModel, Portfolio
 
 def _contagion_from_dict(doc: dict, n: int) -> ContagionModel:
     kwargs: dict = {"n": n}
-    for key in ("a10", "a13", "a20", "a23", "a30", "a33", "a12", "a21", "a31", "a32"):
+    for key in ("a10", "a13", "a20", "a23", "a30", "a33"):
         if key in doc:
             kwargs[key] = _number(doc[key], f"contagion.{key}")
     if "investor_table" in doc:

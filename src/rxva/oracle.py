@@ -23,7 +23,7 @@ import numpy as np
 
 from .engine import EngineResult
 from .grids import LatticeSurface
-from .market import ContagionModel, DefaultState, MarketConfig, Portfolio
+from .market import ContagionModel, MarketConfig, Portfolio
 from .strategies import robust_strategy, wealth_drift
 from .xva import g_check, resolve_true_h_c
 
@@ -313,7 +313,7 @@ def _mc_clean_single_stratified(cfg, model, portfolio, n_paths, seed):
     breaks = [b for b in model.breakpoints() if 0.0 < b < T]
     edges = np.array([0.0] + breaks + [T])
     h_vals = np.array([
-        model.intensity(1, 0.5 * (a + b), DefaultState(0, 1))
+        model.intensity_by_count(1, 0.5 * (a + b), 0)
         for a, b in zip(edges[:-1], edges[1:])
     ])
     cum = np.concatenate([[0.0], np.cumsum(h_vals * np.diff(edges))])
@@ -534,8 +534,7 @@ def drift_identity_error(result: EngineResult, which: str = "upper", stride: int
             else:
                 children = [surface.at(space.child(key, i), t) for i in space.alive(key)]
                 h_children = [
-                    model.intensity(i, t, DefaultState(key, portfolio.n))
-                    for i in space.alive(key)
+                    model.intensity_by_count(i, t, count) for i in space.alive(key)
                 ]
             loss_sum = sum(
                 portfolio.contracts[0].direction * portfolio.contracts[0].loss

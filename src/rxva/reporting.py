@@ -87,17 +87,20 @@ def manifest(
     version: str,
     seed: int | None,
     grid_points: int,
+    flags: dict,
     outputs: list[str],
     wall_clock_s: float,
 ) -> dict:
     """Run manifest; identical manifests (wall clock aside) imply
-    byte-identical data artifacts."""
+    byte-identical data artifacts.  ``flags`` holds every other option that
+    changes an artifact."""
     return {
         "subcommand": subcommand,
         "config_sha256": config_sha256(config_path),
         "engine_version": version,
         "seed": seed,
         "grid_points": grid_points,
+        "flags": flags,
         "outputs": sorted(outputs),
         "wall_clock_s": wall_clock_s,
     }

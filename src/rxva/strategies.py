@@ -1,8 +1,7 @@
 """Replication and super-replication holdings at a grid node and state.
 
-All holdings are quoted both as position values (shares times account price,
-the quantity the exported tables carry) and as share counts against supplied
-account prices.  Identities maintained here:
+Holdings are quoted as position values (shares times account price, the
+quantity the exported tables carry).  Identities maintained here:
 
 * wealth: sum of all position values minus the collateral account equals the
   replicated surface value;
@@ -15,22 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .grids import LatticeSurface, StateSpace
+from .grids import LatticeSurface
 from .market import ContagionModel, MarketConfig, Portfolio
-
-
-def funding_rate_select(cfg: MarketConfig, y: float) -> tuple[float, bool]:
-    """Treasury rate applied to a funding balance y.
-
-    Returns r_f_minus for y < 0 and r_f_plus for y > 0.  At y = 0 the accrual
-    vanishes either way; r_f_plus is returned with a tie flag for
-    determinism.
-    """
-    if y < 0.0:
-        return cfg.r_f_minus, False
-    return cfg.r_f_plus, y == 0.0
 
 
 @dataclass(frozen=True)
@@ -38,8 +23,7 @@ class StrategySnapshot:
     """Holdings at one (time, state) point.
 
     ``xi_ref_values[i]`` is the position value in the account of surviving
-    entity i (1-based ids in ``alive``); share counts divide by the supplied
-    account prices.
+    entity i (1-based ids in ``alive``).
     """
 
     t: float
@@ -50,11 +34,6 @@ class StrategySnapshot:
     xi_C_value: float
     xi_f_value: float
     psi_m_value: float
-    xi_ref: dict[int, float]
-    xi_I: float
-    xi_C: float
-    xi_f: float
-    psi_m: float
 
     def wealth(self) -> float:
         """Total portfolio value carried by the holdings."""
@@ -67,31 +46,19 @@ class StrategySnapshot:
         )
 
 
-@dataclass(frozen=True)
-class AccountPrices:
-    """Denominators for share counts; default to unit prices."""
-
-    refs: dict[int, float] | None = None
-    investor: float = 1.0
-    counterparty: float = 1.0
-    funding: float = 1.0
-    margin: float = 1.0
-
-    def ref(self, i: int) -> float:
-        if self.refs is None:
-            return 1.0
-        return self.refs[i]
-
-
-def _snapshot(
+def robust_strategy(
     u_surface: LatticeSurface,
     v_hat: LatticeSurface,
     m_surface: LatticeSurface,
     portfolio: Portfolio,
     t: float,
     key: int,
-    accounts: AccountPrices,
 ) -> StrategySnapshot:
+    """Holdings that replicate the XVA surface ``u_surface`` at (t, key).
+
+    Built from the upper surface they super-replicate, from the lower one
+    they sub-replicate, and from the actual one they replicate.
+    """
     space = u_surface.space
     u = u_surface.at(key, t)
     v = v_hat.at(key, t)
@@ -128,51 +95,7 @@ def _snapshot(
         xi_C_value=xi_C_value,
         xi_f_value=xi_f_value,
         psi_m_value=psi_m_value,
-        xi_ref={i: ref_vals[i] / accounts.ref(i) for i in alive},
-        xi_I=xi_I_value / accounts.investor,
-        xi_C=xi_C_value / accounts.counterparty,
-        xi_f=xi_f_value / accounts.funding,
-        psi_m=psi_m_value / accounts.margin,
     )
-
-
-def robust_strategy(
-    upper: LatticeSurface,
-    v_hat: LatticeSurface,
-    m_surface: LatticeSurface,
-    portfolio: Portfolio,
-    t: float,
-    key: int,
-    accounts: AccountPrices = AccountPrices(),
-) -> StrategySnapshot:
-    """Super-replicating holdings built from the upper XVA surface."""
-    return _snapshot(upper, v_hat, m_surface, portfolio, t, key, accounts)
-
-
-def actual_strategy(
-    actual: LatticeSurface,
-    v_hat: LatticeSurface,
-    m_surface: LatticeSurface,
-    portfolio: Portfolio,
-    t: float,
-    key: int,
-    accounts: AccountPrices = AccountPrices(),
-) -> StrategySnapshot:
-    """Replicating holdings built from the actual XVA surface."""
-    return _snapshot(actual, v_hat, m_surface, portfolio, t, key, accounts)
-
-
-def lower_strategy(
-    lower: LatticeSurface,
-    v_hat: LatticeSurface,
-    m_surface: LatticeSurface,
-    portfolio: Portfolio,
-    t: float,
-    key: int,
-    accounts: AccountPrices = AccountPrices(),
-) -> StrategySnapshot:
-    """Sub-replicating holdings built from the lower XVA surface."""
-    return _snapshot(lower, v_hat, m_surface, portfolio, t, key, accounts)
 
 
 def wealth_drift(
@@ -196,7 +119,7 @@ def wealth_drift(
     mu_I = model.intensity_by_count("I", t, count) + cfg.r_D
     drift = 0.0
     for i in snapshot.alive:
-        mu_i = _ref_mu(cfg, model, portfolio, t, count, i, snapshot)
+        mu_i = model.intensity_by_count(i, t, count) + cfg.r_D
         drift += snapshot.xi_ref_values[i] * mu_i
     drift += snapshot.xi_I_value * mu_I
     drift += snapshot.xi_C_value * mu_C_true
@@ -217,10 +140,3 @@ def _alive_loss_sum(portfolio: Portfolio, snapshot: StrategySnapshot) -> float:
     return sum(
         contracts[i - 1].direction * contracts[i - 1].loss for i in snapshot.alive
     )
-
-
-def _ref_mu(cfg, model, portfolio, t, count, i, snapshot) -> float:
-    if model.shared_reference_dynamics():
-        return model.intensity_by_count(1, t, count) + cfg.r_D
-    from .market import DefaultState
-    return model.intensity(i, t, DefaultState(snapshot.state, portfolio.n)) + cfg.r_D

@@ -18,15 +18,13 @@ SWEEPABLE = ("a20", "a23", "a33", "a30", "alpha", "band_width")
 class SweepSpec:
     """Parameter grid for one comparative-statics run.
 
-    ``derive_band`` re-derives the counterparty band from the contagion
+    The a20 / a23 sweeps re-derive the counterparty band from the contagion
     parameters at every grid point (mu_lower = a20 + r_D and
-    mu_upper = a20 + r_D + N * a23), matching the benchmark convention; it
-    defaults to on for the a20 / a23 sweeps.
+    mu_upper = a20 + r_D + N * a23), matching the benchmark convention.
     """
 
     param: str
     values: tuple[float, ...]
-    derive_band: bool | None = None
 
     def __post_init__(self):
         if self.param not in SWEEPABLE:
@@ -36,9 +34,7 @@ class SweepSpec:
 
     @property
     def rederive(self) -> bool:
-        if self.derive_band is None:
-            return self.param in ("a20", "a23")
-        return self.derive_band
+        return self.param in ("a20", "a23")
 
 
 def default_grid(base_value: float, points: int = 21, span: float = 0.5) -> tuple[float, ...]:

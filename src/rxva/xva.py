@@ -203,7 +203,7 @@ def solve_xva(
     actual_mode = which == "actual"
 
     def rhs(seg, s, y):
-        states = by_seg[seg].states
+        states = by_seg[seg]
         yl = y.tolist()
         if has_im:
             t0, t1 = grid[seg], grid[seg + 1]

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -63,6 +67,21 @@ class TestPrice:
                     "--grid-points", "100") == cli.EXIT_OK
         rows = _read_csv(out / "clean.csv")
         assert rows and all(float(r["value"]) == 0.0 for r in rows)
+
+    def test_gamma_recorded_in_manifest(self, tmp_path):
+        # the two runs write different clean.csv, so their manifests differ
+        mans = []
+        for gamma in ("1", "-1"):
+            out = tmp_path / f"gamma{gamma}"
+            assert _run("price", "--config", str(SINGLE_NAME), "--out-dir", str(out),
+                        "--grid-points", "100", "--gamma", gamma) == cli.EXIT_OK
+            man = json.loads((out / "manifest.json").read_text())
+            man.pop("wall_clock_s")
+            mans.append(man)
+        assert mans[0] != mans[1]
+        assert [m["flags"]["gamma"] for m in mans] == [1, -1]
+        assert set(mans[0]["flags"]) == {"gamma", "full_lattice",
+                                         "allow_assumption_violation"}
 
     def test_gamma_flip_negates_clean(self, tmp_path):
         cfg = _write_config(tmp_path, _minimal_doc())
@@ -162,13 +181,18 @@ class TestExitCodes:
         assert _run("price", "--config", str(bad),
                     "--out-dir", str(tmp_path / "o")) == cli.EXIT_CONFIG
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--paths", "0"), ("--paths", "-5"), ("--paths", "1"), ("--grid-points", "0"),
-    ])
-    def test_degenerate_counts_refused(self, tmp_path, capsys, flag, value):
+    _DEGENERATE = [
+        (("verify",), "--paths", "0"), (("verify",), "--paths", "-5"),
+        (("verify",), "--paths", "1"), (("verify",), "--grid-points", "0"),
+        (("sweep", "--param", "a30"), "--points", "0"),
+    ]
+
+    @pytest.mark.parametrize("command, flag, value", _DEGENERATE,
+                             ids=[f"{flag}-{value}" for _, flag, value in _DEGENERATE])
+    def test_degenerate_counts_refused(self, tmp_path, capsys, command, flag, value):
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
-            _run("verify", "--config", str(SINGLE_NAME), "--out-dir", str(out),
+            _run(*command, "--config", str(SINGLE_NAME), "--out-dir", str(out),
                  flag, value)
         assert exc.value.code == cli.EXIT_CONFIG
         assert f"argument {flag}: must be at least" in capsys.readouterr().err
@@ -221,3 +245,14 @@ class TestDeterminism:
         for man in manifests:
             man.pop("wall_clock_s")
         assert manifests[0] == manifests[1]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    probe = ("import sys, rxva.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -70,8 +70,9 @@ class TestVariationMargin:
         grid = np.array([0.0, 1.0])
         space = StateSpace(n=1, homogeneous=True)
         v_hat = zero_surface(grid, space, "v_hat")
-        v_hat.values[0] = np.array([0.00483043, 0.0])
-        vm = variation_margin(v_hat, alpha=0.8, gamma=-1)
+        # a short (gamma = -1) position: the direction sits in the clean value
+        v_hat.values[0] = np.array([-0.00483043, 0.0])
+        vm = variation_margin(v_hat, alpha=0.8)
         assert vm.values[0][0] == pytest.approx(-0.00386434, abs=1e-8)
         assert np.all(variation_margin(v_hat, alpha=0.0).values[0] == 0.0)
         full = variation_margin(v_hat, alpha=1.0)
@@ -173,6 +174,30 @@ class TestInitialMargin:
         )
         want = initial_margin_closed_form(0.6, 0.02, 0.5, 0.99, 10.0 / 252.0, 1.0)
         assert got == pytest.approx(want, abs=1e-8)
+
+    @pytest.mark.parametrize("t", [0.99, 1.0 - 5.0 / 252.0, 1.0 - 1e-6])
+    def test_break_inside_window_matches_bisection(self, t):
+        # the window [t, t + delta] straddles the break at 1.0; the margin
+        # solves exp(-Lambda(t, t + (L - K) / S)) = q, bisected here on K
+        breaks, values = (1.0,), (0.2, 0.6)
+        S, L, q, delta, beta = 0.3, 0.5, 0.99, 10.0 / 252.0, 1.5
+
+        def cum_hazard(a, b):
+            mid = min(max(breaks[0], a), b)
+            return values[0] * (mid - a) + values[1] * (b - mid)
+
+        def f(K):
+            return np.exp(-cum_hazard(t, t + min((L - K) / S, delta))) - q
+
+        lo, hi = 0.0, L
+        assert f(lo) < 0.0 < f(hi)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if f(mid) < 0.0 else (lo, mid)
+        table = PiecewiseTable(breaks=breaks, values=tuple((v,) for v in values))
+        got = initial_margin_var(h_P=table, S=S, L=L, q=q, delta=delta,
+                                 beta=beta, gamma=-1, t=t, T=5.0)
+        assert got == pytest.approx(beta * 0.5 * (lo + hi), abs=1e-10)
 
     def test_bad_gamma(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Market data layer: states, tables, contagion intensities, validation."""
+"""Market data layer: tables, contagion intensities, validation."""
 
 import json
 
@@ -11,7 +11,6 @@ from rxva.market import (
     ConfigError,
     ContagionModel,
     Contract,
-    DefaultState,
     MarketConfig,
     PiecewiseTable,
     Portfolio,
@@ -24,65 +23,33 @@ from rxva.market import (
 
 
 # ---------------------------------------------------------------------------
-# Default states
-# ---------------------------------------------------------------------------
-
-class TestDefaultState:
-    def test_count_and_membership(self):
-        s = DefaultState(mask=0b101, n=3)
-        assert s.k == 2
-        assert s.contains(1) and s.contains(3) and not s.contains(2)
-        assert s.alive() == [2]
-
-    def test_with_default(self):
-        s = DefaultState(mask=0, n=2).with_default(2)
-        assert s.mask == 0b10
-        with pytest.raises(ValueError):
-            s.with_default(2)
-
-    def test_mask_bounds(self):
-        with pytest.raises(ValueError):
-            DefaultState(mask=4, n=2)
-        with pytest.raises(ValueError):
-            DefaultState(mask=-1, n=2)
-
-
-# ---------------------------------------------------------------------------
 # Intensities
 # ---------------------------------------------------------------------------
 
 class TestIntensity:
     def test_counterparty_affine(self):
         model = ContagionModel(n=3, a20=0.05, a23=0.01)
-        state = DefaultState(mask=0b011, n=3)
-        assert model.intensity("C", 0.7, state) == pytest.approx(0.07, abs=1e-15)
+        assert model.intensity_by_count("C", 0.7, 2) == pytest.approx(0.07, abs=1e-15)
 
     def test_reference_excludes_self(self):
+        # a surviving entity counts the other defaults: |J \ {3}| == |J|
         model = ContagionModel(n=3, a30=0.01, a33=0.01)
-        empty = DefaultState(mask=0, n=3)
-        assert model.intensity(3, 0.0, empty) == pytest.approx(0.01, abs=1e-15)
-        two_down = DefaultState(mask=0b011, n=3)
-        assert model.intensity(3, 0.0, two_down) == pytest.approx(0.03, abs=1e-15)
-
-    def test_defaulted_entity_rejected(self):
-        model = ContagionModel(n=2, a30=0.1)
-        with pytest.raises(ValueError):
-            model.intensity(1, 0.0, DefaultState(mask=0b01, n=2))
+        assert model.intensity_by_count(3, 0.0, 0) == pytest.approx(0.01, abs=1e-15)
+        assert model.intensity_by_count(3, 0.0, 2) == pytest.approx(0.03, abs=1e-15)
 
     def test_general_mode_table(self):
         table = PiecewiseTable(breaks=(1.0,), values=((0.1,), (0.3,)))
         model = ContagionModel(n=1, reference_tables=(table,))
-        empty = DefaultState(mask=0, n=1)
-        assert model.intensity(1, 0.5, empty) == 0.1
-        assert model.intensity(1, 1.5, empty) == 0.3
-        assert model.intensity(1, 1.0, empty) == 0.3  # right-continuous pieces
+        assert model.intensity_by_count(1, 0.5, 0) == 0.1
+        assert model.intensity_by_count(1, 1.5, 0) == 0.3
+        assert model.intensity_by_count(1, 1.0, 0) == 0.3  # right-continuous pieces
 
     def test_permutation_invariance_count_based(self):
+        # states {1, 2} and {3, 4} have the same count, so the same intensities
         model = ContagionModel(n=4, a30=0.02, a33=0.015)
-        a = DefaultState(mask=0b0011, n=4)
-        b = DefaultState(mask=0b1100, n=4)
-        assert model.intensity(3, 0.3, a) == model.intensity(1, 0.3, b)
-        assert model.intensity("C", 0.3, a) == model.intensity("C", 0.3, b)
+        a, b = bin(0b0011).count("1"), bin(0b1100).count("1")
+        assert model.intensity_by_count(3, 0.3, a) == model.intensity_by_count(1, 0.3, b)
+        assert model.intensity_by_count("C", 0.3, a) == model.intensity_by_count("C", 0.3, b)
 
     @given(
         a=st.floats(min_value=1e-4, max_value=1.0),
@@ -93,11 +60,12 @@ class TestIntensity:
     @settings(deadline=None, max_examples=50)
     def test_parametric_intensities_positive(self, a, b, mask, t):
         model = ContagionModel(n=4, a10=a, a13=b, a20=a, a23=b, a30=a, a33=b)
-        state = DefaultState(mask=mask, n=4)
-        assert model.intensity("I", t, state) > 0.0
-        assert model.intensity("C", t, state) > 0.0
-        for i in state.alive():
-            assert model.intensity(i, t, state) > 0.0
+        count = bin(mask).count("1")
+        assert model.intensity_by_count("I", t, count) > 0.0
+        assert model.intensity_by_count("C", t, count) > 0.0
+        for i in range(1, 5):
+            if not mask >> (i - 1) & 1:
+                assert model.intensity_by_count(i, t, count) > 0.0
 
     def test_breakpoints_merged_and_sorted(self):
         model = ContagionModel(
@@ -388,6 +356,26 @@ class TestConfigLoading:
             node = node[step]
         node[key] = bad
         with pytest.raises(ConfigError, match="finite"):
+            market_from_dict(doc)
+
+    @pytest.mark.parametrize("spec", [
+        "0.2",
+        {"breaks": [1.0]},
+        {"breaks": 1.0, "values": [0.1, 0.2]},
+        {"values": ["0.1"]},
+    ])
+    def test_malformed_table_rejected(self, spec):
+        doc = {
+            "rates": {"r_D": 0.001, "r_f_plus": 0.001, "r_f_minus": 0.001,
+                      "r_m_plus": 0.001, "r_m_minus": 0.001},
+            "counterparty_band": {"mu_lower": 0.15, "mu_upper": 0.25},
+            "portfolio": {
+                "contracts": [{"spread": 0.02, "loss": 0.5}],
+                "maturity": 1.0, "L_I": 0.5, "L_C": 0.5,
+            },
+            "contagion": {"a20": 0.15, "a30": 0.2, "investor_table": spec},
+        }
+        with pytest.raises(ConfigError, match="table|intensity"):
             market_from_dict(doc)
 
     def test_table_break_must_be_finite(self):

@@ -9,7 +9,6 @@ from rxva import oracle
 from rxva.market import (
     ContagionModel,
     Contract,
-    DefaultState,
     MarketConfig,
     Portfolio,
     load_config,
@@ -65,12 +64,12 @@ def _reference_paths(model, portfolio, n_paths, seed, include_parties, h_C_true)
     for _ in range(n_paths):
         mask, t, events, party, party_time = 0, 0.0, [], None, math.inf
         while True:
-            state = DefaultState(mask, n)
-            clocks = [(i, lambda tt, i=i: model.intensity(i, tt, state))
-                      for i in state.alive()]
+            k = bin(mask).count("1")
+            clocks = [(i, lambda tt, i=i: model.intensity_by_count(i, tt, k))
+                      for i in range(1, n + 1) if not mask >> (i - 1) & 1]
             if include_parties:
-                clocks.append(("I", lambda tt: model.intensity_by_count("I", tt, state.k)))
-                clocks.append(("C", lambda tt: h_C_true(tt, state.k)))
+                clocks.append(("I", lambda tt: model.intensity_by_count("I", tt, k)))
+                clocks.append(("C", lambda tt: h_C_true(tt, k)))
             best_t, best_who = math.inf, None
             for who, h in clocks:
                 cand = _invert_hazard(h, breaks, t, rng.exponential(), T)

@@ -1,4 +1,4 @@
-"""Replication holdings: wealth identity, collateral leg, and share counts."""
+"""Replication holdings: wealth identity, collateral leg, and position values."""
 
 import json
 
@@ -7,25 +7,10 @@ import pytest
 
 from rxva.engine import run_engine
 from rxva.market import market_from_dict
-from rxva.strategies import (
-    AccountPrices,
-    actual_strategy,
-    funding_rate_select,
-    lower_strategy,
-    robust_strategy,
-)
+from rxva.strategies import robust_strategy
 from rxva.xva import REGIME_HI
 
 from conftest import SINGLE_NAME
-
-
-class TestFundingSelect:
-    def test_sign_branches(self):
-        cfg = type("C", (), {"r_f_plus": 0.05, "r_f_minus": 0.02})()
-        assert funding_rate_select(cfg, -1.0) == (0.02, False)
-        assert funding_rate_select(cfg, 1.0) == (0.05, False)
-        rate, tie = funding_rate_select(cfg, 0.0)
-        assert rate == 0.05 and tie
 
 
 def _sample_points(result, n_times=7):
@@ -35,18 +20,14 @@ def _sample_points(result, n_times=7):
 
 
 class TestWealthIdentity:
-    @pytest.mark.parametrize("which,builder", [
-        ("upper", robust_strategy),
-        ("actual", actual_strategy),
-        ("lower", lower_strategy),
-    ])
-    def test_single_name(self, single_name_result, which, builder):
+    @pytest.mark.parametrize("which", ["upper", "actual", "lower"])
+    def test_single_name(self, single_name_result, which):
         res = single_name_result
         surf = res.xva[which].surface
         for key in res.space.keys:
             for t in _sample_points(res):
-                snap = builder(surf, res.clean, res.margins.m,
-                               res.portfolio, t, key)
+                snap = robust_strategy(surf, res.clean, res.margins.m,
+                                       res.portfolio, t, key)
                 assert snap.wealth() == pytest.approx(surf.at(key, t), abs=1e-9)
 
     def test_five_name_homogeneous(self, five_name_result):
@@ -107,19 +88,6 @@ class TestHoldings:
         assert len(vals) == 3
         assert max(vals) - min(vals) == 0.0
 
-    def test_share_counts_divide_account_prices(self, single_name_result):
-        res = single_name_result
-        surf = res.xva["upper"].surface
-        accounts = AccountPrices(refs={1: 2.0}, investor=4.0,
-                                 counterparty=0.5, funding=1.25, margin=3.0)
-        snap = robust_strategy(surf, res.clean, res.margins.m,
-                               res.portfolio, 1.0, 0, accounts)
-        assert snap.xi_ref[1] == pytest.approx(snap.xi_ref_values[1] / 2.0)
-        assert snap.xi_I == pytest.approx(snap.xi_I_value / 4.0)
-        assert snap.xi_C == pytest.approx(snap.xi_C_value / 0.5)
-        assert snap.xi_f == pytest.approx(snap.xi_f_value / 1.25)
-        assert snap.psi_m == pytest.approx(snap.psi_m_value / 3.0)
-
 
 class TestBandCollapse:
     def test_actual_equals_robust_holdings(self):
@@ -134,7 +102,7 @@ class TestBandCollapse:
         for t in (0.0, 1.1, 2.5):
             rob = robust_strategy(res.xva["upper"].surface, res.clean,
                                   res.margins.m, res.portfolio, t, 0)
-            act = actual_strategy(res.xva["actual"].surface, res.clean,
+            act = robust_strategy(res.xva["actual"].surface, res.clean,
                                   res.margins.m, res.portfolio, t, 0)
             assert rob.xi_I_value == pytest.approx(act.xi_I_value, abs=1e-10)
             assert rob.xi_C_value == pytest.approx(act.xi_C_value, abs=1e-10)

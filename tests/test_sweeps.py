@@ -35,8 +35,6 @@ class TestSweepSpec:
         assert SweepSpec(param="a23", values=(0.1, 0.2)).rederive
         assert not SweepSpec(param="a33", values=(0.1, 0.2)).rederive
         assert not SweepSpec(param="alpha", values=(0.1, 0.2)).rederive
-        assert not SweepSpec(param="a20", values=(0.1, 0.2),
-                             derive_band=False).rederive
 
 
 class TestDefaultGrid:
