@@ -6,7 +6,8 @@ default state J,
     dv/ds = -r_D v - sum_{i alive} S_i + sum_{i alive} h_i (L_i + v_child - v)
 
 with v = 0 at s = 0 and v identically zero once all entities have defaulted.
-Spreads and losses carry the contract direction sign.  A closed-form
+Spreads and losses carry the contract direction sign.  The coefficients are
+built here and integrated by the lattice pass of ``xva``.  A closed-form
 evaluation of the single-name integral representation serves as the exact
 cross-check for the ODE path.
 """
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import LatticeSurface, StateSpace, rk4_sweep, zero_surface
-from .market import ContagionModel, MarketConfig, PiecewiseTable, Portfolio
+from .grids import StateSpace
+from .market import ContagionModel, PiecewiseTable, Portfolio
 
 
 # ---------------------------------------------------------------------------
@@ -118,46 +119,6 @@ class LatticeCoefficients:
                 alive_count=alive_count, transitions=transitions,
             ))
         return tuple(states)
-
-    def clean_rhs(self, coeffs: tuple, r_D: float, v: np.ndarray) -> np.ndarray:
-        """dv/ds for the clean system on one constant-coefficient piece."""
-        vl = v.tolist()
-        out = [0.0] * len(vl)
-        for k, st in enumerate(coeffs):
-            vk = vl[k]
-            dv = -r_D * vk - st.sum_S
-            for child, rate, loss, _count in st.transitions:
-                dv += rate * (loss + vl[child] - vk)
-            out[k] = dv
-        return np.asarray(out)
-
-
-# ---------------------------------------------------------------------------
-# ODE solve
-# ---------------------------------------------------------------------------
-
-def solve_clean(
-    cfg: MarketConfig,
-    model: ContagionModel,
-    portfolio: Portfolio,
-    grid: np.ndarray,
-    space: StateSpace,
-) -> LatticeSurface:
-    """Clean value surface for every default state on the grid."""
-    coeffs = LatticeCoefficients(model, portfolio, space)
-    surface = zero_surface(grid, space, "v_hat")
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    by_seg = coeffs.per_segment(mids)
-
-    def rhs(seg, _s, y):
-        return coeffs.clean_rhs(by_seg[seg], cfg.r_D, y)
-
-    def record(node, y):
-        for k in space.keys:
-            surface.values[k][node] = y[k]
-
-    rk4_sweep(grid, np.zeros(space.size), rhs, record)
-    return surface
 
 
 # ---------------------------------------------------------------------------

@@ -231,6 +231,8 @@ def _cmd_sweep(args, out_dir: Path, started) -> int:
         doc, spec,
         grid_points=args.grid_points,
         allow_assumption_violation=args.allow_assumption_violation,
+        gamma=args.gamma,
+        force_full=args.full_lattice,
     )
     sweep_path = out_dir / f"sweep_{args.param}.csv"
     write_sweep_csv(sweep_path, result)

@@ -23,25 +23,19 @@ from .market import ConfigError, ContagionModel, MarketConfig, PiecewiseTable, P
 # Closeout values
 # ---------------------------------------------------------------------------
 
-def closeout_theta(kind: str, v_hat: float, m: float, L_I: float, L_C: float) -> float:
-    """Closeout settlement maps at the first trading-party default.
+def closeout_excess(v_hat, m, L_I: float, L_C: float):
+    """Collateral-netted closeout values at the first trading-party default.
 
-    ``kind`` selects theta_I, theta_C, or their collateral-netted excess
-    versions theta_I_tilde / theta_C_tilde:
+    Returns (theta_I_tilde, theta_C_tilde), elementwise over scalars or
+    aligned arrays; the full settlement values are theta = v_hat + theta_tilde:
 
-        theta_I = v - L_I (v - m)^+        theta_I_tilde = -L_I (v - m)^+
-        theta_C = v + L_C (v - m)^-        theta_C_tilde =  L_C (v - m)^-
+        theta_I_tilde = -L_I (v - m)^+        theta_C_tilde = L_C (v - m)^-
+
+    ``np.where(0.0 > x, 0.0, x)`` is ``max(x, 0.0)`` including the sign of
+    zero, so the values match the scalar formula bit for bit.
     """
     gap = v_hat - m
-    if kind == "I":
-        return v_hat - L_I * max(gap, 0.0)
-    if kind == "C":
-        return v_hat + L_C * max(-gap, 0.0)
-    if kind == "I_tilde":
-        return -L_I * max(gap, 0.0)
-    if kind == "C_tilde":
-        return L_C * max(-gap, 0.0)
-    raise ValueError(f"unknown closeout kind {kind!r}")
+    return -L_I * np.where(0.0 > gap, 0.0, gap), L_C * np.where(0.0 > -gap, 0.0, -gap)
 
 
 # ---------------------------------------------------------------------------

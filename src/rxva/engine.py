@@ -7,17 +7,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clean import solve_clean
 from .collateral import MarginSchedule, margin_schedule
 from .grids import LatticeSurface, StateSpace, build_grid, choose_state_space
 from .market import (
     AssumptionError,
+    ConfigError,
     ContagionModel,
     MarketConfig,
     Portfolio,
     validate_assumptions,
 )
-from .xva import XvaResult, solve_xva
+from .xva import XvaResult, solve_clean, solve_xva
+
+# Largest lattice the engine allocates, in states times grid nodes: 16 MiB per
+# surface, which admits the full 2^10 lattice at the default 2000 steps.
+MAX_LATTICE_CELLS = 1 << 21
 
 
 @dataclass
@@ -54,7 +58,12 @@ def run_engine(
     allow_assumption_violation: bool = False,
     mc_var=None,
 ) -> EngineResult:
-    """Validates, builds the grid, and solves the requested surfaces."""
+    """Validates, builds the grid, and solves the requested surfaces.
+
+    Two lattice passes: the clean value alone, which the margin schedule is
+    built from, then the clean value again with every requested variant.
+    ``timings`` holds the wall time of each pass.
+    """
     model_P = model_P if model_P is not None else model
     report = validate_assumptions(cfg, model, horizon=portfolio.maturity)
     if not report.passed and not allow_assumption_violation:
@@ -63,12 +72,23 @@ def run_engine(
     grid = build_grid(
         portfolio.maturity, grid_breakpoints(model, portfolio), min_points=grid_points
     )
+    if space.size * len(grid) > MAX_LATTICE_CELLS:
+        raise ConfigError(
+            f"the lattice for N = {portfolio.n} names has {space.size} states; over "
+            f"{len(grid)} grid nodes that exceeds the bound of {MAX_LATTICE_CELLS} "
+            f"state-node cells"
+        )
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     clean = solve_clean(cfg, model, portfolio, grid, space)
     timings["clean"] = time.perf_counter() - t0
     margins = margin_schedule(cfg, model_P, portfolio, clean, mc_var=mc_var)
-    result = EngineResult(
+    xva = {}
+    if variants:
+        t0 = time.perf_counter()
+        xva = solve_xva(cfg, model, portfolio, grid, space, margins, variants)
+        timings["xva"] = time.perf_counter() - t0
+    return EngineResult(
         cfg=cfg,
         model=model,
         portfolio=portfolio,
@@ -77,10 +97,6 @@ def run_engine(
         space=space,
         clean=clean,
         margins=margins,
+        xva=xva,
         timings=timings,
     )
-    for which in variants:
-        t0 = time.perf_counter()
-        result.xva[which] = solve_xva(cfg, model, portfolio, grid, space, margins, which)
-        timings[which] = time.perf_counter() - t0
-    return result

@@ -128,14 +128,15 @@ def rk4_sweep(grid: np.ndarray, y0: np.ndarray, rhs, record) -> None:
     the first).  ``record(node_index, y)`` is called at every calendar node,
     starting with the terminal node.
     """
-    T = grid[-1]
-    n_nodes = len(grid)
+    nodes = grid.tolist()  # times as floats, so rhs does no numpy scalar arithmetic
+    T = nodes[-1]
+    n_nodes = len(nodes)
     y = y0.astype(float).copy()
     record(n_nodes - 1, y)
     for j in range(n_nodes - 1, 0, -1):
         seg = j - 1
-        s0 = T - grid[j]
-        h = grid[j] - grid[j - 1]
+        s0 = T - nodes[j]
+        h = nodes[j] - nodes[j - 1]
         k1 = rhs(seg, s0, y)
         k2 = rhs(seg, s0 + 0.5 * h, y + 0.5 * h * k1)
         k3 = rhs(seg, s0 + 0.5 * h, y + 0.5 * h * k2)

@@ -216,11 +216,14 @@ class ContagionModel:
             return True
         return len(self.reference_tables) == 1
 
+    def intensities(self, who, horizon: float) -> list[float]:
+        """h_who on every time piece meeting [0, horizon], at every default count."""
+        times = [0.0] + [b for b in self.breakpoints() if b < horizon]
+        return [self.intensity_by_count(who, t, k) for t in times for k in range(self.n + 1)]
+
     def min_intensity(self, who, horizon: float) -> float:
         """Infimum of h_who over t in [0, horizon] and all default counts."""
-        counts = range(self.n + 1)
-        times = [0.0] + [b for b in self.breakpoints() if b < horizon]
-        return min(self.intensity_by_count(who, t, k) for t in times for k in counts)
+        return min(self.intensities(who, horizon))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +371,9 @@ def validate_assumptions(
     max(r_D, r_f+) < min(mu_1..mu_N, mu_I, mu_C_lower) translates into
     strictly positive intensities plus upper bounds on the funding rates.
     For multi-name portfolios the comparison argument additionally needs
-    r_f- below the same minimum.
+    r_f- below the same minimum.  The true counterparty rate must lie in the
+    band; with ``mu_C_true = "model"`` that is h_C(t, J) + r_D on every time
+    piece and at every default count.
     """
     horizon = horizon if horizon is not None else float("inf")
     mu_refs = [
@@ -387,17 +392,17 @@ def validate_assumptions(
                 "r_f_minus < min(mu_1..mu_N, mu_I, mu_C_lower)", cfg.r_f_minus, mu_min
             )
         )
-    if cfg.mu_C_true is not None and not isinstance(cfg.mu_C_true, str):
-        checks.append(
-            InequalityCheck(
-                "mu_C_lower <= mu_C_true", cfg.mu_C_lower - 1e-15, cfg.mu_C_true + 1e-15
-            )
-        )
-        checks.append(
-            InequalityCheck(
-                "mu_C_true <= mu_C_upper", cfg.mu_C_true - 1e-15, cfg.mu_C_upper + 1e-15
-            )
-        )
+    if cfg.mu_C_true is not None:
+        if cfg.mu_C_true == "model":
+            mu_true = [h + cfg.r_D for h in model.intensities(COUNTERPARTY, horizon)]
+        else:
+            mu_true = [cfg.mu_C_true]
+        checks.append(InequalityCheck(
+            "mu_C_lower <= mu_C_true", cfg.mu_C_lower - 1e-15, min(mu_true) + 1e-15
+        ))
+        checks.append(InequalityCheck(
+            "mu_C_true <= mu_C_upper", max(mu_true) - 1e-15, cfg.mu_C_upper + 1e-15
+        ))
     return ValidationReport(tuple(checks))
 
 

@@ -21,11 +21,13 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .clean import LatticeCoefficients
+from .collateral import closeout_excess
 from .engine import EngineResult
 from .grids import LatticeSurface
 from .market import ContagionModel, MarketConfig, Portfolio
 from .strategies import robust_strategy, wealth_drift
-from .xva import g_check, resolve_true_h_c
+from .xva import lattice_rhs, resolve_true_h_c
 
 
 # ---------------------------------------------------------------------------
@@ -374,19 +376,12 @@ def _at(surface: LatticeSurface, keys: np.ndarray, times: np.ndarray) -> np.ndar
 
 
 def _closeout_payoff(result: EngineResult, party, keys, times) -> np.ndarray:
-    """Closeout payoff of each trading-party default in state ``keys``.
-
-    ``np.where(0.0 > x, 0.0, x)`` is ``max(x, 0.0)`` including the sign of
-    zero, so the values match the scalar formula bit for bit.
-    """
-    gap = _at(result.clean, keys, times) - _at(result.margins.m, keys, times)
-    L_I = result.portfolio.loss_investor
-    L_C = result.portfolio.loss_counterparty
-    return np.where(
-        party == PARTY_I,
-        -L_I * np.where(0.0 > gap, 0.0, gap),
-        L_C * np.where(0.0 > -gap, 0.0, -gap),
+    """Closeout payoff of each trading-party default in state ``keys``."""
+    theta_I, theta_C = closeout_excess(
+        _at(result.clean, keys, times), _at(result.margins.m, keys, times),
+        result.portfolio.loss_investor, result.portfolio.loss_counterparty,
     )
+    return np.where(party == PARTY_I, theta_I, theta_C)
 
 
 def _running_sum(values: np.ndarray) -> float:
@@ -500,55 +495,32 @@ def drift_identity_error(result: EngineResult, which: str = "upper", stride: int
 
     At every sampled node and state, the wealth drift of the strategy
     holdings under the true counterparty rate must equal the negative of the
-    reduced driver evaluated with the true rate at the same surface value;
-    the difference of the two drivers is exactly the surplus rate.
+    solver's own reduced driver (``lattice_rhs``) evaluated with the true
+    rate at the same surface value; the difference of the two drivers is
+    exactly the surplus rate.
     """
     cfg, model, portfolio = result.cfg, result.model, result.portfolio
     h_true = resolve_true_h_c(cfg, model)
     if h_true is None:
         raise ValueError("the drift identity requires mu_C_true")
     surface = result.xva[which].surface
-    space = result.space
-    grid = result.grid
+    space, grid, margins = result.space, result.grid, result.margins
+    coeffs = LatticeCoefficients(model, portfolio, space)
+    driver = lattice_rhs(cfg, portfolio, space.size, margins.alpha, ("actual",))
     worst = 0.0
-    for key in space.keys:
-        count = space.count(key)
-        if count > portfolio.n:
-            continue
-        for node in range(0, len(grid), stride):
-            t = float(grid[node])
-            snap = robust_strategy(
-                surface, result.clean, result.margins.m, portfolio, t, key
-            )
-            v = result.clean.at(key, t)
-            m = result.margins.m.at(key, t)
+    for node in range(0, len(grid), stride):
+        t = float(grid[node])
+        im = [margins.im.at(k, t) for k in space.keys]
+        y = [result.clean.at(k, t) for k in space.keys] + [surface.at(k, t) for k in space.keys]
+        g = driver(coeffs.at(t), im, im, 0.0, y)
+        for key in space.keys:
+            count = space.count(key)
+            snap = robust_strategy(surface, result.clean, margins.m, portfolio, t, key)
             mu_true = h_true(t, count) + cfg.r_D
             drift = wealth_drift(
-                cfg, model, portfolio, snap, m, mu_true, t, count
+                cfg, model, portfolio, snap, margins.m.at(key, t), mu_true, t, count
             )
-            u = surface.at(key, t)
-            if space.homogeneous:
-                n_alive = portfolio.n - count
-                children = [surface.at(key + 1, t)] * n_alive if n_alive else []
-                h_children = [model.intensity_by_count(1, t, count)] * n_alive
-            else:
-                children = [surface.at(space.child(key, i), t) for i in space.alive(key)]
-                h_children = [
-                    model.intensity_by_count(i, t, count) for i in space.alive(key)
-                ]
-            loss_sum = sum(
-                portfolio.contracts[0].direction * portfolio.contracts[0].loss
-                for _ in range(portfolio.n - count)
-            ) if space.homogeneous else sum(
-                portfolio.contracts[i - 1].direction * portfolio.contracts[i - 1].loss
-                for i in space.alive(key)
-            )
-            h_I = model.intensity_by_count("I", t, count)
-            g_val = g_check(
-                cfg, portfolio.loss_investor, portfolio.loss_counterparty,
-                u, children, h_children, h_I, h_true(t, count), v, m, loss_sum,
-            )
-            worst = max(worst, abs(drift + g_val))
+            worst = max(worst, abs(drift + g[space.size + key]))
     return worst
 
 

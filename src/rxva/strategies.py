@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .collateral import closeout_excess
 from .grids import LatticeSurface
 from .market import ContagionModel, MarketConfig, Portfolio
 
@@ -63,9 +64,8 @@ def robust_strategy(
     u = u_surface.at(key, t)
     v = v_hat.at(key, t)
     m = m_surface.at(key, t)
-    gap = v - m
-    pos = max(gap, 0.0)
-    neg = max(-gap, 0.0)
+    theta_I, theta_C = closeout_excess(v, m, portfolio.loss_investor,
+                                       portfolio.loss_counterparty)
     if space.homogeneous:
         k = key
         alive = tuple(range(1, portfolio.n - k + 1))  # anonymized survivor slots
@@ -76,16 +76,10 @@ def robust_strategy(
         ref_vals = {
             i: u - u_surface.at(space.child(key, i), t) for i in alive
         }
-    xi_I_value = portfolio.loss_investor * pos + u
-    xi_C_value = -portfolio.loss_counterparty * neg + u
+    xi_I_value = float(-theta_I + u)
+    xi_C_value = float(-theta_C + u)
     psi_m_value = -m
-    xi_f_value = (
-        -u
-        - sum(ref_vals.values())
-        + portfolio.loss_counterparty * neg
-        - portfolio.loss_investor * pos
-        - m
-    )
+    xi_f_value = float(-u - sum(ref_vals.values()) + theta_C + theta_I - m)
     return StrategySnapshot(
         t=t,
         state=key,

@@ -100,9 +100,13 @@ def run_sweep(
     spec: SweepSpec,
     grid_points: int = 2000,
     allow_assumption_violation: bool = False,
+    gamma: int = 1,
+    force_full: bool = False,
 ) -> SweepResult:
     """One full lattice solve (clean + XVA triple + strategy values) per point.
 
+    ``gamma = -1`` flips the portfolio direction and ``force_full`` disables
+    the homogeneous reduction, as the CLI flags of the same names do.
     Solver failures are recorded on the affected row and the sweep continues.
     """
     out = SweepResult(spec=spec)
@@ -113,12 +117,15 @@ def run_sweep(
             if spec.rederive:
                 _rederive_band(doc)
             cfg, model, portfolio, model_P = market_from_dict(doc)
+            if gamma == -1:
+                portfolio = portfolio.flipped()
             variants = ("actual", "upper", "lower") if cfg.mu_C_true is not None \
                 else ("upper", "lower")
             result = run_engine(
                 cfg, model, portfolio, model_P,
                 variants=variants,
                 grid_points=grid_points,
+                force_full=force_full,
                 allow_assumption_violation=allow_assumption_violation,
             )
             root = result.space.root()

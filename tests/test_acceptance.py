@@ -16,7 +16,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from rxva.clean import clean_closed_form_single, solve_clean
+from rxva.clean import clean_closed_form_single
 from rxva.collateral import initial_margin_closed_form, initial_margin_var
 from rxva.engine import run_engine
 from rxva.grids import StateSpace, build_grid
@@ -31,6 +31,7 @@ from rxva.market import (
 )
 from rxva.oracle import mc_clean_value, mc_xva_closeout, pathwise_wealth_check
 from rxva.sweeps import SweepSpec, default_grid, is_monotone, run_sweep
+from rxva.xva import solve_clean
 import rxva.cli as cli
 
 from conftest import FIVE_NAME, SINGLE_NAME
@@ -83,8 +84,8 @@ def _clean_by_expm(cfg, model, portfolio):
 def _reference_xva(cfg, model, portfolio, mode, v_hat):
     """Robust XVA bound on the homogeneous lattice by adaptive DOP853.
 
-    Written out from the driver documented in ``rxva.xva`` (``f_tilde`` and
-    ``g_check``): theta_I_tilde = -L_I (v - m)^+, theta_C_tilde =
+    Written out from the driver documented in ``rxva.xva`` (``lattice_rhs``):
+    theta_I_tilde = -L_I (v - m)^+, theta_C_tilde =
     L_C (v - m)^-, z_I/z_C = theta_tilde - u, and the band extreme is
     mu_upper (``upper``) or mu_lower (``lower``) where z_C >= 0.  ``v_hat(t)``
     gives the clean value on the N + 1 count states; the margin is

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rxva.clean import clean_closed_form_single, solve_clean
+from rxva.clean import clean_closed_form_single
 from rxva.grids import StateSpace, build_grid
 from rxva.market import (
     ContagionModel,
@@ -12,6 +12,7 @@ from rxva.market import (
     PiecewiseTable,
     Portfolio,
 )
+from rxva.xva import solve_clean
 
 
 def _cfg(r_D: float) -> MarketConfig:

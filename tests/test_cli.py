@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import rxva.cli as cli
+import rxva.engine as engine
 
 from conftest import FIVE_NAME, SINGLE_NAME
 
@@ -170,6 +171,20 @@ class TestSweep:
                 "status"} == set(rows[0])
 
 
+    def test_gamma_flip_negates_clean_column(self, tmp_path):
+        columns = []
+        for gamma in ("1", "-1"):
+            out = tmp_path / f"gamma{gamma}"
+            assert _run("sweep", "--config", str(SINGLE_NAME), "--out-dir", str(out),
+                        "--grid-points", "200", "--param", "a30", "--points", "3",
+                        "--gamma", gamma) == cli.EXIT_OK
+            rows = _read_csv(out / "sweep_a30.csv")
+            assert all(r["status"] == "ok" for r in rows)
+            columns.append([float(r["v_hat_0"]) for r in rows])
+        assert all(v != 0.0 for v in columns[0])
+        assert columns[1] == [-v for v in columns[0]]
+
+
 class TestExitCodes:
     def test_missing_config(self, tmp_path):
         assert _run("price", "--config", str(tmp_path / "nope.json"),
@@ -222,6 +237,31 @@ class TestExitCodes:
         cfg = _write_config(tmp_path, doc)
         assert _run("price", "--config", str(cfg), "--out-dir", str(tmp_path / "o"),
                     "--grid-points", "100") == cli.EXIT_ASSUMPTION
+
+    def test_model_true_rate_outside_band_fails_validation(self, tmp_path, capsys):
+        # h_C + r_D is 0.201 with no default and 0.301 after one: above mu_upper
+        doc = _minimal_doc()
+        doc["portfolio"]["contracts"] *= 2
+        doc["contagion"]["a23"] = 0.1
+        doc["counterparty_band"]["mu_true"] = "model"
+        cfg = _write_config(tmp_path, doc)
+        args = ("price", "--config", str(cfg), "--out-dir", str(tmp_path / "o"),
+                "--grid-points", "100")
+        assert _run(*args) == cli.EXIT_ASSUMPTION
+        assert "mu_C_true <= mu_C_upper" in capsys.readouterr().err
+        assert _run(*args, "--allow-assumption-violation") == cli.EXIT_OK
+
+    def test_oversized_lattice_refused(self, tmp_path, capsys, monkeypatch):
+        # five names over 201 nodes: 6 * 201 cells homogeneous, 32 * 201 full
+        monkeypatch.setattr(engine, "MAX_LATTICE_CELLS", 2000)
+        args = ("price", "--config", str(FIVE_NAME), "--grid-points", "200",
+                "--allow-assumption-violation")
+        out = tmp_path / "full"
+        assert _run(*args, "--out-dir", str(out), "--full-lattice") == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "N = 5" in err and "32 states" in err and "2000" in err
+        assert not (out / "clean.csv").exists()
+        assert _run(*args, "--out-dir", str(tmp_path / "homo")) == cli.EXIT_OK
 
     def test_assumption_violation_gate(self, tmp_path):
         out = tmp_path / "out"

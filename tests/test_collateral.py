@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rxva.collateral import (
-    closeout_theta,
+    closeout_excess,
     initial_margin_closed_form,
     initial_margin_var,
     margin_schedule,
@@ -30,22 +30,21 @@ from rxva.market import (
 
 class TestCloseout:
     def test_investor_default_positive_exposure(self):
-        assert closeout_theta("I", 1.0, 0.0, 0.5, 0.5) == pytest.approx(0.5)
-        assert closeout_theta("I_tilde", 1.0, 0.0, 0.5, 0.5) == pytest.approx(-0.5)
+        theta_I, theta_C = closeout_excess(1.0, 0.0, 0.5, 0.5)
+        assert theta_I == pytest.approx(-0.5)
+        assert 1.0 + theta_I == pytest.approx(0.5)
+        assert theta_C == 0.0
 
     def test_counterparty_default_negative_exposure(self):
-        assert closeout_theta("C", -2.0, 0.0, 0.5, 0.5) == pytest.approx(-1.0)
-        assert closeout_theta("C_tilde", -2.0, 0.0, 0.5, 0.5) == pytest.approx(1.0)
+        theta_I, theta_C = closeout_excess(-2.0, 0.0, 0.5, 0.5)
+        assert theta_C == pytest.approx(1.0)
+        assert -2.0 + theta_C == pytest.approx(-1.0)
+        assert theta_I == 0.0
 
     def test_fully_collateralized_no_loss(self):
-        for kind in ("I", "C"):
-            assert closeout_theta(kind, 0.7, 0.7, 0.5, 0.5) == pytest.approx(0.7)
-        for kind in ("I_tilde", "C_tilde"):
-            assert closeout_theta(kind, 0.7, 0.7, 0.5, 0.5) == 0.0
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            closeout_theta("X", 0.0, 0.0, 0.5, 0.5)
+        theta_I, theta_C = closeout_excess(0.7, 0.7, 0.5, 0.5)
+        assert theta_I == 0.0 and theta_C == 0.0
+        assert 0.7 + theta_I == 0.7 + theta_C == pytest.approx(0.7)
 
     @given(
         v=st.floats(min_value=-5.0, max_value=5.0),
@@ -55,10 +54,14 @@ class TestCloseout:
     )
     @settings(deadline=None, max_examples=100)
     def test_netted_identity(self, v, m, L_I, L_C):
-        for kind in ("I", "C"):
-            full = closeout_theta(kind, v, m, L_I, L_C)
-            tilde = closeout_theta(kind + "_tilde", v, m, L_I, L_C)
-            assert full == pytest.approx(v + tilde, abs=1e-12)
+        # the netted values are the losses on the uncollateralised part, one
+        # side at a time, elementwise over arrays as over scalars
+        theta_I, theta_C = closeout_excess(v, m, L_I, L_C)
+        assert theta_I == -L_I * max(v - m, 0.0)
+        assert theta_C == L_C * max(m - v, 0.0)
+        assert theta_I <= 0.0 <= theta_C and theta_I * theta_C == 0.0
+        vec_I, vec_C = closeout_excess(np.array([v, m]), np.array([m, v]), L_I, L_C)
+        assert vec_I[0] == theta_I and vec_C[0] == theta_C
 
 
 # ---------------------------------------------------------------------------

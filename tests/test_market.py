@@ -263,6 +263,27 @@ class TestValidation:
         model = ContagionModel(n=1, a10=0.1, a30=0.2)
         assert validate_assumptions(cfg, model).passed
 
+    def test_model_true_rate_leaving_band_fails(self):
+        # h_C(t, J) + r_D on the second piece is 0.101 at J = 0 but 0.201 at
+        # J = 1, above mu_upper; the first piece stays in the band
+        cfg = MarketConfig(
+            r_D=0.001, r_f_plus=0.001, r_f_minus=0.001,
+            r_m_plus=0.0, r_m_minus=0.0,
+            mu_C_lower=0.101, mu_C_upper=0.15, mu_C_true="model",
+        )
+        table = _as_table({"breaks": [1.0], "values": [[0.1, 0.12], [0.1, 0.2]]})
+        model = ContagionModel(n=2, a10=0.1, a30=0.2, counterparty_table=table)
+        report = validate_assumptions(cfg, model)
+        assert [c.name for c in report.failures()] == ["mu_C_true <= mu_C_upper"]
+        assert validate_assumptions(cfg, model, horizon=1.0).passed
+
+    def test_five_name_model_true_rate_within_band(self, five_name_setup):
+        # at J = 5 the rate is 0.10010000000000001: within mu_upper + 1e-15
+        cfg, model, portfolio, _ = five_name_setup
+        report = validate_assumptions(cfg, model, horizon=portfolio.maturity)
+        assert not {c.name for c in report.failures()} & {
+            "mu_C_lower <= mu_C_true", "mu_C_true <= mu_C_upper"}
+
     def test_multi_name_adds_borrow_rate_check(self):
         cfg = MarketConfig(
             r_D=0.001, r_f_plus=0.001, r_f_minus=0.5,

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import rxva.sweeps as sweeps
 from rxva.sweeps import (
     SweepSpec,
     _apply_param,
@@ -13,7 +14,7 @@ from rxva.sweeps import (
     run_sweep,
 )
 
-from conftest import SINGLE_NAME
+from conftest import FIVE_NAME, SINGLE_NAME
 
 
 def _load_doc():
@@ -92,6 +93,23 @@ class TestRunSweep:
         assert all(r.ok for r in result.rows)
         gap = result.column("xva_upper") - result.column("xva_lower")
         assert is_monotone(gap, "nondecreasing", slack=1e-12)
+
+    def test_gamma_and_full_lattice_reach_every_point(self, monkeypatch):
+        seen = []
+        engine = sweeps.run_engine
+
+        def spy(cfg, model, portfolio, model_P, **kwargs):
+            seen.append(({c.direction for c in portfolio.contracts}, kwargs["force_full"]))
+            return engine(cfg, model, portfolio, model_P, **kwargs)
+
+        monkeypatch.setattr(sweeps, "run_engine", spy)
+        with open(FIVE_NAME, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        spec = SweepSpec(param="alpha", values=(0.0, 0.5))
+        result = run_sweep(doc, spec, grid_points=100, allow_assumption_violation=True,
+                           gamma=-1, force_full=True)
+        assert all(r.ok for r in result.rows)
+        assert seen == [({-1}, True)] * 2
 
     def test_failed_points_recorded_and_skipped(self):
         doc = _load_doc()

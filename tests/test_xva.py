@@ -1,29 +1,30 @@
-"""XVA drivers, switching rule, lattice solves, and the rXVA process."""
+"""XVA driver, switching rule, the joint lattice pass, and closeout values."""
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from rxva.clean import StateCoeffs
+from rxva.collateral import closeout_excess
 from rxva.engine import run_engine
-from rxva.market import MarketConfig, market_from_dict
+from rxva.market import MarketConfig, Portfolio, market_from_dict, validate_assumptions
 from rxva.xva import (
     REGIME_HI,
     REGIME_LO,
     REGIME_TIE,
-    assemble_rxva,
-    f_tilde,
-    g_check,
+    lattice_rhs,
     solve_value_direct,
     solve_xva,
-    switching_rate,
 )
 
-from conftest import SINGLE_NAME
+from conftest import FIVE_NAME, SINGLE_NAME
 
 
-def _load_doc():
-    with open(SINGLE_NAME, "r", encoding="utf-8") as fh:
+def _load_doc(path=SINGLE_NAME):
+    with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
 
@@ -36,62 +37,98 @@ def _cfg(r_D=0.0, r_f_plus=0.0, r_f_minus=0.0, r_m_plus=0.0, r_m_minus=0.0,
     )
 
 
+def _losses(L_I=0.5, L_C=0.5):
+    return Portfolio(contracts=(), maturity=1.0, loss_investor=L_I, loss_counterparty=L_C)
+
+
+def _state(h_I=0.0, sum_L=0.0, transitions=(), alive=0):
+    return StateCoeffs(sum_S=0.0, sum_L=sum_L, h_I=h_I, h_C=0.0,
+                       alive_count=alive, transitions=transitions)
+
+
+def _xva_drift(cfg, which, v, m, u, L_I=0.5, L_C=0.5, state=None, u_child=0.0):
+    """du/ds of one variant at a state from the solver's own right-hand side.
+
+    The lattice has the given state (default: no intensities, no children)
+    and one absorbed child state holding ``u_child``; alpha = 0 and an
+    initial margin of ``m`` make the collateral exactly ``m``.
+    """
+    rhs = lattice_rhs(cfg, _losses(L_I, L_C), 2, 0.0, (which,))
+    states = (state or _state(), _state())
+    return rhs(states, [m, 0.0], [m, 0.0], 0.0, [v, 0.0, u, u_child])[2]
+
+
+def _selected_rate(cfg, which, v, m, u, L_C=1.0):
+    """Counterparty rate mu the driver selects: with every other rate and
+    intensity zero, du/ds = (mu - r_D) z_C."""
+    z_C = L_C * max(-(v - m), 0.0) - u
+    return _xva_drift(cfg, which, v, m, u, L_C=L_C) / z_C + cfg.r_D
+
+
 # ---------------------------------------------------------------------------
-# Drivers
+# Driver
 # ---------------------------------------------------------------------------
 
 class TestFTilde:
     def test_zero_rates_vanish(self):
-        cfg = _cfg()
+        # zero rates and intensities: the funding part leaves nothing
+        cfg = _cfg(true=0.0)
         rng = np.random.default_rng(7)
         for _ in range(20):
-            args = rng.normal(size=6)
-            assert f_tilde(cfg, *args) == 0.0
+            v, m, u, u_child, loss = rng.normal(size=5)
+            state = _state(sum_L=loss, transitions=((1, 0.0, loss, 1),), alive=1)
+            assert _xva_drift(cfg, "actual", v, m, u, state=state, u_child=u_child) == 0.0
 
     def test_symmetric_rates_discount_only(self):
         # with r_f = r_m = r_D on both signs the driver collapses to
         # -r_D * xva regardless of the other arguments
         r = 0.037
-        cfg = _cfg(r_D=r, r_f_plus=r, r_f_minus=r, r_m_plus=r, r_m_minus=r)
+        cfg = _cfg(r_D=r, r_f_plus=r, r_f_minus=r, r_m_plus=r, r_m_minus=r, true=r)
         rng = np.random.default_rng(8)
         for _ in range(20):
-            xva, z, z_I, z_C, m, lam = rng.normal(size=6)
-            got = f_tilde(cfg, xva, z, z_I, z_C, m, lam)
-            assert got == pytest.approx(-r * xva, abs=1e-12)
+            v, m, u, u_child, loss = rng.normal(size=5)
+            state = _state(sum_L=loss, transitions=((1, 0.0, loss, 1),), alive=1)
+            got = _xva_drift(cfg, "actual", v, m, u, state=state, u_child=u_child)
+            assert got == pytest.approx(-r * u, abs=1e-12)
 
     def test_vectorized_matches_scalar(self):
+        # the right-hand side over 16 unlinked states equals 16 one-state
+        # evaluations: lattice states do not mix except through children
         cfg = _cfg(r_D=0.01, r_f_plus=0.05, r_f_minus=0.02,
-                   r_m_plus=0.01, r_m_minus=0.03)
+                   r_m_plus=0.01, r_m_minus=0.03, true=0.15)
         rng = np.random.default_rng(9)
-        args = rng.normal(size=(6, 16))
-        vec = f_tilde(cfg, *args)
+        v, m, u, sum_L = rng.normal(size=(4, 16))
+        states = [_state(h_I=h, sum_L=x) for h, x in zip(rng.uniform(0.0, 0.3, 16), sum_L)]
+        rhs = lattice_rhs(cfg, _losses(), 16, 0.0, ("actual", "upper"))
+        got = rhs(states, m.tolist(), m.tolist(), 0.0, [*v, *u, *u, *np.zeros(16)])
+        one = lattice_rhs(cfg, _losses(), 1, 0.0, ("actual", "upper"))
         for j in range(16):
-            assert vec[j] == pytest.approx(
-                float(f_tilde(cfg, *args[:, j])), abs=1e-14
-            )
+            want = one([states[j]], [m[j]], [m[j]], 0.0, [v[j], u[j], u[j], 0.0])
+            assert got[j::16] == want
 
 
 class TestGCheck:
     def test_zero_fixed_point(self):
         cfg = _cfg(r_D=0.01, r_f_plus=0.05, r_f_minus=0.02,
-                   r_m_plus=0.01, r_m_minus=0.03)
-        got = g_check(cfg, 0.5, 0.5, u=0.0, children=[0.0, 0.0],
-                      h_children=[0.1, 0.2], h_I=0.1, h_C=0.2,
-                      v_hat=0.0, m=0.0, loss_sum=0.0)
-        assert got == 0.0
+                   r_m_plus=0.01, r_m_minus=0.03, true=0.2)
+        state = _state(h_I=0.1, transitions=((1, 0.1, 0.0, 1), (1, 0.2, 0.0, 1)), alive=2)
+        assert _xva_drift(cfg, "actual", 0.0, 0.0, 0.0, state=state) == 0.0
 
     def test_single_name_reduction(self):
-        # with one surviving name the multi-name driver must equal the
+        # with one surviving name the lattice driver must equal the
         # single-name driver written out longhand
-        cfg = _cfg(r_D=0.01, r_f_plus=0.005, r_f_minus=0.002,
-                   r_m_plus=0.001, r_m_minus=0.003)
+        cfg_rates = dict(r_D=0.01, r_f_plus=0.005, r_f_minus=0.002,
+                         r_m_plus=0.001, r_m_minus=0.003)
         rng = np.random.default_rng(11)
         for _ in range(10):
             u, uc, v, m = rng.normal(scale=0.5, size=4)
             h1, h_I, h_C = rng.uniform(0.05, 0.4, size=3)
+            cfg = _cfg(**cfg_rates, true=h_C + cfg_rates["r_D"])
             L_I, L_C = 0.5, 0.4
             gL = 0.6
-            got = g_check(cfg, L_I, L_C, u, [uc], [h1], h_I, h_C, v, m, gL)
+            state = _state(h_I=h_I, sum_L=gL, transitions=((1, h1, gL, 1),), alive=1)
+            got = _xva_drift(cfg, "actual", v, m, u, L_I=L_I, L_C=L_C,
+                             state=state, u_child=uc)
             gap = v - m
             z_I = -L_I * max(gap, 0.0) - u
             z_C = L_C * max(-gap, 0.0) - u
@@ -105,42 +142,44 @@ class TestGCheck:
                 - cfg.r_m_minus * max(-m, 0.0)
                 - cfg.r_D * gL
             )
-            want = h_I * z_I + h_C * z_C + h1 * (uc - u) + f
+            want = h_I * z_I + (cfg.mu_C_true - cfg.r_D) * z_C + h1 * (uc - u) + f
             assert got == pytest.approx(want, abs=1e-13)
 
 
 class TestSwitchingRate:
     def test_positive_exposure_upper_picks_high(self):
         cfg = _cfg(lo=0.1, hi=0.2)
-        mu, tie = switching_rate(cfg, v_hat=-0.3, m=0.0, u=0.0, mode="upper")
-        assert mu == 0.2 and not tie
+        assert _selected_rate(cfg, "upper", v=-0.3, m=0.0, u=0.0) == pytest.approx(0.2)
 
     def test_negative_exposure_upper_picks_low(self):
         cfg = _cfg(lo=0.1, hi=0.2)
-        mu, tie = switching_rate(cfg, v_hat=0.0, m=0.0, u=0.3, mode="upper")
-        assert mu == 0.1 and not tie
+        assert _selected_rate(cfg, "upper", v=0.0, m=0.0, u=0.3) == pytest.approx(0.1)
 
     def test_lower_mode_swaps(self):
         cfg = _cfg(lo=0.1, hi=0.2)
-        assert switching_rate(cfg, -0.3, 0.0, 0.0, "lower")[0] == 0.1
-        assert switching_rate(cfg, 0.0, 0.0, 0.3, "lower")[0] == 0.2
+        assert _selected_rate(cfg, "lower", -0.3, 0.0, 0.0) == pytest.approx(0.1)
+        assert _selected_rate(cfg, "lower", 0.0, 0.0, 0.3) == pytest.approx(0.2)
 
-    def test_tie_flagged_with_mode_default(self):
-        cfg = _cfg(lo=0.1, hi=0.2)
-        mu, tie = switching_rate(cfg, 0.0, 0.0, 0.0, "upper")
-        assert tie and mu == 0.2
-        mu, tie = switching_rate(cfg, 0.0, 0.0, 0.0, "lower")
-        assert tie and mu == 0.1
+    def test_tie_flagged_with_mode_default(self, single_name_result):
+        # at z_C = 0 the selected rate multiplies zero: both extremes give
+        # one drift, and the solve labels the node TIE (the terminal node,
+        # where v = u = 0)
+        cfg = _cfg(r_D=0.01, r_f_plus=0.02, lo=0.1, hi=0.2)
+        state = _state(h_I=0.1, sum_L=0.3, transitions=((1, 0.2, 0.3, 1),), alive=1)
+        drifts = {_xva_drift(cfg, w, 0.0, 0.0, 0.0, state=state, u_child=0.4)
+                  for w in ("upper", "lower")}
+        assert len(drifts) == 1
+        for which in ("upper", "lower"):
+            assert single_name_result.xva[which].regime[0][-1] == REGIME_TIE
 
     def test_loss_rate_scaling_matters(self):
         cfg = _cfg(lo=0.1, hi=0.2)
         # theta_C_tilde = L_C * 1.0 = 0.1 < u = 0.5: low branch
-        mu, _ = switching_rate(cfg, -1.0, 0.0, 0.5, "upper", L_C=0.1)
-        assert mu == 0.1
+        assert _selected_rate(cfg, "upper", -1.0, 0.0, 0.5, L_C=0.1) == pytest.approx(0.1)
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
-            switching_rate(_cfg(), 0.0, 0.0, 0.0, "sideways")
+            lattice_rhs(_cfg(), _losses(), 1, 0.0, ("sideways",))
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +270,9 @@ class TestSolveXva:
 
     def test_bad_variant_name(self, single_name_result):
         res = single_name_result
-        with pytest.raises(ValueError, match="which"):
+        with pytest.raises(ValueError, match="variants"):
             solve_xva(res.cfg, res.model, res.portfolio, res.grid,
-                      res.space, res.margins, "median")
+                      res.space, res.margins, ("median",))
 
     def test_pocket_zero_at_origin_grows_backwards(self, single_name_result):
         pocket = single_name_result.xva["upper"].pocket
@@ -263,36 +302,133 @@ class TestDirectValueSolve:
 # ---------------------------------------------------------------------------
 
 class TestRXvaProcess:
-    def test_value_tracks_upper_surface(self, single_name_result):
-        res = single_name_result
-        proc = assemble_rxva(res.xva["upper"].surface, res.clean,
-                             res.margins.m, res.portfolio)
-        for t in (0.0, 1.3, 2.9):
-            assert proc.value(t, 0) == pytest.approx(
-                res.xva["upper"].surface.at(0, t), abs=1e-15
-            )
-
     def test_closeout_values(self, single_name_result):
+        # at the first trading-party default the rXVA settles into the
+        # collateral-netted closeout value
         res = single_name_result
-        proc = assemble_rxva(res.xva["upper"].surface, res.clean,
-                             res.margins.m, res.portfolio)
         t = 1.0
         v = res.clean.at(0, t)
         m = res.margins.m.at(0, t)
-        assert proc.closeout("I", t, 0) == pytest.approx(
-            -0.5 * max(v - m, 0.0), abs=1e-15
-        )
-        assert proc.closeout("C", t, 0) == pytest.approx(
-            0.5 * max(-(v - m), 0.0), abs=1e-15
-        )
-        with pytest.raises(ValueError):
-            proc.closeout("Z", t, 0)
+        theta_I, theta_C = closeout_excess(v, m, res.portfolio.loss_investor,
+                                           res.portfolio.loss_counterparty)
+        assert theta_I == pytest.approx(-0.5 * max(v - m, 0.0), abs=1e-15)
+        assert theta_C == pytest.approx(0.5 * max(-(v - m), 0.0), abs=1e-15)
 
-    def test_query_outside_horizon_rejected(self, single_name_result):
-        res = single_name_result
-        proc = assemble_rxva(res.xva["upper"].surface, res.clean,
-                             res.margins.m, res.portfolio)
-        with pytest.raises(ValueError):
-            proc.value(-0.1, 0)
-        with pytest.raises(ValueError):
-            proc.value(res.portfolio.maturity + 1.0, 0)
+
+# ---------------------------------------------------------------------------
+# Joint lattice pass
+# ---------------------------------------------------------------------------
+
+class TestJointPass:
+    @pytest.mark.parametrize("which", ["upper", "lower"])
+    @pytest.mark.parametrize("path", [SINGLE_NAME, FIVE_NAME], ids=["single", "five"])
+    def test_one_variant_matches_triple(self, path, which):
+        # the columns of the joint pass must not mix: a variant solved alone
+        # is bit-identical to the same variant solved with the other two
+        cfg, model, portfolio, model_P = market_from_dict(_load_doc(path))
+        alone, joint = (
+            run_engine(cfg, model, portfolio, model_P, variants=variants,
+                       grid_points=400, allow_assumption_violation=True).xva[which]
+            for variants in ((which,), ("actual", "upper", "lower"))
+        )
+        for key in alone.surface.space.keys:
+            assert np.array_equal(alone.surface.values[key], joint.surface.values[key])
+            assert np.array_equal(alone.pocket.values[key], joint.pocket.values[key])
+            assert np.array_equal(alone.regime[key], joint.regime[key])
+
+    def test_two_passes_timed(self, single_name_result):
+        assert set(single_name_result.timings) == {"clean", "xva"}
+
+
+@st.composite
+def _small_config(draw, n=None):
+    """A single-name or 3-name homogeneous config that passes validation."""
+    n = draw(st.sampled_from((1, 3))) if n is None else n
+    rate = st.floats(0.0, 0.02)
+    r_D = draw(rate)
+    a20, a23 = draw(st.floats(0.05, 0.3)), draw(st.floats(0.0, 0.05))
+    lo = a20 + r_D
+    hi = lo + n * a23 + draw(st.floats(0.0, 0.1))
+    contract = {"spread": draw(st.floats(0.005, 0.05)), "loss": draw(st.floats(0.1, 0.9)),
+                "direction": draw(st.sampled_from((1, -1)))}
+    doc = {
+        "rates": {"r_D": r_D, "r_f_plus": r_D + draw(st.floats(0.0, 0.04)),
+                  "r_f_minus": r_D + draw(st.floats(0.0, 0.04)),
+                  "r_m_plus": draw(rate), "r_m_minus": draw(rate)},
+        "counterparty_band": {"mu_lower": lo, "mu_upper": hi,
+                              "mu_true": draw(st.one_of(st.just("model"), st.floats(lo, hi)))},
+        "contagion": {"a10": draw(st.floats(0.05, 0.3)), "a13": draw(st.floats(0.0, 0.05)),
+                      "a20": a20, "a23": a23,
+                      "a30": draw(st.floats(0.05, 0.3)), "a33": draw(st.floats(0.0, 0.05))},
+        "portfolio": {"contracts": [contract] * n, "maturity": draw(st.floats(0.25, 3.0)),
+                      "L_I": draw(st.floats(0.0, 1.0)), "L_C": draw(st.floats(0.0, 1.0)),
+                      "collateral": {"alpha": draw(st.floats(0.0, 1.0))}},
+    }
+    return doc, draw(st.integers(20, 200))
+
+
+def _solve(doc, grid_points, **kwargs):
+    cfg, model, portfolio, model_P = market_from_dict(doc)
+    assert validate_assumptions(cfg, model, horizon=portfolio.maturity).passed
+    return run_engine(cfg, model, portfolio, model_P, variants=("actual", "upper", "lower"),
+                      grid_points=grid_points, **kwargs)
+
+
+_PROPERTY = settings(deadline=None, max_examples=12,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestJointPassProperties:
+    @_PROPERTY
+    @given(_small_config())
+    def test_band_collapse_equalises_variants(self, case):
+        doc, grid_points = case
+        band = doc["counterparty_band"]
+        band["mu_upper"] = band["mu_true"] = band["mu_lower"]
+        res = _solve(doc, grid_points)
+        for key in res.space.keys:
+            actual = res.xva["actual"].surface.values[key]
+            for which in ("upper", "lower"):
+                assert np.max(np.abs(res.xva[which].surface.values[key] - actual)) <= 1e-10
+
+    @_PROPERTY
+    @given(_small_config())
+    def test_bounds_order_every_node(self, case):
+        res = _solve(*case)
+        for key in res.space.keys:
+            lower, actual, upper = (res.xva[w].surface.values[key]
+                                    for w in ("lower", "actual", "upper"))
+            assert np.min(actual - lower) >= -1e-10
+            assert np.min(upper - actual) >= -1e-10
+
+    @_PROPERTY
+    @given(_small_config())
+    def test_gamma_flip_negates_clean(self, case):
+        doc, grid_points = case
+        cfg, model, portfolio, model_P = market_from_dict(doc)
+        clean = [run_engine(cfg, model, p, model_P, grid_points=grid_points).clean
+                 for p in (portfolio, portfolio.flipped())]
+        for key in clean[0].space.keys:
+            assert np.array_equal(-clean[0].values[key], clean[1].values[key])
+
+    @_PROPERTY
+    @given(_small_config(n=3))
+    def test_homogeneous_equals_full(self, case):
+        homo, full = (_solve(*case, force_full=f) for f in (False, True))
+        assert homo.space.homogeneous and not full.space.homogeneous
+        pairs = [(homo.clean, full.clean)] + [
+            (homo.xva[w].surface, full.xva[w].surface) for w in ("actual", "upper", "lower")
+        ]
+        for h_surf, f_surf in pairs:
+            for mask in full.space.keys:
+                count = full.space.count(mask)
+                assert np.max(np.abs(f_surf.values[mask] - h_surf.values[count])) <= 1e-12
+
+    @_PROPERTY
+    @given(_small_config())
+    def test_every_surface_finite(self, case):
+        res = _solve(*case)
+        surfaces = [res.clean, res.margins.m] + [res.xva[w].surface for w in res.xva]
+        surfaces += [res.xva[w].pocket for w in ("upper", "lower")]
+        for surface in surfaces:
+            assert all(np.all(np.isfinite(v)) for v in surface.values.values())
