@@ -14,14 +14,13 @@ the override flag, 4 verification failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
 
 from . import __version__
 from .engine import run_engine
-from .market import AssumptionError, ConfigError, load_config
+from .market import AssumptionError, ConfigError, load_config, read_config
 from .oracle import verify
 from .reporting import (
     manifest,
@@ -217,11 +216,7 @@ def _cmd_verify(args, cfg, model, portfolio, model_P, out_dir, started) -> int:
 
 
 def _cmd_sweep(args, out_dir: Path, started) -> int:
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+    doc = read_config(args.config)
     base = _base_param_value(doc, args.param)
     spec = SweepSpec(
         param=args.param,

@@ -5,8 +5,8 @@ already carries the portfolio direction) and IM = beta * (VaR_q of the
 clean-value increment over the margin period delta)^+.  The single-name
 increment law admits a closed form for constant intensities; for a
 piecewise-constant intensity the quantile equation is solved exactly by
-inverting the piecewise-linear cumulated hazard.  Multi-name portfolios need
-an empirical quantile callback.
+inverting the piecewise-linear cumulated hazard.  Multi-name portfolios would
+need an empirical quantile, which is not implemented.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import LatticeSurface, zero_surface
-from .market import ConfigError, ContagionModel, MarketConfig, PiecewiseTable, Portfolio
+from .grids import LatticeSurface, StateSpace, zero_surface
+from .market import ConfigError, ContagionModel, PiecewiseTable, Portfolio
 
 
 # ---------------------------------------------------------------------------
@@ -44,10 +44,7 @@ def closeout_excess(v_hat, m, L_I: float, L_C: float):
 
 def variation_margin(v_hat: LatticeSurface, alpha: float) -> LatticeSurface:
     """VM surface: alpha * v_hat nodewise."""
-    out = zero_surface(v_hat.grid, v_hat.space, "vm")
-    for k in v_hat.space.keys:
-        out.values[k] = alpha * v_hat.values[k]
-    return out
+    return LatticeSurface(v_hat.grid, v_hat.space, "vm", alpha * v_hat.values)
 
 
 # ---------------------------------------------------------------------------
@@ -144,72 +141,58 @@ def initial_margin_closed_form(
 
 @dataclass
 class MarginSchedule:
-    """Collateral surfaces: vm, im and their sum m, plus the solver view.
+    """Collateral surfaces: vm, im and their sum m.
 
-    ``alpha`` and the IM node arrays are what the XVA solver consumes: the
-    variation component is recomputed from the stage clean value during
-    integration, while the IM component is a function of time only.
+    The initial margin is a function of time and state only, so it is built
+    before the lattice pass; the pass consumes ``alpha`` and ``im`` and
+    recomputes the variation margin from each stage's clean value.  ``vm``
+    and ``m`` are set from the solved clean surface by ``settle``.
     """
 
-    vm: LatticeSurface
-    im: LatticeSurface
-    m: LatticeSurface
     alpha: float
+    im: LatticeSurface
+    vm: LatticeSurface | None = None
+    m: LatticeSurface | None = None
 
-    def im_values(self, key: int) -> np.ndarray:
-        return self.im.values[key]
+    def settle(self, v_hat: LatticeSurface) -> None:
+        """Sets vm = alpha * v_hat and m = vm + im, each one array operation."""
+        self.vm = variation_margin(v_hat, self.alpha)
+        self.m = LatticeSurface(v_hat.grid, v_hat.space, "m", self.vm.values + self.im.values)
 
 
 def margin_schedule(
-    cfg: MarketConfig,
     model_P: ContagionModel,
     portfolio: Portfolio,
-    v_hat: LatticeSurface,
-    mc_var=None,
+    grid: np.ndarray,
+    space: StateSpace,
 ) -> MarginSchedule:
-    """Builds the full collateral schedule on the clean-value grid.
+    """The collateral schedule on the lattice, before the clean value is known.
 
-    Multi-name initial margins require an empirical quantile callback
-    ``mc_var(t, state_key) -> VaR value``; without one (and with beta > 0 and
-    N > 1) the single-name analytic law cannot be applied and an error is
-    raised.
+    Only the single-name initial margin has an analytic law; multi-name
+    portfolios with beta > 0 would need an empirical quantile of the
+    clean-value increment, which is not implemented, so they are refused.
     """
     coll = portfolio.collateral
-    space = v_hat.space
-    grid = v_hat.grid
-    vm = variation_margin(v_hat, coll.alpha)
+    if coll.beta > 0.0 and portfolio.n > 1:
+        raise ConfigError(
+            "initial margin (beta > 0) is priced for single-name "
+            "portfolios only; multi-name portfolios need an empirical "
+            "VaR callback"
+        )
     im = zero_surface(grid, space, "im")
-    if coll.beta > 0.0 and portfolio.n > 0:
-        if portfolio.n == 1:
-            con = portfolio.contracts[0]
-            table = _physical_table(model_P)
-            for key in space.keys:
-                if space.count(key) >= 1:
-                    continue  # the single reference defaulted: no exposure
-                im.values[key] = np.array([
-                    initial_margin_var(
-                        table, con.spread, con.loss, coll.q, coll.delta,
-                        coll.beta, con.direction, t, portfolio.maturity,
-                    )
-                    for t in grid
-                ])
-        else:
-            if mc_var is None:
-                raise ConfigError(
-                    "initial margin (beta > 0) is priced for single-name "
-                    "portfolios only; multi-name portfolios need an empirical "
-                    "VaR callback"
-                )
-            for key in space.keys:
-                if space.count(key) >= portfolio.n:
-                    continue
-                im.values[key] = np.array([
-                    coll.beta * max(mc_var(t, key), 0.0) for t in grid
-                ])
-    m = zero_surface(grid, space, "m")
-    for key in space.keys:
-        m.values[key] = vm.values[key] + im.values[key]
-    return MarginSchedule(vm=vm, im=im, m=m, alpha=coll.alpha)
+    if coll.beta > 0.0 and portfolio.n == 1:
+        con = portfolio.contracts[0]
+        table = _physical_table(model_P)
+        # only the root state carries exposure: after the single reference
+        # defaults there is nothing left to margin
+        im.values[space.root()] = [
+            initial_margin_var(
+                table, con.spread, con.loss, coll.q, coll.delta,
+                coll.beta, con.direction, t, portfolio.maturity,
+            )
+            for t in grid
+        ]
+    return MarginSchedule(alpha=coll.alpha, im=im)
 
 
 def _physical_table(model_P: ContagionModel) -> PiecewiseTable:

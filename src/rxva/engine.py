@@ -56,13 +56,14 @@ def run_engine(
     grid_points: int = 2000,
     force_full: bool = False,
     allow_assumption_violation: bool = False,
-    mc_var=None,
 ) -> EngineResult:
     """Validates, builds the grid, and solves the requested surfaces.
 
-    Two lattice passes: the clean value alone, which the margin schedule is
-    built from, then the clean value again with every requested variant.
-    ``timings`` holds the wall time of each pass.
+    The initial margin depends on time and state only, so the margin
+    schedule is built first.  One lattice pass then integrates the clean
+    value together with every requested variant (the clean value alone when
+    none is requested), and the variation margin is set from its clean rows.
+    ``timings`` holds the wall time of that pass.
     """
     model_P = model_P if model_P is not None else model
     report = validate_assumptions(cfg, model, horizon=portfolio.maturity)
@@ -78,16 +79,14 @@ def run_engine(
             f"{len(grid)} grid nodes that exceeds the bound of {MAX_LATTICE_CELLS} "
             f"state-node cells"
         )
-    timings: dict[str, float] = {}
+    margins = margin_schedule(model_P, portfolio, grid, space)
     t0 = time.perf_counter()
-    clean = solve_clean(cfg, model, portfolio, grid, space)
-    timings["clean"] = time.perf_counter() - t0
-    margins = margin_schedule(cfg, model_P, portfolio, clean, mc_var=mc_var)
-    xva = {}
     if variants:
-        t0 = time.perf_counter()
-        xva = solve_xva(cfg, model, portfolio, grid, space, margins, variants)
-        timings["xva"] = time.perf_counter() - t0
+        clean, xva = solve_xva(cfg, model, portfolio, grid, space, margins, variants)
+    else:
+        clean, xva = solve_clean(cfg, model, portfolio, grid, space), {}
+        margins.settle(clean)
+    timings = {"pass": time.perf_counter() - t0}
     return EngineResult(
         cfg=cfg,
         model=model,

@@ -6,7 +6,7 @@ on the calendar-time grid with index 0 at t = 0 and the last index at t = T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,15 +83,16 @@ def choose_state_space(model: ContagionModel, portfolio: Portfolio, force_full: 
 class LatticeSurface:
     """One scalar function of time per default state.
 
-    ``values[key]`` is the array over ``grid`` for state ``key``; ``tag``
-    names the stored quantity (``v_hat``, ``u_actual``, ``u_upper``,
-    ``u_lower``, ``vm``, ``im``, ``m``, ``pocket``).
+    ``values`` is a (states x nodes) array: row ``values[key]`` holds state
+    ``key`` over ``grid``.  ``tag`` names the stored quantity (``v_hat``,
+    ``u_actual``, ``u_upper``, ``u_lower``, ``vm``, ``im``, ``m``,
+    ``pocket``).
     """
 
     grid: np.ndarray
     space: StateSpace
     tag: str
-    values: dict[int, np.ndarray] = field(default_factory=dict)
+    values: np.ndarray
 
     def at(self, key: int, t: float) -> float:
         """Linear interpolation in time within one state."""
@@ -103,21 +104,10 @@ class LatticeSurface:
     def terminal(self, key: int = 0) -> float:
         return float(self.values[key][-1])
 
-    def rows(self):
-        """Yields (time, state, value) for CSV export."""
-        for key in self.space.keys:
-            vals = self.values[key]
-            for t, v in zip(self.grid, vals):
-                yield t, key, v
-
 
 def zero_surface(grid: np.ndarray, space: StateSpace, tag: str) -> LatticeSurface:
-    return LatticeSurface(
-        grid=grid,
-        space=space,
-        tag=tag,
-        values={k: np.zeros_like(grid) for k in space.keys},
-    )
+    return LatticeSurface(grid=grid, space=space, tag=tag,
+                          values=np.zeros((space.size, len(grid))))
 
 
 def rk4_sweep(grid: np.ndarray, y0: np.ndarray, rhs, record) -> None:

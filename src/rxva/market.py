@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,11 +97,14 @@ class PiecewiseTable:
 
 
 def _number(value, where: str) -> float:
-    """A config value as a finite float; ConfigError otherwise."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be a number, got {value!r}") from None
+    """A config value as a finite float; ConfigError otherwise.
+
+    Configs hold JSON numbers, so a string or a boolean is refused rather
+    than coerced.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    number = float(value)
     if not math.isfinite(number):
         raise ConfigError(f"{where} must be finite, got {value!r}")
     return number
@@ -489,8 +493,8 @@ def _contagion_from_dict(doc: dict, n: int) -> ContagionModel:
     return ContagionModel(**kwargs)
 
 
-def load_config(path) -> tuple[MarketConfig, ContagionModel, Portfolio, ContagionModel]:
-    """Loads a JSON configuration file; see the repository README for the schema."""
+def read_config(path) -> dict:
+    """Reads a JSON configuration document; see the README for the schema."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -498,4 +502,9 @@ def load_config(path) -> tuple[MarketConfig, ContagionModel, Portfolio, Contagio
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("top-level config must be a JSON object")
-    return market_from_dict(doc)
+    return doc
+
+
+def load_config(path) -> tuple[MarketConfig, ContagionModel, Portfolio, ContagionModel]:
+    """Reads and parses a JSON configuration file."""
+    return market_from_dict(read_config(path))

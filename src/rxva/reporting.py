@@ -14,48 +14,42 @@ def fmt(x: float) -> str:
     return f"{x:.12e}"
 
 
-def write_clean_csv(path, surface: LatticeSurface) -> None:
-    lines = ["time,state,value"]
-    for t, key, v in surface.rows():
-        lines.append(f"{fmt(t)},{key},{fmt(v)}")
+def _write_lattice_csv(path, header: str, grid, columns, cell=fmt) -> None:
+    """One line per state and node, states in key order: time, state, cells.
+
+    ``columns`` are (states x nodes) arrays on ``grid``, converted to Python
+    numbers once; ``cell`` formats one entry of a column.
+    """
+    times = [fmt(t) for t in grid.tolist()]
+    lines = [header]
+    for key, rows in enumerate(zip(*(c.tolist() for c in columns))):
+        lines.extend(f"{t},{key}," + ",".join(map(cell, node))
+                     for t, node in zip(times, zip(*rows)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_clean_csv(path, surface: LatticeSurface) -> None:
+    _write_lattice_csv(path, "time,state,value", surface.grid, [surface.values])
 
 
 def write_margin_csv(path, vm: LatticeSurface, im: LatticeSurface, m: LatticeSurface) -> None:
-    lines = ["time,state,vm,im,m"]
-    for key in m.space.keys:
-        for idx, t in enumerate(m.grid):
-            lines.append(
-                f"{fmt(t)},{key},{fmt(vm.values[key][idx])},"
-                f"{fmt(im.values[key][idx])},{fmt(m.values[key][idx])}"
-            )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lattice_csv(path, "time,state,vm,im,m", m.grid, [vm.values, im.values, m.values])
 
 
 def write_xva_csv(path, results: dict[str, XvaResult]) -> None:
     order = [w for w in ("actual", "upper", "lower") if w in results]
-    first = results[order[0]].surface
-    lines = ["time,state," + ",".join(f"u_{w}" for w in order)]
-    for key in first.space.keys:
-        for idx, t in enumerate(first.grid):
-            cells = ",".join(fmt(results[w].surface.values[key][idx]) for w in order)
-            lines.append(f"{fmt(t)},{key},{cells}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lattice_csv(path, "time,state," + ",".join(f"u_{w}" for w in order),
+                       results[order[0]].surface.grid,
+                       [results[w].surface.values for w in order])
 
 
 def write_regime_csv(path, results: dict[str, XvaResult]) -> None:
     order = [w for w in ("upper", "lower") if w in results and results[w].regime is not None]
     if not order:
         return
-    first = results[order[0]].surface
-    lines = ["time,state," + ",".join(f"regime_{w}" for w in order)]
-    for key in first.space.keys:
-        for idx, t in enumerate(first.grid):
-            cells = ",".join(
-                REGIME_LABELS[int(results[w].regime[key][idx])] for w in order
-            )
-            lines.append(f"{fmt(t)},{key},{cells}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lattice_csv(path, "time,state," + ",".join(f"regime_{w}" for w in order),
+                       results[order[0]].surface.grid,
+                       [results[w].regime for w in order], cell=REGIME_LABELS.__getitem__)
 
 
 def write_sweep_csv(path, sweep_result) -> None:

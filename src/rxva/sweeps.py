@@ -8,10 +8,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import run_engine
-from .market import market_from_dict
+from .market import ConfigError, market_from_dict
 from .strategies import robust_strategy
 
 SWEEPABLE = ("a20", "a23", "a33", "a30", "alpha", "band_width")
+
+# the contagion table that, when a config gives it, replaces the affine
+# intensities a sweepable parameter belongs to
+_OVERRIDDEN_BY = {"a20": "counterparty_table", "a23": "counterparty_table",
+                  "a30": "reference_tables", "a33": "reference_tables"}
 
 
 @dataclass(frozen=True)
@@ -108,7 +113,17 @@ def run_sweep(
     ``gamma = -1`` flips the portfolio direction and ``force_full`` disables
     the homogeneous reduction, as the CLI flags of the same names do.
     Solver failures are recorded on the affected row and the sweep continues.
+    A base document that does not parse is refused with ConfigError, and so
+    is a contagion parameter that a table of the config overrides, since
+    every row would be the same.
     """
+    model = market_from_dict(base_doc)[1]
+    table = _OVERRIDDEN_BY.get(spec.param)
+    if table is not None and getattr(model, table) is not None:
+        raise ConfigError(
+            f"sweeping {spec.param} changes nothing: contagion.{table} in the config "
+            f"overrides it"
+        )
     out = SweepResult(spec=spec)
     for value in spec.values:
         row = SweepRow(value=value, ok=False)

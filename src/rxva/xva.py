@@ -148,7 +148,7 @@ def lattice_rhs(
 class XvaResult:
     which: str
     surface: LatticeSurface
-    regime: dict[int, np.ndarray] | None = None
+    regime: np.ndarray | None = None
     pocket: LatticeSurface | None = None
 
 
@@ -165,7 +165,7 @@ def _joint_pass(cfg, model, portfolio, grid, space, margins, variants):
     coeffs = LatticeCoefficients(model, portfolio, space)
     by_seg = coeffs.per_segment(0.5 * (grid[:-1] + grid[1:]))
     if margins is not None:
-        im = np.stack([margins.im_values(k) for k in space.keys]).T.tolist()
+        im = margins.im.values.T.tolist()
     else:
         im = [[0.0] * size] * len(grid)
     nodes = grid.tolist()
@@ -186,11 +186,6 @@ def _joint_pass(cfg, model, portfolio, grid, space, margins, variants):
     return path
 
 
-def _surface(grid, space, tag, rows) -> LatticeSurface:
-    return LatticeSurface(grid=grid, space=space, tag=tag,
-                          values={k: rows[k] for k in space.keys})
-
-
 def solve_clean(
     cfg: MarketConfig,
     model: ContagionModel,
@@ -200,7 +195,7 @@ def solve_clean(
 ) -> LatticeSurface:
     """Clean value surface for every default state: the pass with no XVA column."""
     path = _joint_pass(cfg, model, portfolio, grid, space, None, ())
-    return _surface(grid, space, "v_hat", path)
+    return LatticeSurface(grid, space, "v_hat", path)
 
 
 def solve_xva(
@@ -211,33 +206,36 @@ def solve_xva(
     space: StateSpace,
     margins: MarginSchedule,
     variants: tuple[str, ...],
-) -> dict[str, XvaResult]:
+) -> tuple[LatticeSurface, dict[str, XvaResult]]:
     """Solves every requested variant jointly with the clean value, in one pass.
 
-    The upper and lower results carry the regime selected at every node and,
-    when mu_C_true is set, the pocket surface.
+    Returns the clean surface of the pass and one result per variant, and
+    settles ``margins`` (vm and m) on that clean surface.  The upper and
+    lower results carry the regime selected at every node and, when
+    mu_C_true is set, the pocket surface.  Every surface is a row block of
+    the pass's array.
     """
     path = _joint_pass(cfg, model, portfolio, grid, space, margins, variants)
     size = space.size
+    clean = LatticeSurface(grid, space, "v_hat", path[:size])
+    margins.settle(clean)
     _, theta_C = closeout_excess(
-        path[:size], np.stack([margins.m.values[k] for k in space.keys]),
-        portfolio.loss_investor, portfolio.loss_counterparty,
+        clean.values, margins.m.values, portfolio.loss_investor, portfolio.loss_counterparty,
     )
     results = {}
     pocketed = _pocketed(cfg, variants)
     for i, which in enumerate(variants):
         u = path[(1 + i) * size:(2 + i) * size]
-        result = results[which] = XvaResult(which, _surface(grid, space, f"u_{which}", u))
+        result = results[which] = XvaResult(which, LatticeSurface(grid, space, f"u_{which}", u))
         if which == "actual":
             continue
         z_C = theta_C - u
         hi = (z_C > 0.0) == (which == "upper")
-        regime = np.where(z_C == 0.0, REGIME_TIE, np.where(hi, REGIME_HI, REGIME_LO))
-        result.regime = {k: regime[k] for k in space.keys}
+        result.regime = np.where(z_C == 0.0, REGIME_TIE, np.where(hi, REGIME_HI, REGIME_LO))
         if which in pocketed:
             j = 1 + len(variants) + pocketed.index(which)
-            result.pocket = _surface(grid, space, "pocket", path[j * size:(j + 1) * size])
-    return results
+            result.pocket = LatticeSurface(grid, space, "pocket", path[j * size:(j + 1) * size])
+    return clean, results
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +266,7 @@ def solve_value_direct(
     L_I, L_C = portfolio.loss_investor, portfolio.loss_counterparty
     alpha = margins.alpha
     space = StateSpace(n=1, homogeneous=False)
-    im0 = margins.im_values(0)
+    im0 = margins.im.values[0]
     T = grid[-1]
     mids = 0.5 * (grid[:-1] + grid[1:])
 

@@ -11,6 +11,7 @@ import pytest
 
 import rxva.cli as cli
 import rxva.engine as engine
+import rxva.xva as xva
 
 from conftest import FIVE_NAME, SINGLE_NAME
 
@@ -170,19 +171,42 @@ class TestSweep:
                 "xi_ref_val", "xi_I_val", "xi_C_val", "xi_f_val",
                 "status"} == set(rows[0])
 
-
     def test_gamma_flip_negates_clean_column(self, tmp_path):
         columns = []
         for gamma in ("1", "-1"):
             out = tmp_path / f"gamma{gamma}"
             assert _run("sweep", "--config", str(SINGLE_NAME), "--out-dir", str(out),
-                        "--grid-points", "200", "--param", "a30", "--points", "3",
+                        "--grid-points", "200", "--param", "band_width", "--points", "3",
                         "--gamma", gamma) == cli.EXIT_OK
-            rows = _read_csv(out / "sweep_a30.csv")
+            rows = _read_csv(out / "sweep_band_width.csv")
             assert all(r["status"] == "ok" for r in rows)
             columns.append([float(r["v_hat_0"]) for r in rows])
         assert all(v != 0.0 for v in columns[0])
         assert columns[1] == [-v for v in columns[0]]
+
+    @pytest.mark.parametrize("param, table", [
+        ("a30", "reference_tables"), ("a33", "reference_tables"),
+        ("a20", "counterparty_table"), ("a23", "counterparty_table"),
+    ])
+    def test_parameter_overridden_by_table_refused(self, tmp_path, capsys, param, table):
+        # the single-name config gives its intensities as tables, so the
+        # affine parameter would leave every row the same
+        out = tmp_path / "out"
+        assert _run("sweep", "--config", str(SINGLE_NAME), "--out-dir", str(out),
+                    "--grid-points", "50", "--param", param, "--points", "2") == cli.EXIT_CONFIG
+        assert f"contagion.{table}" in capsys.readouterr().err
+        assert not (out / f"sweep_{param}.csv").exists()
+
+
+class TestSinglePass:
+    @pytest.mark.parametrize("command", [("price",), ("xva",), ("verify", "--paths", "500")])
+    def test_one_rk4_sweep_per_run(self, tmp_path, monkeypatch, command):
+        calls = []
+        sweep = xva.rk4_sweep
+        monkeypatch.setattr(xva, "rk4_sweep", lambda *a: (calls.append(a), sweep(*a))[1])
+        assert _run(*command, "--config", str(SINGLE_NAME), "--out-dir", str(tmp_path),
+                    "--grid-points", "200") == cli.EXIT_OK
+        assert len(calls) == 1
 
 
 class TestExitCodes:
@@ -220,6 +244,14 @@ class TestExitCodes:
         assert _run("xva", "--config", str(cfg), "--out-dir", str(tmp_path / "o"),
                     "--grid-points", "100") == cli.EXIT_CONFIG
         assert "must be finite" in capsys.readouterr().err
+
+    def test_number_given_as_string_refused(self, tmp_path, capsys):
+        doc = _minimal_doc()
+        doc["portfolio"]["maturity"] = "1"
+        cfg = _write_config(tmp_path, doc)
+        assert _run("price", "--config", str(cfg), "--out-dir", str(tmp_path / "o"),
+                    "--grid-points", "100") == cli.EXIT_CONFIG
+        assert "portfolio.maturity must be a number, got '1'" in capsys.readouterr().err
 
     def test_multi_name_initial_margin_refused(self, tmp_path, capsys):
         doc = _minimal_doc()

@@ -12,6 +12,7 @@ from rxva.grids import (
     zero_surface,
 )
 from rxva.market import ContagionModel, Contract, Portfolio
+from rxva.reporting import write_clean_csv
 
 
 class TestBuildGrid:
@@ -76,18 +77,21 @@ class TestLatticeSurface:
         grid = np.array([0.0, 1.0, 2.0])
         space = StateSpace(n=1, homogeneous=True)
         surf = LatticeSurface(grid=grid, space=space, tag="v_hat",
-                              values={0: np.array([0.0, 2.0, 4.0]),
-                                      1: np.zeros(3)})
+                              values=np.array([[0.0, 2.0, 4.0], [0.0, 0.0, 0.0]]))
         assert surf.at(0, 0.5) == pytest.approx(1.0)
         assert surf.at0(0) == 0.0
         assert surf.terminal(0) == 4.0
 
-    def test_rows_order(self):
+    def test_rows_order(self, tmp_path):
+        # CSV export walks the states in key order, each over the whole grid
         grid = np.array([0.0, 1.0])
         space = StateSpace(n=1, homogeneous=True)
         surf = zero_surface(grid, space, "v_hat")
-        rows = list(surf.rows())
-        assert [(r[0], r[1]) for r in rows] == [(0.0, 0), (1.0, 0), (0.0, 1), (1.0, 1)]
+        assert surf.values.shape == (2, 2)
+        write_clean_csv(tmp_path / "clean.csv", surf)
+        rows = (tmp_path / "clean.csv").read_text().splitlines()[1:]
+        assert [(float(r.split(",")[0]), int(r.split(",")[1])) for r in rows] == \
+            [(0.0, 0), (1.0, 0), (0.0, 1), (1.0, 1)]
 
 
 class TestRk4Sweep:

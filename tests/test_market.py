@@ -322,6 +322,26 @@ class TestValidation:
 # Config parsing
 # ---------------------------------------------------------------------------
 
+def _doc_with(where, key, value):
+    """A valid single-name config document with one entry replaced."""
+    doc = {
+        "rates": {"r_D": 0.001, "r_f_plus": 0.001, "r_f_minus": 0.001,
+                  "r_m_plus": 0.001, "r_m_minus": 0.001},
+        "counterparty_band": {"mu_lower": 0.15, "mu_upper": 0.25, "mu_true": 0.2},
+        "portfolio": {
+            "contracts": [{"spread": 0.02, "loss": 0.5}],
+            "maturity": 1.0, "L_I": 0.5, "L_C": 0.5,
+        },
+        "contagion": {"a10": 0.1, "a20": 0.15, "a30": 0.2},
+    }
+    market_from_dict(doc)
+    node = doc
+    for step in where:
+        node = node[step]
+    node[key] = value
+    return doc
+
+
 class TestConfigLoading:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -361,23 +381,24 @@ class TestConfigLoading:
     ])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_numbers_rejected(self, where, key, bad):
-        doc = {
-            "rates": {"r_D": 0.001, "r_f_plus": 0.001, "r_f_minus": 0.001,
-                      "r_m_plus": 0.001, "r_m_minus": 0.001},
-            "counterparty_band": {"mu_lower": 0.15, "mu_upper": 0.25, "mu_true": 0.2},
-            "portfolio": {
-                "contracts": [{"spread": 0.02, "loss": 0.5}],
-                "maturity": 1.0, "L_I": 0.5, "L_C": 0.5,
-            },
-            "contagion": {"a10": 0.1, "a20": 0.15, "a30": 0.2},
-        }
-        market_from_dict(doc)
-        node = doc
-        for step in where:
-            node = node[step]
-        node[key] = bad
         with pytest.raises(ConfigError, match="finite"):
-            market_from_dict(doc)
+            market_from_dict(_doc_with(where, key, bad))
+
+    @pytest.mark.parametrize("where, key, bad", [
+        (("portfolio",), "maturity", "1"),
+        (("portfolio", "contracts", 0), "spread", "0.02"),
+        (("portfolio", "contracts", 0), "direction", True),
+        (("rates",), "r_D", True),
+        (("counterparty_band",), "mu_lower", "0.15"),
+        (("contagion",), "a30", False),
+        (("contagion",), "investor_table", True),
+        (("contagion",), "reference_tables", [{"breaks": [True], "values": [0.1, 0.2]}]),
+        (("contagion",), "reference_tables", [{"values": [[0.1, True]]}]),
+    ])
+    def test_strings_and_booleans_rejected(self, where, key, bad):
+        # configs hold JSON numbers: a string or a boolean is not coerced
+        with pytest.raises(ConfigError, match="must be a number"):
+            market_from_dict(_doc_with(where, key, bad))
 
     @pytest.mark.parametrize("spec", [
         "0.2",

@@ -16,6 +16,7 @@ from rxva.xva import (
     REGIME_LO,
     REGIME_TIE,
     lattice_rhs,
+    solve_clean,
     solve_value_direct,
     solve_xva,
 )
@@ -336,8 +337,22 @@ class TestJointPass:
             assert np.array_equal(alone.pocket.values[key], joint.pocket.values[key])
             assert np.array_equal(alone.regime[key], joint.regime[key])
 
-    def test_two_passes_timed(self, single_name_result):
-        assert set(single_name_result.timings) == {"clean", "xva"}
+    def test_one_pass_timed(self, single_name_result):
+        assert set(single_name_result.timings) == {"pass"}
+
+    @pytest.mark.parametrize("full, gamma", [(False, 1), (True, 1), (False, -1)],
+                             ids=["plain", "full", "gamma-1"])
+    @pytest.mark.parametrize("path", [SINGLE_NAME, FIVE_NAME], ids=["single", "five"])
+    def test_pass_clean_equals_solve_clean(self, path, full, gamma):
+        # the clean rows of the joint pass are the clean-only pass, bit for bit
+        cfg, model, portfolio, model_P = market_from_dict(_load_doc(path))
+        if gamma == -1:
+            portfolio = portfolio.flipped()
+        res = run_engine(cfg, model, portfolio, model_P, variants=("actual", "upper", "lower"),
+                         grid_points=400, force_full=full, allow_assumption_violation=True)
+        alone = solve_clean(cfg, model, portfolio, res.grid, res.space)
+        assert res.space.homogeneous == (not full)
+        assert np.array_equal(res.clean.values, alone.values)
 
 
 @st.composite
@@ -431,4 +446,4 @@ class TestJointPassProperties:
         surfaces = [res.clean, res.margins.m] + [res.xva[w].surface for w in res.xva]
         surfaces += [res.xva[w].pocket for w in ("upper", "lower")]
         for surface in surfaces:
-            assert all(np.all(np.isfinite(v)) for v in surface.values.values())
+            assert np.all(np.isfinite(surface.values))
