@@ -14,6 +14,7 @@ cross-check for the ODE path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,8 @@ class StateCoeffs:
     ``(child, rate, loss, count)``: the target state, the aggregate intensity
     of the move, the signed loss paid on it, and the number of contracts it
     retires (greater than one only in homogeneous mode, where all alive
-    entities share the same child state).
+    entities share the same child state).  ``h_C`` is the true counterparty
+    intensity, NaN when the config does not give one.
     """
 
     sum_S: float
@@ -50,11 +52,15 @@ class LatticeCoefficients:
 
     Coefficients are piecewise constant in time; a bundle is the tuple of
     StateCoeffs of every lattice state in key order, cached by the index of
-    the piece containing the queried time.
+    the piece containing the queried time.  ``h_C_true`` is the true
+    counterparty intensity table (see ``xva.resolve_true_h_c``); its breaks
+    are among the model's.
     """
 
-    def __init__(self, model: ContagionModel, portfolio: Portfolio, space: StateSpace):
+    def __init__(self, model: ContagionModel, portfolio: Portfolio, space: StateSpace,
+                 h_C_true: PiecewiseTable | None):
         self.model = model
+        self.h_C_true = h_C_true
         self.portfolio = portfolio
         self.space = space
         self.breaks = np.asarray(model.breakpoints())
@@ -84,7 +90,7 @@ class LatticeCoefficients:
             count = space.count(key)
             alive_count = pf.n - count
             h_I = model.intensity_by_count("I", t, count)
-            h_C = model.intensity_by_count("C", t, count)
+            h_C = math.nan if self.h_C_true is None else self.h_C_true.at(t, count)
             if space.homogeneous:
                 if alive_count:
                     c0 = pf.contracts[0]

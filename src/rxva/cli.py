@@ -31,7 +31,8 @@ from .reporting import (
     write_sweep_csv,
     write_xva_csv,
 )
-from .sweeps import SWEEPABLE, SweepSpec, default_grid, run_sweep
+from .sweeps import SWEEPABLE, SweepSpec, base_value, default_grid, run_sweep
+from .xva import all_variants
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -110,10 +111,9 @@ def _load(args):
 
 
 def _variants(cfg, which: str) -> tuple[str, ...]:
-    have_true = cfg.mu_C_true is not None
     if which == "all":
-        return ("actual", "upper", "lower") if have_true else ("upper", "lower")
-    if which == "actual" and not have_true:
+        return all_variants(cfg)
+    if which not in all_variants(cfg):
         raise ConfigError("--which actual requires mu_true in counterparty_band")
     return (which,)
 
@@ -196,11 +196,9 @@ def _cmd_xva(args, cfg, model, portfolio, model_P, out_dir, started) -> int:
 
 
 def _cmd_verify(args, cfg, model, portfolio, model_P, out_dir, started) -> int:
-    variants = ("actual", "upper", "lower") if cfg.mu_C_true is not None \
-        else ("upper", "lower")
     result = run_engine(
         cfg, model, portfolio, model_P,
-        variants=variants,
+        variants=all_variants(cfg),
         grid_points=args.grid_points,
         force_full=args.full_lattice,
         allow_assumption_violation=args.allow_assumption_violation,
@@ -217,10 +215,9 @@ def _cmd_verify(args, cfg, model, portfolio, model_P, out_dir, started) -> int:
 
 def _cmd_sweep(args, out_dir: Path, started) -> int:
     doc = read_config(args.config)
-    base = _base_param_value(doc, args.param)
     spec = SweepSpec(
         param=args.param,
-        values=default_grid(base, points=args.points, span=args.span),
+        values=default_grid(base_value(doc, args.param), points=args.points, span=args.span),
     )
     result = run_sweep(
         doc, spec,
@@ -236,18 +233,6 @@ def _cmd_sweep(args, out_dir: Path, started) -> int:
         print("every sweep point failed; see the status column", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK
-
-
-def _base_param_value(doc: dict, param: str) -> float:
-    try:
-        if param in ("a20", "a23", "a33", "a30"):
-            return float(doc["contagion"].get(param, 0.0))
-        if param == "alpha":
-            return float(doc["portfolio"].get("collateral", {}).get("alpha", 0.0))
-        band = doc["counterparty_band"]
-        return float(band["mu_upper"]) - float(band["mu_lower"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"cannot read base value for {param}: {exc}") from exc
 
 
 if __name__ == "__main__":

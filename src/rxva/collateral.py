@@ -182,7 +182,7 @@ def margin_schedule(
     im = zero_surface(grid, space, "im")
     if coll.beta > 0.0 and portfolio.n == 1:
         con = portfolio.contracts[0]
-        table = _physical_table(model_P)
+        table = model_P.table(1)
         # only the root state carries exposure: after the single reference
         # defaults there is nothing left to margin
         im.values[space.root()] = [
@@ -194,8 +194,3 @@ def margin_schedule(
         ]
     return MarginSchedule(alpha=coll.alpha, im=im)
 
-
-def _physical_table(model_P: ContagionModel) -> PiecewiseTable:
-    if model_P.general_mode:
-        return model_P.reference_tables[0]
-    return PiecewiseTable(breaks=(), values=((model_P.a30,),))

@@ -8,12 +8,11 @@ entity ``i`` (1-based) has defaulted.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import numbers
 from dataclasses import dataclass, field
-
-import numpy as np
 
 INVESTOR = "I"
 COUNTERPARTY = "C"
@@ -91,8 +90,7 @@ class PiecewiseTable:
             raise ConfigError("table breakpoints must be strictly increasing")
 
     def at(self, t: float, count: int) -> float:
-        p = int(np.searchsorted(self.breaks, t, side="right"))
-        row = self.values[p]
+        row = self.values[bisect.bisect_right(self.breaks, t)]
         return row[min(count, len(row) - 1)]
 
 
@@ -130,10 +128,10 @@ def _as_table(spec) -> PiecewiseTable:
     for row in values:
         if isinstance(row, (int, float)):
             rows.append((_number(row, "intensity"),))
-        elif isinstance(row, list):
+        elif isinstance(row, list) and row:
             rows.append(tuple(_number(v, "intensity") for v in row))
         else:
-            raise ConfigError(f"an intensity row must be a number or a list, got {row!r}")
+            raise ConfigError(f"an intensity row must be a number or a nonempty list, got {row!r}")
     return PiecewiseTable(breaks=breaks, values=tuple(rows))
 
 
@@ -141,84 +139,41 @@ def _as_table(spec) -> PiecewiseTable:
 class ContagionModel:
     """Interacting default intensities for references, investor and counterparty.
 
-    In parametric mode the risk-neutral intensities are::
-
-        h_I(t, J) = a10 + a13 |J|
-        h_C(t, J) = a20 + a23 |J|
-        h_i(t, J) = a30 + a33 |J \\ {i}|     for surviving i
-
-    In general mode, per-entity piecewise-constant tables keyed by
-    (time piece, default count) replace the affine parameterization.
+    Each intensity is a piecewise-constant table keyed by (time piece,
+    default count): ``investor`` is h_I(t, J), ``counterparty`` h_C(t, J),
+    and ``references`` holds one table shared by every reference entity or
+    one per entity, each read at |J \\ {i}| for a surviving entity i.
     """
 
     n: int
-    a10: float = 0.0
-    a13: float = 0.0
-    a20: float = 0.0
-    a23: float = 0.0
-    a30: float = 0.0
-    a33: float = 0.0
-    investor_table: PiecewiseTable | None = None
-    counterparty_table: PiecewiseTable | None = None
-    reference_tables: tuple[PiecewiseTable, ...] | None = None
+    investor: PiecewiseTable
+    counterparty: PiecewiseTable
+    references: tuple[PiecewiseTable, ...]
 
     def __post_init__(self):
-        if self.reference_tables is not None:
-            if len(self.reference_tables) not in (1, self.n):
-                raise ConfigError(
-                    "reference_tables must hold one shared table or one per entity"
-                )
+        if len(self.references) not in (1, self.n):
+            raise ConfigError("references must hold one shared table or one per entity")
 
-    @property
-    def general_mode(self) -> bool:
-        return self.reference_tables is not None
-
-    def _ref_table(self, entity: int) -> PiecewiseTable:
-        tables = self.reference_tables
-        return tables[0] if len(tables) == 1 else tables[entity - 1]
+    def table(self, who) -> PiecewiseTable:
+        """The intensity table of ``who``: a 1-based entity id, "I" or "C"."""
+        if who == INVESTOR:
+            return self.investor
+        if who == COUNTERPARTY:
+            return self.counterparty
+        return self.references[0 if len(self.references) == 1 else int(who) - 1]
 
     def intensity_by_count(self, who, t: float, count: int) -> float:
         """Risk-neutral default intensity h_who(t, J) with ``count`` = |J|.
 
-        ``who`` is a 1-based entity id, or one of the markers ``"I"``/``"C"``.
         Every intensity of the model depends on the defaulted set through its
-        size (a surviving entity i has |J \\ {i}| == |J|); a reference entity
-        reads its own table in general mode.
+        size (a surviving entity i has |J \\ {i}| == |J|).
         """
-        if who == INVESTOR:
-            if self.investor_table is not None:
-                return self.investor_table.at(t, count)
-            return self.a10 + self.a13 * count
-        if who == COUNTERPARTY:
-            if self.counterparty_table is not None:
-                return self.counterparty_table.at(t, count)
-            return self.a20 + self.a23 * count
-        if self.general_mode:
-            return self._ref_table(int(who)).at(t, count)
-        return self.a30 + self.a33 * count
+        return self.table(who).at(t, count)
 
     def breakpoints(self) -> tuple[float, ...]:
         """Sorted time breakpoints of all piecewise-constant intensities."""
-        pts: set[float] = set()
-        for table in self._tables():
-            pts.update(table.breaks)
-        return tuple(sorted(pts))
-
-    def _tables(self):
-        out = []
-        if self.investor_table is not None:
-            out.append(self.investor_table)
-        if self.counterparty_table is not None:
-            out.append(self.counterparty_table)
-        if self.reference_tables is not None:
-            out.extend(self.reference_tables)
-        return out
-
-    def shared_reference_dynamics(self) -> bool:
-        """True when all reference entities share one intensity specification."""
-        if not self.general_mode:
-            return True
-        return len(self.reference_tables) == 1
+        tables = (self.investor, self.counterparty, *self.references)
+        return tuple(sorted({b for table in tables for b in table.breaks}))
 
     def intensities(self, who, horizon: float) -> list[float]:
         """h_who on every time piece meeting [0, horizon], at every default count."""
@@ -318,7 +273,7 @@ def is_homogeneous(model: ContagionModel, portfolio: Portfolio) -> bool:
     Requires identical contracts and reference intensities that depend on the
     defaulted set only through its cardinality.
     """
-    return portfolio.homogeneous_contracts() and model.shared_reference_dynamics()
+    return portfolio.homogeneous_contracts() and len(model.references) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +379,25 @@ def _required_number(d: dict, key: str, where: str) -> float:
     return _number(_require(d, key, where), f"{where}.{key}")
 
 
+def _object(value, where: str) -> dict:
+    """A config block that the schema expects as a JSON object; ConfigError otherwise."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {value!r}")
+    return value
+
+
+def _contract(c) -> Contract:
+    c = _object(c, "contract")
+    direction = _number(c.get("direction", 1), "contract.direction")
+    if direction not in (1.0, -1.0):
+        raise ConfigError(f"contract.direction must be +1 or -1, got {direction!r}")
+    return Contract(
+        spread=_required_number(c, "spread", "contract"),
+        loss=_required_number(c, "loss", "contract"),
+        direction=int(direction),
+    )
+
+
 def market_from_dict(doc: dict) -> tuple[MarketConfig, ContagionModel, Portfolio, ContagionModel]:
     """Parses a configuration document.
 
@@ -431,20 +405,15 @@ def market_from_dict(doc: dict) -> tuple[MarketConfig, ContagionModel, Portfolio
     physical contagion model).  The physical model defaults to the
     risk-neutral one when no ``physical_contagion`` block is present.
     """
-    rates = _require(doc, "rates", "config")
-    band = _require(doc, "counterparty_band", "config")
-    pf = _require(doc, "portfolio", "config")
-    contracts = tuple(
-        Contract(
-            spread=_required_number(c, "spread", "contract"),
-            loss=_required_number(c, "loss", "contract"),
-            direction=int(_number(c.get("direction", 1), "contract.direction")),
-        )
-        for c in _require(pf, "contracts", "portfolio")
-    )
-    coll = pf.get("collateral", {})
+    rates = _object(_require(doc, "rates", "config"), "rates")
+    band = _object(_require(doc, "counterparty_band", "config"), "counterparty_band")
+    pf = _object(_require(doc, "portfolio", "config"), "portfolio")
+    contracts = _require(pf, "contracts", "portfolio")
+    if not isinstance(contracts, list):
+        raise ConfigError(f"portfolio.contracts must be a list, got {contracts!r}")
+    coll = _object(pf.get("collateral", {}), "collateral")
     portfolio = Portfolio(
-        contracts=contracts,
+        contracts=tuple(_contract(c) for c in contracts),
         maturity=_required_number(pf, "maturity", "portfolio"),
         loss_investor=_required_number(pf, "L_I", "portfolio"),
         loss_counterparty=_required_number(pf, "L_C", "portfolio"),
@@ -468,29 +437,42 @@ def market_from_dict(doc: dict) -> tuple[MarketConfig, ContagionModel, Portfolio
         mu_C_upper=_required_number(band, "mu_upper", "counterparty_band"),
         mu_C_true=mu_true,
     )
-    model = _contagion_from_dict(_require(doc, "contagion", "config"), portfolio.n)
+    model = contagion_from_dict(_require(doc, "contagion", "config"), portfolio.n)
     phys_doc = doc.get("physical_contagion")
-    phys = _contagion_from_dict(phys_doc, portfolio.n) if phys_doc else model
-    return cfg, model, portfolio, phys
+    if phys_doc in (None, {}):
+        return cfg, model, portfolio, model
+    return cfg, model, portfolio, contagion_from_dict(phys_doc, portfolio.n, "physical_contagion")
 
 
-def _contagion_from_dict(doc: dict, n: int) -> ContagionModel:
-    kwargs: dict = {"n": n}
-    for key in ("a10", "a13", "a20", "a23", "a30", "a33"):
+def contagion_from_dict(doc: dict, n: int, where: str = "contagion") -> ContagionModel:
+    """Parses the contagion block ``where`` for ``n`` reference entities.
+
+    The affine pair of a party, (a10, a13) for the investor, (a20, a23) for
+    the counterparty and (a30, a33) for the references, is shorthand for the
+    one-row table a + b * k at every default count k = 0..n; an absent
+    parameter is 0.  A table the block gives replaces the party's pair.
+    """
+    doc = _object(doc, where)
+    affine = {p: _number(doc.get(p, 0.0), f"{where}.{p}")
+              for p in ("a10", "a13", "a20", "a23", "a30", "a33")}
+
+    def table(key: str, a: str, b: str) -> PiecewiseTable:
         if key in doc:
-            kwargs[key] = _number(doc[key], f"contagion.{key}")
-    if "investor_table" in doc:
-        kwargs["investor_table"] = _as_table(doc["investor_table"])
-    if "counterparty_table" in doc:
-        kwargs["counterparty_table"] = _as_table(doc["counterparty_table"])
+            return _as_table(doc[key])
+        a, b = affine[a], affine[b]
+        return PiecewiseTable(breaks=(), values=(tuple(a + b * k for k in range(n + 1)),))
+
     if "reference_tables" in doc:
         specs = doc["reference_tables"]
-        if not isinstance(specs, list):
-            specs = [specs]
-        kwargs["reference_tables"] = tuple(_as_table(s) for s in specs)
-    elif "reference_table" in doc:
-        kwargs["reference_tables"] = (_as_table(doc["reference_table"]),)
-    return ContagionModel(**kwargs)
+        references = tuple(_as_table(s) for s in (specs if isinstance(specs, list) else [specs]))
+    else:
+        references = (table("reference_table", "a30", "a33"),)
+    return ContagionModel(
+        n=n,
+        investor=table("investor_table", "a10", "a13"),
+        counterparty=table("counterparty_table", "a20", "a23"),
+        references=references,
+    )
 
 
 def read_config(path) -> dict:

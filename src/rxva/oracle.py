@@ -109,14 +109,12 @@ class _Clocks:
         self.n, self.T = n, T
         self.breaks = np.asarray(breaks, dtype=float)
         self.edges = np.array([b for b in breaks if 0.0 < b < T] + [T])
-        fns = [lambda t, k, i=i: model.intensity_by_count(i, t, k) for i in range(1, n + 1)]
+        tables = [model.table(i) for i in range(1, n + 1)]
         if include_parties:
-            fns.append(lambda t, k: model.intensity_by_count("I", t, k))
-            fns.append(h_C_true if h_C_true is not None
-                       else lambda t, k: model.intensity_by_count("C", t, k))
+            tables += [model.investor, h_C_true if h_C_true is not None else model.counterparty]
         # the left end of each piece lies in it (side="right" lookup)
         left = [-math.inf, *breaks]
-        self.h = np.array([[[fn(t, k) for t in left] for k in range(n + 1)] for fn in fns])
+        self.h = np.array([[[tab.at(t, k) for t in left] for k in range(n + 1)] for tab in tables])
 
     def invert(self, clock: int, count: int, t0: np.ndarray, target: np.ndarray) -> np.ndarray:
         """First time after t0 at which the cumulated intensity reaches target.
@@ -212,9 +210,9 @@ def simulate_paths(
 
     After every reference default the surviving intensities are re-evaluated
     in the new state and all exponential clocks are redrawn, which is
-    distributionally exact by the memoryless property.  ``h_C_true``
-    overrides the model counterparty intensity (callable of (t, count),
-    piecewise constant on the model's breakpoints).
+    distributionally exact by the memoryless property.  ``h_C_true``, a
+    PiecewiseTable whose breaks are among the model's, overrides the model
+    counterparty intensity.
 
     Path p reads the next unused exponentials of ``default_rng(seed)``:
     one per surviving name in ascending order, then the investor's and the
@@ -505,7 +503,7 @@ def drift_identity_error(result: EngineResult, which: str = "upper", stride: int
         raise ValueError("the drift identity requires mu_C_true")
     surface = result.xva[which].surface
     space, grid, margins = result.space, result.grid, result.margins
-    coeffs = LatticeCoefficients(model, portfolio, space)
+    coeffs = LatticeCoefficients(model, portfolio, space, h_true)
     driver = lattice_rhs(cfg, portfolio, space.size, margins.alpha, ("actual",))
     worst = 0.0
     for node in range(0, len(grid), stride):
@@ -516,7 +514,7 @@ def drift_identity_error(result: EngineResult, which: str = "upper", stride: int
         for key in space.keys:
             count = space.count(key)
             snap = robust_strategy(surface, result.clean, margins.m, portfolio, t, key)
-            mu_true = h_true(t, count) + cfg.r_D
+            mu_true = h_true.at(t, count) + cfg.r_D
             drift = wealth_drift(
                 cfg, model, portfolio, snap, margins.m.at(key, t), mu_true, t, count
             )

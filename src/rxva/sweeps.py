@@ -10,13 +10,18 @@ import numpy as np
 from .engine import run_engine
 from .market import ConfigError, market_from_dict
 from .strategies import robust_strategy
+from .xva import all_variants
 
-SWEEPABLE = ("a20", "a23", "a33", "a30", "alpha", "band_width")
+# where each sweepable parameter sits in a config document: the key path of
+# its block; band_width is mu_upper - mu_lower of its block
+_BLOCK = {**dict.fromkeys(("a20", "a23", "a33", "a30"), ("contagion",)),
+          "alpha": ("portfolio", "collateral"), "band_width": ("counterparty_band",)}
+SWEEPABLE = tuple(_BLOCK)
 
-# the contagion table that, when a config gives it, replaces the affine
+# the contagion table keys that, when a config gives one, replace the affine
 # intensities a sweepable parameter belongs to
-_OVERRIDDEN_BY = {"a20": "counterparty_table", "a23": "counterparty_table",
-                  "a30": "reference_tables", "a33": "reference_tables"}
+_OVERRIDDEN_BY = {**dict.fromkeys(("a20", "a23"), ("counterparty_table",)),
+                  **dict.fromkeys(("a30", "a33"), ("reference_tables", "reference_table"))}
 
 
 @dataclass(frozen=True)
@@ -76,28 +81,46 @@ class SweepResult:
         return np.array([getattr(r, name) for r in self.rows if r.ok])
 
 
+def _block(doc: dict, param: str, create: bool = False) -> dict:
+    """The block of ``doc`` holding ``param``; a missing block reads as empty,
+    and with ``create`` it is added."""
+    for key in _BLOCK[param]:
+        doc = doc.setdefault(key, {}) if create else doc.get(key, {})
+    return doc
+
+
+def _value(doc: dict, param: str) -> float:
+    block = _block(doc, param)
+    if param == "band_width":
+        return float(block["mu_upper"]) - float(block["mu_lower"])
+    return float(block.get(param, 0.0))
+
+
+def base_value(doc: dict, param: str) -> float:
+    """The value of ``param`` in ``doc``, which must parse; ConfigError otherwise."""
+    market_from_dict(doc)
+    return _value(doc, param)
+
+
 def _apply_param(doc: dict, param: str, value: float) -> dict:
     doc = copy.deepcopy(doc)
-    if param in ("a20", "a23", "a33", "a30"):
-        doc["contagion"][param] = value
-    elif param == "alpha":
-        doc["portfolio"].setdefault("collateral", {})["alpha"] = value
-    elif param == "band_width":
-        band = doc["counterparty_band"]
-        center = 0.5 * (float(band["mu_lower"]) + float(band["mu_upper"]))
-        band["mu_lower"] = center - 0.5 * value
-        band["mu_upper"] = center + 0.5 * value
+    block = _block(doc, param, create=True)
+    if param == "band_width":
+        center = 0.5 * (float(block["mu_lower"]) + float(block["mu_upper"]))
+        block["mu_lower"] = center - 0.5 * value
+        block["mu_upper"] = center + 0.5 * value
+    else:
+        block[param] = value
     return doc
 
 
 def _rederive_band(doc: dict) -> None:
-    contagion = doc["contagion"]
     n = len(doc["portfolio"]["contracts"])
     r_D = float(doc["rates"]["r_D"])
-    a20 = float(contagion.get("a20", 0.0))
-    a23 = float(contagion.get("a23", 0.0))
-    doc["counterparty_band"]["mu_lower"] = a20 + r_D
-    doc["counterparty_band"]["mu_upper"] = a20 + r_D + n * a23
+    a20, a23 = _value(doc, "a20"), _value(doc, "a23")
+    band = _block(doc, "band_width")
+    band["mu_lower"] = a20 + r_D
+    band["mu_upper"] = a20 + r_D + n * a23
 
 
 def run_sweep(
@@ -117,13 +140,13 @@ def run_sweep(
     is a contagion parameter that a table of the config overrides, since
     every row would be the same.
     """
-    model = market_from_dict(base_doc)[1]
-    table = _OVERRIDDEN_BY.get(spec.param)
-    if table is not None and getattr(model, table) is not None:
-        raise ConfigError(
-            f"sweeping {spec.param} changes nothing: contagion.{table} in the config "
-            f"overrides it"
-        )
+    market_from_dict(base_doc)
+    for table in _OVERRIDDEN_BY.get(spec.param, ()):
+        if table in base_doc["contagion"]:
+            raise ConfigError(
+                f"sweeping {spec.param} changes nothing: contagion.{table} in the config "
+                f"overrides it"
+            )
     out = SweepResult(spec=spec)
     for value in spec.values:
         row = SweepRow(value=value, ok=False)
@@ -134,11 +157,9 @@ def run_sweep(
             cfg, model, portfolio, model_P = market_from_dict(doc)
             if gamma == -1:
                 portfolio = portfolio.flipped()
-            variants = ("actual", "upper", "lower") if cfg.mu_C_true is not None \
-                else ("upper", "lower")
             result = run_engine(
                 cfg, model, portfolio, model_P,
-                variants=variants,
+                variants=all_variants(cfg),
                 grid_points=grid_points,
                 force_full=force_full,
                 allow_assumption_violation=allow_assumption_violation,

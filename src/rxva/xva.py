@@ -26,7 +26,7 @@ import numpy as np
 from .clean import LatticeCoefficients
 from .collateral import MarginSchedule, closeout_excess
 from .grids import LatticeSurface, StateSpace, rk4_sweep, zero_surface
-from .market import ContagionModel, MarketConfig, Portfolio
+from .market import ContagionModel, MarketConfig, PiecewiseTable, Portfolio
 
 REGIME_LO = 0
 REGIME_HI = 1
@@ -36,14 +36,22 @@ REGIME_LABELS = {REGIME_LO: "LO", REGIME_HI: "HI", REGIME_TIE: "TIE"}
 VARIANTS = ("actual", "upper", "lower")
 
 
-def resolve_true_h_c(cfg: MarketConfig, model: ContagionModel):
-    """Callable (t, default count) -> true counterparty intensity, or None."""
+def resolve_true_h_c(cfg: MarketConfig, model: ContagionModel) -> PiecewiseTable | None:
+    """The true counterparty intensity table, or None when mu_C_true is unset.
+
+    With ``mu_C_true = "model"`` it is the model's counterparty table, and
+    with a number the constant mu_C_true - r_D.
+    """
     if cfg.mu_C_true is None:
         return None
     if cfg.mu_C_true == "model":
-        return lambda t, count: model.intensity_by_count("C", t, count)
-    h = float(cfg.mu_C_true) - cfg.r_D
-    return lambda t, count: h
+        return model.counterparty
+    return PiecewiseTable(breaks=(), values=((float(cfg.mu_C_true) - cfg.r_D,),))
+
+
+def all_variants(cfg: MarketConfig) -> tuple[str, ...]:
+    """Every variant the config can price: the actual one needs mu_C_true."""
+    return VARIANTS if cfg.mu_C_true is not None else ("upper", "lower")
 
 
 # ---------------------------------------------------------------------------
@@ -74,14 +82,13 @@ def lattice_rhs(
     or lower variant.  Returns ``rhs(states, im0, im1, w, y) -> list``, where
     ``states`` is a coefficient bundle, ``im0``/``im1`` the initial margin of
     each state at the two ends of the segment and ``w`` the position of the
-    stage between them.  The true counterparty intensity is the state's
-    model intensity when ``mu_C_true`` is ``"model"``.
+    stage between them.  The true counterparty intensity is the bundle's
+    ``h_C``.
     """
     if any(which not in VARIANTS for which in variants):
         raise ValueError(f"variants must be drawn from {VARIANTS}, got {variants!r}")
     if cfg.mu_C_true is None and "actual" in variants:
         raise ValueError("the actual XVA solve requires mu_C_true in the config")
-    fixed_h_true = None if cfg.mu_C_true in (None, "model") else float(cfg.mu_C_true) - cfg.r_D
     h_low, h_high = cfg.counterparty_band_rates()
     picks = {"actual": None, "upper": (h_high, h_low), "lower": (h_low, h_high)}
     pocketed = _pocketed(cfg, variants)
@@ -110,7 +117,7 @@ def lattice_rhs(
             gap = v_k - m
             theta_I = -L_I * gap if gap > 0.0 else 0.0
             theta_C = -L_C * gap if gap < 0.0 else 0.0
-            h_true = st.h_C if fixed_h_true is None else fixed_h_true
+            h_true = st.h_C
             for off, pick, pocket in blocks:
                 u_k = y[off + k]
                 z_I = theta_I - u_k
@@ -162,7 +169,7 @@ def _joint_pass(cfg, model, portfolio, grid, space, margins, variants):
     size = space.size
     alpha = margins.alpha if margins is not None else 0.0
     kernel = lattice_rhs(cfg, portfolio, size, alpha, variants)
-    coeffs = LatticeCoefficients(model, portfolio, space)
+    coeffs = LatticeCoefficients(model, portfolio, space, resolve_true_h_c(cfg, model))
     by_seg = coeffs.per_segment(0.5 * (grid[:-1] + grid[1:]))
     if margins is not None:
         im = margins.im.values.T.tolist()
@@ -281,7 +288,7 @@ def solve_value_direct(
         theta_I, theta_C = v + theta_I, v + theta_C
         h_1 = model.intensity_by_count(1, t_mid, 0)
         h_I = model.intensity_by_count("I", t_mid, 0)
-        h_C = h_true(t_mid, 0)
+        h_C = h_true.at(t_mid, 0)
         gL, gS = gamma * con.loss, gamma * con.spread
         dv = -cfg.r_D * v - gS + h_1 * (gL + 0.0 - v)
         z_1 = gL - u_bar

@@ -11,6 +11,7 @@ of the clean generator, or an adaptive DOP853 solve with event location.
 import copy
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -21,11 +22,11 @@ from rxva.collateral import initial_margin_closed_form, initial_margin_var
 from rxva.engine import run_engine
 from rxva.grids import StateSpace, build_grid
 from rxva.market import (
-    ContagionModel,
     Contract,
     MarketConfig,
     PiecewiseTable,
     Portfolio,
+    contagion_from_dict,
     load_config,
     market_from_dict,
 )
@@ -176,7 +177,7 @@ def test_ac01_benchmark_ordering_and_switch_time():
     # independent reference: the scalar single-name upper equation with the
     # closed-form clean value, solved adaptively with the switches as events
     con = portfolio.contracts[0]
-    table = model.reference_tables[0]
+    table = model.references[0]
 
     def v_hat(t):
         return np.array([clean_closed_form_single(
@@ -259,7 +260,7 @@ def test_ac03_clean_ode_vs_closed_form():
         cfg = MarketConfig(r_D=r_D, r_f_plus=r_D, r_f_minus=r_D,
                            r_m_plus=r_D, r_m_minus=r_D,
                            mu_C_lower=1.0, mu_C_upper=1.0)
-        model = ContagionModel(n=1, a10=0.1, a20=0.1, reference_tables=(table,))
+        model = replace(contagion_from_dict({"a10": 0.1, "a20": 0.1}, 1), references=(table,))
         portfolio = Portfolio(
             contracts=(Contract(spread=S, loss=L, direction=direction),),
             maturity=T, loss_investor=0.5, loss_counterparty=0.5,
@@ -319,7 +320,7 @@ def test_ac05_band_collapse():
         cfg = MarketConfig(r_D=r_D, r_f_plus=r_D, r_f_minus=r_D,
                            r_m_plus=r_D, r_m_minus=r_D,
                            mu_C_lower=mu, mu_C_upper=mu, mu_C_true=mu)
-        model = ContagionModel(n=n, a10=0.05, a20=a20, a30=0.1, a33=0.05)
+        model = contagion_from_dict({"a10": 0.05, "a20": a20, "a30": 0.1, "a33": 0.05}, n)
         con = Contract(spread=0.02, loss=0.5)
         portfolio = Portfolio(contracts=(con,) * n, maturity=1.0,
                               loss_investor=0.5, loss_counterparty=0.5)

@@ -1,16 +1,18 @@
 """Clean valuation: ODE solve versus the exact single-name closed form."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from rxva.clean import clean_closed_form_single
 from rxva.grids import StateSpace, build_grid
 from rxva.market import (
-    ContagionModel,
     Contract,
     MarketConfig,
     PiecewiseTable,
     Portfolio,
+    contagion_from_dict,
 )
 from rxva.xva import solve_clean
 
@@ -27,7 +29,7 @@ def _solve_single(r_D, S, L, breaks, h_values, T, direction=1, grid_points=800):
     table = PiecewiseTable(
         breaks=tuple(breaks), values=tuple((float(v),) for v in h_values)
     )
-    model = ContagionModel(n=1, a10=0.1, a20=0.1, reference_tables=(table,))
+    model = replace(contagion_from_dict({"a10": 0.1, "a20": 0.1}, 1), references=(table,))
     portfolio = Portfolio(
         contracts=(Contract(spread=S, loss=L, direction=direction),),
         maturity=T, loss_investor=0.5, loss_counterparty=0.5,
@@ -94,7 +96,7 @@ class TestOdeAgainstClosedForm:
     def test_benchmark_portfolio_matches_closed_form(self, single_name_result):
         res = single_name_result
         con = res.portfolio.contracts[0]
-        table = res.model.reference_tables[0]
+        table = res.model.references[0]
         stride = max(1, len(res.grid) // 100)
         worst = max(
             abs(res.clean.values[0][idx] - clean_closed_form_single(
@@ -119,7 +121,7 @@ class TestLatticeStructure:
         # in the empty state is the sum of the single-name values.
         r_D, T = 0.02, 2.0
         specs = [(0.01, 0.4, 1), (0.02, 0.5, -1), (0.03, 0.6, 1)]
-        model = ContagionModel(n=3, a10=0.1, a20=0.1, a30=0.1, a33=0.0)
+        model = contagion_from_dict({"a10": 0.1, "a20": 0.1, "a30": 0.1, "a33": 0.0}, 3)
         portfolio = Portfolio(
             contracts=tuple(Contract(s, l, d) for s, l, d in specs),
             maturity=T, loss_investor=0.5, loss_counterparty=0.5,
@@ -134,7 +136,7 @@ class TestLatticeStructure:
         assert surface.at0(0) == pytest.approx(total, abs=1e-8)
 
     def test_homogeneous_reduction_matches_full(self):
-        model = ContagionModel(n=3, a10=0.05, a20=0.05, a30=0.1, a33=0.05)
+        model = contagion_from_dict({"a10": 0.05, "a20": 0.05, "a30": 0.1, "a33": 0.05}, 3)
         con = Contract(spread=0.02, loss=0.5)
         portfolio = Portfolio(
             contracts=(con, con, con), maturity=1.0,
@@ -154,7 +156,7 @@ class TestLatticeStructure:
         portfolio = Portfolio(
             contracts=(), maturity=1.0, loss_investor=0.5, loss_counterparty=0.5,
         )
-        model = ContagionModel(n=0, a10=0.1, a20=0.1, a30=0.1)
+        model = contagion_from_dict({"a10": 0.1, "a20": 0.1, "a30": 0.1}, 0)
         grid = build_grid(1.0, min_points=50)
         surface = solve_clean(_cfg(0.01), model, portfolio, grid,
                               StateSpace(n=0, homogeneous=True))

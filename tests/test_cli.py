@@ -253,6 +253,44 @@ class TestExitCodes:
                     "--grid-points", "100") == cli.EXIT_CONFIG
         assert "portfolio.maturity must be a number, got '1'" in capsys.readouterr().err
 
+    def test_fractional_direction_refused(self, tmp_path, capsys):
+        # 1.5 is not truncated to +1: only +1 and -1 are directions
+        doc = _minimal_doc()
+        doc["portfolio"]["contracts"][0]["direction"] = 1.5
+        cfg = _write_config(tmp_path, doc)
+        assert _run("price", "--config", str(cfg), "--out-dir", str(tmp_path / "o"),
+                    "--grid-points", "100") == cli.EXIT_CONFIG
+        assert "contract.direction must be +1 or -1, got 1.5" in capsys.readouterr().err
+
+    _MALFORMED_BLOCKS = [
+        (("price",), ("contagion",), [], "contagion must be a JSON object"),
+        (("sweep", "--param", "a30"), ("contagion",), [], "contagion must be a JSON object"),
+        (("price",), ("rates",), [0.001], "rates must be a JSON object"),
+        (("price",), ("counterparty_band",), [1], "counterparty_band must be a JSON object"),
+        (("price",), ("portfolio",), "p", "portfolio must be a JSON object"),
+        (("price",), ("portfolio", "collateral"), [], "collateral must be a JSON object"),
+        (("price",), ("portfolio", "contracts", 0), 1.0, "contract must be a JSON object"),
+        (("price",), ("portfolio", "contracts"), 5, "contracts must be a list"),
+        (("price",), ("physical_contagion",), [1], "physical_contagion must be a JSON object"),
+        (("price",), ("contagion", "reference_tables"), [{"values": [[]]}], "nonempty list"),
+    ]
+
+    @pytest.mark.parametrize("command, where, bad, message", _MALFORMED_BLOCKS,
+                             ids=[f"{c[0]}-{'.'.join(map(str, w))}"
+                                  for c, w, _, _ in _MALFORMED_BLOCKS])
+    def test_malformed_block_refused(self, tmp_path, capsys, command, where, bad, message):
+        doc = _minimal_doc()
+        node = doc
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = bad
+        cfg = _write_config(tmp_path, doc)
+        out = tmp_path / "o"
+        assert _run(*command, "--config", str(cfg), "--out-dir", str(out),
+                    "--grid-points", "50") == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_multi_name_initial_margin_refused(self, tmp_path, capsys):
         doc = _minimal_doc()
         doc["portfolio"]["contracts"] *= 2

@@ -17,11 +17,11 @@ from rxva.engine import run_engine
 from rxva.grids import StateSpace, zero_surface
 from rxva.market import (
     CollateralSpec,
-    ContagionModel,
     Contract,
     MarketConfig,
     PiecewiseTable,
     Portfolio,
+    contagion_from_dict,
 )
 
 
@@ -218,7 +218,7 @@ def _single_name_engine(alpha=0.0, beta=0.0, direction=-1, a30=0.3):
         r_m_plus=0.001, r_m_minus=0.001,
         mu_C_lower=0.1501, mu_C_upper=0.2501, mu_C_true=0.2001,
     )
-    model = ContagionModel(n=1, a10=0.2, a20=0.2, a30=a30)
+    model = contagion_from_dict({"a10": 0.2, "a20": 0.2, "a30": a30}, 1)
     portfolio = Portfolio(
         contracts=(Contract(spread=0.02, loss=0.5, direction=direction),),
         maturity=1.0, loss_investor=0.5, loss_counterparty=0.5,
@@ -263,7 +263,7 @@ class TestMarginSchedule:
             r_m_plus=0.001, r_m_minus=0.001,
             mu_C_lower=0.1501, mu_C_upper=0.2501,
         )
-        model = ContagionModel(n=2, a10=0.2, a20=0.2, a30=0.3)
+        model = contagion_from_dict({"a10": 0.2, "a20": 0.2, "a30": 0.3}, 2)
         con = Contract(spread=0.02, loss=0.5)
         portfolio = Portfolio(
             contracts=(con, con), maturity=1.0,

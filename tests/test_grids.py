@@ -11,7 +11,7 @@ from rxva.grids import (
     rk4_sweep,
     zero_surface,
 )
-from rxva.market import ContagionModel, Contract, Portfolio
+from rxva.market import Contract, Portfolio, contagion_from_dict
 from rxva.reporting import write_clean_csv
 
 
@@ -62,7 +62,7 @@ class TestStateSpace:
         con = Contract(spread=0.02, loss=0.5)
         pf = Portfolio(contracts=(con, con), maturity=1.0,
                        loss_investor=0.5, loss_counterparty=0.5)
-        model = ContagionModel(n=2, a30=0.1)
+        model = contagion_from_dict({"a30": 0.1}, 2)
         assert choose_state_space(model, pf).homogeneous
         assert not choose_state_space(model, pf, force_full=True).homogeneous
         hetero = Portfolio(

@@ -1,6 +1,7 @@
 """Market data layer: tables, contagion intensities, validation."""
 
 import json
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from rxva.market import (
     PiecewiseTable,
     Portfolio,
     _as_table,
+    contagion_from_dict,
     is_homogeneous,
     load_config,
     market_from_dict,
@@ -28,25 +30,25 @@ from rxva.market import (
 
 class TestIntensity:
     def test_counterparty_affine(self):
-        model = ContagionModel(n=3, a20=0.05, a23=0.01)
+        model = contagion_from_dict({"a20": 0.05, "a23": 0.01}, 3)
         assert model.intensity_by_count("C", 0.7, 2) == pytest.approx(0.07, abs=1e-15)
 
     def test_reference_excludes_self(self):
         # a surviving entity counts the other defaults: |J \ {3}| == |J|
-        model = ContagionModel(n=3, a30=0.01, a33=0.01)
+        model = contagion_from_dict({"a30": 0.01, "a33": 0.01}, 3)
         assert model.intensity_by_count(3, 0.0, 0) == pytest.approx(0.01, abs=1e-15)
         assert model.intensity_by_count(3, 0.0, 2) == pytest.approx(0.03, abs=1e-15)
 
     def test_general_mode_table(self):
         table = PiecewiseTable(breaks=(1.0,), values=((0.1,), (0.3,)))
-        model = ContagionModel(n=1, reference_tables=(table,))
+        model = replace(contagion_from_dict({}, 1), references=(table,))
         assert model.intensity_by_count(1, 0.5, 0) == 0.1
         assert model.intensity_by_count(1, 1.5, 0) == 0.3
         assert model.intensity_by_count(1, 1.0, 0) == 0.3  # right-continuous pieces
 
     def test_permutation_invariance_count_based(self):
         # states {1, 2} and {3, 4} have the same count, so the same intensities
-        model = ContagionModel(n=4, a30=0.02, a33=0.015)
+        model = contagion_from_dict({"a30": 0.02, "a33": 0.015}, 4)
         a, b = bin(0b0011).count("1"), bin(0b1100).count("1")
         assert model.intensity_by_count(3, 0.3, a) == model.intensity_by_count(1, 0.3, b)
         assert model.intensity_by_count("C", 0.3, a) == model.intensity_by_count("C", 0.3, b)
@@ -59,7 +61,8 @@ class TestIntensity:
     )
     @settings(deadline=None, max_examples=50)
     def test_parametric_intensities_positive(self, a, b, mask, t):
-        model = ContagionModel(n=4, a10=a, a13=b, a20=a, a23=b, a30=a, a33=b)
+        model = contagion_from_dict(
+            {"a10": a, "a13": b, "a20": a, "a23": b, "a30": a, "a33": b}, 4)
         count = bin(mask).count("1")
         assert model.intensity_by_count("I", t, count) > 0.0
         assert model.intensity_by_count("C", t, count) > 0.0
@@ -70,9 +73,9 @@ class TestIntensity:
     def test_breakpoints_merged_and_sorted(self):
         model = ContagionModel(
             n=1,
-            investor_table=PiecewiseTable(breaks=(2.0,), values=((0.1,), (0.2,))),
-            counterparty_table=PiecewiseTable(breaks=(1.0,), values=((0.1,), (0.2,))),
-            reference_tables=(
+            investor=PiecewiseTable(breaks=(2.0,), values=((0.1,), (0.2,))),
+            counterparty=PiecewiseTable(breaks=(1.0,), values=((0.1,), (0.2,))),
+            references=(
                 PiecewiseTable(breaks=(1.0, 3.0), values=((0.1,), (0.2,), (0.3,))),
             ),
         )
@@ -80,14 +83,14 @@ class TestIntensity:
 
     def test_min_intensity_scans_counts_and_pieces(self):
         table = PiecewiseTable(breaks=(1.0,), values=((0.3, 0.2), (0.5,)))
-        model = ContagionModel(n=2, counterparty_table=table, a30=0.1)
+        model = replace(contagion_from_dict({"a30": 0.1}, 2), counterparty=table)
         assert model.min_intensity("C", 2.0) == 0.2
         assert model.min_intensity("C", 0.5) == 0.2
 
     def test_min_intensity_reads_each_entity_table(self):
-        model = ContagionModel(
-            n=2, a10=0.2,
-            reference_tables=(_as_table(0.2), _as_table({"breaks": [1.0], "values": [0.3, 0.0]})),
+        model = replace(
+            contagion_from_dict({"a10": 0.2}, 2),
+            references=(_as_table(0.2), _as_table({"breaks": [1.0], "values": [0.3, 0.0]})),
         )
         assert model.min_intensity(1, 2.0) == 0.2
         assert model.min_intensity(2, 0.5) == 0.3
@@ -197,16 +200,16 @@ class TestPortfolio:
     def test_homogeneity_detection(self):
         a = Contract(spread=0.02, loss=0.5)
         b = Contract(spread=0.03, loss=0.5)
-        model = ContagionModel(n=2, a30=0.1)
+        model = contagion_from_dict({"a30": 0.1}, 2)
         homo = Portfolio(contracts=(a, a), maturity=1.0,
                          loss_investor=0.5, loss_counterparty=0.5)
         hetero = Portfolio(contracts=(a, b), maturity=1.0,
                            loss_investor=0.5, loss_counterparty=0.5)
         assert is_homogeneous(model, homo)
         assert not is_homogeneous(model, hetero)
-        per_entity = ContagionModel(
-            n=2,
-            reference_tables=(
+        per_entity = replace(
+            model,
+            references=(
                 PiecewiseTable(breaks=(), values=((0.1,),)),
                 PiecewiseTable(breaks=(), values=((0.2,),)),
             ),
@@ -238,7 +241,7 @@ class TestValidation:
             r_m_plus=0.0, r_m_minus=0.0,
             mu_C_lower=0.05, mu_C_upper=0.2,
         )
-        model = ContagionModel(n=1, a10=0.1, a30=0.2)
+        model = contagion_from_dict({"a10": 0.1, "a30": 0.2}, 1)
         report = validate_assumptions(cfg, model)
         assert not report.passed
         names = {c.name for c in report.failures()}
@@ -250,7 +253,7 @@ class TestValidation:
             r_m_plus=0.0, r_m_minus=0.0,
             mu_C_lower=0.1, mu_C_upper=0.2, mu_C_true=0.25,
         )
-        model = ContagionModel(n=1, a10=0.1, a30=0.2)
+        model = contagion_from_dict({"a10": 0.1, "a30": 0.2}, 1)
         report = validate_assumptions(cfg, model)
         assert not report.passed
 
@@ -260,7 +263,7 @@ class TestValidation:
             r_m_plus=0.0, r_m_minus=0.0,
             mu_C_lower=0.1, mu_C_upper=0.2, mu_C_true=0.2,
         )
-        model = ContagionModel(n=1, a10=0.1, a30=0.2)
+        model = contagion_from_dict({"a10": 0.1, "a30": 0.2}, 1)
         assert validate_assumptions(cfg, model).passed
 
     def test_model_true_rate_leaving_band_fails(self):
@@ -272,7 +275,7 @@ class TestValidation:
             mu_C_lower=0.101, mu_C_upper=0.15, mu_C_true="model",
         )
         table = _as_table({"breaks": [1.0], "values": [[0.1, 0.12], [0.1, 0.2]]})
-        model = ContagionModel(n=2, a10=0.1, a30=0.2, counterparty_table=table)
+        model = replace(contagion_from_dict({"a10": 0.1, "a30": 0.2}, 2), counterparty=table)
         report = validate_assumptions(cfg, model)
         assert [c.name for c in report.failures()] == ["mu_C_true <= mu_C_upper"]
         assert validate_assumptions(cfg, model, horizon=1.0).passed
@@ -290,8 +293,8 @@ class TestValidation:
             r_m_plus=0.0, r_m_minus=0.0,
             mu_C_lower=0.1, mu_C_upper=0.2,
         )
-        single = ContagionModel(n=1, a10=0.1, a30=0.2)
-        multi = ContagionModel(n=2, a10=0.1, a30=0.2)
+        single = contagion_from_dict({"a10": 0.1, "a30": 0.2}, 1)
+        multi = contagion_from_dict({"a10": 0.1, "a30": 0.2}, 2)
         assert validate_assumptions(cfg, single).passed
         report = validate_assumptions(cfg, multi)
         assert not report.passed
@@ -304,8 +307,8 @@ class TestValidation:
             r_m_plus=0.001, r_m_minus=0.001,
             mu_C_lower=0.1501, mu_C_upper=0.2501,
         )
-        model = ContagionModel(
-            n=2, a10=0.2, reference_tables=(_as_table(0.2), _as_table(0.0))
+        model = replace(
+            contagion_from_dict({"a10": 0.2}, 2), references=(_as_table(0.2), _as_table(0.0))
         )
         report = validate_assumptions(cfg, model)
         assert not report.passed
@@ -432,6 +435,31 @@ class TestConfigLoading:
         assert cfg.mu_C_true == pytest.approx(0.2001)
         assert model_P is model  # no separate physical block
 
+    def test_model_holds_tables_only(self):
+        assert [f.name for f in fields(ContagionModel)] == [
+            "n", "investor", "counterparty", "references"]
+
+    def test_affine_pair_is_a_one_row_table(self):
+        model = contagion_from_dict({"a20": 0.05, "a23": 0.01, "a30": 0.02}, 3)
+        assert model.counterparty == PiecewiseTable(
+            breaks=(), values=((0.05, 0.05 + 0.01, 0.05 + 0.01 * 2, 0.05 + 0.01 * 3),))
+        assert model.references == (PiecewiseTable(breaks=(), values=((0.02,) * 4,)),)
+        assert model.investor == PiecewiseTable(breaks=(), values=((0.0,) * 4,))
+
+    @pytest.mark.parametrize("key, pair, table", [
+        ("investor_table", ("a10", "a13"), "investor"),
+        ("counterparty_table", ("a20", "a23"), "counterparty"),
+        ("reference_table", ("a30", "a33"), "references"),
+        ("reference_tables", ("a30", "a33"), "references"),
+    ])
+    def test_table_replaces_affine_pair(self, key, pair, table):
+        spec = {"breaks": [0.5], "values": [0.3, [0.1, 0.2]]}
+        doc = dict.fromkeys(pair, 0.7)
+        doc[key] = [spec] if key == "reference_tables" else spec
+        model = contagion_from_dict(doc, 2)
+        want = PiecewiseTable(breaks=(0.5,), values=((0.3,), (0.1, 0.2)))
+        assert getattr(model, table) == ((want,) if table == "references" else want)
+
     def test_physical_block_parsed(self, tmp_path):
         doc = {
             "rates": {"r_D": 0.0, "r_f_plus": 0.0, "r_f_minus": 0.0,
@@ -447,5 +475,5 @@ class TestConfigLoading:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         _, model, _, model_P = load_config(path)
-        assert model.a30 == 0.2
-        assert model_P.a30 == 0.3
+        assert model.references[0].at(0.0, 0) == 0.2
+        assert model_P.references[0].at(0.0, 0) == 0.3

@@ -7,10 +7,10 @@ import pytest
 
 from rxva import oracle
 from rxva.market import (
-    ContagionModel,
     Contract,
     MarketConfig,
     Portfolio,
+    contagion_from_dict,
     load_config,
     market_from_dict,
 )
@@ -69,7 +69,7 @@ def _reference_paths(model, portfolio, n_paths, seed, include_parties, h_C_true)
                       for i in range(1, n + 1) if not mask >> (i - 1) & 1]
             if include_parties:
                 clocks.append(("I", lambda tt: model.intensity_by_count("I", tt, k)))
-                clocks.append(("C", lambda tt: h_C_true(tt, k)))
+                clocks.append(("C", lambda tt: h_C_true.at(tt, k)))
             best_t, best_who = math.inf, None
             for who, h in clocks:
                 cand = _invert_hazard(h, breaks, t, rng.exponential(), T)
@@ -139,7 +139,7 @@ class TestSamplerExactness:
 
 class TestSimulatePaths:
     def test_default_probability(self):
-        model = ContagionModel(n=1, a10=0.1, a20=0.1, a30=0.1)
+        model = contagion_from_dict({"a10": 0.1, "a20": 0.1, "a30": 0.1}, 1)
         pf = _portfolio(1)
         paths = simulate_paths(model, pf, 20_000, seed=3, include_parties=False)
         hits = sum(1 for p in paths if p.ref_events)
@@ -150,13 +150,13 @@ class TestSimulatePaths:
         assert abs(p_hat - 0.09516) <= 3.0 * se + 1e-5
 
     def test_zero_intensity_no_defaults(self):
-        model = ContagionModel(n=1, a10=0.1, a20=0.1, a30=0.0)
+        model = contagion_from_dict({"a10": 0.1, "a20": 0.1, "a30": 0.0}, 1)
         paths = simulate_paths(model, _portfolio(1), 500, seed=4,
                                include_parties=False)
         assert all(not p.ref_events for p in paths)
 
     def test_determinism(self):
-        model = ContagionModel(n=2, a10=0.1, a20=0.1, a30=0.2, a33=0.1)
+        model = contagion_from_dict({"a10": 0.1, "a20": 0.1, "a30": 0.2, "a33": 0.1}, 2)
         pf = _portfolio(2, T=2.0)
         a = simulate_paths(model, pf, 200, seed=5)
         b = simulate_paths(model, pf, 200, seed=5)
@@ -167,7 +167,7 @@ class TestSimulatePaths:
         # exposure-time estimate of the hazard before and after the first
         # default: a30 versus a30 + a33
         a30, a33, T = 0.1, 0.4, 5.0
-        model = ContagionModel(n=2, a10=0.1, a20=0.1, a30=a30, a33=a33)
+        model = contagion_from_dict({"a10": 0.1, "a20": 0.1, "a30": a30, "a33": a33}, 2)
         pf = _portfolio(2, T=T)
         paths = simulate_paths(model, pf, 6_000, seed=6, include_parties=False)
         events1 = exposure1 = events2 = exposure2 = 0.0
@@ -189,7 +189,7 @@ class TestSimulatePaths:
         assert abs(lam2 - (a30 + a33)) <= 3.0 * math.sqrt(events2) / exposure2
 
     def test_party_default_ends_path(self):
-        model = ContagionModel(n=1, a10=5.0, a20=5.0, a30=0.01)
+        model = contagion_from_dict({"a10": 5.0, "a20": 5.0, "a30": 0.01}, 1)
         paths = simulate_paths(model, _portfolio(1, T=3.0), 300, seed=7)
         with_party = [p for p in paths if p.party is not None]
         assert len(with_party) > 250
@@ -200,7 +200,7 @@ class TestSimulatePaths:
 
 class TestMcCleanValue:
     def test_protection_leg_value(self):
-        model = ContagionModel(n=1, a10=0.1, a20=0.1, a30=0.1)
+        model = contagion_from_dict({"a10": 0.1, "a20": 0.1, "a30": 0.1}, 1)
         pf = _portfolio(1, S=0.0, L=0.5)
         est, se = mc_clean_value(_cfg(0.0), model, pf, 20_000, seed=10)
         true = 0.5 * (1.0 - math.exp(-0.1))
@@ -209,7 +209,7 @@ class TestMcCleanValue:
         assert abs(est - true) <= 3.0 * se + 1e-12
 
     def test_premium_leg_value(self):
-        model = ContagionModel(n=1, a10=0.1, a20=0.1, a30=0.1)
+        model = contagion_from_dict({"a10": 0.1, "a20": 0.1, "a30": 0.1}, 1)
         pf = _portfolio(1, S=0.02, L=0.0)
         est, se = mc_clean_value(_cfg(0.0), model, pf, 20_000, seed=11)
         assert abs(est - (-0.0190325)) <= 3.0 * se + 1e-7
@@ -217,11 +217,11 @@ class TestMcCleanValue:
     def test_zero_portfolio(self):
         pf = Portfolio(contracts=(), maturity=1.0,
                        loss_investor=0.5, loss_counterparty=0.5)
-        model = ContagionModel(n=0, a10=0.1, a20=0.1)
+        model = contagion_from_dict({"a10": 0.1, "a20": 0.1}, 0)
         assert mc_clean_value(_cfg(0.01), model, pf, 100, seed=1) == (0.0, 0.0)
 
     def test_deterministic_under_seed(self):
-        model = ContagionModel(n=1, a10=0.1, a20=0.1, a30=0.1)
+        model = contagion_from_dict({"a10": 0.1, "a20": 0.1, "a30": 0.1}, 1)
         pf = _portfolio(1)
         assert mc_clean_value(_cfg(0.01), model, pf, 5_000, seed=12) == \
                mc_clean_value(_cfg(0.01), model, pf, 5_000, seed=12)

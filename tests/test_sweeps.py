@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import rxva.sweeps as sweeps
+from rxva.market import ConfigError
 from rxva.sweeps import (
     SweepSpec,
     _apply_param,
@@ -110,6 +111,13 @@ class TestRunSweep:
                            gamma=-1, force_full=True)
         assert all(r.ok for r in result.rows)
         assert seen == [({-1}, True)] * 2
+
+    def test_refusal_names_the_table_key_given(self):
+        # a shared reference table may be given as reference_table
+        doc = _load_doc()
+        doc["contagion"]["reference_table"] = doc["contagion"].pop("reference_tables")[0]
+        with pytest.raises(ConfigError, match=r"contagion\.reference_table in"):
+            run_sweep(doc, SweepSpec(param="a33", values=(0.1, 0.2)), grid_points=50)
 
     def test_failed_points_recorded_and_skipped(self):
         doc = _load_doc()

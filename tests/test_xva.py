@@ -1,6 +1,8 @@
 """XVA driver, switching rule, the joint lattice pass, and closeout values."""
 
+import copy
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from rxva.xva import (
     REGIME_LO,
     REGIME_TIE,
     lattice_rhs,
+    resolve_true_h_c,
     solve_clean,
     solve_value_direct,
     solve_xva,
@@ -42,8 +45,14 @@ def _losses(L_I=0.5, L_C=0.5):
     return Portfolio(contracts=(), maturity=1.0, loss_investor=L_I, loss_counterparty=L_C)
 
 
-def _state(h_I=0.0, sum_L=0.0, transitions=(), alive=0):
-    return StateCoeffs(sum_S=0.0, sum_L=sum_L, h_I=h_I, h_C=0.0,
+def _h_true(cfg):
+    """The true counterparty intensity a state bundle carries (0 when unset)."""
+    table = resolve_true_h_c(cfg, None)
+    return 0.0 if table is None else table.at(0.0, 0)
+
+
+def _state(h_I=0.0, sum_L=0.0, transitions=(), alive=0, h_C=0.0):
+    return StateCoeffs(sum_S=0.0, sum_L=sum_L, h_I=h_I, h_C=h_C,
                        alive_count=alive, transitions=transitions)
 
 
@@ -55,7 +64,7 @@ def _xva_drift(cfg, which, v, m, u, L_I=0.5, L_C=0.5, state=None, u_child=0.0):
     initial margin of ``m`` make the collateral exactly ``m``.
     """
     rhs = lattice_rhs(cfg, _losses(L_I, L_C), 2, 0.0, (which,))
-    states = (state or _state(), _state())
+    states = (replace(state or _state(), h_C=_h_true(cfg)), _state(h_C=_h_true(cfg)))
     return rhs(states, [m, 0.0], [m, 0.0], 0.0, [v, 0.0, u, u_child])[2]
 
 
@@ -99,7 +108,8 @@ class TestFTilde:
                    r_m_plus=0.01, r_m_minus=0.03, true=0.15)
         rng = np.random.default_rng(9)
         v, m, u, sum_L = rng.normal(size=(4, 16))
-        states = [_state(h_I=h, sum_L=x) for h, x in zip(rng.uniform(0.0, 0.3, 16), sum_L)]
+        states = [_state(h_I=h, sum_L=x, h_C=_h_true(cfg))
+                  for h, x in zip(rng.uniform(0.0, 0.3, 16), sum_L)]
         rhs = lattice_rhs(cfg, _losses(), 16, 0.0, ("actual", "upper"))
         got = rhs(states, m.tolist(), m.tolist(), 0.0, [*v, *u, *u, *np.zeros(16)])
         one = lattice_rhs(cfg, _losses(), 1, 0.0, ("actual", "upper"))
@@ -353,6 +363,54 @@ class TestJointPass:
         alone = solve_clean(cfg, model, portfolio, res.grid, res.space)
         assert res.space.homogeneous == (not full)
         assert np.array_equal(res.clean.values, alone.values)
+
+
+# each party's table key and affine pair in a contagion block
+_PARTIES = (("investor_table", "a10", "a13"), ("counterparty_table", "a20", "a23"),
+            ("reference_tables", "a30", "a33"))
+
+
+def _other_intensity_form(doc):
+    """The document with each intensity written in its other form, and the
+    number of parties rewritten: an affine pair (a, b) becomes the explicit
+    one-row table a + b k for k = 0..N, and a constant table c the pair (c, 0)."""
+    doc = copy.deepcopy(doc)
+    block, n = doc["contagion"], len(doc["portfolio"]["contracts"])
+    rewritten = 0
+    for key, a, b in _PARTIES:
+        if key not in block:
+            a_val, b_val = block.pop(a, 0.0), block.pop(b, 0.0)
+            table = {"values": [[a_val + b_val * k for k in range(n + 1)]]}
+            block[key] = [table] if key == "reference_tables" else table
+        elif isinstance(block[key], float):
+            block[a], block[b] = block.pop(key), 0.0
+        else:
+            continue
+        rewritten += 1
+    return doc, rewritten
+
+
+class TestAffineShorthand:
+    @pytest.mark.parametrize("full", [False, True], ids=["plain", "full"])
+    @pytest.mark.parametrize("path", [SINGLE_NAME, FIVE_NAME], ids=["single", "five"])
+    def test_either_form_gives_identical_surfaces(self, path, full):
+        # affine parameters are shorthand for one-row tables, so writing a
+        # config's intensities the other way changes no bit of any surface
+        doc = _load_doc(path)
+        other, n_rewritten = _other_intensity_form(doc)
+        assert n_rewritten >= 2
+        want, got = (
+            run_engine(*market_from_dict(d), variants=("actual", "upper", "lower"),
+                       grid_points=300, force_full=full, allow_assumption_violation=True)
+            for d in (doc, other)
+        )
+        assert np.array_equal(want.clean.values, got.clean.values)
+        assert np.array_equal(want.margins.m.values, got.margins.m.values)
+        for which, result in want.xva.items():
+            assert np.array_equal(result.surface.values, got.xva[which].surface.values)
+            if which != "actual":
+                assert np.array_equal(result.pocket.values, got.xva[which].pocket.values)
+                assert np.array_equal(result.regime, got.xva[which].regime)
 
 
 @st.composite
