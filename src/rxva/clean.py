@@ -34,8 +34,7 @@ class StateCoeffs:
     ``transitions`` lists the one-default moves out of the state as tuples
     ``(child, rate, loss, count)``: the target state, the aggregate intensity
     of the move, the signed loss paid on it, and the number of contracts it
-    retires (greater than one only in homogeneous mode, where all alive
-    entities share the same child state).  ``h_C`` is the true counterparty
+    retires (see ``StateSpace.moves``).  ``h_C`` is the true counterparty
     intensity, NaN when the config does not give one.
     """
 
@@ -88,41 +87,20 @@ class LatticeCoefficients:
         states = []
         for key in space.keys:
             count = space.count(key)
-            alive_count = pf.n - count
-            h_I = model.intensity_by_count("I", t, count)
-            h_C = math.nan if self.h_C_true is None else self.h_C_true.at(t, count)
-            if space.homogeneous:
-                if alive_count:
-                    c0 = pf.contracts[0]
-                    sum_S = alive_count * c0.direction * c0.spread
-                    sum_L = alive_count * c0.direction * c0.loss
-                    h = model.intensity_by_count(1, t, count)
-                    transitions = (
-                        (key + 1, alive_count * h, c0.direction * c0.loss,
-                         alive_count),
-                    )
-                else:
-                    sum_S = sum_L = 0.0
-                    transitions = ()
-            else:
-                sum_S = sum_L = 0.0
-                moves = []
-                for i in range(1, pf.n + 1):
-                    if key >> (i - 1) & 1:
-                        continue
-                    con = pf.contracts[i - 1]
-                    sum_S += con.direction * con.spread
-                    sum_L += con.direction * con.loss
-                    moves.append((
-                        key | 1 << (i - 1),
-                        model.intensity_by_count(i, t, count),
-                        con.direction * con.loss,
-                        1,
-                    ))
-                transitions = tuple(moves)
+            sum_S = sum_L = 0.0
+            transitions = []
+            for child, entities in space.moves(key):
+                w = len(entities)  # the entities of one move share contract and rate
+                con = pf.contracts[entities[0] - 1]
+                sum_S += w * con.direction * con.spread
+                sum_L += w * con.direction * con.loss
+                h = model.intensity_by_count(entities[0], t, count)
+                transitions.append((child, w * h, con.direction * con.loss, w))
             states.append(StateCoeffs(
-                sum_S=sum_S, sum_L=sum_L, h_I=h_I, h_C=h_C,
-                alive_count=alive_count, transitions=transitions,
+                sum_S=sum_S, sum_L=sum_L,
+                h_I=model.intensity_by_count("I", t, count),
+                h_C=math.nan if self.h_C_true is None else self.h_C_true.at(t, count),
+                alive_count=pf.n - count, transitions=tuple(transitions),
             ))
         return tuple(states)
 

@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=_count(2), default=100_000,
                    help="Monte Carlo paths, at least 2 for a standard error "
                         "(default 100000)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count(0), default=0)
 
     p = sub.add_parser("sweep", help="comparative statics table")
     _add_common(p)

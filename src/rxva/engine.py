@@ -11,7 +11,6 @@ from .collateral import MarginSchedule, margin_schedule
 from .grids import LatticeSurface, StateSpace, build_grid, choose_state_space
 from .market import (
     AssumptionError,
-    ConfigError,
     ContagionModel,
     MarketConfig,
     Portfolio,
@@ -71,14 +70,9 @@ def run_engine(
         raise AssumptionError(report)
     space = choose_state_space(model, portfolio, force_full=force_full)
     grid = build_grid(
-        portfolio.maturity, grid_breakpoints(model, portfolio), min_points=grid_points
+        portfolio.maturity, grid_breakpoints(model, portfolio), min_points=grid_points,
+        space=space, max_cells=MAX_LATTICE_CELLS,
     )
-    if space.size * len(grid) > MAX_LATTICE_CELLS:
-        raise ConfigError(
-            f"the lattice for N = {portfolio.n} names has {space.size} states; over "
-            f"{len(grid)} grid nodes that exceeds the bound of {MAX_LATTICE_CELLS} "
-            f"state-node cells"
-        )
     margins = margin_schedule(model_P, portfolio, grid, space)
     t0 = time.perf_counter()
     if variants:

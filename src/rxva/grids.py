@@ -10,24 +10,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import ContagionModel, Portfolio, is_homogeneous
+from .market import ConfigError, ContagionModel, Portfolio, is_homogeneous
 
 
-def build_grid(T: float, breakpoints=(), min_points: int = 2000) -> np.ndarray:
+def build_grid(
+    T: float,
+    breakpoints=(),
+    min_points: int = 2000,
+    space: StateSpace | None = None,
+    max_cells: int | None = None,
+) -> np.ndarray:
     """Strictly increasing calendar grid on [0, T].
 
     Every interior breakpoint is an exact grid node and the spacing is uniform
     between consecutive breakpoints, so piecewise-constant coefficients are
     constant on every integration segment.  The grid carries at least
-    ``min_points`` segments in total.
+    ``min_points`` segments in total.  Given ``space`` and ``max_cells``, a
+    lattice of more than ``max_cells`` state-node cells is refused with
+    ConfigError before any node is built.
     """
     if T <= 0.0:
         raise ValueError(f"maturity must be positive, got {T}")
     anchors = [0.0] + sorted({float(b) for b in breakpoints if 0.0 < b < T}) + [T]
+    steps = [max(1, int(np.ceil((b - a) / T * min_points))) for a, b in zip(anchors, anchors[1:])]
+    n_nodes = 1 + sum(steps)
+    if space is not None and space.size * n_nodes > max_cells:
+        raise ConfigError(
+            f"the lattice for N = {space.n} names has {space.size} states; over "
+            f"{n_nodes} grid nodes that exceeds the bound of {max_cells} "
+            f"state-node cells"
+        )
     nodes = [0.0]
-    for a, b in zip(anchors, anchors[1:]):
-        steps = max(1, int(np.ceil((b - a) / T * min_points)))
-        nodes.extend(np.linspace(a, b, steps + 1)[1:])
+    for a, b, k in zip(anchors, anchors[1:], steps):
+        nodes.extend(np.linspace(a, b, k + 1)[1:])
     grid = np.asarray(nodes)
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid construction produced non-increasing nodes")
@@ -59,16 +74,31 @@ class StateSpace:
         return key if self.homogeneous else bin(key).count("1")
 
     def alive(self, key: int) -> list[int]:
-        """Surviving 1-based entity ids (full mode only)."""
+        """Surviving 1-based entity ids; in homogeneous mode the names are
+        exchangeable and the survivors are the slots 1..n - key."""
         if self.homogeneous:
-            raise ValueError("homogeneous states do not track entity identity")
+            return list(range(1, self.n - key + 1))
         return [i for i in range(1, self.n + 1) if not key >> (i - 1) & 1]
 
-    def child(self, key: int, entity: int) -> int:
-        """State after the default of ``entity`` (ignored in homogeneous mode)."""
+    def child(self, key, entity):
+        """State after the default of ``entity``: key + 1 in homogeneous mode.
+
+        ``key`` and ``entity`` may be int arrays of one shape (entities >= 1).
+        """
         if self.homogeneous:
             return key + 1
         return key | 1 << (entity - 1)
+
+    def moves(self, key: int) -> list[tuple[int, list[int]]]:
+        """One-default moves out of ``key`` as ``(child, entities)`` pairs.
+
+        Full mode has one move per survivor; homogeneous mode one move to
+        key + 1, carried by every survivor slot.
+        """
+        alive = self.alive(key)
+        if self.homogeneous:
+            return [(key + 1, alive)] if alive else []
+        return [(self.child(key, i), [i]) for i in alive]
 
     def root(self) -> int:
         return 0

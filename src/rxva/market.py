@@ -248,12 +248,6 @@ class Portfolio:
     def n(self) -> int:
         return len(self.contracts)
 
-    def homogeneous_contracts(self) -> bool:
-        if not self.contracts:
-            return True
-        first = self.contracts[0]
-        return all(c == first for c in self.contracts)
-
     def flipped(self) -> "Portfolio":
         """Portfolio with every contract direction negated."""
         return Portfolio(
@@ -273,7 +267,7 @@ def is_homogeneous(model: ContagionModel, portfolio: Portfolio) -> bool:
     Requires identical contracts and reference intensities that depend on the
     defaulted set only through its cardinality.
     """
-    return portfolio.homogeneous_contracts() and len(model.references) == 1
+    return len(set(portfolio.contracts)) <= 1 and len(model.references) == 1
 
 
 # ---------------------------------------------------------------------------

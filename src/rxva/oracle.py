@@ -36,20 +36,6 @@ from .xva import lattice_rhs, resolve_true_h_c
 
 PARTY_NONE, PARTY_I, PARTY_C = 0, 1, 2
 _MAX_BLOCK = 1 << 15  # exponentials per block; bounds the per-offset arrays
-_PARTY_NAMES = (None, "I", "C")
-
-
-@dataclass
-class ScenarioPath:
-    """Defaults on one scenario: reference events in order, then the path end.
-
-    ``party`` is 'I'/'C' when a trading party defaulted before T, else None;
-    ``party_time`` is its default time.
-    """
-
-    ref_events: list[tuple[float, int]]
-    party: str | None
-    party_time: float
 
 
 @dataclass
@@ -60,8 +46,7 @@ class PathBatch:
     1-based entity of the r-th reference default of path p, for
     r < ``n_events[p]`` (inf and 0 beyond).  ``party[p]`` is PARTY_I or
     PARTY_C when a trading party defaulted before T, else PARTY_NONE, and
-    ``party_time[p]`` is its default time (inf for PARTY_NONE).  Indexing and
-    iteration give ScenarioPath views.
+    ``party_time[p]`` is its default time (inf for PARTY_NONE).
     """
 
     event_time: np.ndarray
@@ -72,18 +57,6 @@ class PathBatch:
 
     def __len__(self) -> int:
         return len(self.party)
-
-    def __getitem__(self, p: int) -> ScenarioPath:
-        k = int(self.n_events[p])
-        return ScenarioPath(
-            ref_events=list(zip(self.event_time[p, :k].tolist(),
-                                self.event_entity[p, :k].tolist())),
-            party=_PARTY_NAMES[self.party[p]],
-            party_time=float(self.party_time[p]),
-        )
-
-    def __iter__(self):
-        return (self[p] for p in range(len(self)))
 
     def default_times(self) -> np.ndarray:
         """(paths, entities) default time of each entity, inf when it survived."""
@@ -356,12 +329,12 @@ def is_linear_driver(cfg: MarketConfig, portfolio: Portfolio) -> bool:
 
 def _state_keys(result: EngineResult, paths: PathBatch, rows, times) -> np.ndarray:
     """State key of each path in ``rows`` at ``times``: its earlier defaults."""
-    before = paths.event_time[rows] < times[:, None]
-    if result.space.homogeneous:
-        return np.count_nonzero(before, axis=1)
-    bits = np.zeros(before.shape, dtype=np.int64)
-    np.left_shift(1, paths.event_entity[rows] - 1, out=bits, where=before)
-    return bits.sum(axis=1)
+    space = result.space
+    keys = np.zeros(len(rows), dtype=np.int64)
+    for r in range(space.n):  # events are in time order
+        before = paths.event_time[rows, r] < times
+        keys[before] = space.child(keys[before], paths.event_entity[rows[before], r])
+    return keys
 
 
 def _at(surface: LatticeSurface, keys: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -469,7 +442,7 @@ def pathwise_wealth_check(
         rows, t_ev = rows[keep], t_ev[keep]
         k = key[rows]
         pocket[rows] += _at(pocket_surface, k, t_prev[rows]) - _at(pocket_surface, k, t_ev)
-        key[rows] += 1 if result.space.homogeneous else 1 << (paths.event_entity[rows, r] - 1)
+        key[rows] = result.space.child(k, paths.event_entity[rows, r])
         t_prev[rows] = t_ev
     pocket += _at(pocket_surface, key, t_prev) - _at(pocket_surface, key, end)
     surplus = (1.0 if which == "upper" else -1.0) * pocket

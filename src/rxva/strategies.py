@@ -66,16 +66,10 @@ def robust_strategy(
     m = m_surface.at(key, t)
     theta_I, theta_C = closeout_excess(v, m, portfolio.loss_investor,
                                        portfolio.loss_counterparty)
-    if space.homogeneous:
-        k = key
-        alive = tuple(range(1, portfolio.n - k + 1))  # anonymized survivor slots
-        child_u = u_surface.at(k + 1, t) if k < portfolio.n else 0.0
-        ref_vals = {i: u - child_u for i in alive}
-    else:
-        alive = tuple(space.alive(key))
-        ref_vals = {
-            i: u - u_surface.at(space.child(key, i), t) for i in alive
-        }
+    ref_vals = {}
+    for child, entities in space.moves(key):
+        ref_vals.update(dict.fromkeys(entities, u - u_surface.at(child, t)))
+    alive = tuple(ref_vals)
     xi_I_value = float(-theta_I + u)
     xi_C_value = float(-theta_C + u)
     psi_m_value = -m
@@ -109,7 +103,10 @@ def wealth_drift(
     (which finances the surviving loss notionals on top of the funding
     account itself), and the collateral remuneration.
     """
-    loss_sum = _alive_loss_sum(portfolio, snapshot)
+    loss_sum = sum(
+        portfolio.contracts[i - 1].direction * portfolio.contracts[i - 1].loss
+        for i in snapshot.alive
+    )
     mu_I = model.intensity_by_count("I", t, count) + cfg.r_D
     drift = 0.0
     for i in snapshot.alive:
@@ -122,15 +119,3 @@ def wealth_drift(
     drift += -cfg.r_D * loss_sum
     drift += cfg.r_m_plus * max(m, 0.0) - cfg.r_m_minus * max(-m, 0.0)
     return drift
-
-
-def _alive_loss_sum(portfolio: Portfolio, snapshot: StrategySnapshot) -> float:
-    if not snapshot.alive:
-        return 0.0
-    contracts = portfolio.contracts
-    if len({(c.spread, c.loss, c.direction) for c in contracts}) == 1:
-        c0 = contracts[0]
-        return len(snapshot.alive) * c0.direction * c0.loss
-    return sum(
-        contracts[i - 1].direction * contracts[i - 1].loss for i in snapshot.alive
-    )

@@ -40,7 +40,7 @@ class SweepSpec:
         if self.param not in SWEEPABLE:
             raise ValueError(f"unknown sweep parameter {self.param!r}")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
-            raise ValueError("sweep grid must be strictly increasing")
+            raise ConfigError("sweep grid must be strictly increasing")
 
     @property
     def rederive(self) -> bool:

@@ -58,12 +58,20 @@ def all_variants(cfg: MarketConfig) -> tuple[str, ...]:
 # Lattice right-hand side
 # ---------------------------------------------------------------------------
 
-def _pocketed(cfg: MarketConfig, variants) -> list[str]:
-    """The variants that carry a pocket block: upper and lower, when the true
-    counterparty rate is known."""
-    if cfg.mu_C_true is None:
-        return []
-    return [which for which in variants if which != "actual"]
+def _layout(cfg: MarketConfig, variants) -> tuple[list[tuple[str, int, int | None]], int]:
+    """Row blocks of the joint pass, and their count.
+
+    Block 0 is the clean value, then one block per variant, then, when the
+    true counterparty rate is known, one pocket block per upper or lower
+    variant.  Returns ``(variant, block, pocket block or None)`` per variant.
+    """
+    layout, n_blocks = [], 1 + len(variants)
+    for block, which in enumerate(variants, 1):
+        pocket = None
+        if which != "actual" and cfg.mu_C_true is not None:
+            pocket, n_blocks = n_blocks, n_blocks + 1
+        layout.append((which, block, pocket))
+    return layout, n_blocks
 
 
 def lattice_rhs(
@@ -91,13 +99,12 @@ def lattice_rhs(
         raise ValueError("the actual XVA solve requires mu_C_true in the config")
     h_low, h_high = cfg.counterparty_band_rates()
     picks = {"actual": None, "upper": (h_high, h_low), "lower": (h_low, h_high)}
-    pocketed = _pocketed(cfg, variants)
+    layout, n_blocks = _layout(cfg, variants)
     blocks = [  # (column offset, (rate if z_C >= 0, rate otherwise) or None, pocket offset)
-        ((1 + i) * size, picks[which],
-         (1 + len(variants) + pocketed.index(which)) * size if which in pocketed else None)
-        for i, which in enumerate(variants)
+        (block * size, picks[which], None if pocket is None else pocket * size)
+        for which, block, pocket in layout
     ]
-    n_cols = (1 + len(variants) + len(pocketed)) * size
+    n_cols = n_blocks * size
     L_I, L_C = portfolio.loss_investor, portfolio.loss_counterparty
     r_D = cfg.r_D
     r_f_plus, r_f_minus = cfg.r_f_plus, cfg.r_f_minus
@@ -183,7 +190,7 @@ def _joint_pass(cfg, model, portfolio, grid, space, margins, variants):
         w = 0.0 if t1 == t0 else (T - s - t0) / (t1 - t0)
         return np.asarray(kernel(by_seg[seg], im[seg], im[seg + 1], w, y.tolist()))
 
-    n_blocks = 1 + len(variants) + len(_pocketed(cfg, variants))
+    n_blocks = _layout(cfg, variants)[1]
     path = np.empty((n_blocks * size, len(grid)))
 
     def record(node, y):
@@ -223,25 +230,26 @@ def solve_xva(
     the pass's array.
     """
     path = _joint_pass(cfg, model, portfolio, grid, space, margins, variants)
-    size = space.size
-    clean = LatticeSurface(grid, space, "v_hat", path[:size])
+
+    def rows(block):
+        return path[block * space.size:(block + 1) * space.size]
+
+    clean = LatticeSurface(grid, space, "v_hat", rows(0))
     margins.settle(clean)
     _, theta_C = closeout_excess(
         clean.values, margins.m.values, portfolio.loss_investor, portfolio.loss_counterparty,
     )
     results = {}
-    pocketed = _pocketed(cfg, variants)
-    for i, which in enumerate(variants):
-        u = path[(1 + i) * size:(2 + i) * size]
+    for which, block, pocket in _layout(cfg, variants)[0]:
+        u = rows(block)
         result = results[which] = XvaResult(which, LatticeSurface(grid, space, f"u_{which}", u))
         if which == "actual":
             continue
         z_C = theta_C - u
         hi = (z_C > 0.0) == (which == "upper")
         result.regime = np.where(z_C == 0.0, REGIME_TIE, np.where(hi, REGIME_HI, REGIME_LO))
-        if which in pocketed:
-            j = 1 + len(variants) + pocketed.index(which)
-            result.pocket = LatticeSurface(grid, space, "pocket", path[j * size:(j + 1) * size])
+        if pocket is not None:
+            result.pocket = LatticeSurface(grid, space, "pocket", rows(pocket))
     return clean, results
 
 

@@ -223,7 +223,7 @@ class TestExitCodes:
     _DEGENERATE = [
         (("verify",), "--paths", "0"), (("verify",), "--paths", "-5"),
         (("verify",), "--paths", "1"), (("verify",), "--grid-points", "0"),
-        (("sweep", "--param", "a30"), "--points", "0"),
+        (("sweep", "--param", "a30"), "--points", "0"), (("verify",), "--seed", "-1"),
     ]
 
     @pytest.mark.parametrize("command, flag, value", _DEGENERATE,
@@ -332,6 +332,32 @@ class TestExitCodes:
         assert "N = 5" in err and "32 states" in err and "2000" in err
         assert not (out / "clean.csv").exists()
         assert _run(*args, "--out-dir", str(tmp_path / "homo")) == cli.EXIT_OK
+
+    def test_lattice_bound_checked_before_the_grid_is_built(self, tmp_path, capsys,
+                                                            monkeypatch):
+        monkeypatch.setattr(engine, "MAX_LATTICE_CELLS", 2000)
+        built = []
+        build_grid = engine.build_grid
+
+        def spy(*args, **kwargs):
+            built.append(build_grid(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(engine, "build_grid", spy)
+        assert _run("price", "--config", str(SINGLE_NAME), "--out-dir", str(tmp_path / "o"),
+                    "--grid-points", "1000") == cli.EXIT_CONFIG
+        assert "N = 1 names has 2 states; over 1002 grid nodes" in capsys.readouterr().err
+        assert built == []  # refused before any grid existed
+        assert _run("price", "--config", str(SINGLE_NAME), "--out-dir", str(tmp_path / "p"),
+                    "--grid-points", "998") == cli.EXIT_OK
+        assert [len(grid) for grid in built] == [1000]
+
+    def test_collapsed_sweep_grid_refused(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert _run("sweep", "--config", str(SINGLE_NAME), "--out-dir", str(out),
+                    "--param", "band_width", "--span", "0", "--points", "3") == cli.EXIT_CONFIG
+        assert "sweep grid must be strictly increasing" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_assumption_violation_gate(self, tmp_path):
         out = tmp_path / "out"

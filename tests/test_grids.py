@@ -11,7 +11,7 @@ from rxva.grids import (
     rk4_sweep,
     zero_surface,
 )
-from rxva.market import Contract, Portfolio, contagion_from_dict
+from rxva.market import ConfigError, Contract, Portfolio, contagion_from_dict
 from rxva.reporting import write_clean_csv
 
 
@@ -36,6 +36,14 @@ class TestBuildGrid:
         grid = build_grid(1.0, breakpoints=(-1.0, 0.0, 1.0, 5.0), min_points=10)
         assert grid[0] == 0.0 and grid[-1] == 1.0
 
+    def test_lattice_bound_checked_before_nodes_are_built(self, monkeypatch):
+        space = StateSpace(n=5, homogeneous=False)
+        grid = build_grid(1.0, breakpoints=(0.5,), min_points=60, space=space, max_cells=32 * 61)
+        assert len(grid) == 61
+        monkeypatch.setattr(np, "linspace", None)  # any node built would raise TypeError
+        with pytest.raises(ConfigError, match="N = 5 names has 32 states; over 63 grid nodes"):
+            build_grid(1.0, breakpoints=(0.5,), min_points=62, space=space, max_cells=32 * 61)
+
     def test_nonpositive_maturity(self):
         with pytest.raises(ValueError):
             build_grid(0.0)
@@ -55,8 +63,37 @@ class TestStateSpace:
         assert space.size == 6
         assert space.count(3) == 3
         assert space.child(2, 99) == 3
-        with pytest.raises(ValueError):
-            space.alive(0)
+        assert space.alive(2) == [1, 2, 3]
+        assert space.alive(5) == []
+
+    def test_moves(self):
+        full = StateSpace(n=3, homogeneous=False)
+        assert full.moves(0b000) == [(0b001, [1]), (0b010, [2]), (0b100, [3])]
+        assert full.moves(0b101) == [(0b111, [2])]
+        assert full.moves(0b111) == []
+        homo = StateSpace(n=3, homogeneous=True)
+        assert homo.moves(0) == [(1, [1, 2, 3])]
+        assert homo.moves(2) == [(3, [1])]
+        assert homo.moves(3) == []
+
+    @pytest.mark.parametrize("homogeneous", [False, True])
+    def test_moves_cover_the_survivors(self, homogeneous):
+        space = StateSpace(n=4, homogeneous=homogeneous)
+        for key in space.keys:
+            moves = space.moves(key)
+            assert [i for _, entities in moves for i in entities] == space.alive(key)
+            assert all(child == space.child(key, entities[0]) for child, entities in moves)
+            assert all(space.count(child) == space.count(key) + 1 for child, _ in moves)
+
+    @pytest.mark.parametrize("homogeneous", [False, True])
+    def test_child_on_arrays(self, homogeneous):
+        space = StateSpace(n=4, homogeneous=homogeneous)
+        pairs = [(key, i) for key in space.keys for i in space.alive(key)]
+        keys = np.array([key for key, _ in pairs], dtype=np.int64)
+        entities = np.array([i for _, i in pairs], dtype=np.int64)
+        got = space.child(keys, entities)
+        assert got.dtype == np.int64
+        assert got.tolist() == [space.child(key, i) for key, i in pairs]
 
     def test_choose_state_space(self):
         con = Contract(spread=0.02, loss=0.5)

@@ -87,6 +87,15 @@ def _reference_paths(model, portfolio, n_paths, seed, include_parties, h_C_true)
     return paths
 
 
+_PARTY = {oracle.PARTY_NONE: None, oracle.PARTY_I: "I", oracle.PARTY_C: "C"}
+
+
+def _events(paths, p):
+    """Reference defaults of path p as (time, 1-based entity) pairs, in order."""
+    k = int(paths.n_events[p])
+    return list(zip(paths.event_time[p, :k].tolist(), paths.event_entity[p, :k].tolist()))
+
+
 _GENERAL_THREE_NAME = {
     "rates": {"r_D": 0.001, "r_f_plus": 0.001, "r_f_minus": 0.001,
               "r_m_plus": 0.001, "r_m_minus": 0.001},
@@ -131,10 +140,10 @@ class TestSamplerExactness:
                              include_parties=include_parties, h_C_true=h_true)
         assert len(got) == len(want)
         assert sum(len(events) for events, _, _ in want) > 50
-        for path, (events, party, party_time) in zip(got, want):
-            assert path.ref_events == events
-            assert path.party == party
-            assert path.party_time == party_time
+        for p, (events, party, party_time) in enumerate(want):
+            assert _events(got, p) == events
+            assert _PARTY[got.party[p]] == party
+            assert got.party_time[p] == party_time
 
 
 class TestSimulatePaths:
@@ -142,7 +151,7 @@ class TestSimulatePaths:
         model = contagion_from_dict({"a10": 0.1, "a20": 0.1, "a30": 0.1}, 1)
         pf = _portfolio(1)
         paths = simulate_paths(model, pf, 20_000, seed=3, include_parties=False)
-        hits = sum(1 for p in paths if p.ref_events)
+        hits = sum(1 for p in range(len(paths)) if _events(paths, p))
         p_hat = hits / len(paths)
         p_true = 1.0 - math.exp(-0.1)
         se = math.sqrt(p_true * (1.0 - p_true) / len(paths))
@@ -153,15 +162,18 @@ class TestSimulatePaths:
         model = contagion_from_dict({"a10": 0.1, "a20": 0.1, "a30": 0.0}, 1)
         paths = simulate_paths(model, _portfolio(1), 500, seed=4,
                                include_parties=False)
-        assert all(not p.ref_events for p in paths)
+        assert all(not _events(paths, p) for p in range(len(paths)))
 
     def test_determinism(self):
         model = contagion_from_dict({"a10": 0.1, "a20": 0.1, "a30": 0.2, "a33": 0.1}, 2)
         pf = _portfolio(2, T=2.0)
         a = simulate_paths(model, pf, 200, seed=5)
         b = simulate_paths(model, pf, 200, seed=5)
-        assert [(p.ref_events, p.party, p.party_time) for p in a] == \
-               [(p.ref_events, p.party, p.party_time) for p in b]
+        assert len(a) == len(b)
+        for p in range(len(a)):
+            assert _events(a, p) == _events(b, p)
+            assert a.party[p] == b.party[p]
+            assert a.party_time[p] == b.party_time[p]
 
     def test_contagion_raises_empirical_hazard(self):
         # exposure-time estimate of the hazard before and after the first
@@ -171,14 +183,15 @@ class TestSimulatePaths:
         pf = _portfolio(2, T=T)
         paths = simulate_paths(model, pf, 6_000, seed=6, include_parties=False)
         events1 = exposure1 = events2 = exposure2 = 0.0
-        for p in paths:
-            if p.ref_events:
-                t1 = p.ref_events[0][0]
+        for p in range(len(paths)):
+            events = _events(paths, p)
+            if events:
+                t1 = events[0][0]
                 events1 += 1.0
                 exposure1 += 2.0 * t1
-                if len(p.ref_events) > 1:
+                if len(events) > 1:
                     events2 += 1.0
-                    exposure2 += p.ref_events[1][0] - t1
+                    exposure2 += events[1][0] - t1
                 else:
                     exposure2 += T - t1
             else:
@@ -191,11 +204,11 @@ class TestSimulatePaths:
     def test_party_default_ends_path(self):
         model = contagion_from_dict({"a10": 5.0, "a20": 5.0, "a30": 0.01}, 1)
         paths = simulate_paths(model, _portfolio(1, T=3.0), 300, seed=7)
-        with_party = [p for p in paths if p.party is not None]
+        with_party = [p for p in range(len(paths)) if _PARTY[paths.party[p]] is not None]
         assert len(with_party) > 250
         for p in with_party:
-            assert p.party in ("I", "C")
-            assert all(t < p.party_time for t, _ in p.ref_events)
+            assert _PARTY[paths.party[p]] in ("I", "C")
+            assert all(t < paths.party_time[p] for t, _ in _events(paths, p))
 
 
 class TestMcCleanValue:
