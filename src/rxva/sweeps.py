@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import copy
+import functools
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +41,8 @@ class SweepSpec:
     def __post_init__(self):
         if self.param not in SWEEPABLE:
             raise ValueError(f"unknown sweep parameter {self.param!r}")
+        if not self.values:
+            raise ConfigError("sweep grid is empty")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ConfigError("sweep grid must be strictly increasing")
 
@@ -70,6 +74,9 @@ class SweepRow:
     xi_C_val: float = float("nan")
     xi_f_val: float = float("nan")
     v_hat_0: float = float("nan")
+    # the point's EngineResult.timings, carried back from its worker; not
+    # written to the CSV
+    timings: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -123,6 +130,54 @@ def _rederive_band(doc: dict) -> None:
     band["mu_upper"] = a20 + r_D + n * a23
 
 
+def sweep_point(
+    base_doc: dict,
+    spec: SweepSpec,
+    value: float,
+    *,
+    grid_points: int,
+    allow_assumption_violation: bool,
+    gamma: int,
+    force_full: bool,
+) -> SweepRow:
+    """Solves one grid point; a solver failure is recorded on the row."""
+    row = SweepRow(value=value, ok=False)
+    try:
+        doc = _apply_param(base_doc, spec.param, value)
+        if spec.rederive:
+            _rederive_band(doc)
+        cfg, model, portfolio, model_P = market_from_dict(doc)
+        if gamma == -1:
+            portfolio = portfolio.flipped()
+        result = run_engine(
+            cfg, model, portfolio, model_P,
+            variants=all_variants(cfg),
+            grid_points=grid_points,
+            force_full=force_full,
+            allow_assumption_violation=allow_assumption_violation,
+        )
+        root = result.space.root()
+        row.v_hat_0 = result.clean.at0(root)
+        row.xva_upper = result.xva["upper"].surface.at0(root)
+        row.xva_lower = result.xva["lower"].surface.at0(root)
+        if "actual" in result.xva:
+            row.xva_actual = result.xva["actual"].surface.at0(root)
+        snap = robust_strategy(
+            result.xva["upper"].surface, result.clean, result.margins.m,
+            portfolio, 0.0, root,
+        )
+        if snap.alive:
+            row.xi_ref_val = snap.xi_ref_values[snap.alive[0]]
+        row.xi_I_val = snap.xi_I_value
+        row.xi_C_val = snap.xi_C_value
+        row.xi_f_val = snap.xi_f_value
+        row.timings = result.timings
+        row.ok = True
+    except Exception as exc:  # noqa: BLE001 - sweep must keep going
+        row.error = f"{type(exc).__name__}: {exc}"
+    return row
+
+
 def run_sweep(
     base_doc: dict,
     spec: SweepSpec,
@@ -139,7 +194,21 @@ def run_sweep(
     A base document that does not parse is refused with ConfigError, and so
     is a contagion parameter that a table of the config overrides, since
     every row would be the same.
+
+    The points are independent, so they run in worker processes forked from
+    this one: one per CPU in the process's affinity mask, at most one per
+    point. Forked, not spawned: a forked worker starts with the modules this
+    process has loaded, where a spawned one would import numpy and the
+    package again. The CLI starts no thread of its own before a sweep.
+    Rows come back in grid order and equal, bit for bit, what
+    ``sweep_point`` gives in this process. A point whose worker died gets a
+    failed row naming ``BrokenProcessPool``.
     """
+    # imported here, so that importing the CLI does not pay for them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     market_from_dict(base_doc)
     for table in _OVERRIDDEN_BY.get(spec.param, ()):
         if table in base_doc["contagion"]:
@@ -147,42 +216,25 @@ def run_sweep(
                 f"sweeping {spec.param} changes nothing: contagion.{table} in the config "
                 f"overrides it"
             )
+    point = functools.partial(
+        sweep_point, base_doc, spec,
+        grid_points=grid_points,
+        allow_assumption_violation=allow_assumption_violation,
+        gamma=gamma,
+        force_full=force_full,
+    )
+    workers = min(len(os.sched_getaffinity(0)), len(spec.values))
     out = SweepResult(spec=spec)
-    for value in spec.values:
-        row = SweepRow(value=value, ok=False)
-        try:
-            doc = _apply_param(base_doc, spec.param, value)
-            if spec.rederive:
-                _rederive_band(doc)
-            cfg, model, portfolio, model_P = market_from_dict(doc)
-            if gamma == -1:
-                portfolio = portfolio.flipped()
-            result = run_engine(
-                cfg, model, portfolio, model_P,
-                variants=all_variants(cfg),
-                grid_points=grid_points,
-                force_full=force_full,
-                allow_assumption_violation=allow_assumption_violation,
-            )
-            root = result.space.root()
-            row.v_hat_0 = result.clean.at0(root)
-            row.xva_upper = result.xva["upper"].surface.at0(root)
-            row.xva_lower = result.xva["lower"].surface.at0(root)
-            if "actual" in result.xva:
-                row.xva_actual = result.xva["actual"].surface.at0(root)
-            snap = robust_strategy(
-                result.xva["upper"].surface, result.clean, result.margins.m,
-                portfolio, 0.0, root,
-            )
-            if snap.alive:
-                row.xi_ref_val = snap.xi_ref_values[snap.alive[0]]
-            row.xi_I_val = snap.xi_I_value
-            row.xi_C_val = snap.xi_C_value
-            row.xi_f_val = snap.xi_f_value
-            row.ok = True
-        except Exception as exc:  # noqa: BLE001 - sweep must keep going
-            row.error = f"{type(exc).__name__}: {exc}"
-        out.rows.append(row)
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        # one future per point, not pool.map: when a worker dies, the points
+        # that finished keep their rows and only the others fail
+        futures = [pool.submit(point, value) for value in spec.values]
+        for value, future in zip(spec.values, futures):
+            try:
+                out.rows.append(future.result())
+            except BrokenProcessPool as exc:
+                out.rows.append(SweepRow(value=value, ok=False,
+                                         error=f"{type(exc).__name__}: {exc}"))
     return out
 
 

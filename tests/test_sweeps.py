@@ -1,18 +1,27 @@
 """Comparative-statics sweeps and the monotonicity helper."""
 
+import csv
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rxva.sweeps as sweeps
 from rxva.market import ConfigError
+from rxva.reporting import write_sweep_csv
 from rxva.sweeps import (
     SweepSpec,
     _apply_param,
+    base_value,
     default_grid,
     is_monotone,
     run_sweep,
+    sweep_point,
 )
 
 from conftest import FIVE_NAME, SINGLE_NAME
@@ -31,6 +40,11 @@ class TestSweepSpec:
     def test_grid_must_increase(self):
         with pytest.raises(ValueError):
             SweepSpec(param="a20", values=(0.2, 0.1))
+
+    def test_empty_grid_refused(self):
+        # the pool that runs the points needs at least one worker
+        with pytest.raises(ConfigError, match="sweep grid is empty"):
+            SweepSpec(param="a20", values=())
 
     def test_band_rederivation_defaults(self):
         assert SweepSpec(param="a20", values=(0.1, 0.2)).rederive
@@ -95,12 +109,15 @@ class TestRunSweep:
         gap = result.column("xva_upper") - result.column("xva_lower")
         assert is_monotone(gap, "nondecreasing", slack=1e-12)
 
-    def test_gamma_and_full_lattice_reach_every_point(self, monkeypatch):
-        seen = []
+    def test_gamma_and_full_lattice_reach_every_point(self, monkeypatch, tmp_path):
+        # the points run in worker processes, so the spy reports through a file
+        log = tmp_path / "calls.jsonl"
         engine = sweeps.run_engine
 
         def spy(cfg, model, portfolio, model_P, **kwargs):
-            seen.append(({c.direction for c in portfolio.contracts}, kwargs["force_full"]))
+            call = [sorted({c.direction for c in portfolio.contracts}), kwargs["force_full"]]
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(json.dumps(call) + "\n")
             return engine(cfg, model, portfolio, model_P, **kwargs)
 
         monkeypatch.setattr(sweeps, "run_engine", spy)
@@ -110,6 +127,8 @@ class TestRunSweep:
         result = run_sweep(doc, spec, grid_points=100, allow_assumption_violation=True,
                            gamma=-1, force_full=True)
         assert all(r.ok for r in result.rows)
+        seen = [(set(directions), full) for directions, full
+                in map(json.loads, log.read_text(encoding="utf-8").splitlines())]
         assert seen == [({-1}, True)] * 2
 
     def test_refusal_names_the_table_key_given(self):
@@ -127,6 +146,92 @@ class TestRunSweep:
         assert "ConfigError" in result.rows[0].error
         assert result.rows[1].ok
         assert len(result.column("xva_upper")) == 1
+
+
+def _bits(row):
+    """Every field of a sweep row but its wall-clock timings, floats as their
+    exact hex form so that two rows compare bit for bit (NaN included)."""
+    return [(f.name, float(v).hex() if isinstance(v, float) else v)
+            for f in dataclasses.fields(row) if f.name != "timings"
+            for v in (getattr(row, f.name),)]
+
+
+# A CLI sweep of alpha over (0.0, 0.5, 1.0) on the single-name config in
+# which the worker solving any alpha listed in argv[2] dies at once.
+_DYING_WORKER = """
+import os, sys
+import rxva.cli as cli
+import rxva.sweeps as sweeps
+
+doomed = {float(a) for a in sys.argv[2].split(",")}
+engine = sweeps.run_engine
+
+def spy(cfg, model, portfolio, model_P, **kwargs):
+    if portfolio.collateral.alpha in doomed:
+        os._exit(1)
+    return engine(cfg, model, portfolio, model_P, **kwargs)
+
+sweeps.run_engine = spy
+sys.exit(cli.main(["sweep", "--config", sys.argv[3], "--out-dir", sys.argv[1],
+                   "--param", "alpha", "--points", "3", "--grid-points", "200"]))
+"""
+
+
+class TestParallelSweep:
+    @pytest.mark.parametrize("config, param, values, grid_points", [
+        (FIVE_NAME, "a30", None, 200),
+        (SINGLE_NAME, "band_width", (-0.1, 0.1, 0.2), 300),
+    ], ids=["five-name-a30", "single-name-band-width-failing"])
+    def test_rows_equal_a_sequential_loop(self, config, param, values, grid_points):
+        with open(config, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if values is None:
+            values = default_grid(base_value(doc, param), points=5)
+        spec = SweepSpec(param=param, values=values)
+        options = dict(grid_points=grid_points, allow_assumption_violation=True,
+                       gamma=1, force_full=False)
+        sequential = [sweep_point(doc, spec, value, **options) for value in values]
+        parallel = run_sweep(doc, spec, **options).rows
+        assert [_bits(row) for row in parallel] == [_bits(row) for row in sequential]
+        assert [row.value for row in parallel] == list(values)
+        if param == "band_width":
+            assert [row.ok for row in parallel] == [False, True, True]
+            assert parallel[0].error.startswith("ConfigError: inverted counterparty band")
+
+    def test_rows_carry_the_pass_time_and_the_csv_omits_it(self, tmp_path):
+        doc = _load_doc()
+        spec = SweepSpec(param="band_width", values=(-0.1, 0.02, 0.06, 0.10))
+        result = run_sweep(doc, spec, grid_points=200)
+        assert [row.ok for row in result.rows] == [False, True, True, True]
+        assert result.rows[0].timings == {}
+        assert all(row.timings["pass"] > 0.0 for row in result.rows if row.ok)
+        write_sweep_csv(tmp_path / "with.csv", result)
+        for row in result.rows:
+            row.timings = {}
+        write_sweep_csv(tmp_path / "without.csv", result)
+        assert (tmp_path / "with.csv").read_bytes() == (tmp_path / "without.csv").read_bytes()
+
+    @pytest.mark.parametrize("doomed", ["0.5", "0.0,0.5,1.0"], ids=["one", "every"])
+    def test_dying_worker_fails_the_unfinished_points(self, tmp_path, doomed):
+        src = Path(sweeps.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        out = tmp_path / "out"
+        # a hung pool fails the test here instead of blocking the suite
+        proc = subprocess.run(
+            [sys.executable, "-c", _DYING_WORKER, str(out), doomed, str(SINGLE_NAME)],
+            env=env, capture_output=True, text=True, timeout=120)
+        with open(out / "sweep_alpha.csv", "r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["param"]) for r in rows] == [0.0, 0.5, 1.0]
+        status = {float(r["param"]): r["status"] for r in rows}
+        for alpha in map(float, doomed.split(",")):
+            assert status[alpha].startswith("failed(BrokenProcessPool")
+        failed = [s for s in status.values() if s != "ok"]
+        assert all(s.startswith("failed(BrokenProcessPool") for s in failed)
+        every_failed = len(failed) == len(rows)
+        assert proc.returncode == (2 if every_failed else 0), proc.stderr
+        assert ("every sweep point failed" in proc.stderr) == every_failed
 
 
 class TestIsMonotone:
