@@ -24,7 +24,7 @@ from .market import ContagionModel, PiecewiseTable, Portfolio
 
 
 # ---------------------------------------------------------------------------
-# Per-segment lattice coefficients
+# Per-piece lattice coefficients
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -46,63 +46,48 @@ class StateCoeffs:
     transitions: tuple
 
 
-class LatticeCoefficients:
-    """Builds and caches per-time-piece coefficient bundles for the lattice.
+def lattice_coefficients(
+    model: ContagionModel,
+    portfolio: Portfolio,
+    space: StateSpace,
+    h_C_true: PiecewiseTable | None,
+    times: np.ndarray,
+) -> list[tuple[StateCoeffs, ...]]:
+    """Coefficient bundle of the lattice at every entry of the float array ``times``.
 
-    Coefficients are piecewise constant in time; a bundle is the tuple of
-    StateCoeffs of every lattice state in key order, cached by the index of
-    the piece containing the queried time.  ``h_C_true`` is the true
-    counterparty intensity table (see ``xva.resolve_true_h_c``); its breaks
-    are among the model's.
+    A bundle is the tuple of StateCoeffs of every lattice state in key
+    order.  Coefficients are piecewise constant in time, so times in the
+    same piece of the model's breaks share one bundle object, built at the
+    first of them.  ``h_C_true`` is the true counterparty intensity table
+    (see ``xva.resolve_true_h_c``); its breaks are among the model's.
     """
+    pieces = np.searchsorted(np.asarray(model.breakpoints()), times, side="right").tolist()
+    bundles: dict[int, tuple[StateCoeffs, ...]] = {}
+    for piece, t in zip(pieces, times.tolist()):
+        if piece not in bundles:
+            bundles[piece] = tuple(
+                _state_coeffs(model, portfolio, space, h_C_true, t, key) for key in space.keys
+            )
+    return [bundles[piece] for piece in pieces]
 
-    def __init__(self, model: ContagionModel, portfolio: Portfolio, space: StateSpace,
-                 h_C_true: PiecewiseTable | None):
-        self.model = model
-        self.h_C_true = h_C_true
-        self.portfolio = portfolio
-        self.space = space
-        self.breaks = np.asarray(model.breakpoints())
-        self._cache: dict[int, tuple[StateCoeffs, ...]] = {}
 
-    def at(self, t: float) -> tuple[StateCoeffs, ...]:
-        piece = int(np.searchsorted(self.breaks, t, side="right"))
-        cached = self._cache.get(piece)
-        if cached is not None:
-            return cached
-        coeffs = self._build(t)
-        self._cache[piece] = coeffs
-        return coeffs
-
-    def per_segment(self, mids: np.ndarray) -> list:
-        """Coefficient bundle for every grid segment, indexed by segment.
-
-        Segments within one constant-coefficient piece share a single bundle
-        object, so the lookup inside the integrator is a list access.
-        """
-        return [self.at(float(t)) for t in mids]
-
-    def _build(self, t: float) -> tuple[StateCoeffs, ...]:
-        model, pf, space = self.model, self.portfolio, self.space
-        states = []
-        for key in space.keys:
-            count = space.count(key)
-            sum_S = sum_L = 0.0
-            transitions = []
-            for child, entities in space.moves(key):
-                w = len(entities)  # the entities of one move share contract and rate
-                con = pf.contracts[entities[0] - 1]
-                sum_S += w * con.direction * con.spread
-                sum_L += w * con.direction * con.loss
-                h = model.intensity_by_count(entities[0], t, count)
-                transitions.append((child, w * h, con.direction * con.loss, w))
-            states.append(StateCoeffs(
-                sum_S=sum_S, sum_L=sum_L,
-                h_I=model.intensity_by_count("I", t, count),
-                h_C=math.nan if self.h_C_true is None else self.h_C_true.at(t, count),
-                alive_count=pf.n - count, transitions=tuple(transitions),
-            ))
-        return tuple(states)
+def _state_coeffs(model, portfolio, space, h_C_true, t: float, key: int) -> StateCoeffs:
+    count = space.count(key)
+    sum_S = sum_L = 0.0
+    transitions = []
+    for child, entities in space.moves(key):
+        w = len(entities)  # the entities of one move share contract and rate
+        con = portfolio.contracts[entities[0] - 1]
+        sum_S += w * con.direction * con.spread
+        sum_L += w * con.direction * con.loss
+        h = model.intensity_by_count(entities[0], t, count)
+        transitions.append((child, w * h, con.direction * con.loss, w))
+    return StateCoeffs(
+        sum_S=sum_S, sum_L=sum_L,
+        h_I=model.intensity_by_count("I", t, count),
+        h_C=math.nan if h_C_true is None else h_C_true.at(t, count),
+        alive_count=portfolio.n - count, transitions=tuple(transitions),
+    )
 
 
 # ---------------------------------------------------------------------------

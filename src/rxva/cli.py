@@ -14,6 +14,8 @@ the override flag, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import hashlib
+import math
 import sys
 import time
 from pathlib import Path
@@ -23,7 +25,6 @@ from .engine import run_engine
 from .market import AssumptionError, ConfigError, load_config, read_config
 from .oracle import verify
 from .reporting import (
-    manifest,
     write_clean_csv,
     write_json,
     write_margin_csv,
@@ -55,6 +56,14 @@ def _count(minimum: int):
         return value
 
     return count
+
+
+def _finite(text: str) -> float:
+    """argparse type: a finite float."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -98,122 +107,64 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--param", required=True, choices=SWEEPABLE)
     p.add_argument("--points", type=_count(1), default=21)
-    p.add_argument("--span", type=float, default=0.5)
+    p.add_argument("--span", type=_finite, default=0.5)
 
     return parser
 
 
-def _load(args):
+def _engine(args, which: str | None = None):
+    """Loads the config, flips it for ``--gamma -1`` and runs the engine.
+
+    ``which`` names the XVA variants to solve: None for the clean value
+    alone, ``"all"`` for every variant the config can price, or one of them.
+    """
     cfg, model, portfolio, model_P = load_config(args.config)
     if args.gamma == -1:
         portfolio = portfolio.flipped()
-    return cfg, model, portfolio, model_P
-
-
-def _variants(cfg, which: str) -> tuple[str, ...]:
-    if which == "all":
-        return all_variants(cfg)
-    if which not in all_variants(cfg):
-        raise ConfigError("--which actual requires mu_true in counterparty_band")
-    return (which,)
-
-
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    started = time.perf_counter()
-    try:
-        if args.command == "sweep":
-            return _cmd_sweep(args, out_dir, started)
-        cfg, model, portfolio, model_P = _load(args)
-        if args.command == "price":
-            return _cmd_price(args, cfg, model, portfolio, model_P, out_dir, started)
-        if args.command == "xva":
-            return _cmd_xva(args, cfg, model, portfolio, model_P, out_dir, started)
-        if args.command == "verify":
-            return _cmd_verify(args, cfg, model, portfolio, model_P, out_dir, started)
-        raise AssertionError(f"unhandled command {args.command}")
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except AssumptionError as exc:
-        print(f"{exc}", file=sys.stderr)
-        print("rerun with --allow-assumption-violation to proceed anyway",
-              file=sys.stderr)
-        return EXIT_ASSUMPTION
-
-
-def _write_manifest(args, out_dir: Path, outputs: list[str], started: float,
-                    seed: int | None = None) -> None:
-    payload = manifest(
-        subcommand=args.command,
-        config_path=args.config,
-        version=__version__,
-        seed=seed,
-        grid_points=args.grid_points,
-        flags={k: v for k, v in vars(args).items() if k in ARTIFACT_FLAGS},
-        outputs=[Path(o).name for o in outputs],
-        wall_clock_s=time.perf_counter() - started,
-    )
-    write_json(out_dir / "manifest.json", payload)
-
-
-def _cmd_price(args, cfg, model, portfolio, model_P, out_dir, started) -> int:
-    result = run_engine(
-        cfg, model, portfolio, model_P,
-        grid_points=args.grid_points,
-        force_full=args.full_lattice,
-        allow_assumption_violation=args.allow_assumption_violation,
-    )
-    clean_path = out_dir / "clean.csv"
-    margin_path = out_dir / "margins.csv"
-    write_clean_csv(clean_path, result.clean)
-    write_margin_csv(margin_path, result.margins.vm, result.margins.im,
-                     result.margins.m)
-    _write_manifest(args, out_dir, [str(clean_path), str(margin_path)], started)
-    return EXIT_OK
-
-
-def _cmd_xva(args, cfg, model, portfolio, model_P, out_dir, started) -> int:
-    variants = _variants(cfg, args.which)
-    result = run_engine(
+    variants = () if which is None else all_variants(cfg)
+    if which not in (None, "all"):
+        if which not in variants:
+            raise ConfigError("--which actual requires mu_true in counterparty_band")
+        variants = (which,)
+    return run_engine(
         cfg, model, portfolio, model_P,
         variants=variants,
         grid_points=args.grid_points,
         force_full=args.full_lattice,
         allow_assumption_violation=args.allow_assumption_violation,
     )
-    xva_path = out_dir / "xva.csv"
-    regime_path = out_dir / "regime.csv"
-    write_xva_csv(xva_path, result.xva)
-    write_regime_csv(regime_path, result.xva)
-    outputs = [str(xva_path)]
-    if regime_path.exists():
-        outputs.append(str(regime_path))
-    _write_manifest(args, out_dir, outputs, started)
-    return EXIT_OK
 
 
-def _cmd_verify(args, cfg, model, portfolio, model_P, out_dir, started) -> int:
-    result = run_engine(
-        cfg, model, portfolio, model_P,
-        variants=all_variants(cfg),
-        grid_points=args.grid_points,
-        force_full=args.full_lattice,
-        allow_assumption_violation=args.allow_assumption_violation,
-    )
-    report = verify(result, n_paths=args.paths, seed=args.seed)
-    report_path = out_dir / "verify.json"
-    write_json(report_path, report)
-    _write_manifest(args, out_dir, [str(report_path)], started, seed=args.seed)
+# Each subcommand writes its artifacts into the output directory and returns
+# their file names and the exit code.
+
+def _cmd_price(args, out_dir: Path) -> tuple[list[str], int]:
+    result = _engine(args)
+    write_clean_csv(out_dir / "clean.csv", result.clean)
+    write_margin_csv(out_dir / "margins.csv", result.margins.vm, result.margins.im,
+                     result.margins.m)
+    return ["clean.csv", "margins.csv"], EXIT_OK
+
+
+def _cmd_xva(args, out_dir: Path) -> tuple[list[str], int]:
+    result = _engine(args, args.which)
+    write_xva_csv(out_dir / "xva.csv", result.xva)
+    if args.which == "actual":
+        return ["xva.csv"], EXIT_OK
+    write_regime_csv(out_dir / "regime.csv", result.xva)
+    return ["xva.csv", "regime.csv"], EXIT_OK
+
+
+def _cmd_verify(args, out_dir: Path) -> tuple[list[str], int]:
+    report = verify(_engine(args, "all"), n_paths=args.paths, seed=args.seed)
+    write_json(out_dir / "verify.json", report)
     if not report["passed"]:
         print("verification failed; see verify.json", file=sys.stderr)
-        return EXIT_VERIFY
-    return EXIT_OK
+        return ["verify.json"], EXIT_VERIFY
+    return ["verify.json"], EXIT_OK
 
 
-def _cmd_sweep(args, out_dir: Path, started) -> int:
+def _cmd_sweep(args, out_dir: Path) -> tuple[list[str], int]:
     doc = read_config(args.config)
     spec = SweepSpec(
         param=args.param,
@@ -226,13 +177,44 @@ def _cmd_sweep(args, out_dir: Path, started) -> int:
         gamma=args.gamma,
         force_full=args.full_lattice,
     )
-    sweep_path = out_dir / f"sweep_{args.param}.csv"
-    write_sweep_csv(sweep_path, result)
-    _write_manifest(args, out_dir, [str(sweep_path)], started)
+    name = f"sweep_{args.param}.csv"
+    write_sweep_csv(out_dir / name, result)
     if all(not row.ok for row in result.rows):
         print("every sweep point failed; see the status column", file=sys.stderr)
+        return [name], EXIT_CONFIG
+    return [name], EXIT_OK
+
+
+COMMANDS = {"price": _cmd_price, "xva": _cmd_xva, "verify": _cmd_verify, "sweep": _cmd_sweep}
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    started = time.perf_counter()
+    try:
+        outputs, code = COMMANDS[args.command](args, out_dir)
+    except ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    return EXIT_OK
+    except AssumptionError as exc:
+        print(f"{exc}", file=sys.stderr)
+        print("rerun with --allow-assumption-violation to proceed anyway",
+              file=sys.stderr)
+        return EXIT_ASSUMPTION
+    # identical manifests (wall clock aside) imply byte-identical artifacts
+    write_json(out_dir / "manifest.json", {
+        "subcommand": args.command,
+        "config_sha256": hashlib.sha256(Path(args.config).read_bytes()).hexdigest(),
+        "engine_version": __version__,
+        "seed": getattr(args, "seed", None),
+        "grid_points": args.grid_points,
+        "flags": {k: v for k, v in vars(args).items() if k in ARTIFACT_FLAGS},
+        "outputs": sorted(outputs),
+        "wall_clock_s": time.perf_counter() - started,
+    })
+    return code
 
 
 if __name__ == "__main__":

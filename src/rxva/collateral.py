@@ -44,7 +44,7 @@ def closeout_excess(v_hat, m, L_I: float, L_C: float):
 
 def variation_margin(v_hat: LatticeSurface, alpha: float) -> LatticeSurface:
     """VM surface: alpha * v_hat nodewise."""
-    return LatticeSurface(v_hat.grid, v_hat.space, "vm", alpha * v_hat.values)
+    return LatticeSurface(v_hat.grid, v_hat.space, alpha * v_hat.values)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +157,7 @@ class MarginSchedule:
     def settle(self, v_hat: LatticeSurface) -> None:
         """Sets vm = alpha * v_hat and m = vm + im, each one array operation."""
         self.vm = variation_margin(v_hat, self.alpha)
-        self.m = LatticeSurface(v_hat.grid, v_hat.space, "m", self.vm.values + self.im.values)
+        self.m = LatticeSurface(v_hat.grid, v_hat.space, self.vm.values + self.im.values)
 
 
 def margin_schedule(
@@ -179,7 +179,7 @@ def margin_schedule(
             "portfolios only; multi-name portfolios need an empirical "
             "VaR callback"
         )
-    im = zero_surface(grid, space, "im")
+    im = zero_surface(grid, space)
     if coll.beta > 0.0 and portfolio.n == 1:
         con = portfolio.contracts[0]
         table = model_P.table(1)

@@ -28,7 +28,6 @@ class EngineResult:
     cfg: MarketConfig
     model: ContagionModel
     portfolio: Portfolio
-    model_P: ContagionModel
     grid: np.ndarray
     space: StateSpace
     clean: LatticeSurface
@@ -64,7 +63,6 @@ def run_engine(
     none is requested), and the variation margin is set from its clean rows.
     ``timings`` holds the wall time of that pass.
     """
-    model_P = model_P if model_P is not None else model
     report = validate_assumptions(cfg, model, horizon=portfolio.maturity)
     if not report.passed and not allow_assumption_violation:
         raise AssumptionError(report)
@@ -73,7 +71,7 @@ def run_engine(
         portfolio.maturity, grid_breakpoints(model, portfolio), min_points=grid_points,
         space=space, max_cells=MAX_LATTICE_CELLS,
     )
-    margins = margin_schedule(model_P, portfolio, grid, space)
+    margins = margin_schedule(model if model_P is None else model_P, portfolio, grid, space)
     t0 = time.perf_counter()
     if variants:
         clean, xva = solve_xva(cfg, model, portfolio, grid, space, margins, variants)
@@ -81,15 +79,5 @@ def run_engine(
         clean, xva = solve_clean(cfg, model, portfolio, grid, space), {}
         margins.settle(clean)
     timings = {"pass": time.perf_counter() - t0}
-    return EngineResult(
-        cfg=cfg,
-        model=model,
-        portfolio=portfolio,
-        model_P=model_P,
-        grid=grid,
-        space=space,
-        clean=clean,
-        margins=margins,
-        xva=xva,
-        timings=timings,
-    )
+    return EngineResult(cfg=cfg, model=model, portfolio=portfolio, grid=grid, space=space,
+                        clean=clean, margins=margins, xva=xva, timings=timings)

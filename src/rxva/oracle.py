@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .clean import LatticeCoefficients
+from .clean import lattice_coefficients
 from .collateral import closeout_excess
 from .engine import EngineResult
 from .grids import LatticeSurface
@@ -346,15 +346,6 @@ def _at(surface: LatticeSurface, keys: np.ndarray, times: np.ndarray) -> np.ndar
     return out
 
 
-def _closeout_payoff(result: EngineResult, party, keys, times) -> np.ndarray:
-    """Closeout payoff of each trading-party default in state ``keys``."""
-    theta_I, theta_C = closeout_excess(
-        _at(result.clean, keys, times), _at(result.margins.m, keys, times),
-        result.portfolio.loss_investor, result.portfolio.loss_counterparty,
-    )
-    return np.where(party == PARTY_I, theta_I, theta_C)
-
-
 def _running_sum(values: np.ndarray) -> float:
     """Left-to-right sum from 0.0, the order of an accumulating loop."""
     return functools.reduce(operator.add, values.tolist(), 0.0)
@@ -378,9 +369,12 @@ def mc_xva_closeout(
     )
     rows = np.flatnonzero(paths.party)
     tau = paths.party_time[rows]
-    payoff = _closeout_payoff(
-        result, paths.party[rows], _state_keys(result, paths, rows, tau), tau
+    keys = _state_keys(result, paths, rows, tau)
+    theta_I, theta_C = closeout_excess(
+        _at(result.clean, keys, tau), _at(result.margins.m, keys, tau),
+        portfolio.loss_investor, portfolio.loss_counterparty,
     )
+    payoff = np.where(paths.party[rows] == PARTY_I, theta_I, theta_C)
     vals = np.zeros(n_paths)
     # math.exp, not np.exp, keeps the last bits of the scalar estimator
     vals[rows] = np.array([math.exp(-cfg.r_D * t) for t in tau.tolist()]) * payoff
@@ -399,7 +393,6 @@ class WealthReport:
     violations: int
     worst_margin: float
     mean_surplus: float
-    payoff_mean: float
 
 
 def pathwise_wealth_check(
@@ -446,14 +439,11 @@ def pathwise_wealth_check(
         t_prev[rows] = t_ev
     pocket += _at(pocket_surface, key, t_prev) - _at(pocket_surface, key, end)
     surplus = (1.0 if which == "upper" else -1.0) * pocket
-    party = np.flatnonzero(paths.party)
-    payoff = _closeout_payoff(result, paths.party[party], key[party], end[party])
     return WealthReport(
         n_paths=n_paths,
         violations=int(np.count_nonzero(surplus < -tolerance)),
         worst_margin=functools.reduce(min, surplus.tolist(), math.inf),
         mean_surplus=_running_sum(surplus) / n_paths,
-        payoff_mean=_running_sum(payoff) / n_paths,
     )
 
 
@@ -476,14 +466,14 @@ def drift_identity_error(result: EngineResult, which: str = "upper", stride: int
         raise ValueError("the drift identity requires mu_C_true")
     surface = result.xva[which].surface
     space, grid, margins = result.space, result.grid, result.margins
-    coeffs = LatticeCoefficients(model, portfolio, space, h_true)
+    times = grid[::stride]
+    bundles = lattice_coefficients(model, portfolio, space, h_true, times)
     driver = lattice_rhs(cfg, portfolio, space.size, margins.alpha, ("actual",))
     worst = 0.0
-    for node in range(0, len(grid), stride):
-        t = float(grid[node])
+    for t, states in zip(times.tolist(), bundles):
         im = [margins.im.at(k, t) for k in space.keys]
         y = [result.clean.at(k, t) for k in space.keys] + [surface.at(k, t) for k in space.keys]
-        g = driver(coeffs.at(t), im, im, 0.0, y)
+        g = driver(states, im, im, 0.0, y)
         for key in space.keys:
             count = space.count(key)
             snap = robust_strategy(surface, result.clean, margins.m, portfolio, t, key)

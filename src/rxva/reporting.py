@@ -1,8 +1,7 @@
-"""Deterministic CSV/JSON artifact writers and the run manifest."""
+"""Deterministic CSV/JSON artifact writers."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -44,9 +43,7 @@ def write_xva_csv(path, results: dict[str, XvaResult]) -> None:
 
 
 def write_regime_csv(path, results: dict[str, XvaResult]) -> None:
-    order = [w for w in ("upper", "lower") if w in results and results[w].regime is not None]
-    if not order:
-        return
+    order = [w for w in ("upper", "lower") if w in results]
     _write_lattice_csv(path, "time,state," + ",".join(f"regime_{w}" for w in order),
                        results[order[0]].surface.grid,
                        [results[w].regime for w in order], cell=REGIME_LABELS.__getitem__)
@@ -69,32 +66,3 @@ def write_json(path, payload: dict) -> None:
     Path(path).write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-
-
-def config_sha256(config_path) -> str:
-    return hashlib.sha256(Path(config_path).read_bytes()).hexdigest()
-
-
-def manifest(
-    subcommand: str,
-    config_path,
-    version: str,
-    seed: int | None,
-    grid_points: int,
-    flags: dict,
-    outputs: list[str],
-    wall_clock_s: float,
-) -> dict:
-    """Run manifest; identical manifests (wall clock aside) imply
-    byte-identical data artifacts.  ``flags`` holds every other option that
-    changes an artifact."""
-    return {
-        "subcommand": subcommand,
-        "config_sha256": config_sha256(config_path),
-        "engine_version": version,
-        "seed": seed,
-        "grid_points": grid_points,
-        "flags": flags,
-        "outputs": sorted(outputs),
-        "wall_clock_s": wall_clock_s,
-    }

@@ -43,6 +43,8 @@ class SweepSpec:
             raise ValueError(f"unknown sweep parameter {self.param!r}")
         if not self.values:
             raise ConfigError("sweep grid is empty")
+        if not np.all(np.isfinite(self.values)):
+            raise ConfigError("sweep grid values must be finite")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ConfigError("sweep grid must be strictly increasing")
 
@@ -201,12 +203,13 @@ def run_sweep(
     process has loaded, where a spawned one would import numpy and the
     package again. The CLI starts no thread of its own before a sweep.
     Rows come back in grid order and equal, bit for bit, what
-    ``sweep_point`` gives in this process. A point whose worker died gets a
-    failed row naming ``BrokenProcessPool``.
+    ``sweep_point`` gives in this process. A point whose worker died, or
+    that could not be submitted because a worker had died, gets a failed row
+    naming ``BrokenProcessPool``.
     """
     # imported here, so that importing the CLI does not pay for them
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import Future, ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     market_from_dict(base_doc)
@@ -228,7 +231,13 @@ def run_sweep(
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
         # one future per point, not pool.map: when a worker dies, the points
         # that finished keep their rows and only the others fail
-        futures = [pool.submit(point, value) for value in spec.values]
+        futures = []
+        for value in spec.values:
+            try:
+                futures.append(pool.submit(point, value))
+            except BrokenProcessPool as exc:  # a worker died before this point went in
+                futures.append(Future())
+                futures[-1].set_exception(exc)
         for value, future in zip(spec.values, futures):
             try:
                 out.rows.append(future.result())

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clean import LatticeCoefficients
+from .clean import lattice_coefficients
 from .collateral import MarginSchedule, closeout_excess
-from .grids import LatticeSurface, StateSpace, rk4_sweep, zero_surface
-from .market import ContagionModel, MarketConfig, PiecewiseTable, Portfolio
+from .grids import LatticeSurface, StateSpace, rk4_sweep
+from .market import ConfigError, ContagionModel, MarketConfig, PiecewiseTable, Portfolio
 
 REGIME_LO = 0
 REGIME_HI = 1
@@ -169,15 +169,15 @@ class XvaResult:
 def _joint_pass(cfg, model, portfolio, grid, space, margins, variants):
     """One RK4 sweep of the clean value plus every requested variant.
 
-    Each node is recorded into one preallocated array with a row per column
-    of ``lattice_rhs`` (so each state's surface is a contiguous row) and an
-    entry per grid node.
+    Returns the pass's array: a row per column of ``lattice_rhs`` (so each
+    state's surface is a contiguous row) and an entry per grid node.  A pass
+    that leaves a non-finite value anywhere is refused with ConfigError.
     """
     size = space.size
     alpha = margins.alpha if margins is not None else 0.0
     kernel = lattice_rhs(cfg, portfolio, size, alpha, variants)
-    coeffs = LatticeCoefficients(model, portfolio, space, resolve_true_h_c(cfg, model))
-    by_seg = coeffs.per_segment(0.5 * (grid[:-1] + grid[1:]))
+    by_seg = lattice_coefficients(model, portfolio, space, resolve_true_h_c(cfg, model),
+                                  0.5 * (grid[:-1] + grid[1:]))
     if margins is not None:
         im = margins.im.values.T.tolist()
     else:
@@ -190,13 +190,14 @@ def _joint_pass(cfg, model, portfolio, grid, space, margins, variants):
         w = 0.0 if t1 == t0 else (T - s - t0) / (t1 - t0)
         return np.asarray(kernel(by_seg[seg], im[seg], im[seg + 1], w, y.tolist()))
 
-    n_blocks = _layout(cfg, variants)[1]
-    path = np.empty((n_blocks * size, len(grid)))
-
-    def record(node, y):
-        path[:, node] = y
-
-    rk4_sweep(grid, np.zeros(n_blocks * size), rhs, record)
+    with np.errstate(over="ignore", invalid="ignore"):
+        path = rk4_sweep(grid, np.zeros(_layout(cfg, variants)[1] * size), rhs)
+    bad = ~np.isfinite(path)
+    if bad.any():
+        node = int(np.flatnonzero(bad.any(axis=0))[-1])  # the pass runs backwards
+        row = int(np.flatnonzero(bad[:, node])[0])
+        raise ConfigError(f"the lattice pass is not finite: {path[row, node]} in state "
+                          f"{row % size} at t = {nodes[node]}")
     return path
 
 
@@ -209,7 +210,7 @@ def solve_clean(
 ) -> LatticeSurface:
     """Clean value surface for every default state: the pass with no XVA column."""
     path = _joint_pass(cfg, model, portfolio, grid, space, None, ())
-    return LatticeSurface(grid, space, "v_hat", path)
+    return LatticeSurface(grid, space, path)
 
 
 def solve_xva(
@@ -234,7 +235,7 @@ def solve_xva(
     def rows(block):
         return path[block * space.size:(block + 1) * space.size]
 
-    clean = LatticeSurface(grid, space, "v_hat", rows(0))
+    clean = LatticeSurface(grid, space, rows(0))
     margins.settle(clean)
     _, theta_C = closeout_excess(
         clean.values, margins.m.values, portfolio.loss_investor, portfolio.loss_counterparty,
@@ -242,14 +243,14 @@ def solve_xva(
     results = {}
     for which, block, pocket in _layout(cfg, variants)[0]:
         u = rows(block)
-        result = results[which] = XvaResult(which, LatticeSurface(grid, space, f"u_{which}", u))
+        result = results[which] = XvaResult(which, LatticeSurface(grid, space, u))
         if which == "actual":
             continue
         z_C = theta_C - u
         hi = (z_C > 0.0) == (which == "upper")
         result.regime = np.where(z_C == 0.0, REGIME_TIE, np.where(hi, REGIME_HI, REGIME_LO))
         if pocket is not None:
-            result.pocket = LatticeSurface(grid, space, "pocket", rows(pocket))
+            result.pocket = LatticeSurface(grid, space, rows(pocket))
     return clean, results
 
 
@@ -314,10 +315,5 @@ def solve_value_direct(
         du = h_I * z_I + h_C * z_C + h_1 * z_1 + f_val
         return np.array([dv, du])
 
-    surface = zero_surface(grid, space, "u_bar")
-
-    def record(node, y):
-        surface.values[0][node] = y[1]
-
-    rk4_sweep(grid, np.zeros(2), rhs, record)
-    return surface
+    u_bar = rk4_sweep(grid, np.zeros(2), rhs)[1]
+    return LatticeSurface(grid, space, np.stack([u_bar, np.zeros_like(u_bar)]))

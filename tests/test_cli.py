@@ -118,6 +118,17 @@ class TestXva:
         rows = _read_csv(out / "xva.csv")
         assert set(rows[0]) == {"time", "state", "u_upper"}
 
+    def test_manifest_omits_a_regime_csv_this_run_did_not_write(self, tmp_path):
+        # an earlier run leaves regime.csv behind; --which actual writes none
+        out = tmp_path / "out"
+        common = ("--config", str(SINGLE_NAME), "--out-dir", str(out), "--grid-points", "200")
+        assert _run("xva", *common) == cli.EXIT_OK
+        assert json.loads((out / "manifest.json").read_text())["outputs"] == \
+            ["regime.csv", "xva.csv"]
+        assert _run("xva", *common, "--which", "actual") == cli.EXIT_OK
+        assert (out / "regime.csv").exists()
+        assert json.loads((out / "manifest.json").read_text())["outputs"] == ["xva.csv"]
+
     def test_actual_needs_true_rate(self, tmp_path):
         doc = _minimal_doc()
         del doc["counterparty_band"]["mu_true"]
@@ -236,6 +247,51 @@ class TestExitCodes:
         assert exc.value.code == cli.EXIT_CONFIG
         assert f"argument {flag}: must be at least" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("param", ["alpha", "band_width"])
+    @pytest.mark.parametrize("span", ["nan", "inf", "-inf"])
+    def test_non_finite_span_refused(self, tmp_path, capsys, param, span):
+        # alpha has base 0, where the span does not enter the grid at all
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            _run("sweep", "--config", str(SINGLE_NAME), "--out-dir", str(out),
+                 "--param", param, "--points", "3", "--grid-points", "50", f"--span={span}")
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert "argument --span: must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    _NON_FINITE_PASS = [
+        ("price", ("spread",), 1e308, ()), ("xva", ("spread",), 1e308, ()),
+        ("price", ("maturity",), 1e300, ("--grid-points", "5")),
+    ]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command, field, value, extra", _NON_FINITE_PASS,
+                             ids=["price-spread", "xva-spread", "price-maturity"])
+    def test_non_finite_pass_refused(self, tmp_path, capsys, command, field, value, extra):
+        doc = _minimal_doc()
+        block = doc["portfolio"]["contracts"][0] if field == ("spread",) else doc["portfolio"]
+        block[field[0]] = value
+        cfg = _write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert _run(command, "--config", str(cfg), "--out-dir", str(out),
+                    *extra) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error: the lattice pass is not finite" in err
+        assert "in state 0 at t = " in err
+        assert list(out.iterdir()) == []
+
+    def test_non_finite_pass_fails_its_sweep_point(self, tmp_path, capsys):
+        doc = _minimal_doc()
+        doc["portfolio"]["contracts"][0]["spread"] = 1e308
+        cfg = _write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert _run("sweep", "--config", str(cfg), "--out-dir", str(out), "--param", "alpha",
+                    "--points", "2", "--grid-points", "50") == cli.EXIT_CONFIG
+        assert "every sweep point failed" in capsys.readouterr().err
+        for row in _read_csv(out / "sweep_alpha.csv"):
+            assert row["status"].startswith(
+                "failed(ConfigError: the lattice pass is not finite")
 
     def test_non_finite_spread_refused(self, tmp_path, capsys):
         doc = _minimal_doc()
@@ -404,3 +460,16 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_benchmark_trace_hooks_bind():
+    # the benchmark's tracer wraps engine, CLI, sweep and oracle names by
+    # attribute; a refactor that unbinds one makes install raise
+    root = Path(cli.__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), str(root / "perfbench")]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    probe = "import trace_child; trace_child.install(trace_child.Tracer())"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, cwd=root,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

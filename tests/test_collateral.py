@@ -73,7 +73,7 @@ class TestVariationMargin:
     def test_scaling(self):
         grid = np.array([0.0, 1.0])
         space = StateSpace(n=1, homogeneous=True)
-        v_hat = zero_surface(grid, space, "v_hat")
+        v_hat = zero_surface(grid, space)
         # a short (gamma = -1) position: the direction sits in the clean value
         v_hat.values[0] = np.array([-0.00483043, 0.0])
         vm = variation_margin(v_hat, alpha=0.8)

@@ -113,7 +113,7 @@ class TestLatticeSurface:
     def test_interpolation(self):
         grid = np.array([0.0, 1.0, 2.0])
         space = StateSpace(n=1, homogeneous=True)
-        surf = LatticeSurface(grid=grid, space=space, tag="v_hat",
+        surf = LatticeSurface(grid=grid, space=space,
                               values=np.array([[0.0, 2.0, 4.0], [0.0, 0.0, 0.0]]))
         assert surf.at(0, 0.5) == pytest.approx(1.0)
         assert surf.at0(0) == 0.0
@@ -123,7 +123,7 @@ class TestLatticeSurface:
         # CSV export walks the states in key order, each over the whole grid
         grid = np.array([0.0, 1.0])
         space = StateSpace(n=1, homogeneous=True)
-        surf = zero_surface(grid, space, "v_hat")
+        surf = zero_surface(grid, space)
         assert surf.values.shape == (2, 2)
         write_clean_csv(tmp_path / "clean.csv", surf)
         rows = (tmp_path / "clean.csv").read_text().splitlines()[1:]
@@ -139,32 +139,24 @@ class TestRk4Sweep:
         errors = []
         for n in (50, 100):
             grid = np.linspace(0.0, 2.0, n + 1)
-            got = {}
-
-            def record(node, y, got=got):
-                got[node] = float(y[0])
 
             def rhs(seg, s, y):
                 return -lam * y
 
-            rk4_sweep(grid, np.array([1.0]), rhs, record)
-            errors.append(abs(got[0] - np.exp(-lam * 2.0)))
+            path = rk4_sweep(grid, np.array([1.0]), rhs)
+            errors.append(abs(path[0, 0] - np.exp(-lam * 2.0)))
         assert errors[0] / errors[1] > 12.0  # fourth order: factor ~16
 
     def test_terminal_node_records_initial_data(self):
         grid = np.linspace(0.0, 1.0, 11)
-        seen = {}
-        rk4_sweep(grid, np.array([3.0]),
-                  lambda seg, s, y: np.zeros_like(y),
-                  lambda node, y: seen.__setitem__(node, float(y[0])))
-        assert seen[10] == 3.0
-        assert seen[0] == 3.0
-        assert len(seen) == 11
+        path = rk4_sweep(grid, np.array([3.0]), lambda seg, s, y: np.zeros_like(y))
+        assert path[0, 10] == 3.0
+        assert path[0, 0] == 3.0
+        assert path.shape == (1, 11)
 
     def test_segment_indices_cover_grid_backwards(self):
         grid = np.linspace(0.0, 1.0, 5)
         segs = []
         rk4_sweep(grid, np.zeros(1),
-                  lambda seg, s, y: (segs.append(seg), np.zeros(1))[1],
-                  lambda node, y: None)
+                  lambda seg, s, y: (segs.append(seg), np.zeros(1))[1])
         assert segs[::4] == [3, 2, 1, 0]

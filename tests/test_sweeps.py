@@ -46,6 +46,12 @@ class TestSweepSpec:
         with pytest.raises(ConfigError, match="sweep grid is empty"):
             SweepSpec(param="a20", values=())
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_grid_refused(self, bad):
+        # b <= a is False for NaN, so the order check alone lets it through
+        with pytest.raises(ConfigError, match="sweep grid values must be finite"):
+            SweepSpec(param="alpha", values=(0.0, bad))
+
     def test_band_rederivation_defaults(self):
         assert SweepSpec(param="a20", values=(0.1, 0.2)).rederive
         assert SweepSpec(param="a23", values=(0.1, 0.2)).rederive
@@ -177,6 +183,25 @@ sys.exit(cli.main(["sweep", "--config", sys.argv[3], "--out-dir", sys.argv[1],
 """
 
 
+# Prefix to _DYING_WORKER: every submit after the first waits until the first
+# point's future has failed, so the pool is broken before the later points
+# are submitted and pool.submit itself raises BrokenProcessPool.
+_SUBMIT_AFTER_DEATH = """
+from concurrent.futures import ProcessPoolExecutor
+
+submit = ProcessPoolExecutor.submit
+futures = []
+
+def submit_after_death(self, *args, **kwargs):
+    for first in futures[:1]:
+        first.exception()
+    futures.append(submit(self, *args, **kwargs))
+    return futures[-1]
+
+ProcessPoolExecutor.submit = submit_after_death
+"""
+
+
 class TestParallelSweep:
     @pytest.mark.parametrize("config, param, values, grid_points", [
         (FIVE_NAME, "a30", None, 200),
@@ -232,6 +257,26 @@ class TestParallelSweep:
         every_failed = len(failed) == len(rows)
         assert proc.returncode == (2 if every_failed else 0), proc.stderr
         assert ("every sweep point failed" in proc.stderr) == every_failed
+
+
+    def test_points_submitted_after_a_worker_died_fail(self, tmp_path):
+        src = Path(sweeps.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        out = tmp_path / "out"
+        # only the first point's worker dies; the other two are never solved
+        proc = subprocess.run(
+            [sys.executable, "-c", _SUBMIT_AFTER_DEATH + _DYING_WORKER, str(out), "0.0",
+             str(SINGLE_NAME)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert "Traceback" not in proc.stderr, proc.stderr
+        with open(out / "sweep_alpha.csv", "r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["param"]) for r in rows] == [0.0, 0.5, 1.0]
+        assert all(r["status"].startswith("failed(BrokenProcessPool: ") for r in rows)
+        assert proc.returncode == 2
+        assert "every sweep point failed" in proc.stderr
+        assert json.loads((out / "manifest.json").read_text())["outputs"] == ["sweep_alpha.csv"]
 
 
 class TestIsMonotone:
