@@ -76,8 +76,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--allow-assumption-violation", action="store_true",
                    help="price even when the rate inequalities fail")
     p.add_argument("--full-lattice", action="store_true",
-                   help="force full subset enumeration (disable the "
-                        "homogeneous reduction)")
+                   help="one lattice class per name: all 2^N default sets "
+                        "(disable the grouping of exchangeable names)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,11 +6,14 @@ on the calendar-time grid with index 0 at t = 0 and the last index at t = T.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
-from .market import ConfigError, ContagionModel, Portfolio, is_homogeneous
+from .market import ConfigError, ContagionModel, Portfolio
 
 
 def build_grid(
@@ -51,62 +54,81 @@ def build_grid(
 
 @dataclass(frozen=True)
 class StateSpace:
-    """Enumeration of default states.
+    """Default states of a portfolio whose names fall into exchangeable classes.
 
-    Full mode enumerates all 2^N subsets as bitmasks; homogeneous mode keeps
-    only the default count k = 0..N.  ``keys`` are the state labels in solver
-    order (index == label in both modes).
+    ``classes`` holds tuples of 1-based entity ids.  A key is a mixed-radix
+    number: digit g is the default count d_g of class g, its radix is
+    |g| + 1, and the survivors of class g are its first |g| - d_g members.
+    Singleton classes in entity order give the bitmask of the defaulted
+    names, and one class gives the default count.  ``keys`` are the state
+    labels in solver order.
     """
 
-    n: int
-    homogeneous: bool
+    classes: tuple[tuple[int, ...], ...]
+
+    @property
+    def n(self) -> int:
+        return sum(map(len, self.classes))
+
+    @property
+    def homogeneous(self) -> bool:
+        """One class: the key is the default count."""
+        return len(self.classes) == 1
+
+    @cached_property
+    def strides(self) -> tuple[int, ...]:
+        """Place value of each class's digit, then the number of states."""
+        return tuple(accumulate((len(c) + 1 for c in self.classes), operator.mul, initial=1))
 
     @property
     def size(self) -> int:
-        return self.n + 1 if self.homogeneous else 1 << self.n
+        return self.strides[-1]
 
     @property
     def keys(self) -> range:
         return range(self.size)
 
+    def digits(self, key: int) -> list[int]:
+        """Default count of each class in the state."""
+        return [key // stride % (len(c) + 1) for c, stride in zip(self.classes, self.strides)]
+
     def count(self, key: int) -> int:
         """Number of defaults |J| in the state."""
-        return key if self.homogeneous else bin(key).count("1")
+        return sum(self.digits(key))
 
     def alive(self, key: int) -> list[int]:
-        """Surviving 1-based entity ids; in homogeneous mode the names are
-        exchangeable and the survivors are the slots 1..n - key."""
-        if self.homogeneous:
-            return list(range(1, self.n - key + 1))
-        return [i for i in range(1, self.n + 1) if not key >> (i - 1) & 1]
+        """Surviving 1-based entity ids, class by class."""
+        return [i for _, entities in self.moves(key) for i in entities]
+
+    @cached_property
+    def _entity_stride(self) -> np.ndarray:
+        by_entity = {i: stride for c, stride in zip(self.classes, self.strides) for i in c}
+        return np.array([0] + [by_entity[i] for i in range(1, self.n + 1)], dtype=np.int64)
 
     def child(self, key, entity):
-        """State after the default of ``entity``: key + 1 in homogeneous mode.
-
-        ``key`` and ``entity`` may be int arrays of one shape (entities >= 1).
-        """
-        if self.homogeneous:
-            return key + 1
-        return key | 1 << (entity - 1)
+        """State after the default of the surviving ``entity``.  ``key`` and
+        ``entity`` may be int arrays of one shape (entities >= 1)."""
+        return key + self._entity_stride[entity]
 
     def moves(self, key: int) -> list[tuple[int, list[int]]]:
-        """One-default moves out of ``key`` as ``(child, entities)`` pairs.
-
-        Full mode has one move per survivor; homogeneous mode one move to
-        key + 1, carried by every survivor slot.
-        """
-        alive = self.alive(key)
-        if self.homogeneous:
-            return [(key + 1, alive)] if alive else []
-        return [(self.child(key, i), [i]) for i in alive]
+        """One-default moves out of ``key`` as ``(child, entities)`` pairs:
+        one per class with survivors, carried by those survivors."""
+        return [(key + stride, list(c[:len(c) - d]))
+                for c, stride, d in zip(self.classes, self.strides, self.digits(key)) if d < len(c)]
 
     def root(self) -> int:
         return 0
 
 
 def choose_state_space(model: ContagionModel, portfolio: Portfolio, force_full: bool = False) -> StateSpace:
-    homo = is_homogeneous(model, portfolio) and not force_full
-    return StateSpace(n=portfolio.n, homogeneous=homo)
+    """Names with an equal contract and reference table are exchangeable (see
+    ContagionModel); one class each, ordered by smallest member, or one class
+    per name with ``force_full``."""
+    classes: dict = {}
+    for i in range(1, portfolio.n + 1):
+        tag = i if force_full else (portfolio.contracts[i - 1], model.table(i))
+        classes.setdefault(tag, []).append(i)
+    return StateSpace(tuple(map(tuple, classes.values())))
 
 
 @dataclass

@@ -261,15 +261,6 @@ class Portfolio:
         )
 
 
-def is_homogeneous(model: ContagionModel, portfolio: Portfolio) -> bool:
-    """True when the lattice collapses to default-count states.
-
-    Requires identical contracts and reference intensities that depend on the
-    defaulted set only through its cardinality.
-    """
-    return len(set(portfolio.contracts)) <= 1 and len(model.references) == 1
-
-
 # ---------------------------------------------------------------------------
 # Assumption validation
 # ---------------------------------------------------------------------------

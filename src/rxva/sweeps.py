@@ -190,8 +190,9 @@ def run_sweep(
 ) -> SweepResult:
     """One full lattice solve (clean + XVA triple + strategy values) per point.
 
-    ``gamma = -1`` flips the portfolio direction and ``force_full`` disables
-    the homogeneous reduction, as the CLI flags of the same names do.
+    ``gamma = -1`` flips the portfolio direction and ``force_full`` puts
+    every name in a lattice class of its own, as the CLI flags of the same
+    names do.
     Solver failures are recorded on the affected row and the sweep continues.
     A base document that does not parse is refused with ConfigError, and so
     is a contagion parameter that a table of the config overrides, since

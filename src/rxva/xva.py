@@ -281,7 +281,7 @@ def solve_value_direct(
     gamma = con.direction
     L_I, L_C = portfolio.loss_investor, portfolio.loss_counterparty
     alpha = margins.alpha
-    space = StateSpace(n=1, homogeneous=False)
+    space = StateSpace(((1,),))
     im0 = margins.im.values[0]
     T = grid[-1]
     mids = 0.5 * (grid[:-1] + grid[1:])

@@ -267,7 +267,7 @@ def test_ac03_clean_ode_vs_closed_form():
         )
         grid = build_grid(T, table.breaks, min_points=2000)
         surface = solve_clean(cfg, model, portfolio, grid,
-                              StateSpace(n=1, homogeneous=True))
+                              StateSpace(((1,),)))
         worst = max(
             abs(surface.values[0][idx] - clean_closed_form_single(
                 r_D, table, S, L, T, float(t), direction

@@ -35,7 +35,7 @@ def _solve_single(r_D, S, L, breaks, h_values, T, direction=1, grid_points=800):
         maturity=T, loss_investor=0.5, loss_counterparty=0.5,
     )
     grid = build_grid(T, table.breaks, min_points=grid_points)
-    space = StateSpace(n=1, homogeneous=True)
+    space = StateSpace(((1,),))
     surface = solve_clean(_cfg(r_D), model, portfolio, grid, space)
     return surface, table
 
@@ -127,7 +127,7 @@ class TestLatticeStructure:
             maturity=T, loss_investor=0.5, loss_counterparty=0.5,
         )
         grid = build_grid(T, min_points=2000)
-        space = StateSpace(n=3, homogeneous=False)
+        space = StateSpace(((1,), (2,), (3,)))
         surface = solve_clean(_cfg(r_D), model, portfolio, grid, space)
         total = sum(
             clean_closed_form_single(r_D, ((), (0.1,)), s, l, T, 0.0, d)
@@ -144,9 +144,9 @@ class TestLatticeStructure:
         )
         grid = build_grid(1.0, min_points=500)
         homo = solve_clean(_cfg(0.01), model, portfolio, grid,
-                           StateSpace(n=3, homogeneous=True))
+                           StateSpace(((1, 2, 3),)))
         full = solve_clean(_cfg(0.01), model, portfolio, grid,
-                           StateSpace(n=3, homogeneous=False))
+                           StateSpace(((1,), (2,), (3,))))
         for mask in range(8):
             count = bin(mask).count("1")
             diff = np.max(np.abs(full.values[mask] - homo.values[count]))
@@ -159,5 +159,5 @@ class TestLatticeStructure:
         model = contagion_from_dict({"a10": 0.1, "a20": 0.1, "a30": 0.1}, 0)
         grid = build_grid(1.0, min_points=50)
         surface = solve_clean(_cfg(0.01), model, portfolio, grid,
-                              StateSpace(n=0, homogeneous=True))
+                              StateSpace(()))
         assert np.all(surface.values[0] == 0.0)

@@ -118,6 +118,16 @@ class TestXva:
         rows = _read_csv(out / "xva.csv")
         assert set(rows[0]) == {"time", "state", "u_upper"}
 
+    def test_twenty_names_in_two_classes(self, tmp_path):
+        # 2^20 states exceed the lattice bound; two classes of ten need 11 x 11
+        doc = _minimal_doc()
+        con = doc["portfolio"]["contracts"][0]
+        doc["portfolio"]["contracts"] = [con, dict(con, spread=0.03)] * 10
+        out = tmp_path / "out"
+        assert _run("xva", "--config", str(_write_config(tmp_path, doc)), "--out-dir", str(out),
+                    "--grid-points", "5") == cli.EXIT_OK
+        assert {int(row["state"]) for row in _read_csv(out / "xva.csv")} == set(range(121))
+
     def test_manifest_omits_a_regime_csv_this_run_did_not_write(self, tmp_path):
         # an earlier run leaves regime.csv behind; --which actual writes none
         out = tmp_path / "out"
@@ -473,3 +483,4 @@ def test_benchmark_trace_hooks_bind():
     proc = subprocess.run([sys.executable, "-c", probe], env=env, cwd=root,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+

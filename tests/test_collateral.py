@@ -72,7 +72,7 @@ class TestCloseout:
 class TestVariationMargin:
     def test_scaling(self):
         grid = np.array([0.0, 1.0])
-        space = StateSpace(n=1, homogeneous=True)
+        space = StateSpace(((1,),))
         v_hat = zero_surface(grid, space)
         # a short (gamma = -1) position: the direction sits in the clean value
         v_hat.values[0] = np.array([-0.00483043, 0.0])

@@ -37,7 +37,7 @@ class TestBuildGrid:
         assert grid[0] == 0.0 and grid[-1] == 1.0
 
     def test_lattice_bound_checked_before_nodes_are_built(self, monkeypatch):
-        space = StateSpace(n=5, homogeneous=False)
+        space = StateSpace(((1,), (2,), (3,), (4,), (5,)))
         grid = build_grid(1.0, breakpoints=(0.5,), min_points=60, space=space, max_cells=32 * 61)
         assert len(grid) == 61
         monkeypatch.setattr(np, "linspace", None)  # any node built would raise TypeError
@@ -51,7 +51,7 @@ class TestBuildGrid:
 
 class TestStateSpace:
     def test_full_mode(self):
-        space = StateSpace(n=3, homogeneous=False)
+        space = StateSpace(((1,), (2,), (3,)))
         assert space.size == 8
         assert space.count(0b101) == 2
         assert space.alive(0b101) == [2]
@@ -59,26 +59,26 @@ class TestStateSpace:
         assert space.root() == 0
 
     def test_homogeneous_mode(self):
-        space = StateSpace(n=5, homogeneous=True)
+        space = StateSpace(((1, 2, 3, 4, 5),))
         assert space.size == 6
         assert space.count(3) == 3
-        assert space.child(2, 99) == 3
+        assert space.child(2, 3) == 3
         assert space.alive(2) == [1, 2, 3]
         assert space.alive(5) == []
 
     def test_moves(self):
-        full = StateSpace(n=3, homogeneous=False)
+        full = StateSpace(((1,), (2,), (3,)))
         assert full.moves(0b000) == [(0b001, [1]), (0b010, [2]), (0b100, [3])]
         assert full.moves(0b101) == [(0b111, [2])]
         assert full.moves(0b111) == []
-        homo = StateSpace(n=3, homogeneous=True)
+        homo = StateSpace(((1, 2, 3),))
         assert homo.moves(0) == [(1, [1, 2, 3])]
         assert homo.moves(2) == [(3, [1])]
         assert homo.moves(3) == []
 
     @pytest.mark.parametrize("homogeneous", [False, True])
     def test_moves_cover_the_survivors(self, homogeneous):
-        space = StateSpace(n=4, homogeneous=homogeneous)
+        space = StateSpace(((1, 2, 3, 4),) if homogeneous else ((1,), (2,), (3,), (4,)))
         for key in space.keys:
             moves = space.moves(key)
             assert [i for _, entities in moves for i in entities] == space.alive(key)
@@ -87,13 +87,39 @@ class TestStateSpace:
 
     @pytest.mark.parametrize("homogeneous", [False, True])
     def test_child_on_arrays(self, homogeneous):
-        space = StateSpace(n=4, homogeneous=homogeneous)
+        space = StateSpace(((1, 2, 3, 4),) if homogeneous else ((1,), (2,), (3,), (4,)))
         pairs = [(key, i) for key in space.keys for i in space.alive(key)]
         keys = np.array([key for key, _ in pairs], dtype=np.int64)
         entities = np.array([i for _, i in pairs], dtype=np.int64)
         got = space.child(keys, entities)
         assert got.dtype == np.int64
         assert got.tolist() == [space.child(key, i) for key, i in pairs]
+
+    def test_two_classes_in_mixed_radix(self):
+        # classes {1, 3} and {2}: digit 0 counts the defaults in {1, 3}
+        # (radix 3), digit 1 those in {2} (radix 2)
+        space = StateSpace(((1, 3), (2,)))
+        assert (space.n, space.size, space.strides) == (3, 6, (1, 3, 6))
+        assert not space.homogeneous
+        assert [space.digits(key) for key in space.keys] == \
+            [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1]]
+        assert space.count(4) == 2 and space.alive(4) == [1]
+        assert space.moves(0) == [(1, [1, 3]), (3, [2])]
+        assert space.moves(1) == [(2, [1]), (4, [2])]
+        assert space.moves(5) == []
+        assert space.child(np.array([0, 1, 0]), np.array([3, 1, 2])).tolist() == [1, 2, 3]
+        for key in space.keys:
+            assert all(space.count(child) == space.count(key) + 1
+                       for child, _ in space.moves(key))
+
+    def test_choose_state_space_groups_exchangeable_names(self):
+        a, b = Contract(spread=0.02, loss=0.5), Contract(spread=0.03, loss=0.5)
+        pf = Portfolio(contracts=(b, a, b, a, a), maturity=1.0,
+                       loss_investor=0.5, loss_counterparty=0.5)
+        model = contagion_from_dict({"a30": 0.1}, 5)
+        assert choose_state_space(model, pf).classes == ((1, 3), (2, 4, 5))
+        assert choose_state_space(model, pf, force_full=True).classes == \
+            ((1,), (2,), (3,), (4,), (5,))
 
     def test_choose_state_space(self):
         con = Contract(spread=0.02, loss=0.5)
@@ -112,7 +138,7 @@ class TestStateSpace:
 class TestLatticeSurface:
     def test_interpolation(self):
         grid = np.array([0.0, 1.0, 2.0])
-        space = StateSpace(n=1, homogeneous=True)
+        space = StateSpace(((1,),))
         surf = LatticeSurface(grid=grid, space=space,
                               values=np.array([[0.0, 2.0, 4.0], [0.0, 0.0, 0.0]]))
         assert surf.at(0, 0.5) == pytest.approx(1.0)
@@ -122,7 +148,7 @@ class TestLatticeSurface:
     def test_rows_order(self, tmp_path):
         # CSV export walks the states in key order, each over the whole grid
         grid = np.array([0.0, 1.0])
-        space = StateSpace(n=1, homogeneous=True)
+        space = StateSpace(((1,),))
         surf = zero_surface(grid, space)
         assert surf.values.shape == (2, 2)
         write_clean_csv(tmp_path / "clean.csv", surf)

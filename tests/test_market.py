@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rxva.grids import choose_state_space
 from rxva.market import (
     CollateralSpec,
     ConfigError,
@@ -17,7 +18,6 @@ from rxva.market import (
     Portfolio,
     _as_table,
     contagion_from_dict,
-    is_homogeneous,
     load_config,
     market_from_dict,
     validate_assumptions,
@@ -205,8 +205,8 @@ class TestPortfolio:
                          loss_investor=0.5, loss_counterparty=0.5)
         hetero = Portfolio(contracts=(a, b), maturity=1.0,
                            loss_investor=0.5, loss_counterparty=0.5)
-        assert is_homogeneous(model, homo)
-        assert not is_homogeneous(model, hetero)
+        assert choose_state_space(model, homo).classes == ((1, 2),)
+        assert choose_state_space(model, hetero).classes == ((1,), (2,))
         per_entity = replace(
             model,
             references=(
@@ -214,7 +214,11 @@ class TestPortfolio:
                 PiecewiseTable(breaks=(), values=((0.2,),)),
             ),
         )
-        assert not is_homogeneous(per_entity, homo)
+        assert choose_state_space(per_entity, homo).classes == ((1,), (2,))
+        # per-entity tables that are all equal leave the names exchangeable
+        equal = replace(model, references=tuple(
+            PiecewiseTable(breaks=(), values=((0.1,),)) for _ in range(2)))
+        assert choose_state_space(equal, homo).classes == ((1, 2),)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Monte Carlo oracle: samplers, estimators, and pathwise audits."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
 
 from rxva import oracle
+from rxva.engine import run_engine
 from rxva.market import (
     Contract,
     MarketConfig,
@@ -303,3 +305,18 @@ class TestVerifyReport:
         assert checks["dominance"]["violations"] == 0
         assert checks["subreplication"]["violations"] == 0
         assert checks["drift_identity"]["max_error"] < 1e-9
+
+    def test_grouped_lattice_report_passes(self):
+        # two classes of two names: a 3 x 3 lattice in place of 2^4 states
+        doc = copy.deepcopy(_GENERAL_THREE_NAME)
+        doc["contagion"] = {"a10": 0.2, "a20": 0.2, "a30": 0.2, "a33": 0.1}
+        doc["counterparty_band"] = {"mu_lower": 0.1501, "mu_upper": 0.6501,
+                                    "mu_true": 0.2001}
+        a, b = doc["portfolio"]["contracts"][:2]
+        doc["portfolio"]["contracts"] = [a, b, a, b]
+        result = run_engine(*market_from_dict(doc), variants=("actual", "upper", "lower"),
+                            grid_points=400)
+        assert result.space.classes == ((1, 3), (2, 4)) and result.space.size == 9
+        report = verify(result, n_paths=4_000, seed=20)
+        assert report["passed"] is True
+        assert report["checks"]["drift_identity"]["max_error"] < 1e-9

@@ -361,7 +361,8 @@ class TestJointPass:
         res = run_engine(cfg, model, portfolio, model_P, variants=("actual", "upper", "lower"),
                          grid_points=400, force_full=full, allow_assumption_violation=True)
         alone = solve_clean(cfg, model, portfolio, res.grid, res.space)
-        assert res.space.homogeneous == (not full)
+        names = range(1, portfolio.n + 1)
+        assert res.space.classes == (tuple((i,) for i in names) if full else (tuple(names),))
         assert np.array_equal(res.clean.values, alone.values)
 
 
@@ -440,6 +441,20 @@ def _small_config(draw, n=None):
     return doc, draw(st.integers(20, 200))
 
 
+@st.composite
+def _two_class_config(draw):
+    """A config of two to four names in two classes, which differ in the
+    contract and interleave in entity order."""
+    sizes = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    doc, grid_points = draw(_small_config(n=sum(sizes)))
+    first = doc["portfolio"]["contracts"][0]
+    second = dict(first, spread=first["spread"] + draw(st.floats(0.001, 0.02)),
+                  direction=draw(st.sampled_from((1, -1))))
+    order = draw(st.permutations([first] * sizes[0] + [second] * sizes[1]))
+    doc["portfolio"]["contracts"] = list(order)
+    return doc, grid_points
+
+
 def _solve(doc, grid_points, **kwargs):
     cfg, model, portfolio, model_P = market_from_dict(doc)
     assert validate_assumptions(cfg, model, horizon=portfolio.maturity).passed
@@ -496,6 +511,22 @@ class TestJointPassProperties:
             for mask in full.space.keys:
                 count = full.space.count(mask)
                 assert np.max(np.abs(f_surf.values[mask] - h_surf.values[count])) <= 1e-12
+
+    @_PROPERTY
+    @given(_two_class_config())
+    def test_grouped_equals_full(self, case):
+        grouped, full = (_solve(*case, force_full=f) for f in (False, True))
+        space = grouped.space
+        assert len(space.classes) == 2 and len(full.space.classes) == space.n
+        # the grouped key of a full mask counts its set bits class by class
+        keys = [sum(stride * sum(mask >> (i - 1) & 1 for i in members)
+                    for members, stride in zip(space.classes, space.strides))
+                for mask in full.space.keys]
+        pairs = [(grouped.clean, full.clean), (grouped.margins.m, full.margins.m)]
+        pairs += [(grouped.xva[w].surface, full.xva[w].surface) for w in grouped.xva]
+        pairs += [(grouped.xva[w].pocket, full.xva[w].pocket) for w in ("upper", "lower")]
+        for g_surf, f_surf in pairs:
+            assert np.max(np.abs(f_surf.values - g_surf.values[keys])) <= 1e-12
 
     @_PROPERTY
     @given(_small_config())
