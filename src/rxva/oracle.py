@@ -135,16 +135,16 @@ class _Clocks:
         live = np.arange(size)
         pos = live.copy()
         t = np.zeros(size)
-        mask = np.zeros(size, dtype=np.int64)
+        dead = np.zeros((size, n), dtype=bool)
         for r in range(n + 1):  # every live path has r reference defaults
             live = live[pos[live] + (n_clocks - r) <= size]
             if not live.size:
                 break
-            head, t0, alive = pos[live], t[live], ~mask[live]
+            head, t0, alive = pos[live], t[live], ~dead[live]
             best_t = np.full(live.size, math.inf)
             best = np.full(live.size, -1)
             for c in range(n_clocks):
-                sel = np.flatnonzero(alive >> c & 1) if c < n else slice(None)
+                sel = np.flatnonzero(alive[:, c]) if c < n else slice(None)
                 cand = self.invert(c, r, t0[sel], draws[head[sel]])
                 head[sel] += 1
                 win = cand < best_t[sel]
@@ -163,7 +163,7 @@ class _Clocks:
             batch.event_time[live, r] = t[live] = best_t[ref]
             batch.event_entity[live, r] = who + 1
             batch.n_events[live] = r + 1
-            mask[live] |= 1 << who
+            dead[live, who] = True
         return used, batch
 
 

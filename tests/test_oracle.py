@@ -213,6 +213,18 @@ class TestSimulatePaths:
             assert all(t < paths.party_time[p] for t, _ in _events(paths, p))
 
 
+    def test_names_past_the_64th_default_once(self):
+        # a default must take its name out of the race however many names
+        # the portfolio holds
+        n = 66
+        model = contagion_from_dict({"a10": 0.01, "a20": 0.01, "a30": 0.02}, n)
+        paths = simulate_paths(model, _portfolio(n), 300, seed=8, include_parties=False)
+        assert np.any(paths.event_entity > 64)
+        for p in range(len(paths)):
+            names = [i for _, i in _events(paths, p)]
+            assert len(names) == len(set(names))
+
+
 class TestMcCleanValue:
     def test_protection_leg_value(self):
         model = contagion_from_dict({"a10": 0.1, "a20": 0.1, "a30": 0.1}, 1)
