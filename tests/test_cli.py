@@ -484,3 +484,17 @@ def test_benchmark_trace_hooks_bind():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
+
+def test_benchmark_trace_hooks_run(tmp_path):
+    # the tracer's after-hooks read attributes of the engine's objects (such
+    # as space.homogeneous and space.n); a traced toy run must end with rc 0
+    root = Path(cli.__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    result = tmp_path / "trace.json"
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "trace_child.py"), str(result), "xva",
+         "--config", str(SINGLE_NAME), "--out-dir", str(tmp_path / "out"), "--grid-points", "20"],
+        env=env, cwd=root, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(result.read_text(encoding="utf-8"))["rc"] == 0
