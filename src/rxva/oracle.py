@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .xva import lattice_rhs, resolve_true_h_c
 # ---------------------------------------------------------------------------
 
 PARTY_NONE, PARTY_I, PARTY_C = 0, 1, 2
-_MAX_BLOCK = 1 << 15  # exponentials per block; bounds the per-offset arrays
 
 
 @dataclass
@@ -114,62 +113,6 @@ class _Clocks:
             prev, remaining = edge[go], (remaining - mass)[go]
         return out
 
-    def from_every_offset(self, draws: np.ndarray):
-        """Runs one path from each offset of the exponential stream ``draws``.
-
-        Round r of a path draws one clock per surviving name (ascending),
-        then the investor's and the counterparty's, and ends the path unless
-        a reference name defaults first before T.  Returns the draws each
-        path consumed (-1 when it would read past the end of ``draws``) and
-        the PathBatch of all offsets.
-        """
-        size, n, n_clocks = len(draws), self.n, len(self.h)
-        used = np.full(size, -1)
-        batch = PathBatch(
-            event_time=np.full((size, n), math.inf),
-            event_entity=np.zeros((size, n), dtype=np.int64),
-            n_events=np.zeros(size, dtype=np.int64),
-            party=np.zeros(size, dtype=np.int8),
-            party_time=np.full(size, math.inf),
-        )
-        live = np.arange(size)
-        pos = live.copy()
-        t = np.zeros(size)
-        dead = np.zeros((size, n), dtype=bool)
-        for r in range(n + 1):  # every live path has r reference defaults
-            live = live[pos[live] + (n_clocks - r) <= size]
-            if not live.size:
-                break
-            head, t0, alive = pos[live], t[live], ~dead[live]
-            best_t = np.full(live.size, math.inf)
-            best = np.full(live.size, -1)
-            for c in range(n_clocks):
-                sel = np.flatnonzero(alive[:, c]) if c < n else slice(None)
-                cand = self.invert(c, r, t0[sel], draws[head[sel]])
-                head[sel] += 1
-                win = cand < best_t[sel]
-                best_t[sel] = np.where(win, cand, best_t[sel])
-                best[sel] = np.where(win, c, best[sel])
-            ended = (best < 0) | (best_t >= self.T)
-            party = ~ended & (best >= n)
-            batch.party[live[party]] = best[party] - n + 1
-            batch.party_time[live[party]] = best_t[party]
-            ref = ~ended & ~party
-            used[live[~ref]] = head[~ref] - live[~ref]
-            pos[live] = head
-            live, who = live[ref], best[ref]
-            if not live.size:
-                break
-            batch.event_time[live, r] = t[live] = best_t[ref]
-            batch.event_entity[live, r] = who + 1
-            batch.n_events[live] = r + 1
-            dead[live, who] = True
-        return used, batch
-
-
-def _take(batch: PathBatch, rows) -> PathBatch:
-    return PathBatch(*(getattr(batch, f.name)[rows] for f in fields(PathBatch)))
-
 
 def simulate_paths(
     model: ContagionModel,
@@ -187,35 +130,49 @@ def simulate_paths(
     PiecewiseTable whose breaks are among the model's, overrides the model
     counterparty intensity.
 
-    Path p reads the next unused exponentials of ``default_rng(seed)``:
-    one per surviving name in ascending order, then the investor's and the
-    counterparty's, in every round.  The stream is drawn in blocks, a path
-    is run from every offset of a block at once, and the offsets are then
-    chained (each path starts where the previous one stopped), so a seed
-    gives the same paths as one scalar draw per clock would.
+    Round r draws one row of ``default_rng(seed).exponential`` per path
+    still running, in ascending path order, and one column per clock: the
+    names in id order, then the investor and the counterparty.  A path
+    reads the columns of its surviving names and of the parties, and ends
+    unless a reference name defaults first before T.
     """
     rng = np.random.default_rng(seed)
     clocks = _Clocks(model, portfolio, include_parties, h_C_true)
-    draws = np.empty(0)
-    parts = []
-    taken = 0
-    while not parts or taken < n_paths:
-        block = (n_paths - taken) * len(clocks.h) * 5 // 4 + 64
-        draws = np.concatenate([draws, rng.exponential(size=min(block, _MAX_BLOCK))])
-        used, batch = clocks.from_every_offset(draws)
-        used = used.tolist() + [-1]  # the end of the block stops the chain
-        starts = []
-        s = 0
-        for _ in range(n_paths - taken):
-            if used[s] < 0:
-                break
-            starts.append(s)
-            s += used[s]
-        parts.append(_take(batch, starts))
-        taken += len(starts)
-        draws = draws[s:]
-    return PathBatch(*(np.concatenate([getattr(b, f.name) for b in parts])
-                       for f in fields(PathBatch)))
+    n, n_clocks = clocks.n, len(clocks.h)
+    batch = PathBatch(
+        event_time=np.full((n_paths, n), math.inf),
+        event_entity=np.zeros((n_paths, n), dtype=np.int64),
+        n_events=np.zeros(n_paths, dtype=np.int64),
+        party=np.zeros(n_paths, dtype=np.int8),
+        party_time=np.full(n_paths, math.inf),
+    )
+    live = np.arange(n_paths)
+    t = np.zeros(n_paths)
+    dead = np.zeros((n_paths, n), dtype=bool)
+    for r in range(n + 1):  # every live path has r reference defaults
+        draws = rng.exponential(size=(live.size, n_clocks))
+        t0, alive = t[live], ~dead[live]
+        best_t = np.full(live.size, math.inf)
+        best = np.full(live.size, -1)
+        for c in range(n_clocks):
+            sel = np.flatnonzero(alive[:, c]) if c < n else slice(None)
+            cand = clocks.invert(c, r, t0[sel], draws[sel, c])
+            win = cand < best_t[sel]
+            best_t[sel] = np.where(win, cand, best_t[sel])
+            best[sel] = np.where(win, c, best[sel])
+        ended = (best < 0) | (best_t >= clocks.T)
+        party = ~ended & (best >= n)
+        batch.party[live[party]] = best[party] - n + 1
+        batch.party_time[live[party]] = best_t[party]
+        ref = ~ended & ~party
+        live, who = live[ref], best[ref]
+        if not live.size:
+            break
+        batch.event_time[live, r] = t[live] = best_t[ref]
+        batch.event_entity[live, r] = who + 1
+        batch.n_events[live] = r + 1
+        dead[live, who] = True
+    return batch
 
 
 # ---------------------------------------------------------------------------
