@@ -1,9 +1,8 @@
 """Static market data: rates, the counterparty rate band, contagion intensities,
 portfolio contracts, and validation of the no-arbitrage assumption.
 
-All rates are per annum and all times are in years.  Default states are
-encoded as bitmasks over the reference entities, with bit ``i - 1`` set when
-entity ``i`` (1-based) has defaulted.
+All rates are per annum and all times are in years.  Reference entities
+are numbered from 1; ``grids.StateSpace`` encodes the default states.
 """
 
 from __future__ import annotations

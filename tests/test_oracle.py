@@ -66,13 +66,15 @@ def _reference_paths(model, portfolio, n_paths, seed, include_parties, h_C_true)
     rng = np.random.default_rng(seed)
     n, T = portfolio.n, portfolio.maturity
     breaks = list(model.breakpoints())
-    paths = [[0, 0.0, [], None, math.inf] for _ in range(n_paths)]
-    running = list(range(n_paths))
+    state = [(0, 0.0)] * n_paths  # (mask of defaulted names, time of the last default)
+    events = [[] for _ in range(n_paths)]
+    party = [(None, math.inf)] * n_paths
+    running = range(n_paths)
     while running:
         still = []
         for p in running:
-            mask, t, events, _, _ = paths[p]
-            k = len(events)
+            mask, t = state[p]
+            k = len(events[p])
             clocks = [(i, lambda tt, i=i: model.intensity_by_count(i, tt, k))
                       for i in range(1, n + 1)]
             if include_parties:
@@ -88,13 +90,13 @@ def _reference_paths(model, portfolio, n_paths, seed, include_parties, h_C_true)
             if best_who is None or best_t >= T:
                 continue
             if best_who in ("I", "C"):
-                paths[p][3:] = [best_who, best_t]
+                party[p] = (best_who, best_t)
                 continue
-            events.append((best_t, best_who))
-            paths[p][:2] = [mask | 1 << (best_who - 1), best_t]
+            events[p].append((best_t, best_who))
+            state[p] = (mask | 1 << (best_who - 1), best_t)
             still.append(p)
         running = still
-    return [(events, party, party_time) for _, _, events, party, party_time in paths]
+    return [(ev, who, when) for ev, (who, when) in zip(events, party)]
 
 
 _PARTY = {oracle.PARTY_NONE: None, oracle.PARTY_I: "I", oracle.PARTY_C: "C"}
@@ -341,6 +343,7 @@ class TestVerifyReport:
 def _benchmark_workloads():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    # registered first: its dataclasses look their module up in sys.modules
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
