@@ -265,6 +265,33 @@ class TestMcCleanValue:
                                  20_000, seed=13)
         assert abs(est - res.clean.at0(0)) <= 3.0 * se
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("r_D", [0.0, 0.001])
+    def test_multi_name_matches_per_path_reference(self, r_D):
+        # tables with breaks and a -1 direction, priced one path and one
+        # contract at a time; survivors' inf default times must stay quiet
+        doc = copy.deepcopy(_GENERAL_THREE_NAME)
+        doc["rates"] = dict.fromkeys(doc["rates"], r_D)
+        cfg, model, portfolio, _ = market_from_dict(doc)
+        T, n_paths, seed = portfolio.maturity, 4_000, 31
+        taus = simulate_paths(model, portfolio, n_paths, seed,
+                              include_parties=False).default_times()
+        flows = []
+        for row in taus.tolist():
+            total = 0.0
+            for con, tau in zip(portfolio.contracts, row):
+                stop = min(tau, T)
+                annuity = stop if r_D == 0.0 else (1.0 - math.exp(-r_D * stop)) / r_D
+                loss = con.loss * math.exp(-r_D * tau) if tau <= T else 0.0
+                total += con.direction * (-con.spread * annuity + loss)
+            flows.append(total)
+        assert 0 < sum(math.isfinite(tau) for row in taus.tolist() for tau in row) < taus.size
+        mean = math.fsum(flows) / n_paths
+        se = math.sqrt(math.fsum((f - mean) ** 2 for f in flows) / (n_paths - 1) / n_paths)
+        est, got_se = mc_clean_value(cfg, model, portfolio, n_paths, seed)
+        assert est == pytest.approx(mean, rel=1e-12)
+        assert got_se == pytest.approx(se, rel=1e-12)
+
     def test_stratified_beats_plain_sampling(self, single_name_result):
         res = single_name_result
         est, se = mc_clean_value(res.cfg, res.model, res.portfolio,
