@@ -485,16 +485,26 @@ def test_benchmark_trace_hooks_bind():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_benchmark_trace_hooks_run(tmp_path):
-    # the tracer's after-hooks read attributes of the engine's objects (such
-    # as space.homogeneous and space.n); a traced toy run must end with rc 0
+@pytest.mark.parametrize("args, counts", [
+    (["xva", "--grid-points", "20"], {}),
+    # the benchmark's audit run: 100,000 clean and closeout paths and
+    # 2 x 10,000 pathwise ones; seed 0 passes (test_benchmark_audit_seeds_pass)
+    (["verify", "--paths", "100000", "--seed", "0"],
+     {"oracle.paths": 120_000, "oracle.checks_failed": 0}),
+], ids=["xva", "verify"])
+def test_benchmark_trace_hooks_run(tmp_path, args, counts):
+    # the tracer's after-hooks read attributes of the engine's and the
+    # oracle's objects (such as space.n and the verify report); a traced run
+    # must end with rc 0
     root = Path(cli.__file__).resolve().parents[2]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(root / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     result = tmp_path / "trace.json"
     proc = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "trace_child.py"), str(result), "xva",
-         "--config", str(SINGLE_NAME), "--out-dir", str(tmp_path / "out"), "--grid-points", "20"],
+        [sys.executable, str(root / "perfbench" / "trace_child.py"), str(result), args[0],
+         "--config", str(SINGLE_NAME), "--out-dir", str(tmp_path / "out"), *args[1:]],
         env=env, cwd=root, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(result.read_text(encoding="utf-8"))["rc"] == 0
+    trace = json.loads(result.read_text(encoding="utf-8"))
+    assert trace["rc"] == 0
+    assert {name: trace["counts"].get(name) for name in counts} == counts
