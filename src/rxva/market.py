@@ -286,15 +286,6 @@ class ValidationReport:
     def failures(self) -> list[InequalityCheck]:
         return [c for c in self.checks if not c.passed]
 
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": [
-                {"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "passed": c.passed}
-                for c in self.checks
-            ],
-        }
-
 
 class AssumptionError(RuntimeError):
     """Raised when pricing is attempted on a failed validation without override."""

@@ -318,12 +318,6 @@ class TestValidation:
         assert not report.passed
         assert report.checks[0].rhs == cfg.r_D
 
-    def test_report_as_dict(self, single_name_setup):
-        cfg, model, portfolio, _ = single_name_setup
-        doc = validate_assumptions(cfg, model, horizon=portfolio.maturity).as_dict()
-        assert doc["passed"] is True
-        assert all({"name", "lhs", "rhs", "passed"} <= set(c) for c in doc["checks"])
-
 
 # ---------------------------------------------------------------------------
 # Config parsing
