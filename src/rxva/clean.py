@@ -7,9 +7,9 @@ default state J,
 
 with v = 0 at s = 0 and v identically zero once all entities have defaulted.
 Spreads and losses carry the contract direction sign.  The coefficients are
-built here and integrated by the lattice pass of ``xva``.  A closed-form
-evaluation of the single-name integral representation serves as the exact
-cross-check for the ODE path.
+built here and integrated by the lattice pass of ``xva``.  The tests check
+the ODE path against the closed-form single-name value in
+``tests/references.py``.
 """
 
 from __future__ import annotations
@@ -88,47 +88,3 @@ def _state_coeffs(model, portfolio, space, h_C_true, t: float, key: int) -> Stat
         h_C=math.nan if h_C_true is None else h_C_true.at(t, count),
         alive_count=portfolio.n - count, transitions=tuple(transitions),
     )
-
-
-# ---------------------------------------------------------------------------
-# Single-name closed form
-# ---------------------------------------------------------------------------
-
-def clean_closed_form_single(
-    r_D: float,
-    h_table,
-    S: float,
-    L: float,
-    T: float,
-    t: float,
-    direction: int = 1,
-) -> float:
-    """Exact single-name clean value from the integral representation.
-
-    v(t) = direction * int_t^T (h(u) L - S) exp(-int_t^u (h + r_D)) du,
-    evaluated piece by piece with exponential primitives (no quadrature
-    error for piecewise-constant h).  ``h_table`` is a PiecewiseTable or a
-    (breaks, values) pair of flat sequences.
-    """
-    if not isinstance(h_table, PiecewiseTable):
-        breaks, values = h_table
-        h_table = PiecewiseTable(
-            breaks=tuple(float(b) for b in breaks),
-            values=tuple((float(v),) for v in values),
-        )
-    if t >= T:
-        return 0.0
-    edges = [t] + [b for b in h_table.breaks if t < b < T] + [T]
-    total = 0.0
-    discount = 1.0
-    for a, b in zip(edges, edges[1:]):
-        h = h_table.at(0.5 * (a + b), 0)
-        rate = h + r_D
-        width = b - a
-        if rate == 0.0:
-            piece = (h * L - S) * width
-        else:
-            piece = (h * L - S) * (1.0 - np.exp(-rate * width)) / rate
-        total += discount * piece
-        discount *= np.exp(-rate * width)
-    return direction * total

@@ -126,15 +126,6 @@ def initial_margin_var(
     raise ValueError(f"gamma must be +1 or -1, got {gamma}")
 
 
-def initial_margin_closed_form(
-    h_P: float, S: float, L: float, q: float, delta: float, beta: float
-) -> float:
-    """Constant-intensity closed form for gamma = -1 and t < T - delta."""
-    if q > np.exp(-h_P * delta):
-        return beta * (L + S * np.log(q) / h_P)
-    return 0.0
-
-
 # ---------------------------------------------------------------------------
 # Margin schedule
 # ---------------------------------------------------------------------------

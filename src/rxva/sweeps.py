@@ -246,15 +246,3 @@ def run_sweep(
                 out.rows.append(SweepRow(value=value, ok=False,
                                          error=f"{type(exc).__name__}: {exc}"))
     return out
-
-
-def is_monotone(values: np.ndarray, direction: str, slack: float = 1e-10) -> bool:
-    """Nonstrict monotonicity across adjacent grid points with a slack."""
-    diffs = np.diff(values)
-    if direction == "nonincreasing":
-        return bool(np.all(diffs <= slack))
-    if direction == "nondecreasing":
-        return bool(np.all(diffs >= -slack))
-    if direction == "constant":
-        return bool(np.all(np.abs(diffs) <= slack))
-    raise ValueError(f"unknown direction {direction!r}")

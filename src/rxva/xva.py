@@ -252,68 +252,3 @@ def solve_xva(
         if pocket is not None:
             result.pocket = LatticeSurface(grid, space, rows(pocket))
     return clean, results
-
-
-# ---------------------------------------------------------------------------
-# Direct value-level solve (verification path)
-# ---------------------------------------------------------------------------
-
-def solve_value_direct(
-    cfg: MarketConfig,
-    model: ContagionModel,
-    portfolio: Portfolio,
-    grid: np.ndarray,
-    margins: MarginSchedule,
-) -> LatticeSurface:
-    """Single-name replication value from the unreduced drift.
-
-    Solves the ODE for the full replication price U-bar whose drift carries
-    the contract spread and the un-netted closeout values theta_I, theta_C;
-    subtracting the clean value must reproduce the actual XVA.  Requires
-    mu_C_true and a single reference entity.
-    """
-    if portfolio.n != 1:
-        raise ValueError("the direct value solve is single-name only")
-    h_true = resolve_true_h_c(cfg, model)
-    if h_true is None:
-        raise ValueError("the direct value solve requires mu_C_true")
-    con = portfolio.contracts[0]
-    gamma = con.direction
-    L_I, L_C = portfolio.loss_investor, portfolio.loss_counterparty
-    alpha = margins.alpha
-    space = StateSpace(((1,),))
-    im0 = margins.im.values[0]
-    T = grid[-1]
-    mids = 0.5 * (grid[:-1] + grid[1:])
-
-    def rhs(seg, s, y):
-        t_mid = mids[seg]
-        v, u_bar = y
-        t = T - s
-        t0, t1 = grid[seg], grid[seg + 1]
-        w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-        m = alpha * v + (im0[seg] * (1.0 - w) + im0[seg + 1] * w)
-        theta_I, theta_C = closeout_excess(v, m, L_I, L_C)
-        theta_I, theta_C = v + theta_I, v + theta_C
-        h_1 = model.intensity_by_count(1, t_mid, 0)
-        h_I = model.intensity_by_count("I", t_mid, 0)
-        h_C = h_true.at(t_mid, 0)
-        gL, gS = gamma * con.loss, gamma * con.spread
-        dv = -cfg.r_D * v - gS + h_1 * (gL + 0.0 - v)
-        z_1 = gL - u_bar
-        z_I = theta_I - u_bar
-        z_C = theta_C - u_bar
-        y_f = u_bar + z_1 + z_I + z_C - m
-        f_val = -(
-            cfg.r_f_plus * max(y_f, 0.0)
-            - cfg.r_f_minus * max(-y_f, 0.0)
-            - cfg.r_D * (z_1 + z_I + z_C)
-            + cfg.r_m_plus * max(m, 0.0)
-            - cfg.r_m_minus * max(-m, 0.0)
-            + gS
-        )
-        du = h_I * z_I + h_C * z_C + h_1 * z_1 + f_val
-        return np.array([dv, du])
-
-    u_bar = rk4_sweep(grid, np.zeros(2), rhs)[1]
-    return LatticeSurface(grid, space, np.stack([u_bar, np.zeros_like(u_bar)]))

@@ -1,0 +1,138 @@
+"""Independent references the tests check the engine against.
+
+Each one computes a value the engine also produces, by another method: the
+clean value and the initial margin in closed form, the single-name
+replication value from its unreduced drift, and a monotonicity test for the
+sweep columns.  None of them is used by the program.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from rxva.collateral import MarginSchedule, closeout_excess
+from rxva.grids import LatticeSurface, StateSpace, rk4_sweep
+from rxva.market import ContagionModel, MarketConfig, PiecewiseTable, Portfolio
+from rxva.xva import resolve_true_h_c
+
+
+def clean_closed_form_single(
+    r_D: float,
+    h_table,
+    S: float,
+    L: float,
+    T: float,
+    t: float,
+    direction: int = 1,
+) -> float:
+    """Exact single-name clean value from the integral representation.
+
+    v(t) = direction * int_t^T (h(u) L - S) exp(-int_t^u (h + r_D)) du,
+    evaluated piece by piece with exponential primitives (no quadrature
+    error for piecewise-constant h).  ``h_table`` is a PiecewiseTable or a
+    (breaks, values) pair of flat sequences.
+    """
+    if not isinstance(h_table, PiecewiseTable):
+        breaks, values = h_table
+        h_table = PiecewiseTable(
+            breaks=tuple(float(b) for b in breaks),
+            values=tuple((float(v),) for v in values),
+        )
+    if t >= T:
+        return 0.0
+    edges = [t] + [b for b in h_table.breaks if t < b < T] + [T]
+    total = 0.0
+    discount = 1.0
+    for a, b in zip(edges, edges[1:]):
+        h = h_table.at(0.5 * (a + b), 0)
+        rate = h + r_D
+        width = b - a
+        if rate == 0.0:
+            piece = (h * L - S) * width
+        else:
+            piece = (h * L - S) * (1.0 - np.exp(-rate * width)) / rate
+        total += discount * piece
+        discount *= np.exp(-rate * width)
+    return direction * total
+
+
+def initial_margin_closed_form(
+    h_P: float, S: float, L: float, q: float, delta: float, beta: float
+) -> float:
+    """Constant-intensity closed form for gamma = -1 and t < T - delta."""
+    if q > np.exp(-h_P * delta):
+        return beta * (L + S * np.log(q) / h_P)
+    return 0.0
+
+
+def solve_value_direct(
+    cfg: MarketConfig,
+    model: ContagionModel,
+    portfolio: Portfolio,
+    grid: np.ndarray,
+    margins: MarginSchedule,
+) -> LatticeSurface:
+    """Single-name replication value from the unreduced drift.
+
+    Solves the ODE for the full replication price U-bar whose drift carries
+    the contract spread and the un-netted closeout values theta_I, theta_C;
+    subtracting the clean value must reproduce the actual XVA.  Requires
+    mu_C_true and a single reference entity.
+    """
+    if portfolio.n != 1:
+        raise ValueError("the direct value solve is single-name only")
+    h_true = resolve_true_h_c(cfg, model)
+    if h_true is None:
+        raise ValueError("the direct value solve requires mu_C_true")
+    con = portfolio.contracts[0]
+    gamma = con.direction
+    L_I, L_C = portfolio.loss_investor, portfolio.loss_counterparty
+    alpha = margins.alpha
+    space = StateSpace(((1,),))
+    im0 = margins.im.values[0]
+    T = grid[-1]
+    mids = 0.5 * (grid[:-1] + grid[1:])
+
+    def rhs(seg, s, y):
+        t_mid = mids[seg]
+        v, u_bar = y
+        t = T - s
+        t0, t1 = grid[seg], grid[seg + 1]
+        w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
+        m = alpha * v + (im0[seg] * (1.0 - w) + im0[seg + 1] * w)
+        theta_I, theta_C = closeout_excess(v, m, L_I, L_C)
+        theta_I, theta_C = v + theta_I, v + theta_C
+        h_1 = model.intensity_by_count(1, t_mid, 0)
+        h_I = model.intensity_by_count("I", t_mid, 0)
+        h_C = h_true.at(t_mid, 0)
+        gL, gS = gamma * con.loss, gamma * con.spread
+        dv = -cfg.r_D * v - gS + h_1 * (gL + 0.0 - v)
+        z_1 = gL - u_bar
+        z_I = theta_I - u_bar
+        z_C = theta_C - u_bar
+        y_f = u_bar + z_1 + z_I + z_C - m
+        f_val = -(
+            cfg.r_f_plus * max(y_f, 0.0)
+            - cfg.r_f_minus * max(-y_f, 0.0)
+            - cfg.r_D * (z_1 + z_I + z_C)
+            + cfg.r_m_plus * max(m, 0.0)
+            - cfg.r_m_minus * max(-m, 0.0)
+            + gS
+        )
+        du = h_I * z_I + h_C * z_C + h_1 * z_1 + f_val
+        return np.array([dv, du])
+
+    u_bar = rk4_sweep(grid, np.zeros(2), rhs)[1]
+    return LatticeSurface(grid, space, np.stack([u_bar, np.zeros_like(u_bar)]))
+
+
+def is_monotone(values: np.ndarray, direction: str, slack: float = 1e-10) -> bool:
+    """Nonstrict monotonicity across adjacent grid points with a slack."""
+    diffs = np.diff(values)
+    if direction == "nonincreasing":
+        return bool(np.all(diffs <= slack))
+    if direction == "nondecreasing":
+        return bool(np.all(diffs >= -slack))
+    if direction == "constant":
+        return bool(np.all(np.abs(diffs) <= slack))
+    raise ValueError(f"unknown direction {direction!r}")

@@ -17,8 +17,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from rxva.clean import clean_closed_form_single
-from rxva.collateral import initial_margin_closed_form, initial_margin_var
+from rxva.collateral import initial_margin_var
 from rxva.engine import run_engine
 from rxva.grids import StateSpace, build_grid
 from rxva.market import (
@@ -31,11 +30,12 @@ from rxva.market import (
     market_from_dict,
 )
 from rxva.oracle import mc_clean_value, mc_xva_closeout, pathwise_wealth_check
-from rxva.sweeps import SweepSpec, default_grid, is_monotone, run_sweep
+from rxva.sweeps import SweepSpec, default_grid, run_sweep
 from rxva.xva import solve_clean
 import rxva.cli as cli
 
 from conftest import FIVE_NAME, SINGLE_NAME
+from references import clean_closed_form_single, initial_margin_closed_form, is_monotone
 
 TRIPLE = ("actual", "upper", "lower")
 

@@ -5,7 +5,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rxva.clean import clean_closed_form_single
 from rxva.grids import StateSpace, build_grid
 from rxva.market import (
     Contract,
@@ -15,6 +14,8 @@ from rxva.market import (
     contagion_from_dict,
 )
 from rxva.xva import solve_clean
+
+from references import clean_closed_form_single
 
 
 def _cfg(r_D: float) -> MarketConfig:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from rxva.collateral import (
     closeout_excess,
-    initial_margin_closed_form,
     initial_margin_var,
     margin_schedule,
     variation_margin,
@@ -23,6 +22,8 @@ from rxva.market import (
     Portfolio,
     contagion_from_dict,
 )
+
+from references import initial_margin_closed_form
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,12 @@ from rxva.sweeps import (
     _apply_param,
     base_value,
     default_grid,
-    is_monotone,
     run_sweep,
     sweep_point,
 )
 
 from conftest import FIVE_NAME, SINGLE_NAME
+from references import is_monotone
 
 
 def _load_doc():

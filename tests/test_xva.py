@@ -20,11 +20,11 @@ from rxva.xva import (
     lattice_rhs,
     resolve_true_h_c,
     solve_clean,
-    solve_value_direct,
     solve_xva,
 )
 
 from conftest import FIVE_NAME, SINGLE_NAME
+from references import solve_value_direct
 
 
 def _load_doc(path=SINGLE_NAME):
