@@ -285,7 +285,7 @@ class TestMcCleanValue:
                 loss = con.loss * math.exp(-r_D * tau) if tau <= T else 0.0
                 total += con.direction * (-con.spread * annuity + loss)
             flows.append(total)
-        assert 0 < sum(math.isfinite(tau) for row in taus.tolist() for tau in row) < taus.size
+        assert 0 < np.isfinite(taus).sum() < taus.size  # some names default, some survive
         mean = math.fsum(flows) / n_paths
         se = math.sqrt(math.fsum((f - mean) ** 2 for f in flows) / (n_paths - 1) / n_paths)
         est, got_se = mc_clean_value(cfg, model, portfolio, n_paths, seed)
