@@ -150,9 +150,6 @@ class LatticeSurface:
     def at0(self, key: int = 0) -> float:
         return float(self.values[key][0])
 
-    def terminal(self, key: int = 0) -> float:
-        return float(self.values[key][-1])
-
 
 def zero_surface(grid: np.ndarray, space: StateSpace) -> LatticeSurface:
     return LatticeSurface(grid=grid, space=space, values=np.zeros((space.size, len(grid))))

@@ -36,16 +36,6 @@ class StrategySnapshot:
     xi_f_value: float
     psi_m_value: float
 
-    def wealth(self) -> float:
-        """Total portfolio value carried by the holdings."""
-        return (
-            sum(self.xi_ref_values.values())
-            + self.xi_I_value
-            + self.xi_C_value
-            + self.xi_f_value
-            - self.psi_m_value
-        )
-
 
 def robust_strategy(
     u_surface: LatticeSurface,

@@ -83,75 +83,129 @@ def lattice_rhs(
 ):
     """dy/ds of the joint clean/XVA system on one constant-coefficient piece.
 
-    This is the only copy of the reduced XVA driver and of the
-    band-switching rule.  ``y`` holds blocks of ``size`` values, one per
-    lattice state in key order: the clean value, then one block per entry
-    of ``variants``, then, when mu_C_true is set, one pocket block per upper
-    or lower variant.  Returns ``rhs(states, im0, im1, w, y) -> list``, where
-    ``states`` is a coefficient bundle, ``im0``/``im1`` the initial margin of
-    each state at the two ends of the segment and ``w`` the position of the
-    stage between them.  The true counterparty intensity is the bundle's
-    ``h_C``.
+    ``y`` holds blocks of ``size`` values, one per lattice state in key
+    order: the clean value, then one block per entry of ``variants``, then,
+    when mu_C_true is set, one pocket block per upper or lower variant.
+    Returns ``rhs(states, im0, im1, w, y) -> list``, where ``states`` is a
+    coefficient bundle, ``im0``/``im1`` the initial margin of each state at
+    the two ends of the segment and ``w`` the position of the stage between
+    them.  The true counterparty intensity is the bundle's ``h_C``.
+
+    The first call with a bundle makes its kernel (see ``_kernel_source``),
+    and every later call with that bundle object reuses it.  The kernel
+    source is compiled once per lattice shape.
     """
     if any(which not in VARIANTS for which in variants):
         raise ValueError(f"variants must be drawn from {VARIANTS}, got {variants!r}")
     if cfg.mu_C_true is None and "actual" in variants:
         raise ValueError("the actual XVA solve requires mu_C_true in the config")
-    h_low, h_high = cfg.counterparty_band_rates()
-    picks = {"actual": None, "upper": (h_high, h_low), "lower": (h_low, h_high)}
-    layout, n_blocks = _layout(cfg, variants)
-    blocks = [  # (column offset, (rate if z_C >= 0, rate otherwise) or None, pocket offset)
-        (block * size, picks[which], None if pocket is None else pocket * size)
-        for which, block, pocket in layout
-    ]
-    n_cols = n_blocks * size
-    L_I, L_C = portfolio.loss_investor, portfolio.loss_counterparty
     r_D = cfg.r_D
-    r_f_plus, r_f_minus = cfg.r_f_plus, cfg.r_f_minus
-    r_m_plus, r_m_minus = cfg.r_m_plus, cfg.r_m_minus
+    h_low, h_high = cfg.counterparty_band_rates()
+    rates = (-r_D, r_D, alpha, -portfolio.loss_investor, -portfolio.loss_counterparty,
+             cfg.r_f_plus, cfg.r_f_minus, cfg.r_m_plus, cfg.r_m_minus, h_low, h_high)
+    layout, n_blocks = _layout(cfg, variants)
+    makers = {}  # children of every state -> make(coeffs) compiled for that shape
+    kernels = {}  # id(bundle) -> (bundle, kernel); holding the bundle keeps its id unique
+
+    def new_kernel(states):
+        if len(states) != size:
+            raise ValueError(f"a bundle of {len(states)} states for a lattice of {size}")
+        shape = tuple(tuple(move[0] for move in st.transitions) for st in states)
+        if shape not in makers:
+            namespace = {}
+            source = _kernel_source(shape, layout, n_blocks)
+            exec(compile(source, "<lattice kernel>", "exec"), namespace)
+            makers[shape] = namespace["make"]
+        coeffs = list(rates)  # in the order of _RATES, _STATE_COEFFS and _MOVE_COEFFS
+        for st in states:
+            coeffs += (st.sum_S, st.sum_L, st.h_I, st.h_C, st.alive_count,
+                       r_D * st.sum_L, h_low - st.h_C, h_high - st.h_C)
+            for _child, rate, loss, count in st.transitions:
+                coeffs += (rate, loss, count)
+        return makers[shape](tuple(coeffs))
 
     def rhs(states, im0, im1, w, y):
-        out = [0.0] * n_cols
-        for k, st in enumerate(states):
-            v_k = y[k]
-            dv = -r_D * v_k - st.sum_S
-            for child, rate, loss, _count in st.transitions:
-                dv += rate * (loss + y[child] - v_k)
-            out[k] = dv
-            if not blocks:
-                continue
-            m = alpha * v_k + im0[k] * (1.0 - w) + im1[k] * w
-            gap = v_k - m
-            theta_I = -L_I * gap if gap > 0.0 else 0.0
-            theta_C = -L_C * gap if gap < 0.0 else 0.0
-            h_true = st.h_C
-            for off, pick, pocket in blocks:
-                u_k = y[off + k]
-                z_I = theta_I - u_k
-                z_C = theta_C - u_k
-                child_sum = 0.0
-                jump = 0.0
-                for child, rate, _loss, count in st.transitions:
-                    u_c = y[off + child]
-                    child_sum += count * u_c
-                    jump += rate * (u_c - u_k)
-                z = child_sum - st.alive_count * u_k
-                if pick is None:
-                    h_C = h_true
-                else:
-                    h_C = pick[0] if z_C >= 0.0 else pick[1]
-                y_f = u_k + z + z_I + z_C + st.sum_L - m
-                out[off + k] = st.h_I * z_I + h_C * z_C + jump + (
-                    -(r_f_plus * y_f if y_f > 0.0 else r_f_minus * y_f)
-                    + r_D * (z + z_I + z_C)
-                    - (r_m_plus * m if m > 0.0 else r_m_minus * m)
-                    + r_D * st.sum_L
-                )
-                if pocket is not None:
-                    out[pocket + k] = (h_C - h_true) * z_C
-        return out
+        entry = kernels.get(id(states))
+        if entry is None:
+            entry = kernels[id(states)] = (states, new_kernel(states))
+        return entry[1](im0, im1, w, y)
 
     return rhs
+
+
+# The reduced XVA driver and the band-switching rule, as kernel source.  This
+# is their only copy.  Coefficients: nrD = -r_D, A = alpha, nLI = -L_I,
+# nLC = -L_C, hL/hH the band's counterparty intensities; per state k, S the
+# spread sum, sL the loss sum, hI, hC the true counterparty intensity, n the
+# contracts alive, rL = r_D * sL and qL/qH = hL/hH - hC; per move j, R the
+# rate, L the loss and c the contracts retired.  v{k} is the clean value and
+# u{b}_{k} the value of variant block b.
+_RATES = "nrD, rD, A, nLI, nLC, rfp, rfm, rmp, rmm, hL, hH"
+_STATE_COEFFS = "S{k}, sL{k}, hI{k}, hC{k}, n{k}, rL{k}, qL{k}, qH{k}"
+_MOVE_COEFFS = "R{k}_{j}, L{k}_{j}, c{k}_{j}"
+_CLEAN = "d{k} = nrD * v{k} - S{k}{moves}"
+_CLEAN_MOVE = " + R{k}_{j} * (L{k}_{j} + v{c} - v{k})"
+_COLLATERAL = """\
+m = A * v{k} + im0[{k}] * w0 + im1[{k}] * w
+g = v{k} - m
+tI = nLI * g if g > 0.0 else 0.0
+tC = nLC * g if g < 0.0 else 0.0
+fm = rmp * m if m > 0.0 else rmm * m"""
+_VARIANT = """\
+zI = tI - {u}
+zC = tC - {u}
+z = 0.0{children} - n{k} * {u}
+yf = {u} + z + zI + zC + sL{k} - m
+o{b}_{k} = hI{k} * zI + {h_C} * zC + (0.0{jumps}) + (
+    -(rfp * yf if yf > 0.0 else rfm * yf) + rD * (z + zI + zC) - fm + rL{k})"""
+_CHILD = " + c{k}_{j} * {uc}"
+_JUMP = " + R{k}_{j} * ({uc} - {u})"
+_H_C = {"actual": "hC{k}",
+        "upper": "(hH if zC >= 0.0 else hL)",
+        "lower": "(hL if zC >= 0.0 else hH)"}
+_POCKET = {"upper": "p{p}_{k} = (qH{k} if zC >= 0.0 else qL{k}) * zC",
+           "lower": "p{p}_{k} = (qL{k} if zC >= 0.0 else qH{k}) * zC"}
+
+
+def _kernel_source(shape, layout, n_blocks: int) -> str:
+    """Source of ``make(coeffs) -> kernel(im0, im1, w, y)`` for one lattice shape.
+
+    ``shape`` lists the children of every state and ``coeffs`` is a bundle
+    flattened by ``lattice_rhs``.  The kernel is the right-hand side
+    unrolled over states, moves and blocks, with the lattice values in
+    local variables.  It performs the float operations of a loop over the
+    states in the same order, so every value rounds as it would there.
+    """
+    size = len(shape)
+    names, body = [_RATES], []
+    y = [[f"v{k}" for k in range(size)]] + [["_"] * size for _ in range(n_blocks - 1)]
+    out = [[f"d{k}" for k in range(size)]] + [[None] * size for _ in range(n_blocks - 1)]
+    for k, children in enumerate(shape):
+        moves = list(enumerate(children))
+        names.append(_STATE_COEFFS.format(k=k))
+        names += (_MOVE_COEFFS.format(k=k, j=j) for j, _ in moves)
+        body.append(_CLEAN.format(k=k, moves="".join(
+            _CLEAN_MOVE.format(k=k, j=j, c=c) for j, c in moves)))
+        if layout:
+            body.append(_COLLATERAL.format(k=k))
+        for which, b, p in layout:
+            u = y[b][k] = f"u{b}_{k}"
+            body.append(_VARIANT.format(
+                k=k, b=b, u=u, h_C=_H_C[which].format(k=k),
+                children="".join(_CHILD.format(k=k, j=j, uc=f"u{b}_{c}") for j, c in moves),
+                jumps="".join(_JUMP.format(k=k, j=j, uc=f"u{b}_{c}", u=u) for j, c in moves),
+            ))
+            out[b][k] = f"o{b}_{k}"
+            if p is not None:
+                body.append(_POCKET[which].format(p=p, k=k))
+                out[p][k] = f"p{p}_{k}"
+    lines = [f"{', '.join(names)}, = coeffs", f"{', '.join(sum(y, []))}, = y"]
+    lines += ["w0 = 1.0 - w"] * bool(layout) + body + [f"return [{', '.join(sum(out, []))}]"]
+    # the coefficients are bound as a default, not a closure: compiling a
+    # closure over tens of thousands of names takes time quadratic in them
+    return ("def make(coeffs):\n    def kernel(im0, im1, w, y, coeffs=coeffs):\n"
+            + "".join(f"        {line}\n" for text in lines for line in text.split("\n"))
+            + "    return kernel\n")
 
 
 # ---------------------------------------------------------------------------
@@ -190,14 +244,21 @@ def _joint_pass(cfg, model, portfolio, grid, space, margins, variants):
         w = 0.0 if t1 == t0 else (T - s - t0) / (t1 - t0)
         return np.asarray(kernel(by_seg[seg], im[seg], im[seg + 1], w, y.tolist()))
 
+    layout, n_blocks = _layout(cfg, variants)
     with np.errstate(over="ignore", invalid="ignore"):
-        path = rk4_sweep(grid, np.zeros(_layout(cfg, variants)[1] * size), rhs)
+        path = rk4_sweep(grid, np.zeros(n_blocks * size), rhs)
     bad = ~np.isfinite(path)
     if bad.any():
         node = int(np.flatnonzero(bad.any(axis=0))[-1])  # the pass runs backwards
         row = int(np.flatnonzero(bad[:, node])[0])
+        surfaces = ["clean"] * n_blocks
+        for which, block, pocket in layout:
+            surfaces[block] = which
+            if pocket is not None:
+                surfaces[pocket] = f"{which} pocket"
         raise ConfigError(f"the lattice pass is not finite: {path[row, node]} in state "
-                          f"{row % size} at t = {nodes[node]}")
+                          f"{row % size} at t = {nodes[node]} of the "
+                          f"{surfaces[row // size]} surface")
     return path
 
 

@@ -2,18 +2,22 @@
 
 Each one computes a value the engine also produces, by another method: the
 clean value and the initial margin in closed form, the single-name
-replication value from its unreduced drift, and a monotonicity test for the
-sweep columns.  None of them is used by the program.
+replication value from its unreduced drift, the lattice right-hand side and
+pass as a loop over the states, the wealth of a strategy snapshot, and a
+monotonicity test for the sweep columns.  None of them is used by the
+program.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from rxva.clean import lattice_coefficients
 from rxva.collateral import MarginSchedule, closeout_excess
 from rxva.grids import LatticeSurface, StateSpace, rk4_sweep
 from rxva.market import ContagionModel, MarketConfig, PiecewiseTable, Portfolio
-from rxva.xva import resolve_true_h_c
+from rxva.strategies import StrategySnapshot
+from rxva.xva import VARIANTS, _layout, resolve_true_h_c
 
 
 def clean_closed_form_single(
@@ -124,6 +128,110 @@ def solve_value_direct(
 
     u_bar = rk4_sweep(grid, np.zeros(2), rhs)[1]
     return LatticeSurface(grid, space, np.stack([u_bar, np.zeros_like(u_bar)]))
+
+
+def loop_lattice_rhs(
+    cfg: MarketConfig,
+    portfolio: Portfolio,
+    size: int,
+    alpha: float,
+    variants: tuple[str, ...] = (),
+):
+    """``xva.lattice_rhs`` as a plain loop over states, moves and blocks.
+
+    The scalar driver the generated kernels unroll: same arguments, same
+    ``rhs(states, im0, im1, w, y) -> list``, and the same float operations
+    in the same order, so the two must agree bit for bit.
+    """
+    if any(which not in VARIANTS for which in variants):
+        raise ValueError(f"variants must be drawn from {VARIANTS}, got {variants!r}")
+    if cfg.mu_C_true is None and "actual" in variants:
+        raise ValueError("the actual XVA solve requires mu_C_true in the config")
+    h_low, h_high = cfg.counterparty_band_rates()
+    picks = {"actual": None, "upper": (h_high, h_low), "lower": (h_low, h_high)}
+    layout, n_blocks = _layout(cfg, variants)
+    blocks = [  # (column offset, (rate if z_C >= 0, rate otherwise) or None, pocket offset)
+        (block * size, picks[which], None if pocket is None else pocket * size)
+        for which, block, pocket in layout
+    ]
+    n_cols = n_blocks * size
+    L_I, L_C = portfolio.loss_investor, portfolio.loss_counterparty
+    r_D = cfg.r_D
+    r_f_plus, r_f_minus = cfg.r_f_plus, cfg.r_f_minus
+    r_m_plus, r_m_minus = cfg.r_m_plus, cfg.r_m_minus
+
+    def rhs(states, im0, im1, w, y):
+        out = [0.0] * n_cols
+        for k, st in enumerate(states):
+            v_k = y[k]
+            dv = -r_D * v_k - st.sum_S
+            for child, rate, loss, _count in st.transitions:
+                dv += rate * (loss + y[child] - v_k)
+            out[k] = dv
+            if not blocks:
+                continue
+            m = alpha * v_k + im0[k] * (1.0 - w) + im1[k] * w
+            gap = v_k - m
+            theta_I = -L_I * gap if gap > 0.0 else 0.0
+            theta_C = -L_C * gap if gap < 0.0 else 0.0
+            h_true = st.h_C
+            for off, pick, pocket in blocks:
+                u_k = y[off + k]
+                z_I = theta_I - u_k
+                z_C = theta_C - u_k
+                child_sum = 0.0
+                jump = 0.0
+                for child, rate, _loss, count in st.transitions:
+                    u_c = y[off + child]
+                    child_sum += count * u_c
+                    jump += rate * (u_c - u_k)
+                z = child_sum - st.alive_count * u_k
+                if pick is None:
+                    h_C = h_true
+                else:
+                    h_C = pick[0] if z_C >= 0.0 else pick[1]
+                y_f = u_k + z + z_I + z_C + st.sum_L - m
+                out[off + k] = st.h_I * z_I + h_C * z_C + jump + (
+                    -(r_f_plus * y_f if y_f > 0.0 else r_f_minus * y_f)
+                    + r_D * (z + z_I + z_C)
+                    - (r_m_plus * m if m > 0.0 else r_m_minus * m)
+                    + r_D * st.sum_L
+                )
+                if pocket is not None:
+                    out[pocket + k] = (h_C - h_true) * z_C
+        return out
+
+    return rhs
+
+
+def loop_pass(cfg, model, portfolio, grid, space, margins, variants) -> np.ndarray:
+    """``xva._joint_pass`` on ``loop_lattice_rhs``, without the finiteness check."""
+    size = space.size
+    kernel = loop_lattice_rhs(cfg, portfolio, size, margins.alpha, variants)
+    by_seg = lattice_coefficients(model, portfolio, space, resolve_true_h_c(cfg, model),
+                                  0.5 * (grid[:-1] + grid[1:]))
+    im = margins.im.values.T.tolist()
+    nodes = grid.tolist()
+    T = nodes[-1]
+
+    def rhs(seg, s, y):
+        t0, t1 = nodes[seg], nodes[seg + 1]
+        w = 0.0 if t1 == t0 else (T - s - t0) / (t1 - t0)
+        return np.asarray(kernel(by_seg[seg], im[seg], im[seg + 1], w, y.tolist()))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        return rk4_sweep(grid, np.zeros(_layout(cfg, variants)[1] * size), rhs)
+
+
+def wealth(snap: StrategySnapshot) -> float:
+    """Total portfolio value carried by the holdings of ``snap``."""
+    return (
+        sum(snap.xi_ref_values.values())
+        + snap.xi_I_value
+        + snap.xi_C_value
+        + snap.xi_f_value
+        - snap.psi_m_value
+    )
 
 
 def is_monotone(values: np.ndarray, direction: str, slack: float = 1e-10) -> bool:

@@ -56,7 +56,7 @@ class TestSingleNameValues:
 
     def test_terminal_value_zero(self):
         surface, _ = _solve_single(0.02, 0.02, 0.5, (1.0,), (0.1, 0.3), 2.0)
-        assert surface.terminal(0) == 0.0
+        assert surface.values[0][-1] == 0.0
         assert clean_closed_form_single(
             0.02, ((1.0,), (0.1, 0.3)), 0.02, 0.5, 2.0, 2.0
         ) == 0.0

@@ -271,17 +271,22 @@ class TestExitCodes:
         assert not out.exists()
 
     _NON_FINITE_PASS = [
-        ("price", ("spread",), 1e308, ()), ("xva", ("spread",), 1e308, ()),
-        ("price", ("maturity",), 1e300, ("--grid-points", "5")),
+        ("price", ("spread",), 1e308, (), "clean"), ("xva", ("spread",), 1e308, (), "clean"),
+        ("price", ("maturity",), 1e300, ("--grid-points", "5"), "clean"),
+        ("xva", ("rates", "r_f_plus"), 1e308, ("--allow-assumption-violation",), "actual"),
     ]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("command, field, value, extra", _NON_FINITE_PASS,
-                             ids=["price-spread", "xva-spread", "price-maturity"])
-    def test_non_finite_pass_refused(self, tmp_path, capsys, command, field, value, extra):
+    @pytest.mark.parametrize("command, field, value, extra, surface", _NON_FINITE_PASS,
+                             ids=["price-spread", "xva-spread", "price-maturity", "xva-r_f_plus"])
+    def test_non_finite_pass_refused(self, tmp_path, capsys, command, field, value, extra,
+                                     surface):
         doc = _minimal_doc()
-        block = doc["portfolio"]["contracts"][0] if field == ("spread",) else doc["portfolio"]
-        block[field[0]] = value
+        if field == ("spread",):
+            block = doc["portfolio"]["contracts"][0]
+        else:
+            block = doc[field[0]] if len(field) == 2 else doc["portfolio"]
+        block[field[-1]] = value
         cfg = _write_config(tmp_path, doc)
         out = tmp_path / "out"
         assert _run(command, "--config", str(cfg), "--out-dir", str(out),
@@ -289,6 +294,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "configuration error: the lattice pass is not finite" in err
         assert "in state 0 at t = " in err
+        assert f" of the {surface} surface" in err
         assert list(out.iterdir()) == []
 
     def test_non_finite_pass_fails_its_sweep_point(self, tmp_path, capsys):

@@ -143,7 +143,7 @@ class TestLatticeSurface:
                               values=np.array([[0.0, 2.0, 4.0], [0.0, 0.0, 0.0]]))
         assert surf.at(0, 0.5) == pytest.approx(1.0)
         assert surf.at0(0) == 0.0
-        assert surf.terminal(0) == 4.0
+        assert surf.values[0][-1] == 4.0
 
     def test_rows_order(self, tmp_path):
         # CSV export walks the states in key order, each over the whole grid

@@ -11,6 +11,7 @@ from rxva.strategies import robust_strategy
 from rxva.xva import REGIME_HI
 
 from conftest import SINGLE_NAME
+from references import wealth
 
 
 def _sample_points(result, n_times=7):
@@ -28,7 +29,7 @@ class TestWealthIdentity:
             for t in _sample_points(res):
                 snap = robust_strategy(surf, res.clean, res.margins.m,
                                        res.portfolio, t, key)
-                assert snap.wealth() == pytest.approx(surf.at(key, t), abs=1e-9)
+                assert wealth(snap) == pytest.approx(surf.at(key, t), abs=1e-9)
 
     def test_five_name_homogeneous(self, five_name_result):
         res = five_name_result
@@ -37,7 +38,7 @@ class TestWealthIdentity:
             for t in _sample_points(res, n_times=4):
                 snap = robust_strategy(surf, res.clean, res.margins.m,
                                        res.portfolio, t, key)
-                assert snap.wealth() == pytest.approx(surf.at(key, t), abs=1e-9)
+                assert wealth(snap) == pytest.approx(surf.at(key, t), abs=1e-9)
                 assert len(snap.alive) == res.portfolio.n - key
 
     def test_collateral_leg_carries_margin(self, five_name_result):

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -12,11 +13,14 @@ from hypothesis import strategies as st
 from rxva.clean import StateCoeffs
 from rxva.collateral import closeout_excess
 from rxva.engine import run_engine
+from rxva.grids import StateSpace
 from rxva.market import MarketConfig, Portfolio, market_from_dict, validate_assumptions
 from rxva.xva import (
     REGIME_HI,
     REGIME_LO,
     REGIME_TIE,
+    VARIANTS,
+    _layout,
     lattice_rhs,
     resolve_true_h_c,
     solve_clean,
@@ -24,7 +28,7 @@ from rxva.xva import (
 )
 
 from conftest import FIVE_NAME, SINGLE_NAME
-from references import solve_value_direct
+from references import loop_lattice_rhs, loop_pass, solve_value_direct
 
 
 def _load_doc(path=SINGLE_NAME):
@@ -194,6 +198,112 @@ class TestSwitchingRate:
 
 
 # ---------------------------------------------------------------------------
+# Generated kernels against the loop kernel
+# ---------------------------------------------------------------------------
+
+_SIGNED = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def _rhs_case(draw):
+    """Arguments of ``lattice_rhs`` and of one call of its ``rhs``: a lattice
+    of one to three classes of one or two names, a variant subset in any
+    order, and a bundle whose coefficients are all floats or all np.float64."""
+    number = draw(st.sampled_from((float, np.float64)))
+
+    def coeff():
+        return number(draw(_SIGNED))
+
+    sizes = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    ids = iter(range(1, sum(sizes) + 1))
+    space = StateSpace(tuple(tuple(next(ids) for _ in range(n)) for n in sizes))
+    lo, hi = sorted((draw(_SIGNED), draw(_SIGNED)))
+    true = draw(st.one_of(st.none(), _SIGNED))
+    cfg = MarketConfig(r_D=coeff(), r_f_plus=coeff(), r_f_minus=coeff(), r_m_plus=coeff(),
+                       r_m_minus=coeff(), mu_C_lower=lo, mu_C_upper=hi, mu_C_true=true)
+    allowed = VARIANTS if true is not None else ("upper", "lower")
+    variants = tuple(draw(st.lists(st.sampled_from(allowed), unique=True)))
+    losses = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(0.0, 1.0))
+    portfolio = _losses(draw(losses), draw(losses))
+    states = tuple(
+        StateCoeffs(sum_S=coeff(), sum_L=coeff(), h_I=coeff(),
+                    h_C=math.nan if true is None else coeff(),
+                    alive_count=space.n - space.count(key),
+                    transitions=tuple((child, coeff(), coeff(), len(entities))
+                                      for child, entities in space.moves(key)))
+        for key in space.keys
+    )
+    size = space.size
+    n_cols = size * _layout(cfg, variants)[1]
+    im0, im1, y = (draw(st.lists(_SIGNED, min_size=n, max_size=n)) for n in (size, size, n_cols))
+    call = (states, im0, im1, draw(st.floats(0.0, 1.0)), y)
+    return (cfg, portfolio, size, coeff(), variants), call
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestGeneratedKernel:
+    @settings(deadline=None, max_examples=150)
+    @given(_rhs_case())
+    def test_matches_loop_kernel(self, case):
+        args, call = case
+        rhs = lattice_rhs(*args)
+        want = loop_lattice_rhs(*args)(*call)
+        for _ in range(2):  # the second call runs the kept kernel
+            got = rhs(*call)
+            assert got == want
+            assert _bits(got) == _bits(want)  # zeros keep their sign
+
+    def test_kernel_cache_survives_id_reuse(self):
+        # bundles of one shape built and dropped in turn: the id of a freed
+        # bundle is reused at once, and a kernel kept by id alone would then
+        # run the coefficients of a bundle that no longer exists
+        cfg = _cfg(r_D=0.01, r_f_plus=0.05, r_f_minus=0.02,
+                   r_m_plus=0.01, r_m_minus=0.03, true=0.15)
+        space = StateSpace(((1, 2), (3,)))
+        rng = np.random.default_rng(21)
+
+        def bundle():
+            return tuple([
+                _state(h_I=rng.uniform(0.0, 0.3), sum_L=rng.normal(), h_C=rng.uniform(0.0, 0.3),
+                       alive=space.n - space.count(key),
+                       transitions=tuple((child, rng.uniform(0.0, 0.3), rng.normal(), len(ids))
+                                         for child, ids in space.moves(key)))
+                for key in space.keys
+            ])
+
+        assert len({id(bundle()) for _ in range(20)}) < 20  # ids of dropped bundles recur
+        args = (cfg, _losses(), space.size, 0.3, VARIANTS)
+        rhs, loop = lattice_rhs(*args), loop_lattice_rhs(*args)
+        for _ in range(50):
+            states = bundle()
+            im0, im1 = rng.normal(size=(2, space.size)).tolist()
+            y = rng.normal(size=space.size * 6).tolist()
+            assert rhs(states, im0, im1, 0.25, y) == loop(states, im0, im1, 0.25, y)
+            del states
+
+    def test_full_ten_name_lattice_matches_loop_pass(self):
+        # the largest lattice the engine admits: ten names with distinct
+        # spreads, 2^10 states, one kernel of tens of thousands of lines
+        doc = _load_doc(FIVE_NAME)
+        contract = doc["portfolio"]["contracts"][0]
+        doc["portfolio"]["contracts"] = [dict(contract, spread=0.02 + 0.001 * i)
+                                         for i in range(10)]
+        cfg, model, portfolio, model_P = market_from_dict(doc)
+        res = run_engine(cfg, model, portfolio, model_P, variants=VARIANTS, grid_points=4,
+                         allow_assumption_violation=True)
+        assert res.space.size == 1024
+        want = loop_pass(cfg, model, portfolio, res.grid, res.space, res.margins, VARIANTS)
+        surfaces = [res.clean] + [res.xva[w].surface for w in VARIANTS]
+        surfaces += [res.xva[w].pocket for w in ("upper", "lower")]
+        got = np.concatenate([surface.values for surface in surfaces])
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # Lattice solves
 # ---------------------------------------------------------------------------
 
@@ -211,7 +321,7 @@ class TestSolveXva:
         res = single_name_result
         for which in ("actual", "upper", "lower"):
             surf = res.xva[which].surface
-            assert surf.terminal(0) == 0.0
+            assert surf.values[0][-1] == 0.0
             assert np.all(surf.values[1] == 0.0)
 
     def test_band_collapse_single_name(self):
@@ -287,7 +397,7 @@ class TestSolveXva:
 
     def test_pocket_zero_at_origin_grows_backwards(self, single_name_result):
         pocket = single_name_result.xva["upper"].pocket
-        assert pocket.terminal(0) == 0.0
+        assert pocket.values[0][-1] == 0.0
         # accumulated surplus from t to T is nonnegative for the upper solve
         assert np.min(pocket.values[0]) >= -1e-12
 
