@@ -153,29 +153,3 @@ class LatticeSurface:
 
 def zero_surface(grid: np.ndarray, space: StateSpace) -> LatticeSurface:
     return LatticeSurface(grid=grid, space=space, values=np.zeros((space.size, len(grid))))
-
-
-def rk4_sweep(grid: np.ndarray, y0: np.ndarray, rhs) -> np.ndarray:
-    """Classical fixed-step RK4 in reversed time s = T - t.
-
-    ``rhs(seg, s, y)`` returns dy/ds, where ``seg`` is the index of the
-    calendar segment being crossed (segments are traversed from the last to
-    the first).  Returns the (len(y0) x nodes) solution on the calendar
-    grid: column ``j`` holds y at ``grid[j]``, and the last column is ``y0``.
-    """
-    nodes = grid.tolist()  # times as floats, so rhs does no numpy scalar arithmetic
-    T = nodes[-1]
-    y = y0.astype(float)
-    path = np.empty((len(y), len(nodes)))
-    path[:, -1] = y
-    for j in range(len(nodes) - 1, 0, -1):
-        seg = j - 1
-        s0 = T - nodes[j]
-        h = nodes[j] - nodes[j - 1]
-        k1 = rhs(seg, s0, y)
-        k2 = rhs(seg, s0 + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(seg, s0 + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(seg, s0 + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        path[:, j - 1] = y
-    return path

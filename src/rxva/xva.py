@@ -25,7 +25,7 @@ import numpy as np
 
 from .clean import lattice_coefficients
 from .collateral import MarginSchedule, closeout_excess
-from .grids import LatticeSurface, StateSpace, rk4_sweep
+from .grids import LatticeSurface, StateSpace
 from .market import ConfigError, ContagionModel, MarketConfig, PiecewiseTable, Portfolio
 
 REGIME_LO = 0
@@ -89,11 +89,26 @@ def lattice_rhs(
     Returns ``rhs(states, im0, im1, w, y) -> list``, where ``states`` is a
     coefficient bundle, ``im0``/``im1`` the initial margin of each state at
     the two ends of the segment and ``w`` the position of the stage between
-    them.  The true counterparty intensity is the bundle's ``h_C``.
+    them.  The true counterparty intensity is the bundle's ``h_C``.  The
+    pass itself runs the RK4 step made from the same source (see
+    ``_bundle_code``).
+    """
+    kernel_for = _bundle_code(cfg, portfolio, size, alpha, variants, step=False)
 
-    The first call with a bundle makes its kernel (see ``_kernel_source``),
-    and every later call with that bundle object reuses it.  The kernel
-    source is compiled once per lattice shape.
+    def rhs(states, im0, im1, w, y):
+        return kernel_for(states)(im0, im1, w, y)
+
+    return rhs
+
+
+def _bundle_code(cfg, portfolio, size: int, alpha: float, variants, step: bool):
+    """``code(states)``: the generated function of one coefficient bundle.
+
+    It is ``kernel(im0, im1, w, y)``, the right-hand side, or with ``step``
+    ``step(im0, im1, w1, w2, w3, h, y)``, one RK4 step (see
+    ``_kernel_source``).  The source is compiled once per lattice shape; the
+    first call with a bundle binds its coefficients into a function, and
+    every later call with that bundle object returns it.
     """
     if any(which not in VARIANTS for which in variants):
         raise ValueError(f"variants must be drawn from {VARIANTS}, got {variants!r}")
@@ -105,15 +120,15 @@ def lattice_rhs(
              cfg.r_f_plus, cfg.r_f_minus, cfg.r_m_plus, cfg.r_m_minus, h_low, h_high)
     layout, n_blocks = _layout(cfg, variants)
     makers = {}  # children of every state -> make(coeffs) compiled for that shape
-    kernels = {}  # id(bundle) -> (bundle, kernel); holding the bundle keeps its id unique
+    made = {}  # id(bundle) -> (bundle, function); holding the bundle keeps its id unique
 
-    def new_kernel(states):
+    def new_function(states):
         if len(states) != size:
             raise ValueError(f"a bundle of {len(states)} states for a lattice of {size}")
         shape = tuple(tuple(move[0] for move in st.transitions) for st in states)
         if shape not in makers:
             namespace = {}
-            source = _kernel_source(shape, layout, n_blocks)
+            source = _kernel_source(shape, layout, n_blocks, step)
             exec(compile(source, "<lattice kernel>", "exec"), namespace)
             makers[shape] = namespace["make"]
         coeffs = list(rates)  # in the order of _RATES, _STATE_COEFFS and _MOVE_COEFFS
@@ -124,13 +139,13 @@ def lattice_rhs(
                 coeffs += (rate, loss, count)
         return makers[shape](tuple(coeffs))
 
-    def rhs(states, im0, im1, w, y):
-        entry = kernels.get(id(states))
+    def code(states):
+        entry = made.get(id(states))
         if entry is None:
-            entry = kernels[id(states)] = (states, new_kernel(states))
-        return entry[1](im0, im1, w, y)
+            entry = made[id(states)] = (states, new_function(states))
+        return entry[1]
 
-    return rhs
+    return code
 
 
 # The reduced XVA driver and the band-switching rule, as kernel source.  This
@@ -167,14 +182,20 @@ _POCKET = {"upper": "p{p}_{k} = (qH{k} if zC >= 0.0 else qL{k}) * zC",
            "lower": "p{p}_{k} = (qL{k} if zC >= 0.0 else qH{k}) * zC"}
 
 
-def _kernel_source(shape, layout, n_blocks: int) -> str:
-    """Source of ``make(coeffs) -> kernel(im0, im1, w, y)`` for one lattice shape.
+def _kernel_source(shape, layout, n_blocks: int, step: bool) -> str:
+    """Source of ``make(coeffs)`` for one lattice shape.
 
     ``shape`` lists the children of every state and ``coeffs`` is a bundle
-    flattened by ``lattice_rhs``.  The kernel is the right-hand side
-    unrolled over states, moves and blocks, with the lattice values in
-    local variables.  It performs the float operations of a loop over the
-    states in the same order, so every value rounds as it would there.
+    flattened by ``_bundle_code``.  ``make`` returns ``kernel(im0, im1, w,
+    y)``, the right-hand side unrolled over states, moves and blocks with
+    the lattice values in local variables, or with ``step`` ``step(im0,
+    im1, w1, w2, w3, h, y)``: one classical RK4 step of width ``h`` from
+    ``y``, whose four stages run that same body in a loop, at the positions
+    ``w1``, ``w2``, ``w2`` and ``w3`` in the segment.  Both perform the float
+    operations of a loop over the states in the same order, and the step
+    those of ``y + (0.5 * h) * k`` for the stage inputs and ``y + (h / 6.0)
+    * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)`` for the result, so every value
+    rounds as it would there.
     """
     size = len(shape)
     names, body = [_RATES], []
@@ -199,13 +220,32 @@ def _kernel_source(shape, layout, n_blocks: int) -> str:
             if p is not None:
                 body.append(_POCKET[which].format(p=p, k=k))
                 out[p][k] = f"p{p}_{k}"
-    lines = [f"{', '.join(names)}, = coeffs", f"{', '.join(sum(y, []))}, = y"]
-    lines += ["w0 = 1.0 - w"] * bool(layout) + body + [f"return [{', '.join(sum(out, []))}]"]
+    ins, outs = sum(y, []), sum(out, [])
+    lines = [f"{', '.join(names)}, = coeffs", f"{', '.join(ins)}, = y"]
+    body[:0] = ["w0 = 1.0 - w"] * bool(layout)
+    if step:
+        # Y{i} is column i at the start of the step and acc{i} the weighted
+        # sum of its stage slopes; the sum starts at -0.0, so adding k1 gives
+        # k1 bit for bit.  The pocket columns feed no stage.
+        cols = range(len(outs))
+        stage = body + [f"acc{i} = acc{i} + a * {o}" for i, o in enumerate(outs)]
+        stage += ["if c is None:", "    break"]
+        stage += [f"{v} = Y{i} + c * {o}" for i, (v, o) in enumerate(zip(ins, outs)) if v != "_"]
+        lines += [f"{', '.join(f'Y{i}' for i in cols)}, = y",
+                  f"{' = '.join(f'acc{i}' for i in cols)} = -0.0",
+                  "hh = 0.5 * h",
+                  "for w, a, c in ((w1, 1.0, hh), (w2, 2.0, hh), (w2, 2.0, h), (w3, 1.0, None)):"]
+        lines += (f"    {line}" for text in stage for line in text.split("\n"))
+        lines += ["h6 = h / 6.0", f"return [{', '.join(f'Y{i} + h6 * acc{i}' for i in cols)}]"]
+        name, args = "step", "im0, im1, w1, w2, w3, h, y"
+    else:
+        lines += body + [f"return [{', '.join(outs)}]"]
+        name, args = "kernel", "im0, im1, w, y"
     # the coefficients are bound as a default, not a closure: compiling a
     # closure over tens of thousands of names takes time quadratic in them
-    return ("def make(coeffs):\n    def kernel(im0, im1, w, y, coeffs=coeffs):\n"
+    return (f"def make(coeffs):\n    def {name}({args}, coeffs=coeffs):\n"
             + "".join(f"        {line}\n" for text in lines for line in text.split("\n"))
-            + "    return kernel\n")
+            + f"    return {name}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -223,30 +263,38 @@ class XvaResult:
 def _joint_pass(cfg, model, portfolio, grid, space, margins, variants):
     """One RK4 sweep of the clean value plus every requested variant.
 
-    Returns the pass's array: a row per column of ``lattice_rhs`` (so each
-    state's surface is a contiguous row) and an entry per grid node.  A pass
-    that leaves a non-finite value anywhere is refused with ConfigError.
+    The sweep runs in reversed time s = T - t, from the last grid segment
+    to the first, with one generated step per segment (see
+    ``_kernel_source``).  Returns the pass's array: a row per column of
+    ``lattice_rhs`` (so each state's surface is a contiguous row) and an
+    entry per grid node.  A pass that leaves a non-finite value anywhere is
+    refused with ConfigError.
     """
     size = space.size
     alpha = margins.alpha if margins is not None else 0.0
-    kernel = lattice_rhs(cfg, portfolio, size, alpha, variants)
+    step_for = _bundle_code(cfg, portfolio, size, alpha, variants, step=True)
     by_seg = lattice_coefficients(model, portfolio, space, resolve_true_h_c(cfg, model),
                                   0.5 * (grid[:-1] + grid[1:]))
     if margins is not None:
         im = margins.im.values.T.tolist()
     else:
         im = [[0.0] * size] * len(grid)
-    nodes = grid.tolist()
+    nodes = grid.tolist()  # times as floats, so the step does no numpy scalar arithmetic
     T = nodes[-1]
-
-    def rhs(seg, s, y):
-        t0, t1 = nodes[seg], nodes[seg + 1]
-        w = 0.0 if t1 == t0 else (T - s - t0) / (t1 - t0)
-        return np.asarray(kernel(by_seg[seg], im[seg], im[seg + 1], w, y.tolist()))
-
     layout, n_blocks = _layout(cfg, variants)
+    y = [0.0] * (n_blocks * size)
+    path = np.empty((len(y), len(nodes)))
+    path[:, -1] = y
+    # coefficients may be np.float64, whose arithmetic warns where a float's does not
     with np.errstate(over="ignore", invalid="ignore"):
-        path = rk4_sweep(grid, np.zeros(n_blocks * size), rhs)
+        for seg in range(len(nodes) - 2, -1, -1):
+            t0, t1 = nodes[seg], nodes[seg + 1]
+            s0, h = T - t1, t1 - t0
+            w1 = (T - s0 - t0) / h  # the stage's position in the segment
+            w2 = (T - (s0 + 0.5 * h) - t0) / h
+            w3 = (T - (s0 + h) - t0) / h
+            y = step_for(by_seg[seg])(im[seg], im[seg + 1], w1, w2, w3, h, y)
+            path[:, seg] = y
     bad = ~np.isfinite(path)
     if bad.any():
         node = int(np.flatnonzero(bad.any(axis=0))[-1])  # the pass runs backwards

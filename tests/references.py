@@ -3,9 +3,9 @@
 Each one computes a value the engine also produces, by another method: the
 clean value and the initial margin in closed form, the single-name
 replication value from its unreduced drift, the lattice right-hand side and
-pass as a loop over the states, the wealth of a strategy snapshot, and a
-monotonicity test for the sweep columns.  None of them is used by the
-program.
+pass as a loop over the states, with RK4 on numpy arrays (``rk4_sweep``),
+the wealth of a strategy snapshot, and a monotonicity test for the sweep
+columns.  None of them is used by the program.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from rxva.clean import lattice_coefficients
 from rxva.collateral import MarginSchedule, closeout_excess
-from rxva.grids import LatticeSurface, StateSpace, rk4_sweep
+from rxva.grids import LatticeSurface, StateSpace
 from rxva.market import ContagionModel, MarketConfig, PiecewiseTable, Portfolio
 from rxva.strategies import StrategySnapshot
 from rxva.xva import VARIANTS, _layout, resolve_true_h_c
@@ -130,6 +130,32 @@ def solve_value_direct(
     return LatticeSurface(grid, space, np.stack([u_bar, np.zeros_like(u_bar)]))
 
 
+def rk4_sweep(grid: np.ndarray, y0: np.ndarray, rhs) -> np.ndarray:
+    """Classical fixed-step RK4 in reversed time s = T - t.
+
+    ``rhs(seg, s, y)`` returns dy/ds, where ``seg`` is the index of the
+    calendar segment being crossed (segments are traversed from the last to
+    the first).  Returns the (len(y0) x nodes) solution on the calendar
+    grid: column ``j`` holds y at ``grid[j]``, and the last column is ``y0``.
+    """
+    nodes = grid.tolist()  # times as floats, so rhs does no numpy scalar arithmetic
+    T = nodes[-1]
+    y = y0.astype(float)
+    path = np.empty((len(y), len(nodes)))
+    path[:, -1] = y
+    for j in range(len(nodes) - 1, 0, -1):
+        seg = j - 1
+        s0 = T - nodes[j]
+        h = nodes[j] - nodes[j - 1]
+        k1 = rhs(seg, s0, y)
+        k2 = rhs(seg, s0 + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(seg, s0 + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(seg, s0 + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        path[:, j - 1] = y
+    return path
+
+
 def loop_lattice_rhs(
     cfg: MarketConfig,
     portfolio: Portfolio,
@@ -205,7 +231,8 @@ def loop_lattice_rhs(
 
 
 def loop_pass(cfg, model, portfolio, grid, space, margins, variants) -> np.ndarray:
-    """``xva._joint_pass`` on ``loop_lattice_rhs``, without the finiteness check."""
+    """``xva._joint_pass`` as ``rk4_sweep`` on ``loop_lattice_rhs``, without the
+    finiteness check: the generated step must match it byte for byte."""
     size = space.size
     kernel = loop_lattice_rhs(cfg, portfolio, size, margins.alpha, variants)
     by_seg = lattice_coefficients(model, portfolio, space, resolve_true_h_c(cfg, model),

@@ -223,8 +223,8 @@ class TestSinglePass:
     @pytest.mark.parametrize("command", [("price",), ("xva",), ("verify", "--paths", "500")])
     def test_one_rk4_sweep_per_run(self, tmp_path, monkeypatch, command):
         calls = []
-        sweep = xva.rk4_sweep
-        monkeypatch.setattr(xva, "rk4_sweep", lambda *a: (calls.append(a), sweep(*a))[1])
+        joint_pass = xva._joint_pass
+        monkeypatch.setattr(xva, "_joint_pass", lambda *a: (calls.append(a), joint_pass(*a))[1])
         assert _run(*command, "--config", str(SINGLE_NAME), "--out-dir", str(tmp_path),
                     "--grid-points", "200") == cli.EXIT_OK
         assert len(calls) == 1

@@ -8,11 +8,12 @@ from rxva.grids import (
     StateSpace,
     build_grid,
     choose_state_space,
-    rk4_sweep,
     zero_surface,
 )
 from rxva.market import ConfigError, Contract, Portfolio, contagion_from_dict
 from rxva.reporting import write_clean_csv
+
+from references import rk4_sweep
 
 
 class TestBuildGrid:

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 from dataclasses import replace
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -298,6 +299,68 @@ class TestGeneratedKernel:
         want = loop_pass(cfg, model, portfolio, res.grid, res.space, res.margins, VARIANTS)
         surfaces = [res.clean] + [res.xva[w].surface for w in VARIANTS]
         surfaces += [res.xva[w].pocket for w in ("upper", "lower")]
+        got = np.concatenate([surface.values for surface in surfaces])
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _single_name_case(draw):
+    """A single-name config, a variant subset in any order (none for the
+    clean value alone) and a grid of 3 to 50 points.  The reference
+    intensity has a break; mu_true is a number, "model" or unset; beta is 0
+    or positive, and then q is drawn so that the initial margin of either
+    direction is positive and varies in time."""
+    doc = _load_doc()
+    rate = st.floats(0.0, 0.05)
+    doc["rates"] = {key: draw(rate) for key in doc["rates"]}
+    lo = draw(st.floats(0.05, 0.2))
+    hi = lo + draw(st.floats(0.01, 0.2))
+    true = draw(st.one_of(st.none(), st.just("model"), st.floats(lo, hi)))
+    doc["counterparty_band"] = {"mu_lower": lo, "mu_upper": hi}
+    if true is not None:
+        doc["counterparty_band"]["mu_true"] = true
+    doc["contagion"]["reference_tables"] = [{
+        "breaks": [draw(st.floats(0.5, 2.5))],
+        "values": [draw(st.floats(0.2, 0.4)), draw(st.floats(0.2, 0.4))],
+    }]
+    direction = draw(st.sampled_from((1, -1)))
+    doc["portfolio"]["contracts"] = [{"spread": draw(st.floats(0.5, 3.0)),
+                                      "loss": draw(st.floats(5.0, 15.0)),
+                                      "direction": direction}]
+    # direction -1 holds a margin while the default probability over delta
+    # exceeds 1 - q, direction +1 while it stays below
+    q = st.floats(0.95, 0.99) if direction == -1 else st.floats(0.5, 0.75)
+    doc["portfolio"]["collateral"] = {
+        "alpha": draw(st.floats(0.0, 1.0)), "beta": draw(st.sampled_from((1.0, 0.5, 0.0))),
+        "q": draw(q), "delta": draw(st.floats(0.3, 0.6)),
+    }
+    allowed = VARIANTS if true is not None else ("upper", "lower")
+    variants = draw(st.sampled_from([order for n in range(len(allowed) + 1)
+                                     for order in permutations(allowed, n)]))
+    return doc, variants, draw(st.integers(3, 50))
+
+
+class TestGeneratedStep:
+    @settings(deadline=None, max_examples=100)
+    @given(_single_name_case())
+    def test_engine_pass_matches_loop_pass(self, case):
+        # the generated RK4 step against the loop right-hand side on
+        # references.rk4_sweep, byte for byte, including the interpolated
+        # initial margin of every stage
+        doc, variants, points = case
+        cfg, model, portfolio, model_P = market_from_dict(doc)
+        res = run_engine(cfg, model, portfolio, model_P, variants=variants, grid_points=points,
+                         allow_assumption_violation=True)
+        if portfolio.collateral.beta > 0.0:
+            assert np.ptp(res.margins.im.values[0]) > 0.0
+        want = loop_pass(cfg, model, portfolio, res.grid, res.space, res.margins, variants)
+        layout, n_blocks = _layout(cfg, variants)
+        surfaces = [res.clean] + [None] * (n_blocks - 1)
+        for which, block, pocket in layout:
+            surfaces[block] = res.xva[which].surface
+            if pocket is not None:
+                surfaces[pocket] = res.xva[which].pocket
         got = np.concatenate([surface.values for surface in surfaces])
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
