@@ -1,0 +1,133 @@
+"""In-process timer of the lattice pass on fixed workloads.
+
+Prints one JSON line per workload. Each line holds the lattice size and step
+count, the fastest of ``--repeat`` runs of the joint pass (``xva._joint_pass``,
+compiling included), the compile time and generated source length of that
+run, and its time per RK4 step net of compiling. Compile time is measured by
+binding a timing wrapper as ``compile`` in ``rxva.xva``'s globals. The full
+2^10 lattice (``L10``) runs at 20 grid points, where compiling is most of the
+pass; its line adds the compile time and source length of the drift-identity
+driver that ``verify`` builds on the same lattice.
+
+Workloads, each an engine run with every variant the config prices:
+
+* W1: the single-name config, 2000 steps (2 states);
+* W2: the five-name homogeneous config, 2000 steps (6 states);
+* W3: the five-name config with ``--full-lattice``, 2000 steps (32 states);
+* W4: eight names with spreads 0.02 + 0.001 i, 500 steps (256 states);
+* L10: ten names with spreads 0.02 + 0.001 i, 20 steps (1,024 states).
+
+Usage: ``python scripts/pass_timer.py [--repeat K] [WORKLOAD ...]``
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from rxva import oracle, xva  # noqa: E402
+from rxva.engine import run_engine  # noqa: E402
+from rxva.market import market_from_dict  # noqa: E402
+
+
+def _config(name: str) -> dict:
+    return json.loads((ROOT / "configs" / name).read_text(encoding="utf-8"))
+
+
+def _distinct_names(n: int) -> dict:
+    """The five-name config with ``n`` contracts of distinct spreads: one
+    lattice class per name, so 2^n states."""
+    doc = _config("five_name_benchmark.json")
+    contract = doc["portfolio"]["contracts"][0]
+    doc["portfolio"]["contracts"] = [dict(contract, spread=0.02 + 0.001 * i) for i in range(n)]
+    return doc
+
+
+# name -> (config document, grid points, one class per name, default repeats)
+WORKLOADS = {
+    "W1": (_config("single_name_switching.json"), 2000, False, 5),
+    "W2": (_config("five_name_benchmark.json"), 2000, False, 5),
+    "W3": (_config("five_name_benchmark.json"), 2000, True, 5),
+    "W4": (_distinct_names(8), 500, False, 3),
+    "L10": (_distinct_names(10), 20, False, 3),
+}
+
+
+class Timer:
+    """Times every pass and every compile in ``rxva.xva`` once installed."""
+
+    def __init__(self):
+        self.pass_s = self.compile_s = 0.0
+        self.chars = 0
+        self._pass = xva._joint_pass
+
+    def install(self) -> None:
+        xva.compile = self.compile
+        xva._joint_pass = self.joint_pass
+
+    def reset(self) -> None:
+        self.pass_s = self.compile_s = 0.0
+        self.chars = 0
+
+    def compile(self, source, *args, **kwargs):
+        start = time.perf_counter()
+        code = compile(source, *args, **kwargs)
+        self.compile_s += time.perf_counter() - start
+        self.chars += len(source)
+        return code
+
+    def joint_pass(self, *args, **kwargs):
+        start = time.perf_counter()
+        path = self._pass(*args, **kwargs)
+        self.pass_s += time.perf_counter() - start
+        return path
+
+
+def measure(name: str, timer: Timer, repeat: int | None) -> dict:
+    doc, points, full, default_repeat = WORKLOADS[name]
+    cfg, model, portfolio, model_P = market_from_dict(doc)
+    variants = xva.all_variants(cfg)
+    runs = []
+    for _ in range(repeat or default_repeat):
+        timer.reset()
+        result = run_engine(cfg, model, portfolio, model_P, variants=variants,
+                            grid_points=points, force_full=full,
+                            allow_assumption_violation=True)
+        runs.append((timer.pass_s, timer.compile_s, timer.chars))
+    pass_s, compile_s, chars = min(runs)
+    steps = len(result.grid) - 1
+    line = {"workload": name, "states": result.space.size, "steps": steps,
+            "repeat": len(runs), "pass_s": pass_s, "compile_s": compile_s,
+            "step_s": (pass_s - compile_s) / steps, "source_chars": chars}
+    if name == "L10":
+        timer.reset()
+        oracle.drift_identity_error(result)
+        line.update(driver_compile_s=timer.compile_s, driver_source_chars=timer.chars)
+    return line
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("workloads", nargs="*", metavar="WORKLOAD",
+                        help=f"any of {', '.join(WORKLOADS)} (default: all)")
+    parser.add_argument("--repeat", type=int, default=None,
+                        help="runs per workload (default 5, W4 and L10: 3)")
+    args = parser.parse_args(argv)
+    unknown = set(args.workloads) - set(WORKLOADS)
+    if unknown:
+        parser.error(f"unknown workloads: {', '.join(sorted(unknown))}")
+    timer = Timer()
+    timer.install()
+    for name in args.workloads or WORKLOADS:
+        print(json.dumps(measure(name, timer, args.repeat)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

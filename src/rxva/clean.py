@@ -52,23 +52,25 @@ def lattice_coefficients(
     space: StateSpace,
     h_C_true: PiecewiseTable | None,
     times: np.ndarray,
-) -> list[tuple[StateCoeffs, ...]]:
-    """Coefficient bundle of the lattice at every entry of the float array ``times``.
+) -> tuple[list[int], list[tuple[StateCoeffs, ...]]]:
+    """Coefficient bundles of the lattice over the float array ``times``.
 
     A bundle is the tuple of StateCoeffs of every lattice state in key
-    order.  Coefficients are piecewise constant in time, so times in the
-    same piece of the model's breaks share one bundle object, built at the
-    first of them.  ``h_C_true`` is the true counterparty intensity table
-    (see ``xva.resolve_true_h_c``); its breaks are among the model's.
+    order.  Coefficients are piecewise constant in time, so there is one
+    bundle per piece of the model's breaks that ``times`` meets, built at
+    the first of its times.  Returns ``(index, bundles)``: the bundle of
+    ``times[i]`` is ``bundles[index[i]]``.  ``h_C_true`` is the true
+    counterparty intensity table (see ``xva.resolve_true_h_c``); its breaks
+    are among the model's.
     """
     pieces = np.searchsorted(np.asarray(model.breakpoints()), times, side="right").tolist()
-    bundles: dict[int, tuple[StateCoeffs, ...]] = {}
+    first = {}  # piece -> its first time, in order of appearance
     for piece, t in zip(pieces, times.tolist()):
-        if piece not in bundles:
-            bundles[piece] = tuple(
-                _state_coeffs(model, portfolio, space, h_C_true, t, key) for key in space.keys
-            )
-    return [bundles[piece] for piece in pieces]
+        first.setdefault(piece, t)
+    order = {piece: i for i, piece in enumerate(first)}
+    bundles = [tuple(_state_coeffs(model, portfolio, space, h_C_true, t, key)
+                     for key in space.keys) for t in first.values()]
+    return [order[piece] for piece in pieces], bundles
 
 
 def _state_coeffs(model, portfolio, space, h_C_true, t: float, key: int) -> StateCoeffs:

@@ -23,7 +23,7 @@ from .clean import lattice_coefficients
 from .collateral import closeout_excess
 from .engine import EngineResult
 from .grids import LatticeSurface
-from .market import ContagionModel, MarketConfig, Portfolio
+from .market import ConfigError, ContagionModel, MarketConfig, Portfolio
 from .strategies import robust_strategy, wealth_drift
 from .xva import lattice_rhs, resolve_true_h_c
 
@@ -400,14 +400,15 @@ def drift_identity_error(result: EngineResult, which: str = "upper", stride: int
         raise ValueError("the drift identity requires mu_C_true")
     surface = result.xva[which].surface
     space, grid, margins = result.space, result.grid, result.margins
-    times = grid[::stride]
-    bundles = lattice_coefficients(model, portfolio, space, h_true, times)
-    driver = lattice_rhs(cfg, portfolio, space.size, margins.alpha, ("actual",))
+    index, bundles = lattice_coefficients(model, portfolio, space, h_true, grid[::stride])
+    bind = lattice_rhs(cfg, portfolio, space.size, margins.alpha, ("actual",))
+    drivers = [bind(states) for states in bundles]
     worst = 0.0
-    for t, states in zip(times.tolist(), bundles):
-        im = [margins.im.at(k, t) for k in space.keys]
-        y = [result.clean.at(k, t) for k in space.keys] + [surface.at(k, t) for k in space.keys]
-        g = driver(states, im, im, 0.0, y)
+    for i, j in enumerate(range(0, len(grid), stride)):
+        t = float(grid[j])
+        im = margins.im.values[:, j].tolist()
+        y = result.clean.values[:, j].tolist() + surface.values[:, j].tolist()
+        g = drivers[index[i]](im, im, 0.0, y)
         for key in space.keys:
             count = space.count(key)
             snap = robust_strategy(surface, result.clean, margins.m, portfolio, t, key)
@@ -423,8 +424,9 @@ def drift_identity_error(result: EngineResult, which: str = "upper", stride: int
 # Verification report
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite number is refused instead
 def verify(result: EngineResult, n_paths: int, seed: int) -> dict:
-    """Full oracle report against the solved surfaces."""
+    """Full oracle report against the solved surfaces; ConfigError if a number is not finite."""
     cfg, model, portfolio = result.cfg, result.model, result.portfolio
     checks: dict = {}
     report: dict = {"n_paths": n_paths, "seed": seed, "checks": checks}
@@ -458,5 +460,9 @@ def verify(result: EngineResult, n_paths: int, seed: int) -> dict:
         err = drift_identity_error(result, "upper")
         checks["drift_identity"] = {"max_error": err, "passed": err < 1e-9}
 
+    for name, check in checks.items():
+        for key, value in check.items():
+            if not math.isfinite(value):
+                raise ConfigError(f"the {name} check is not finite: {key} = {value}")
     report["passed"] = all(c.get("passed", c.get("within_3se")) for c in checks.values())
     return report

@@ -86,30 +86,27 @@ def lattice_rhs(
     ``y`` holds blocks of ``size`` values, one per lattice state in key
     order: the clean value, then one block per entry of ``variants``, then,
     when mu_C_true is set, one pocket block per upper or lower variant.
-    Returns ``rhs(states, im0, im1, w, y) -> list``, where ``states`` is a
-    coefficient bundle, ``im0``/``im1`` the initial margin of each state at
-    the two ends of the segment and ``w`` the position of the stage between
-    them.  The true counterparty intensity is the bundle's ``h_C``.  The
-    pass itself runs the RK4 step made from the same source (see
-    ``_bundle_code``).
+    Returns ``bind(states) -> rhs(im0, im1, w, y) -> list``, where ``states``
+    is a coefficient bundle, ``im0``/``im1`` the initial margin of each state
+    at the two ends of the segment and ``w`` the position of the stage
+    between them.  The true counterparty intensity is the bundle's ``h_C``.
+    ``rhs`` is the generated RK4 step of the pass (see ``_kernel_source``)
+    run as one stage of weight 1 from a base of -0.0, which returns the
+    slope bit for bit.
     """
-    kernel_for = _bundle_code(cfg, portfolio, size, alpha, variants, step=False)
+    bind_step = _binder(cfg, portfolio, size, alpha, variants)
+    base = [-0.0] * (size * _layout(cfg, variants)[1])
 
-    def rhs(states, im0, im1, w, y):
-        return kernel_for(states)(im0, im1, w, y)
+    def bind(states):
+        step = bind_step(states)
+        return lambda im0, im1, w, y: step(im0, im1, ((w, 1.0, None),), 1.0, y, base)
 
-    return rhs
+    return bind
 
 
-def _bundle_code(cfg, portfolio, size: int, alpha: float, variants, step: bool):
-    """``code(states)``: the generated function of one coefficient bundle.
-
-    It is ``kernel(im0, im1, w, y)``, the right-hand side, or with ``step``
-    ``step(im0, im1, w1, w2, w3, h, y)``, one RK4 step (see
-    ``_kernel_source``).  The source is compiled once per lattice shape; the
-    first call with a bundle binds its coefficients into a function, and
-    every later call with that bundle object returns it.
-    """
+def _binder(cfg, portfolio, size: int, alpha: float, variants):
+    """``bind(states)``: the generated RK4 step (see ``_kernel_source``) with
+    the coefficients of one bundle bound; compiled once per lattice shape."""
     if any(which not in VARIANTS for which in variants):
         raise ValueError(f"variants must be drawn from {VARIANTS}, got {variants!r}")
     if cfg.mu_C_true is None and "actual" in variants:
@@ -120,16 +117,15 @@ def _bundle_code(cfg, portfolio, size: int, alpha: float, variants, step: bool):
              cfg.r_f_plus, cfg.r_f_minus, cfg.r_m_plus, cfg.r_m_minus, h_low, h_high)
     layout, n_blocks = _layout(cfg, variants)
     makers = {}  # children of every state -> make(coeffs) compiled for that shape
-    made = {}  # id(bundle) -> (bundle, function); holding the bundle keeps its id unique
 
-    def new_function(states):
+    def bind(states):
         if len(states) != size:
             raise ValueError(f"a bundle of {len(states)} states for a lattice of {size}")
         shape = tuple(tuple(move[0] for move in st.transitions) for st in states)
         if shape not in makers:
             namespace = {}
-            source = _kernel_source(shape, layout, n_blocks, step)
-            exec(compile(source, "<lattice kernel>", "exec"), namespace)
+            source = _kernel_source(shape, layout, n_blocks)
+            exec(compile(source, "<lattice step>", "exec"), namespace)
             makers[shape] = namespace["make"]
         coeffs = list(rates)  # in the order of _RATES, _STATE_COEFFS and _MOVE_COEFFS
         for st in states:
@@ -139,13 +135,7 @@ def _bundle_code(cfg, portfolio, size: int, alpha: float, variants, step: bool):
                 coeffs += (rate, loss, count)
         return makers[shape](tuple(coeffs))
 
-    def code(states):
-        entry = made.get(id(states))
-        if entry is None:
-            entry = made[id(states)] = (states, new_function(states))
-        return entry[1]
-
-    return code
+    return bind
 
 
 # The reduced XVA driver and the band-switching rule, as kernel source.  This
@@ -182,20 +172,21 @@ _POCKET = {"upper": "p{p}_{k} = (qH{k} if zC >= 0.0 else qL{k}) * zC",
            "lower": "p{p}_{k} = (qL{k} if zC >= 0.0 else qH{k}) * zC"}
 
 
-def _kernel_source(shape, layout, n_blocks: int, step: bool) -> str:
+def _kernel_source(shape, layout, n_blocks: int) -> str:
     """Source of ``make(coeffs)`` for one lattice shape.
 
     ``shape`` lists the children of every state and ``coeffs`` is a bundle
-    flattened by ``_bundle_code``.  ``make`` returns ``kernel(im0, im1, w,
-    y)``, the right-hand side unrolled over states, moves and blocks with
-    the lattice values in local variables, or with ``step`` ``step(im0,
-    im1, w1, w2, w3, h, y)``: one classical RK4 step of width ``h`` from
-    ``y``, whose four stages run that same body in a loop, at the positions
-    ``w1``, ``w2``, ``w2`` and ``w3`` in the segment.  Both perform the float
-    operations of a loop over the states in the same order, and the step
-    those of ``y + (0.5 * h) * k`` for the stage inputs and ``y + (h / 6.0)
-    * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)`` for the result, so every value
-    rounds as it would there.
+    flattened by ``_binder``.  ``make`` returns ``step(im0, im1, stages,
+    h6, y, base)``: the right-hand side unrolled over states, moves and
+    blocks with the lattice values in local variables, run once per entry
+    ``(w, a, c)`` of ``stages`` at the position ``w`` in the segment.  Each
+    stage adds ``a`` times its slope to a running sum and, unless ``c`` is
+    None, makes the next stage's input ``base + c * slope``; the step
+    returns ``base + h6 * sum``.  With the classical stages and ``base = y``
+    that is one RK4 step, with the float operations of ``y + (0.5 * h) * k``
+    for the stage inputs and ``y + (h / 6.0) * (((k1 + 2.0 * k2) + 2.0 * k3)
+    + k4)`` for the result, and the body those of a loop over the states in
+    the same order, so every value rounds as it would there.
     """
     size = len(shape)
     names, body = [_RATES], []
@@ -221,31 +212,25 @@ def _kernel_source(shape, layout, n_blocks: int, step: bool) -> str:
                 body.append(_POCKET[which].format(p=p, k=k))
                 out[p][k] = f"p{p}_{k}"
     ins, outs = sum(y, []), sum(out, [])
-    lines = [f"{', '.join(names)}, = coeffs", f"{', '.join(ins)}, = y"]
-    body[:0] = ["w0 = 1.0 - w"] * bool(layout)
-    if step:
-        # Y{i} is column i at the start of the step and acc{i} the weighted
-        # sum of its stage slopes; the sum starts at -0.0, so adding k1 gives
-        # k1 bit for bit.  The pocket columns feed no stage.
-        cols = range(len(outs))
-        stage = body + [f"acc{i} = acc{i} + a * {o}" for i, o in enumerate(outs)]
-        stage += ["if c is None:", "    break"]
-        stage += [f"{v} = Y{i} + c * {o}" for i, (v, o) in enumerate(zip(ins, outs)) if v != "_"]
-        lines += [f"{', '.join(f'Y{i}' for i in cols)}, = y",
-                  f"{' = '.join(f'acc{i}' for i in cols)} = -0.0",
-                  "hh = 0.5 * h",
-                  "for w, a, c in ((w1, 1.0, hh), (w2, 2.0, hh), (w2, 2.0, h), (w3, 1.0, None)):"]
-        lines += (f"    {line}" for text in stage for line in text.split("\n"))
-        lines += ["h6 = h / 6.0", f"return [{', '.join(f'Y{i} + h6 * acc{i}' for i in cols)}]"]
-        name, args = "step", "im0, im1, w1, w2, w3, h, y"
-    else:
-        lines += body + [f"return [{', '.join(outs)}]"]
-        name, args = "kernel", "im0, im1, w, y"
+    # Y{i} is column i of the base and acc{i} the weighted sum of its stage
+    # slopes; the sum starts at -0.0, so adding 1.0 * k1 gives k1 bit for
+    # bit.  The pocket columns feed no stage.
+    cols = range(len(outs))
+    stage = ["w0 = 1.0 - w"] * bool(layout) + body
+    stage += [f"acc{i} = acc{i} + a * {o}" for i, o in enumerate(outs)]
+    stage += ["if c is None:", "    break"]
+    stage += [f"{v} = Y{i} + c * {o}" for i, (v, o) in enumerate(zip(ins, outs)) if v != "_"]
+    lines = [f"{', '.join(names)}, = coeffs", f"{', '.join(ins)}, = y",
+             f"{', '.join(f'Y{i}' for i in cols)}, = base",
+             f"{' = '.join(f'acc{i}' for i in cols)} = -0.0",
+             "for w, a, c in stages:"]
+    lines += (f"    {line}" for text in stage for line in text.split("\n"))
+    lines += [f"return [{', '.join(f'Y{i} + h6 * acc{i}' for i in cols)}]"]
     # the coefficients are bound as a default, not a closure: compiling a
     # closure over tens of thousands of names takes time quadratic in them
-    return (f"def make(coeffs):\n    def {name}({args}, coeffs=coeffs):\n"
+    return ("def make(coeffs):\n    def step(im0, im1, stages, h6, y, base, coeffs=coeffs):\n"
             + "".join(f"        {line}\n" for text in lines for line in text.split("\n"))
-            + f"    return {name}\n")
+            + "    return step\n")
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +257,11 @@ def _joint_pass(cfg, model, portfolio, grid, space, margins, variants):
     """
     size = space.size
     alpha = margins.alpha if margins is not None else 0.0
-    step_for = _bundle_code(cfg, portfolio, size, alpha, variants, step=True)
-    by_seg = lattice_coefficients(model, portfolio, space, resolve_true_h_c(cfg, model),
-                                  0.5 * (grid[:-1] + grid[1:]))
+    bind = _binder(cfg, portfolio, size, alpha, variants)
+    # each segment's midpoint, halved first so that no sum overflows
+    index, bundles = lattice_coefficients(model, portfolio, space, resolve_true_h_c(cfg, model),
+                                          0.5 * grid[:-1] + 0.5 * grid[1:])
+    steps = [bind(states) for states in bundles]
     if margins is not None:
         im = margins.im.values.T.tolist()
     else:
@@ -290,10 +277,12 @@ def _joint_pass(cfg, model, portfolio, grid, space, margins, variants):
         for seg in range(len(nodes) - 2, -1, -1):
             t0, t1 = nodes[seg], nodes[seg + 1]
             s0, h = T - t1, t1 - t0
+            hh = 0.5 * h
             w1 = (T - s0 - t0) / h  # the stage's position in the segment
-            w2 = (T - (s0 + 0.5 * h) - t0) / h
+            w2 = (T - (s0 + hh) - t0) / h
             w3 = (T - (s0 + h) - t0) / h
-            y = step_for(by_seg[seg])(im[seg], im[seg + 1], w1, w2, w3, h, y)
+            stages = ((w1, 1.0, hh), (w2, 2.0, hh), (w2, 2.0, h), (w3, 1.0, None))
+            y = steps[index[seg]](im[seg], im[seg + 1], stages, h / 6.0, y, y)
             path[:, seg] = y
     bad = ~np.isfinite(path)
     if bad.any():

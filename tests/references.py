@@ -235,8 +235,8 @@ def loop_pass(cfg, model, portfolio, grid, space, margins, variants) -> np.ndarr
     finiteness check: the generated step must match it byte for byte."""
     size = space.size
     kernel = loop_lattice_rhs(cfg, portfolio, size, margins.alpha, variants)
-    by_seg = lattice_coefficients(model, portfolio, space, resolve_true_h_c(cfg, model),
-                                  0.5 * (grid[:-1] + grid[1:]))
+    index, bundles = lattice_coefficients(model, portfolio, space, resolve_true_h_c(cfg, model),
+                                          0.5 * (grid[:-1] + grid[1:]))
     im = margins.im.values.T.tolist()
     nodes = grid.tolist()
     T = nodes[-1]
@@ -244,7 +244,7 @@ def loop_pass(cfg, model, portfolio, grid, space, margins, variants) -> np.ndarr
     def rhs(seg, s, y):
         t0, t1 = nodes[seg], nodes[seg + 1]
         w = 0.0 if t1 == t0 else (T - s - t0) / (t1 - t0)
-        return np.asarray(kernel(by_seg[seg], im[seg], im[seg + 1], w, y.tolist()))
+        return np.asarray(kernel(bundles[index[seg]], im[seg], im[seg + 1], w, y.tolist()))
 
     with np.errstate(over="ignore", invalid="ignore"):
         return rk4_sweep(grid, np.zeros(_layout(cfg, variants)[1] * size), rhs)

@@ -1,17 +1,25 @@
 """Command-line interface: subcommands, artifacts, exit codes, determinism."""
 
+import copy
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
+from functools import reduce
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import rxva.cli as cli
 import rxva.engine as engine
 import rxva.xva as xva
+from rxva.sweeps import SWEEPABLE
 
 from conftest import FIVE_NAME, SINGLE_NAME
 
@@ -177,6 +185,19 @@ class TestVerify:
                     "--paths", "10")
         assert code == cli.EXIT_VERIFY
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_estimate_refused(self, tmp_path, capsys):
+        # the pass stays finite, but the sampled losses' sum overflows
+        doc = _minimal_doc()
+        doc["portfolio"]["contracts"][0]["loss"] = 1e308
+        out = tmp_path / "out"
+        code = _run("verify", "--config", str(_write_config(tmp_path, doc)),
+                    "--out-dir", str(out), "--grid-points", "5", "--paths", "50")
+        assert code == cli.EXIT_CONFIG
+        assert ("configuration error: the clean_value check is not finite: mc = inf"
+                in capsys.readouterr().err)
+        assert list(out.iterdir()) == []
+
 
 class TestSweep:
     def test_sweep_artifact(self, tmp_path):
@@ -273,12 +294,15 @@ class TestExitCodes:
     _NON_FINITE_PASS = [
         ("price", ("spread",), 1e308, (), "clean"), ("xva", ("spread",), 1e308, (), "clean"),
         ("price", ("maturity",), 1e300, ("--grid-points", "5"), "clean"),
+        # two nodes near the float maximum: their sum overflows, their halves' does not
+        ("xva", ("maturity",), 1e308, ("--grid-points", "5"), "clean"),
         ("xva", ("rates", "r_f_plus"), 1e308, ("--allow-assumption-violation",), "actual"),
     ]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command, field, value, extra, surface", _NON_FINITE_PASS,
-                             ids=["price-spread", "xva-spread", "price-maturity", "xva-r_f_plus"])
+                             ids=["price-spread", "xva-spread", "price-maturity",
+                                  "xva-maturity-max", "xva-r_f_plus"])
     def test_non_finite_pass_refused(self, tmp_path, capsys, command, field, value, extra,
                                      surface):
         doc = _minimal_doc()
@@ -453,6 +477,106 @@ class TestDeterminism:
         for man in manifests:
             man.pop("wall_clock_s")
         assert manifests[0] == manifests[1]
+
+
+# ---------------------------------------------------------------------------
+# Edited configs through the CLI
+# ---------------------------------------------------------------------------
+
+_DELETE = object()
+# what a leaf edit writes: zeros of either sign, extreme magnitudes and other
+# numbers, or a string, a boolean, null, a list or a malformed table
+_NUMBERS = (0, -0.0, -1, 0.5, 2.0, 1e-300, 1e308)
+_OTHERS = ("0.1", "model", "", True, False, None, [], [0.5],
+           {"breaks": [0.5], "values": [0.1]}, {"breaks": [0.5], "values": []},
+           {"breaks": [0.9, 0.1], "values": [0.1, 0.2, 0.3]}, {"values": [[]]})
+
+
+def _entries(node, path=()):
+    """``(key path, value)`` of every entry below ``node``, containers and leaves."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield path + (key,), child
+        yield from _entries(child, path + (key,))
+
+
+@st.composite
+def _edited_config(draw):
+    """A shipped config with one to three edits, each replacing a leaf or
+    deleting an entry."""
+    with open(draw(st.sampled_from((SINGLE_NAME, FIVE_NAME))), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    for _ in range(draw(st.integers(1, 3))):
+        value = draw(st.one_of(st.just(_DELETE), st.sampled_from(_NUMBERS),
+                               st.sampled_from(_OTHERS)))
+        paths = [path for path, old in _entries(doc)
+                 if value is _DELETE or not isinstance(old, (dict, list))]
+        *parents, key = draw(st.sampled_from(paths))
+        parent = reduce(lambda node, k: node[k], parents, doc)
+        if value is _DELETE:
+            del parent[key]
+        else:
+            parent[key] = copy.deepcopy(value)
+    return doc
+
+
+_COMMANDS = st.one_of(
+    st.just(["price"]), st.just(["xva"]), st.just(["verify", "--paths", "50"]),
+    st.sampled_from(SWEEPABLE).map(lambda param: ["sweep", "--param", param, "--points", "2"]),
+)
+
+
+def _non_finite_cells(out_dir: Path, doc: dict) -> list[str]:
+    """Every artifact cell of a run that reads nan or inf, except the sweep
+    cells that are not applicable: ``xva_actual`` without mu_true,
+    ``xi_ref_val`` with no contract, and every value cell of a failed row."""
+    manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+    exempt = set()
+    if doc["counterparty_band"].get("mu_true") is None:
+        exempt.add("xva_actual")
+    if not doc["portfolio"]["contracts"]:
+        exempt.add("xi_ref_val")
+    bad = []
+    for name in ["manifest.json", *manifest["outputs"]]:
+        path = out_dir / name
+        if name.endswith(".json"):
+            json.loads(path.read_text(encoding="utf-8"),
+                       parse_constant=lambda word, name=name: bad.append(f"{name}: {word}"))
+            continue
+        for row in _read_csv(path):
+            if row.get("status", "ok") != "ok":
+                continue
+            for column, cell in row.items():
+                try:
+                    number = float(cell)
+                except ValueError:  # a regime label or the status
+                    continue
+                if not math.isfinite(number) and column not in exempt:
+                    bad.append(f"{name}: {column} = {cell}")
+    return bad
+
+
+@settings(derandomize=True, deadline=None, max_examples=500,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=_edited_config(), command=_COMMANDS, allow=st.booleans())
+def test_edited_configs_exit_cleanly(doc, command, allow):
+    # no edit of a shipped config makes the CLI raise, exit with a code it
+    # does not document, warn, or write a non-finite cell where a number is due
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = _write_config(Path(tmp), doc), Path(tmp) / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = _run(command[0], "--config", str(config), "--out-dir", str(out),
+                        "--grid-points", "5", *command[1:],
+                        *["--allow-assumption-violation"] * allow)
+        assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_ASSUMPTION, cli.EXIT_VERIFY)
+        if code == cli.EXIT_OK:
+            assert _non_finite_cells(out, doc) == []
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import rxva.xva as xva
 from rxva.clean import StateCoeffs
 from rxva.collateral import closeout_excess
 from rxva.engine import run_engine
-from rxva.grids import StateSpace
+from rxva.grids import StateSpace, choose_state_space
 from rxva.market import MarketConfig, Portfolio, market_from_dict, validate_assumptions
 from rxva.xva import (
     REGIME_HI,
@@ -70,7 +71,7 @@ def _xva_drift(cfg, which, v, m, u, L_I=0.5, L_C=0.5, state=None, u_child=0.0):
     """
     rhs = lattice_rhs(cfg, _losses(L_I, L_C), 2, 0.0, (which,))
     states = (replace(state or _state(), h_C=_h_true(cfg)), _state(h_C=_h_true(cfg)))
-    return rhs(states, [m, 0.0], [m, 0.0], 0.0, [v, 0.0, u, u_child])[2]
+    return rhs(states)([m, 0.0], [m, 0.0], 0.0, [v, 0.0, u, u_child])[2]
 
 
 def _selected_rate(cfg, which, v, m, u, L_C=1.0):
@@ -116,10 +117,10 @@ class TestFTilde:
         states = [_state(h_I=h, sum_L=x, h_C=_h_true(cfg))
                   for h, x in zip(rng.uniform(0.0, 0.3, 16), sum_L)]
         rhs = lattice_rhs(cfg, _losses(), 16, 0.0, ("actual", "upper"))
-        got = rhs(states, m.tolist(), m.tolist(), 0.0, [*v, *u, *u, *np.zeros(16)])
+        got = rhs(states)(m.tolist(), m.tolist(), 0.0, [*v, *u, *u, *np.zeros(16)])
         one = lattice_rhs(cfg, _losses(), 1, 0.0, ("actual", "upper"))
         for j in range(16):
-            want = one([states[j]], [m[j]], [m[j]], 0.0, [v[j], u[j], u[j], 0.0])
+            want = one([states[j]])([m[j]], [m[j]], 0.0, [v[j], u[j], u[j], 0.0])
             assert got[j::16] == want
 
 
@@ -252,15 +253,21 @@ class TestGeneratedKernel:
         args, call = case
         rhs = lattice_rhs(*args)
         want = loop_lattice_rhs(*args)(*call)
-        for _ in range(2):  # the second call runs the kept kernel
-            got = rhs(*call)
+        for _ in range(2):  # the second call runs the kept compiled shape
+            got = rhs(call[0])(*call[1:])
             assert got == want
             assert _bits(got) == _bits(want)  # zeros keep their sign
 
-    def test_kernel_cache_survives_id_reuse(self):
-        # bundles of one shape built and dropped in turn: the id of a freed
-        # bundle is reused at once, and a kernel kept by id alone would then
-        # run the coefficients of a bundle that no longer exists
+    def test_one_compiled_shape_serves_many_bundles(self, monkeypatch):
+        # bundles of one shape built and dropped in turn: each runs its own
+        # coefficients through the one source compiled for the shape
+        compiled = []
+
+        def counting_compile(*args):
+            compiled.append(args[1])
+            return compile(*args)
+
+        monkeypatch.setattr(xva, "compile", counting_compile, raising=False)
         cfg = _cfg(r_D=0.01, r_f_plus=0.05, r_f_minus=0.02,
                    r_m_plus=0.01, r_m_minus=0.03, true=0.15)
         space = StateSpace(((1, 2), (3,)))
@@ -275,15 +282,14 @@ class TestGeneratedKernel:
                 for key in space.keys
             ])
 
-        assert len({id(bundle()) for _ in range(20)}) < 20  # ids of dropped bundles recur
         args = (cfg, _losses(), space.size, 0.3, VARIANTS)
         rhs, loop = lattice_rhs(*args), loop_lattice_rhs(*args)
         for _ in range(50):
             states = bundle()
             im0, im1 = rng.normal(size=(2, space.size)).tolist()
             y = rng.normal(size=space.size * 6).tolist()
-            assert rhs(states, im0, im1, 0.25, y) == loop(states, im0, im1, 0.25, y)
-            del states
+            assert rhs(states)(im0, im1, 0.25, y) == loop(states, im0, im1, 0.25, y)
+        assert len(compiled) == 1
 
     def test_full_ten_name_lattice_matches_loop_pass(self):
         # the largest lattice the engine admits: ten names with distinct
@@ -341,6 +347,46 @@ def _single_name_case(draw):
     return doc, variants, draw(st.integers(3, 50))
 
 
+@st.composite
+def _multi_name_case(draw):
+    """A portfolio of two or three classes of one or two names, a variant
+    subset in any order and a grid of 3 to 50 points.  Every class has its
+    own contract and reference table, the first table breaks inside the
+    maturity, so the pass crosses two or more pieces, and a table row may
+    depend on the default count.  mu_true is a number, "model" or unset;
+    beta is 0, since a multi-name initial margin is refused."""
+    doc = _load_doc(FIVE_NAME)
+    rate = st.floats(0.0, 0.05)
+    doc["rates"] = {key: draw(rate) for key in doc["rates"]}
+    lo = draw(st.floats(0.01, 0.1))
+    hi = lo + draw(st.floats(0.01, 0.1))
+    true = draw(st.one_of(st.none(), st.just("model"), st.floats(lo, hi)))
+    doc["counterparty_band"] = {"mu_lower": lo, "mu_upper": hi}
+    if true is not None:
+        doc["counterparty_band"]["mu_true"] = true
+    sizes = draw(st.lists(st.integers(1, 2), min_size=2, max_size=3))
+    intensity = st.floats(0.01, 0.3)
+    row = st.one_of(intensity, st.lists(intensity, min_size=sum(sizes) + 1,
+                                        max_size=sum(sizes) + 1))
+    contracts, tables = [], []
+    for g, n in enumerate(sizes):
+        contract = {"spread": 0.01 * (g + 1) + draw(st.floats(0.0, 0.005)),
+                    "loss": draw(st.floats(0.2, 1.0)),
+                    "direction": draw(st.sampled_from((1, -1)))}
+        breaks = sorted(draw(st.lists(st.floats(0.1, 0.9), min_size=int(g == 0), max_size=2,
+                                      unique=True)))
+        table = {"breaks": breaks, "values": [draw(row) for _ in range(len(breaks) + 1)]}
+        contracts += [contract] * n
+        tables += [table] * n
+    doc["portfolio"]["contracts"] = contracts
+    doc["portfolio"]["collateral"]["alpha"] = draw(st.floats(0.0, 1.0))
+    doc["contagion"]["reference_tables"] = tables
+    allowed = VARIANTS if true is not None else ("upper", "lower")
+    variants = draw(st.sampled_from([order for n in range(len(allowed) + 1)
+                                     for order in permutations(allowed, n)]))
+    return doc, variants, draw(st.integers(3, 50))
+
+
 class TestGeneratedStep:
     @settings(deadline=None, max_examples=100)
     @given(_single_name_case())
@@ -364,6 +410,18 @@ class TestGeneratedStep:
         got = np.concatenate([surface.values for surface in surfaces])
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+    @settings(deadline=None, max_examples=60)
+    @given(_multi_name_case())
+    def test_multi_class_pass_matches_loop_pass(self, case):
+        # the same comparison on a lattice of several classes whose pass
+        # crosses a break (build_grid puts a node on it)
+        doc = case[0]
+        _, model, portfolio, _ = market_from_dict(doc)
+        space = choose_state_space(model, portfolio)
+        assert len(space.classes) == len({c["spread"] for c in doc["portfolio"]["contracts"]})
+        assert any(0.0 < b < portfolio.maturity for b in model.breakpoints())
+        self.test_engine_pass_matches_loop_pass.hypothesis.inner_test(self, case)
 
 
 # ---------------------------------------------------------------------------
