@@ -392,12 +392,8 @@ def market_from_dict(doc: dict) -> tuple[MarketConfig, ContagionModel, Portfolio
         maturity=_required_number(pf, "maturity", "portfolio"),
         loss_investor=_required_number(pf, "L_I", "portfolio"),
         loss_counterparty=_required_number(pf, "L_C", "portfolio"),
-        collateral=CollateralSpec(
-            alpha=_number(coll.get("alpha", 0.0), "collateral.alpha"),
-            beta=_number(coll.get("beta", 0.0), "collateral.beta"),
-            q=_number(coll.get("q", 0.99), "collateral.q"),
-            delta=_number(coll.get("delta", 10.0 / 252.0), "collateral.delta"),
-        ),
+        collateral=CollateralSpec(**{key: _number(coll[key], f"collateral.{key}")
+                                     for key in ("alpha", "beta", "q", "delta") if key in coll}),
     )
     mu_true = band.get("mu_true")
     if mu_true is not None and not isinstance(mu_true, str):

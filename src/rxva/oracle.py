@@ -413,9 +413,7 @@ def drift_identity_error(result: EngineResult, which: str = "upper", stride: int
             count = space.count(key)
             snap = robust_strategy(surface, result.clean, margins.m, portfolio, t, key)
             mu_true = h_true.at(t, count) + cfg.r_D
-            drift = wealth_drift(
-                cfg, model, portfolio, snap, margins.m.at(key, t), mu_true, t, count
-            )
+            drift = wealth_drift(cfg, model, portfolio, snap, mu_true, t, count)
             worst = max(worst, abs(drift + g[space.size + key]))
     return worst
 

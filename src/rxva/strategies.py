@@ -27,8 +27,6 @@ class StrategySnapshot:
     entity i (1-based ids in ``alive``).
     """
 
-    t: float
-    state: int
     alive: tuple[int, ...]
     xi_ref_values: dict[int, float]
     xi_I_value: float
@@ -65,8 +63,6 @@ def robust_strategy(
     psi_m_value = -m
     xi_f_value = float(-u - sum(ref_vals.values()) + theta_C + theta_I - m)
     return StrategySnapshot(
-        t=t,
-        state=key,
         alive=alive,
         xi_ref_values=ref_vals,
         xi_I_value=xi_I_value,
@@ -81,7 +77,6 @@ def wealth_drift(
     model: ContagionModel,
     portfolio: Portfolio,
     snapshot: StrategySnapshot,
-    m: float,
     mu_C_true: float,
     t: float,
     count: int,
@@ -91,8 +86,10 @@ def wealth_drift(
     Accounts for the defaultable-account drifts at their account rates
     mu = h + r_D, the sign-dependent treasury rate on the funding balance
     (which finances the surviving loss notionals on top of the funding
-    account itself), and the collateral remuneration.
+    account itself), and the collateral remuneration.  The collateral is
+    read from the holdings: psi_m * B_m = -M.
     """
+    m = -snapshot.psi_m_value
     loss_sum = sum(
         portfolio.contracts[i - 1].direction * portfolio.contracts[i - 1].loss
         for i in snapshot.alive

@@ -20,6 +20,7 @@ earned by the super-replicating strategy while no default has occurred.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -105,8 +106,8 @@ def lattice_rhs(
 
 
 def _binder(cfg, portfolio, size: int, alpha: float, variants):
-    """``bind(states)``: the generated RK4 step (see ``_kernel_source``) with
-    the coefficients of one bundle bound; compiled once per lattice shape."""
+    """``bind(states)``: the generated RK4 step (see ``_kernel_source``),
+    compiled once per lattice shape, with one bundle's coefficients bound."""
     if any(which not in VARIANTS for which in variants):
         raise ValueError(f"variants must be drawn from {VARIANTS}, got {variants!r}")
     if cfg.mu_C_true is None and "actual" in variants:
@@ -116,24 +117,23 @@ def _binder(cfg, portfolio, size: int, alpha: float, variants):
     rates = (-r_D, r_D, alpha, -portfolio.loss_investor, -portfolio.loss_counterparty,
              cfg.r_f_plus, cfg.r_f_minus, cfg.r_m_plus, cfg.r_m_minus, h_low, h_high)
     layout, n_blocks = _layout(cfg, variants)
-    makers = {}  # children of every state -> make(coeffs) compiled for that shape
+    steps = {}  # children of every state -> the step compiled for that shape
 
     def bind(states):
         if len(states) != size:
             raise ValueError(f"a bundle of {len(states)} states for a lattice of {size}")
         shape = tuple(tuple(move[0] for move in st.transitions) for st in states)
-        if shape not in makers:
+        if shape not in steps:
             namespace = {}
             source = _kernel_source(shape, layout, n_blocks)
             exec(compile(source, "<lattice step>", "exec"), namespace)
-            makers[shape] = namespace["make"]
+            steps[shape] = namespace["step"]
         coeffs = list(rates)  # in the order of _RATES, _STATE_COEFFS and _MOVE_COEFFS
         for st in states:
-            coeffs += (st.sum_S, st.sum_L, st.h_I, st.h_C, st.alive_count,
-                       r_D * st.sum_L, h_low - st.h_C, h_high - st.h_C)
+            coeffs += (st.sum_S, st.sum_L, st.h_I, st.h_C, st.alive_count, r_D * st.sum_L)
             for _child, rate, loss, count in st.transitions:
                 coeffs += (rate, loss, count)
-        return makers[shape](tuple(coeffs))
+        return partial(steps[shape], tuple(coeffs))
 
     return bind
 
@@ -142,11 +142,11 @@ def _binder(cfg, portfolio, size: int, alpha: float, variants):
 # is their only copy.  Coefficients: nrD = -r_D, A = alpha, nLI = -L_I,
 # nLC = -L_C, hL/hH the band's counterparty intensities; per state k, S the
 # spread sum, sL the loss sum, hI, hC the true counterparty intensity, n the
-# contracts alive, rL = r_D * sL and qL/qH = hL/hH - hC; per move j, R the
-# rate, L the loss and c the contracts retired.  v{k} is the clean value and
-# u{b}_{k} the value of variant block b.
+# contracts alive and rL = r_D * sL; per move j, R the rate, L the loss and c
+# the contracts retired.  v{k} is the clean value and u{b}_{k} the value of
+# variant block b.
 _RATES = "nrD, rD, A, nLI, nLC, rfp, rfm, rmp, rmm, hL, hH"
-_STATE_COEFFS = "S{k}, sL{k}, hI{k}, hC{k}, n{k}, rL{k}, qL{k}, qH{k}"
+_STATE_COEFFS = "S{k}, sL{k}, hI{k}, hC{k}, n{k}, rL{k}"
 _MOVE_COEFFS = "R{k}_{j}, L{k}_{j}, c{k}_{j}"
 _CLEAN = "d{k} = nrD * v{k} - S{k}{moves}"
 _CLEAN_MOVE = " + R{k}_{j} * (L{k}_{j} + v{c} - v{k})"
@@ -158,35 +158,38 @@ tC = nLC * g if g < 0.0 else 0.0
 fm = rmp * m if m > 0.0 else rmm * m"""
 _VARIANT = """\
 zI = tI - {u}
-zC = tC - {u}
+zC = tC - {u}{pick}
 z = 0.0{children} - n{k} * {u}
 yf = {u} + z + zI + zC + sL{k} - m
 o{b}_{k} = hI{k} * zI + {h_C} * zC + (0.0{jumps}) + (
     -(rfp * yf if yf > 0.0 else rfm * yf) + rD * (z + zI + zC) - fm + rL{k})"""
 _CHILD = " + c{k}_{j} * {uc}"
 _JUMP = " + R{k}_{j} * ({uc} - {u})"
-_H_C = {"actual": "hC{k}",
-        "upper": "(hH if zC >= 0.0 else hL)",
-        "lower": "(hL if zC >= 0.0 else hH)"}
-_POCKET = {"upper": "p{p}_{k} = (qH{k} if zC >= 0.0 else qL{k}) * zC",
-           "lower": "p{p}_{k} = (qL{k} if zC >= 0.0 else qH{k}) * zC"}
+# per variant, the line that picks the counterparty intensity and its name in
+# the drift: the true one, or the band extreme on the sign of zC, picked once
+# for the drift and the pocket's surplus rate
+_H_C = {"actual": ("", "hC{k}"),
+        "upper": ("\nhc = hH if zC >= 0.0 else hL", "hc"),
+        "lower": ("\nhc = hL if zC >= 0.0 else hH", "hc")}
+_SURPLUS = "p{p}_{k} = (hc - hC{k}) * zC"
 
 
 def _kernel_source(shape, layout, n_blocks: int) -> str:
-    """Source of ``make(coeffs)`` for one lattice shape.
+    """Source of ``step(coeffs, im0, im1, stages, h6, y, base)`` for one
+    lattice shape.
 
     ``shape`` lists the children of every state and ``coeffs`` is a bundle
-    flattened by ``_binder``.  ``make`` returns ``step(im0, im1, stages,
-    h6, y, base)``: the right-hand side unrolled over states, moves and
-    blocks with the lattice values in local variables, run once per entry
-    ``(w, a, c)`` of ``stages`` at the position ``w`` in the segment.  Each
-    stage adds ``a`` times its slope to a running sum and, unless ``c`` is
-    None, makes the next stage's input ``base + c * slope``; the step
-    returns ``base + h6 * sum``.  With the classical stages and ``base = y``
-    that is one RK4 step, with the float operations of ``y + (0.5 * h) * k``
-    for the stage inputs and ``y + (h / 6.0) * (((k1 + 2.0 * k2) + 2.0 * k3)
-    + k4)`` for the result, and the body those of a loop over the states in
-    the same order, so every value rounds as it would there.
+    flattened by ``_binder``.  ``step`` is the right-hand side unrolled over
+    states, moves and blocks with the lattice values in local variables, run
+    once per entry ``(w, a, c)`` of ``stages`` at the position ``w`` in the
+    segment.  Each stage adds ``a`` times its slope to a running sum and,
+    unless ``c`` is None, makes the next stage's input ``base + c * slope``;
+    the step returns ``base + h6 * sum``.  With the classical stages and
+    ``base = y`` that is one RK4 step, with the float operations of
+    ``y + (0.5 * h) * k`` for the stage inputs and ``y + (h / 6.0) *
+    (((k1 + 2.0 * k2) + 2.0 * k3) + k4)`` for the result, and the body those
+    of a loop over the states in the same order, so every value rounds as it
+    would there.
     """
     size = len(shape)
     names, body = [_RATES], []
@@ -202,14 +205,15 @@ def _kernel_source(shape, layout, n_blocks: int) -> str:
             body.append(_COLLATERAL.format(k=k))
         for which, b, p in layout:
             u = y[b][k] = f"u{b}_{k}"
+            pick, h_C = _H_C[which]
             body.append(_VARIANT.format(
-                k=k, b=b, u=u, h_C=_H_C[which].format(k=k),
+                k=k, b=b, u=u, pick=pick, h_C=h_C.format(k=k),
                 children="".join(_CHILD.format(k=k, j=j, uc=f"u{b}_{c}") for j, c in moves),
                 jumps="".join(_JUMP.format(k=k, j=j, uc=f"u{b}_{c}", u=u) for j, c in moves),
             ))
             out[b][k] = f"o{b}_{k}"
             if p is not None:
-                body.append(_POCKET[which].format(p=p, k=k))
+                body.append(_SURPLUS.format(p=p, k=k))
                 out[p][k] = f"p{p}_{k}"
     ins, outs = sum(y, []), sum(out, [])
     # Y{i} is column i of the base and acc{i} the weighted sum of its stage
@@ -226,11 +230,8 @@ def _kernel_source(shape, layout, n_blocks: int) -> str:
              "for w, a, c in stages:"]
     lines += (f"    {line}" for text in stage for line in text.split("\n"))
     lines += [f"return [{', '.join(f'Y{i} + h6 * acc{i}' for i in cols)}]"]
-    # the coefficients are bound as a default, not a closure: compiling a
-    # closure over tens of thousands of names takes time quadratic in them
-    return ("def make(coeffs):\n    def step(im0, im1, stages, h6, y, base, coeffs=coeffs):\n"
-            + "".join(f"        {line}\n" for text in lines for line in text.split("\n"))
-            + "    return step\n")
+    return ("def step(coeffs, im0, im1, stages, h6, y, base):\n"
+            + "".join(f"    {line}\n" for text in lines for line in text.split("\n")))
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +240,6 @@ def _kernel_source(shape, layout, n_blocks: int) -> str:
 
 @dataclass
 class XvaResult:
-    which: str
     surface: LatticeSurface
     regime: np.ndarray | None = None
     pocket: LatticeSurface | None = None
@@ -258,9 +258,10 @@ def _joint_pass(cfg, model, portfolio, grid, space, margins, variants):
     size = space.size
     alpha = margins.alpha if margins is not None else 0.0
     bind = _binder(cfg, portfolio, size, alpha, variants)
-    # each segment's midpoint, halved first so that no sum overflows
+    # each segment's coefficients at its start node: every model break is a
+    # node (see engine.grid_breakpoints) and the pieces are right-continuous
     index, bundles = lattice_coefficients(model, portfolio, space, resolve_true_h_c(cfg, model),
-                                          0.5 * grid[:-1] + 0.5 * grid[1:])
+                                          grid[:-1])
     steps = [bind(states) for states in bundles]
     if margins is not None:
         im = margins.im.values.T.tolist()
@@ -341,7 +342,7 @@ def solve_xva(
     results = {}
     for which, block, pocket in _layout(cfg, variants)[0]:
         u = rows(block)
-        result = results[which] = XvaResult(which, LatticeSurface(grid, space, u))
+        result = results[which] = XvaResult(LatticeSurface(grid, space, u))
         if which == "actual":
             continue
         z_C = theta_C - u

@@ -638,3 +638,20 @@ def test_benchmark_trace_hooks_run(tmp_path, args, counts):
     trace = json.loads(result.read_text(encoding="utf-8"))
     assert trace["rc"] == 0
     assert {name: trace["counts"].get(name) for name in counts} == counts
+
+
+def test_pass_timer_prints_one_line_per_workload():
+    # scripts/pass_timer.py rebinds compile and _joint_pass in rxva.xva, so
+    # a refactor of the lattice pass can break it without any other test
+    root = Path(cli.__file__).resolve().parents[2]
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "pass_timer.py"), "--repeat", "1", "W1"],
+        cwd=root, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1
+    line = json.loads(lines[0])
+    assert set(line) == {"workload", "states", "steps", "repeat", "pass_s", "compile_s",
+                         "step_s", "source_chars"}
+    assert (line["workload"], line["states"], line["repeat"]) == ("W1", 2, 1)
+    assert line["source_chars"] > 0

@@ -421,6 +421,18 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="table|intensity"):
             market_from_dict(doc)
 
+    @pytest.mark.parametrize("block", [None, {}, {"beta": 0.0, "q": 0.99}])
+    def test_collateral_defaults(self, block):
+        # an absent or partial collateral block takes CollateralSpec's defaults
+        doc = _doc_with(("portfolio",), "collateral", block)
+        if block is None:
+            del doc["portfolio"]["collateral"]
+        assert market_from_dict(doc)[2].collateral == CollateralSpec()
+
+    def test_collateral_value_must_be_a_number(self):
+        with pytest.raises(ConfigError, match="collateral.q must be a number"):
+            market_from_dict(_doc_with(("portfolio",), "collateral", {"q": "0.99"}))
+
     def test_table_break_must_be_finite(self):
         with pytest.raises(ConfigError, match="finite"):
             _as_table({"breaks": [float("nan")], "values": [0.1, 0.2]})

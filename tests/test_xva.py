@@ -352,9 +352,10 @@ def _multi_name_case(draw):
     """A portfolio of two or three classes of one or two names, a variant
     subset in any order and a grid of 3 to 50 points.  Every class has its
     own contract and reference table, the first table breaks inside the
-    maturity, so the pass crosses two or more pieces, and a table row may
-    depend on the default count.  mu_true is a number, "model" or unset;
-    beta is 0, since a multi-name initial margin is refused."""
+    maturity, so the pass crosses two or more pieces, the investor and
+    counterparty tables may break inside it too, and a table row may depend
+    on the default count.  mu_true is a number, "model" or unset; beta is 0,
+    since a multi-name initial margin is refused."""
     doc = _load_doc(FIVE_NAME)
     rate = st.floats(0.0, 0.05)
     doc["rates"] = {key: draw(rate) for key in doc["rates"]}
@@ -368,19 +369,24 @@ def _multi_name_case(draw):
     intensity = st.floats(0.01, 0.3)
     row = st.one_of(intensity, st.lists(intensity, min_size=sum(sizes) + 1,
                                         max_size=sum(sizes) + 1))
+
+    def table(min_breaks):
+        breaks = sorted(draw(st.lists(st.floats(0.1, 0.9), min_size=min_breaks, max_size=2,
+                                      unique=True)))
+        return {"breaks": breaks, "values": [draw(row) for _ in range(len(breaks) + 1)]}
+
     contracts, tables = [], []
     for g, n in enumerate(sizes):
         contract = {"spread": 0.01 * (g + 1) + draw(st.floats(0.0, 0.005)),
                     "loss": draw(st.floats(0.2, 1.0)),
                     "direction": draw(st.sampled_from((1, -1)))}
-        breaks = sorted(draw(st.lists(st.floats(0.1, 0.9), min_size=int(g == 0), max_size=2,
-                                      unique=True)))
-        table = {"breaks": breaks, "values": [draw(row) for _ in range(len(breaks) + 1)]}
         contracts += [contract] * n
-        tables += [table] * n
+        tables += [table(int(g == 0))] * n
     doc["portfolio"]["contracts"] = contracts
     doc["portfolio"]["collateral"]["alpha"] = draw(st.floats(0.0, 1.0))
     doc["contagion"]["reference_tables"] = tables
+    doc["contagion"]["investor_table"] = table(0)
+    doc["contagion"]["counterparty_table"] = table(0)
     allowed = VARIANTS if true is not None else ("upper", "lower")
     variants = draw(st.sampled_from([order for n in range(len(allowed) + 1)
                                      for order in permutations(allowed, n)]))
