@@ -191,7 +191,12 @@ COMMANDS = {"price": _cmd_price, "xva": _cmd_xva, "verify": _cmd_verify, "sweep"
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # an existing file, or a path under one
+        print(f"configuration error: cannot create the output directory: {exc}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     started = time.perf_counter()
     try:
         outputs, code = COMMANDS[args.command](args, out_dir)

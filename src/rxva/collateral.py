@@ -52,9 +52,10 @@ def variation_margin(v_hat: LatticeSurface, alpha: float) -> LatticeSurface:
 # ---------------------------------------------------------------------------
 
 def _pieces(table: PiecewiseTable, t0: float, t1: float):
-    """(start, end, intensity) of each constant piece of ``table`` in [t0, t1]."""
+    """(start, end, intensity) of each constant piece of ``table`` in [t0, t1],
+    the intensity read at the start of the right-continuous piece."""
     edges = [t0] + [b for b in table.breaks if t0 < b < t1] + [t1]
-    return [(a, b, table.at(0.5 * (a + b), 0)) for a, b in zip(edges, edges[1:])]
+    return [(a, b, table.at(a, 0)) for a, b in zip(edges, edges[1:])]
 
 
 def _cum_hazard(table: PiecewiseTable, t0: float, t1: float) -> float:

@@ -19,13 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clean import lattice_coefficients
 from .collateral import closeout_excess
 from .engine import EngineResult
 from .grids import LatticeSurface
 from .market import ConfigError, ContagionModel, MarketConfig, Portfolio
 from .strategies import robust_strategy, wealth_drift
-from .xva import lattice_rhs, resolve_true_h_c
+from .xva import lattice_coefficients, lattice_rhs, resolve_true_h_c
 
 
 # ---------------------------------------------------------------------------
@@ -65,26 +64,25 @@ class PathBatch:
 
 
 class _Clocks:
-    """Competing default clocks of one portfolio, tabulated per time piece.
+    """Competing default clocks of one portfolio, tabulated per segment of [0, T].
 
     Clock c < n is reference entity c + 1; with parties, clocks n and n + 1
-    are the investor and the counterparty.  ``h[c, k, q]`` is the intensity
-    of clock c with k prior reference defaults on piece q of the model's
-    breakpoints (piece q covers [breaks[q-1], breaks[q])).
+    are the investor and the counterparty.  ``edges`` ends the segments of
+    [0, T]: every model break in (0, T), then T.  ``h[c, k, j]`` is the
+    intensity of clock c with k prior reference defaults on segment j, read
+    at its start; the pieces are right-continuous, so that is its value.
     """
 
     def __init__(self, model, portfolio, include_parties, h_C_true):
         n, T = portfolio.n, portfolio.maturity
-        breaks = model.breakpoints()
         self.n, self.T = n, T
-        self.breaks = np.asarray(breaks, dtype=float)
-        self.edges = np.array([b for b in breaks if 0.0 < b < T] + [T])
+        self.edges = np.array([b for b in model.breakpoints() if 0.0 < b < T] + [T])
         tables = [model.table(i) for i in range(1, n + 1)]
         if include_parties:
             tables += [model.investor, h_C_true if h_C_true is not None else model.counterparty]
-        # the left end of each piece lies in it (side="right" lookup)
-        left = [-math.inf, *breaks]
-        self.h = np.array([[[tab.at(t, k) for t in left] for k in range(n + 1)] for tab in tables])
+        starts = [0.0, *self.edges[:-1].tolist()]
+        self.h = np.array([[[tab.at(t, k) for t in starts] for k in range(n + 1)]
+                           for tab in tables])
 
     def invert(self, clock: int, count: int, t0: np.ndarray, target: np.ndarray) -> np.ndarray:
         """First time after t0 at which the cumulated intensity reaches target.
@@ -100,8 +98,7 @@ class _Clocks:
         j = np.searchsorted(self.edges[:-1], t0, side="right")
         prev, remaining = t0, target
         while rows.size:
-            edge = self.edges[j]
-            h = h_of_piece[np.searchsorted(self.breaks, 0.5 * (prev + edge), side="right")]
+            edge, h = self.edges[j], h_of_piece[j]
             mass = h * (edge - prev)
             hit = (h > 0.0) & (mass >= remaining)
             k = np.flatnonzero(hit)
@@ -232,13 +229,9 @@ def _mc_clean_single_stratified(cfg, model, portfolio, n_paths, seed):
     rng = np.random.default_rng(seed)
     con = portfolio.contracts[0]
     T = portfolio.maturity
-    breaks = [b for b in model.breakpoints() if 0.0 < b < T]
-    edges = np.array([0.0] + breaks + [T])
-    h_vals = np.array([
-        model.intensity_by_count(1, 0.5 * (a + b), 0)
-        for a, b in zip(edges[:-1], edges[1:])
-    ])
-    cum = np.concatenate([[0.0], np.cumsum(h_vals * np.diff(edges))])
+    clocks = _Clocks(model, portfolio, False, None)
+    edges = np.concatenate([[0.0], clocks.edges])
+    cum = np.concatenate([[0.0], np.cumsum(clocks.h[0, 0] * np.diff(edges))])
     p_default = -math.expm1(-cum[-1])  # P(tau <= T)
     survival_flow = float(_cash_flow(cfg.r_D, con, math.inf, T))
     if p_default == 0.0:
@@ -400,7 +393,7 @@ def drift_identity_error(result: EngineResult, which: str = "upper", stride: int
         raise ValueError("the drift identity requires mu_C_true")
     surface = result.xva[which].surface
     space, grid, margins = result.space, result.grid, result.margins
-    index, bundles = lattice_coefficients(model, portfolio, space, h_true, grid[::stride])
+    index, bundles = lattice_coefficients(cfg, model, portfolio, space, grid[::stride])
     bind = lattice_rhs(cfg, portfolio, space.size, margins.alpha, ("actual",))
     drivers = [bind(states) for states in bundles]
     worst = 0.0

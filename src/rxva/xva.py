@@ -1,7 +1,13 @@
 """Clean value and XVA over the default lattice, in one RK4 pass.
 
-Three variants of the reduced XVA equation are solved in reversed time
-s = T - t with zero initial data:
+The clean value surface solves, in reversed time s = T - t and for every
+default state J,
+
+    dv/ds = -r_D v - sum_{i alive} S_i + sum_{i alive} h_i (L_i + v_child - v)
+
+with v = 0 at s = 0 and v identically zero once all entities have defaulted.
+Spreads and losses carry the contract direction sign.  Three variants of
+the reduced XVA equation are solved in the same time with zero initial data:
 
 * ``actual``: the counterparty account grows at the true rate mu_C_true.
 * ``upper``: at each integrator stage the band extreme maximizing the drift
@@ -19,12 +25,12 @@ earned by the super-replicating strategy while no default has occurred.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .clean import lattice_coefficients
 from .collateral import MarginSchedule, closeout_excess
 from .grids import LatticeSurface, StateSpace
 from .market import ConfigError, ContagionModel, MarketConfig, PiecewiseTable, Portfolio
@@ -56,8 +62,72 @@ def all_variants(cfg: MarketConfig) -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Lattice right-hand side
+# Lattice coefficients and right-hand side
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class StateCoeffs:
+    """Coefficients of one default state on one constant-coefficient piece.
+
+    ``transitions`` lists the one-default moves out of the state as tuples
+    ``(child, rate, loss, count)``: the target state, the aggregate intensity
+    of the move, the signed loss paid on it, and the number of contracts it
+    retires (see ``StateSpace.moves``).  ``h_C`` is the true counterparty
+    intensity (see ``resolve_true_h_c``), NaN when the config does not give one.
+    """
+
+    sum_S: float
+    sum_L: float
+    h_I: float
+    h_C: float
+    alive_count: int
+    transitions: tuple
+
+
+def lattice_coefficients(
+    cfg: MarketConfig,
+    model: ContagionModel,
+    portfolio: Portfolio,
+    space: StateSpace,
+    times: np.ndarray,
+) -> tuple[list[int], list[tuple[StateCoeffs, ...]]]:
+    """Coefficient bundles of the lattice over the float array ``times``.
+
+    A bundle is the tuple of StateCoeffs of every lattice state in key
+    order.  Coefficients are piecewise constant in time, so there is one
+    bundle per piece of the model's breaks that ``times`` meets, built at
+    the first of its times.  Returns ``(index, bundles)``: the bundle of
+    ``times[i]`` is ``bundles[index[i]]``.
+    """
+    h_C_true = resolve_true_h_c(cfg, model)  # its breaks are among the model's
+    pieces = np.searchsorted(np.asarray(model.breakpoints()), times, side="right").tolist()
+    first = {}  # piece -> its first time, in order of appearance
+    for piece, t in zip(pieces, times.tolist()):
+        first.setdefault(piece, t)
+    order = {piece: i for i, piece in enumerate(first)}
+    bundles = [tuple(_state_coeffs(model, portfolio, space, h_C_true, t, key)
+                     for key in space.keys) for t in first.values()]
+    return [order[piece] for piece in pieces], bundles
+
+
+def _state_coeffs(model, portfolio, space, h_C_true, t: float, key: int) -> StateCoeffs:
+    count = space.count(key)
+    sum_S = sum_L = 0.0
+    transitions = []
+    for child, entities in space.moves(key):
+        w = len(entities)  # the entities of one move share contract and rate
+        con = portfolio.contracts[entities[0] - 1]
+        sum_S += w * con.direction * con.spread
+        sum_L += w * con.direction * con.loss
+        h = model.intensity_by_count(entities[0], t, count)
+        transitions.append((child, w * h, con.direction * con.loss, w))
+    return StateCoeffs(
+        sum_S=sum_S, sum_L=sum_L,
+        h_I=model.intensity_by_count("I", t, count),
+        h_C=math.nan if h_C_true is None else h_C_true.at(t, count),
+        alive_count=portfolio.n - count, transitions=tuple(transitions),
+    )
+
 
 def _layout(cfg: MarketConfig, variants) -> tuple[list[tuple[str, int, int | None]], int]:
     """Row blocks of the joint pass, and their count.
@@ -260,8 +330,7 @@ def _joint_pass(cfg, model, portfolio, grid, space, margins, variants):
     bind = _binder(cfg, portfolio, size, alpha, variants)
     # each segment's coefficients at its start node: every model break is a
     # node (see engine.grid_breakpoints) and the pieces are right-continuous
-    index, bundles = lattice_coefficients(model, portfolio, space, resolve_true_h_c(cfg, model),
-                                          grid[:-1])
+    index, bundles = lattice_coefficients(cfg, model, portfolio, space, grid[:-1])
     steps = [bind(states) for states in bundles]
     if margins is not None:
         im = margins.im.values.T.tolist()

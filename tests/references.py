@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from rxva.clean import lattice_coefficients
 from rxva.collateral import MarginSchedule, closeout_excess
 from rxva.grids import LatticeSurface, StateSpace
 from rxva.market import ContagionModel, MarketConfig, PiecewiseTable, Portfolio
 from rxva.strategies import StrategySnapshot
-from rxva.xva import VARIANTS, _layout, resolve_true_h_c
+from rxva.xva import VARIANTS, _layout, lattice_coefficients, resolve_true_h_c
 
 
 def clean_closed_form_single(
@@ -235,7 +234,7 @@ def loop_pass(cfg, model, portfolio, grid, space, margins, variants) -> np.ndarr
     finiteness check: the generated step must match it byte for byte."""
     size = space.size
     kernel = loop_lattice_rhs(cfg, portfolio, size, margins.alpha, variants)
-    index, bundles = lattice_coefficients(model, portfolio, space, resolve_true_h_c(cfg, model),
+    index, bundles = lattice_coefficients(cfg, model, portfolio, space,
                                           0.5 * (grid[:-1] + grid[1:]))
     im = margins.im.values.T.tolist()
     nodes = grid.tolist()

@@ -61,7 +61,7 @@ def _clean_by_expm(cfg, model, portfolio):
     """Clean value v_hat(t) over the N + 1 count states, by matrix exponential.
 
     For k defaults and a = N - k alive names with intensity h_k, the ODE of
-    ``rxva.clean`` in reversed time reads
+    ``rxva.xva`` in reversed time reads
     dv_k/ds = -r_D v_k - a S + a h_k (L + v_{k+1} - v_k), so with
     y = (v_0, ..., v_N, 1) it is dy/ds = G y and v(t) = expm(G (T - t)) e_last.
     Valid for identical contracts and time-constant intensities.

@@ -256,11 +256,31 @@ class TestExitCodes:
         assert _run("price", "--config", str(tmp_path / "nope.json"),
                     "--out-dir", str(tmp_path / "o")) == cli.EXIT_CONFIG
 
-    def test_malformed_config(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{", encoding="utf-8")
-        assert _run("price", "--config", str(bad),
-                    "--out-dir", str(tmp_path / "o")) == cli.EXIT_CONFIG
+    def test_malformed_config(self, tmp_path, capsys):
+        doc = json.loads(SINGLE_NAME.read_text(encoding="utf-8"))
+        doc["portfolio"]["maturity"] = 10 ** 400  # an integer beyond the float range
+        documents = [
+            b"{",
+            b'{"rates": "\xff"}',  # not UTF-8
+            b'{"rates": ' + b"1" * 5000 + b"}",  # beyond the integer digit limit
+            b"[" * 100_000 + b"]" * 100_000,  # nested beyond the recursion limit
+            json.dumps(doc).encode(),
+        ]
+        for i, text in enumerate(documents):
+            bad = tmp_path / f"bad{i}.json"
+            bad.write_bytes(text)
+            assert _run("price", "--config", str(bad),
+                        "--out-dir", str(tmp_path / "o")) == cli.EXIT_CONFIG
+            assert "configuration error" in capsys.readouterr().err
+
+    def test_unusable_out_dir(self, tmp_path, capsys):
+        afile = tmp_path / "file"
+        afile.write_text("", encoding="utf-8")
+        for out in (afile, afile / "sub"):
+            assert _run("price", "--config", str(SINGLE_NAME),
+                        "--out-dir", str(out)) == cli.EXIT_CONFIG
+            assert "cannot create the output directory" in capsys.readouterr().err
+        assert afile.read_text(encoding="utf-8") == ""
 
     _DEGENERATE = [
         (("verify",), "--paths", "0"), (("verify",), "--paths", "-5"),

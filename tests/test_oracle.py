@@ -130,14 +130,29 @@ _GENERAL_THREE_NAME = {
 }
 
 
+# tables that break at 0.0, at T = 2.0 and beyond it: a row in force only
+# outside [0, T) is 9.0, which no sampled time may read
+_EDGE_BREAKS = copy.deepcopy(_GENERAL_THREE_NAME)
+_EDGE_BREAKS["contagion"] = {
+    "investor_table": {"breaks": [0.0, 0.7], "values": [9.0, [0.1, 0.3], [0.2, 0.5, 0.6]]},
+    "counterparty_table": {"breaks": [1.5, 2.0], "values": [[0.15, 0.25, 0.4], 0.3, 9.0]},
+    "reference_tables": [
+        {"breaks": [0.0, 1.2, 2.5], "values": [9.0, [0.2, 0.9, 1.1], [0.4, 0.6], 9.0]},
+        {"breaks": [1.0, 2.0, 3.0], "values": [[0.5, 0.7, 0.9], [0.1, 0.2], 9.0, 9.0]},
+        0.35,
+    ],
+}
+
+
 class TestSamplerExactness:
     """The round-major sampler gives the scalar sampler's paths bit for bit."""
 
     @pytest.mark.parametrize("include_parties", [False, True])
-    @pytest.mark.parametrize("setup", ["single", "five", "general"])
+    @pytest.mark.parametrize("setup", ["single", "five", "general", "edge_breaks"])
     def test_paths_match_scalar_reference(self, setup, include_parties):
-        if setup == "general":
-            cfg, model, portfolio, _ = market_from_dict(_GENERAL_THREE_NAME)
+        if setup in ("general", "edge_breaks"):
+            doc = _GENERAL_THREE_NAME if setup == "general" else _EDGE_BREAKS
+            cfg, model, portfolio, _ = market_from_dict(doc)
         else:
             cfg, model, portfolio, _ = load_config(
                 SINGLE_NAME if setup == "single" else FIVE_NAME

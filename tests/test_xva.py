@@ -12,7 +12,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import rxva.xva as xva
-from rxva.clean import StateCoeffs
 from rxva.collateral import closeout_excess
 from rxva.engine import run_engine
 from rxva.grids import StateSpace, choose_state_space
@@ -22,6 +21,7 @@ from rxva.xva import (
     REGIME_LO,
     REGIME_TIE,
     VARIANTS,
+    StateCoeffs,
     _layout,
     lattice_rhs,
     resolve_true_h_c,
