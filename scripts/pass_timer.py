@@ -17,13 +17,22 @@ Workloads, each an engine run with every variant the config prices:
 * W4: eight names with spreads 0.02 + 0.001 i, 500 steps (256 states);
 * L10: ten names with spreads 0.02 + 0.001 i, 20 steps (1,024 states).
 
-Usage: ``python scripts/pass_timer.py [--repeat K] [WORKLOAD ...]``
+With ``--baseline DIR`` it compares this tree's pass with that of the
+checkout ``DIR`` instead: each round times one run of every chosen workload
+from ``DIR/src`` and one from this tree's ``src``, each in a fresh
+subprocess, in alternating order. It prints one JSON line per workload with
+the two medians over ``--repeat`` rounds and the number of rounds in which
+this tree was faster.
+
+Usage: ``python scripts/pass_timer.py [--repeat K] [--baseline DIR] [WORKLOAD ...]``
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -112,16 +121,58 @@ def measure(name: str, timer: Timer, repeat: int | None) -> dict:
     return line
 
 
+# A --baseline round's child: imports the package from the given src first,
+# so that the script, which then puts its own src first, times that tree.
+_CHILD = """\
+import runpy, sys
+sys.path.insert(0, sys.argv[1])
+import rxva
+sys.argv = sys.argv[2:]
+runpy.run_path(sys.argv[0], run_name="__main__")
+"""
+
+
+def _time_once(name: str, src: Path) -> float:
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, str(src), str(Path(__file__).resolve()),
+         "--repeat", "1", name], capture_output=True, text=True)
+    if proc.returncode:
+        raise SystemExit(f"{name} from {src} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)["pass_s"]
+
+
+def compare(name: str, baseline: Path, repeat: int | None) -> dict:
+    """Paired pass times of ``name``: the baseline's and this tree's."""
+    sides = [("baseline", baseline / "src"), ("this", ROOT / "src")]
+    times = {"baseline": [], "this": []}
+    rounds = repeat or WORKLOADS[name][3]
+    for i in range(rounds):
+        for side, src in sides if i % 2 == 0 else sides[::-1]:
+            times[side].append(_time_once(name, src))
+    return {"workload": name, "rounds": rounds,
+            "baseline_pass_s": statistics.median(times["baseline"]),
+            "pass_s": statistics.median(times["this"]),
+            "faster_rounds": sum(t < b for t, b in zip(times["this"], times["baseline"]))}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("workloads", nargs="*", metavar="WORKLOAD",
                         help=f"any of {', '.join(WORKLOADS)} (default: all)")
     parser.add_argument("--repeat", type=int, default=None,
                         help="runs per workload (default 5, W4 and L10: 3)")
+    parser.add_argument("--baseline", type=Path, metavar="DIR",
+                        help="compare with the pass of the checkout DIR, in paired rounds")
     args = parser.parse_args(argv)
     unknown = set(args.workloads) - set(WORKLOADS)
     if unknown:
         parser.error(f"unknown workloads: {', '.join(sorted(unknown))}")
+    if args.baseline is not None:
+        if not (args.baseline / "src" / "rxva").is_dir():
+            parser.error(f"no src/rxva under {args.baseline}")
+        for name in args.workloads or WORKLOADS:
+            print(json.dumps(compare(name, args.baseline.resolve(), args.repeat)), flush=True)
+        return 0
     timer = Timer()
     timer.install()
     for name in args.workloads or WORKLOADS:

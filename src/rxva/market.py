@@ -103,8 +103,11 @@ def _number(value, where: str) -> float:
         raise ConfigError(f"{where} must be a number, got {value!r}")
     try:
         number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
+    except OverflowError:  # an integer beyond the float range: its size, not its digits
+        n = abs(int(value))  # counted from its bit length: str() of a huge int raises
+        digits = int((n.bit_length() - 1) * math.log10(2)) + 1  # the count or one short
+        digits += n >= 10 ** digits
+        raise ConfigError(f"{where} must be finite, got an integer of {digits} digits") from None
     if not math.isfinite(number):
         raise ConfigError(f"{where} must be finite, got {value!r}")
     return number

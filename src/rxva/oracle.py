@@ -417,7 +417,12 @@ def drift_identity_error(result: EngineResult, which: str = "upper", stride: int
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite number is refused instead
 def verify(result: EngineResult, n_paths: int, seed: int) -> dict:
-    """Full oracle report against the solved surfaces; ConfigError if a number is not finite."""
+    """Full oracle report against the solved surfaces; ConfigError if a number is not finite.
+
+    With mu_C_true set, every upper or lower result gets the pathwise wealth
+    check, so one without its pocket surface is a ValueError, not a report
+    with fewer checks.
+    """
     cfg, model, portfolio = result.cfg, result.model, result.portfolio
     checks: dict = {}
     report: dict = {"n_paths": n_paths, "seed": seed, "checks": checks}
@@ -439,7 +444,7 @@ def verify(result: EngineResult, n_paths: int, seed: int) -> dict:
 
     for which, name, mean_key, offset in (("upper", "dominance", "mean_surplus", 2),
                                           ("lower", "subreplication", "mean_deficit", 3)):
-        if which in result.xva and result.xva[which].pocket is not None:
+        if which in result.xva and cfg.mu_C_true is not None:
             rep = pathwise_wealth_check(result, which, min(n_paths, 10_000), seed + offset)
             checks[name] = {
                 "paths": rep.n_paths, "violations": rep.violations,

@@ -175,9 +175,23 @@ def lattice_rhs(
     return bind
 
 
-def _binder(cfg, portfolio, size: int, alpha: float, variants):
+def _same(a: float, b: float) -> bool:
+    """Whether two numbers are one float, zeros of both signs told apart."""
+    return float(a) == float(b) and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _binder(cfg, portfolio, size: int, alpha: float, variants,
+            zero_im: frozenset = frozenset()):
     """``bind(states)``: the generated RK4 step (see ``_kernel_source``),
-    compiled once per lattice shape, with one bundle's coefficients bound."""
+    compiled once per lattice shape, with one bundle's coefficients bound
+    as floats.
+
+    ``zero_im`` is given by a pass that starts from zero: the states whose
+    initial margin is +0.0 at every node.  The step then leaves out the
+    initial margin of those states and the whole body of an absorbed state
+    among them, whose every column stays +0.0.  With none given the step
+    takes any ``y`` and initial margin.
+    """
     if any(which not in VARIANTS for which in variants):
         raise ValueError(f"variants must be drawn from {VARIANTS}, got {variants!r}")
     if cfg.mu_C_true is None and "actual" in variants:
@@ -186,6 +200,7 @@ def _binder(cfg, portfolio, size: int, alpha: float, variants):
     h_low, h_high = cfg.counterparty_band_rates()
     rates = (-r_D, r_D, alpha, -portfolio.loss_investor, -portfolio.loss_counterparty,
              cfg.r_f_plus, cfg.r_f_minus, cfg.r_m_plus, cfg.r_m_minus, h_low, h_high)
+    one_rate = (_same(cfg.r_f_plus, cfg.r_f_minus), _same(cfg.r_m_plus, cfg.r_m_minus))
     layout, n_blocks = _layout(cfg, variants)
     steps = {}  # children of every state -> the step compiled for that shape
 
@@ -194,8 +209,9 @@ def _binder(cfg, portfolio, size: int, alpha: float, variants):
             raise ValueError(f"a bundle of {len(states)} states for a lattice of {size}")
         shape = tuple(tuple(move[0] for move in st.transitions) for st in states)
         if shape not in steps:
+            # the flags are fixed for this binder, so the shape alone keys its steps
             namespace = {}
-            source = _kernel_source(shape, layout, n_blocks)
+            source = _kernel_source(shape, layout, n_blocks, zero_im, one_rate)
             exec(compile(source, "<lattice step>", "exec"), namespace)
             steps[shape] = namespace["step"]
         coeffs = list(rates)  # in the order of _RATES, _STATE_COEFFS and _MOVE_COEFFS
@@ -203,7 +219,8 @@ def _binder(cfg, portfolio, size: int, alpha: float, variants):
             coeffs += (st.sum_S, st.sum_L, st.h_I, st.h_C, st.alive_count, r_D * st.sum_L)
             for _child, rate, loss, count in st.transitions:
                 coeffs += (rate, loss, count)
-        return partial(steps[shape], tuple(coeffs))
+        # floats only: an int or np.float64 operand makes CPython's arithmetic slower
+        return partial(steps[shape], tuple(map(float, coeffs)))
 
     return bind
 
@@ -221,18 +238,19 @@ _MOVE_COEFFS = "R{k}_{j}, L{k}_{j}, c{k}_{j}"
 _CLEAN = "d{k} = nrD * v{k} - S{k}{moves}"
 _CLEAN_MOVE = " + R{k}_{j} * (L{k}_{j} + v{c} - v{k})"
 _COLLATERAL = """\
-m = A * v{k} + im0[{k}] * w0 + im1[{k}] * w
+m = A * v{k} + {im}
 g = v{k} - m
 tI = nLI * g if g > 0.0 else 0.0
 tC = nLC * g if g < 0.0 else 0.0
-fm = rmp * m if m > 0.0 else rmm * m"""
+fm = {fm}"""
+_IM = "im0[{k}] * w0 + im1[{k}] * w"
 _VARIANT = """\
 zI = tI - {u}
 zC = tC - {u}{pick}
 z = 0.0{children} - n{k} * {u}
 yf = {u} + z + zI + zC + sL{k} - m
 o{b}_{k} = hI{k} * zI + {h_C} * zC + (0.0{jumps}) + (
-    -(rfp * yf if yf > 0.0 else rfm * yf) + rD * (z + zI + zC) - fm + rL{k})"""
+    -({fy}) + rD * (z + zI + zC) - fm + rL{k})"""
 _CHILD = " + c{k}_{j} * {uc}"
 _JUMP = " + R{k}_{j} * ({uc} - {u})"
 # per variant, the line that picks the counterparty intensity and its name in
@@ -242,9 +260,12 @@ _H_C = {"actual": ("", "hC{k}"),
         "upper": ("\nhc = hH if zC >= 0.0 else hL", "hc"),
         "lower": ("\nhc = hL if zC >= 0.0 else hH", "hc")}
 _SURPLUS = "p{p}_{k} = (hc - hC{k}) * zC"
+# the funding and margin rates of a sign, or the one product of an equal pair
+_FY = ("rfp * yf if yf > 0.0 else rfm * yf", "rfp * yf")
+_FM = ("rmp * m if m > 0.0 else rmm * m", "rmp * m")
 
 
-def _kernel_source(shape, layout, n_blocks: int) -> str:
+def _kernel_source(shape, layout, n_blocks: int, no_im, one_rate) -> str:
     """Source of ``step(coeffs, im0, im1, stages, h6, y, base)`` for one
     lattice shape.
 
@@ -260,24 +281,41 @@ def _kernel_source(shape, layout, n_blocks: int) -> str:
     (((k1 + 2.0 * k2) + 2.0 * k3) + k4)`` for the result, and the body those
     of a loop over the states in the same order, so every value rounds as it
     would there.
+
+    What the caller knows folds into the source, each bit for bit:
+    ``no_im`` states, whose initial margin is +0.0, get ``A * v + 0.0`` for
+    the collateral (the sum of the +0.0 margin terms is +0.0 whatever the
+    signs of ``w0`` and ``w``), and the absorbed state (no move) among them,
+    whose every column is and stays +0.0 (``base`` + h6 * ±0.0 is
+    ``base``), gets no body and returns its base; ``one_rate`` flags the
+    funding and the margin rate pairs whose two rates are one float, which
+    one product serves.
     """
     size = len(shape)
+    fixed = {k for k, children in enumerate(shape) if not children} & no_im
     names, body = [_RATES], []
     y = [[f"v{k}" for k in range(size)]] + [["_"] * size for _ in range(n_blocks - 1)]
-    out = [[f"d{k}" for k in range(size)]] + [[None] * size for _ in range(n_blocks - 1)]
+    out = [[None] * size for _ in range(n_blocks)]
+    fy, fm = _FY[one_rate[0]], _FM[one_rate[1]]
     for k, children in enumerate(shape):
         moves = list(enumerate(children))
         names.append(_STATE_COEFFS.format(k=k))
         names += (_MOVE_COEFFS.format(k=k, j=j) for j, _ in moves)
+        for which, b, p in layout:
+            y[b][k] = f"u{b}_{k}"
+        if k in fixed:
+            continue
         body.append(_CLEAN.format(k=k, moves="".join(
             _CLEAN_MOVE.format(k=k, j=j, c=c) for j, c in moves)))
+        out[0][k] = f"d{k}"
         if layout:
-            body.append(_COLLATERAL.format(k=k))
+            im = "0.0" if k in no_im else _IM.format(k=k)
+            body.append(_COLLATERAL.format(k=k, im=im, fm=fm))
         for which, b, p in layout:
-            u = y[b][k] = f"u{b}_{k}"
+            u = y[b][k]
             pick, h_C = _H_C[which]
             body.append(_VARIANT.format(
-                k=k, b=b, u=u, pick=pick, h_C=h_C.format(k=k),
+                k=k, b=b, u=u, pick=pick, h_C=h_C.format(k=k), fy=fy,
                 children="".join(_CHILD.format(k=k, j=j, uc=f"u{b}_{c}") for j, c in moves),
                 jumps="".join(_JUMP.format(k=k, j=j, uc=f"u{b}_{c}", u=u) for j, c in moves),
             ))
@@ -288,18 +326,20 @@ def _kernel_source(shape, layout, n_blocks: int) -> str:
     ins, outs = sum(y, []), sum(out, [])
     # Y{i} is column i of the base and acc{i} the weighted sum of its stage
     # slopes; the sum starts at -0.0, so adding 1.0 * k1 gives k1 bit for
-    # bit.  The pocket columns feed no stage.
-    cols = range(len(outs))
-    stage = ["w0 = 1.0 - w"] * bool(layout) + body
-    stage += [f"acc{i} = acc{i} + a * {o}" for i, o in enumerate(outs)]
+    # bit.  The pocket columns feed no stage; a fixed state's columns have
+    # no slope.
+    live = [i for i, o in enumerate(outs) if o is not None]
+    stage = ["w0 = 1.0 - w"] * bool(layout and len(no_im) < size) + body
+    stage += [f"acc{i} = acc{i} + a * {outs[i]}" for i in live]
     stage += ["if c is None:", "    break"]
-    stage += [f"{v} = Y{i} + c * {o}" for i, (v, o) in enumerate(zip(ins, outs)) if v != "_"]
+    stage += [f"{ins[i]} = Y{i} + c * {outs[i]}" for i in live if ins[i] != "_"]
     lines = [f"{', '.join(names)}, = coeffs", f"{', '.join(ins)}, = y",
-             f"{', '.join(f'Y{i}' for i in cols)}, = base",
-             f"{' = '.join(f'acc{i}' for i in cols)} = -0.0",
-             "for w, a, c in stages:"]
+             f"{', '.join(f'Y{i}' for i in range(len(outs)))}, = base"]
+    lines += [f"{' = '.join(f'acc{i}' for i in live)} = -0.0"] * bool(live)
+    lines += ["for w, a, c in stages:"]
     lines += (f"    {line}" for text in stage for line in text.split("\n"))
-    lines += [f"return [{', '.join(f'Y{i} + h6 * acc{i}' for i in cols)}]"]
+    ends = (f"Y{i} + h6 * acc{i}" if o else f"Y{i}" for i, o in enumerate(outs))
+    lines += [f"return [{', '.join(ends)}]"]
     return ("def step(coeffs, im0, im1, stages, h6, y, base):\n"
             + "".join(f"    {line}\n" for text in lines for line in text.split("\n")))
 
@@ -321,39 +361,40 @@ def _joint_pass(cfg, model, portfolio, grid, space, margins, variants):
     The sweep runs in reversed time s = T - t, from the last grid segment
     to the first, with one generated step per segment (see
     ``_kernel_source``).  Returns the pass's array: a row per column of
-    ``lattice_rhs`` (so each state's surface is a contiguous row) and an
-    entry per grid node.  A pass that leaves a non-finite value anywhere is
-    refused with ConfigError.
+    the step (so each state's surface is a contiguous row) and an entry per
+    grid node.  A pass that leaves a non-finite value anywhere is refused
+    with ConfigError.
     """
     size = space.size
-    alpha = margins.alpha if margins is not None else 0.0
-    bind = _binder(cfg, portfolio, size, alpha, variants)
+    if margins is not None:
+        alpha, im_rows = margins.alpha, margins.im.values
+        zero_im = frozenset(np.flatnonzero(
+            ((im_rows == 0.0) & ~np.signbit(im_rows)).all(axis=1)).tolist())
+        im = im_rows.T.tolist()
+    else:
+        alpha, zero_im = 0.0, frozenset(range(size))
+        im = [[0.0] * size] * len(grid)
+    bind = _binder(cfg, portfolio, size, alpha, variants, zero_im)
     # each segment's coefficients at its start node: every model break is a
     # node (see engine.grid_breakpoints) and the pieces are right-continuous
     index, bundles = lattice_coefficients(cfg, model, portfolio, space, grid[:-1])
     steps = [bind(states) for states in bundles]
-    if margins is not None:
-        im = margins.im.values.T.tolist()
-    else:
-        im = [[0.0] * size] * len(grid)
     nodes = grid.tolist()  # times as floats, so the step does no numpy scalar arithmetic
     T = nodes[-1]
     layout, n_blocks = _layout(cfg, variants)
-    y = [0.0] * (n_blocks * size)
+    y = [0.0] * (n_blocks * size)  # every column starts at +0.0 (see _binder's zero_im)
     path = np.empty((len(y), len(nodes)))
     path[:, -1] = y
-    # coefficients may be np.float64, whose arithmetic warns where a float's does not
-    with np.errstate(over="ignore", invalid="ignore"):
-        for seg in range(len(nodes) - 2, -1, -1):
-            t0, t1 = nodes[seg], nodes[seg + 1]
-            s0, h = T - t1, t1 - t0
-            hh = 0.5 * h
-            w1 = (T - s0 - t0) / h  # the stage's position in the segment
-            w2 = (T - (s0 + hh) - t0) / h
-            w3 = (T - (s0 + h) - t0) / h
-            stages = ((w1, 1.0, hh), (w2, 2.0, hh), (w2, 2.0, h), (w3, 1.0, None))
-            y = steps[index[seg]](im[seg], im[seg + 1], stages, h / 6.0, y, y)
-            path[:, seg] = y
+    for seg in range(len(nodes) - 2, -1, -1):
+        t0, t1 = nodes[seg], nodes[seg + 1]
+        s0, h = T - t1, t1 - t0
+        hh = 0.5 * h
+        w1 = (T - s0 - t0) / h  # the stage's position in the segment
+        w2 = (T - (s0 + hh) - t0) / h
+        w3 = (T - (s0 + h) - t0) / h
+        stages = ((w1, 1.0, hh), (w2, 2.0, hh), (w2, 2.0, h), (w3, 1.0, None))
+        y = steps[index[seg]](im[seg], im[seg + 1], stages, h / 6.0, y, y)
+        path[:, seg] = y
     bad = ~np.isfinite(path)
     if bad.any():
         node = int(np.flatnonzero(bad.any(axis=0))[-1])  # the pass runs backwards

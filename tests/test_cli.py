@@ -271,7 +271,11 @@ class TestExitCodes:
             bad.write_bytes(text)
             assert _run("price", "--config", str(bad),
                         "--out-dir", str(tmp_path / "o")) == cli.EXIT_CONFIG
-            assert "configuration error" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "configuration error" in err
+        # the out-of-range integer is named by its size, not echoed digit by digit
+        assert "portfolio.maturity must be finite, got an integer of 401 digits" in err
+        assert len(err) < 200
 
     def test_unusable_out_dir(self, tmp_path, capsys):
         afile = tmp_path / "file"
@@ -675,3 +679,21 @@ def test_pass_timer_prints_one_line_per_workload():
                          "step_s", "source_chars"}
     assert (line["workload"], line["states"], line["repeat"]) == ("W1", 2, 1)
     assert line["source_chars"] > 0
+
+
+def test_pass_timer_baseline_prints_paired_medians():
+    # --baseline times each workload from the baseline's src and from this
+    # tree's in alternating subprocesses; here both are this tree
+    root = Path(cli.__file__).resolve().parents[2]
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "pass_timer.py"),
+         "--baseline", ".", "--repeat", "1", "W1"],
+        cwd=root, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1
+    line = json.loads(lines[0])
+    assert set(line) == {"workload", "rounds", "baseline_pass_s", "pass_s", "faster_rounds"}
+    assert (line["workload"], line["rounds"]) == ("W1", 1)
+    assert line["faster_rounds"] in (0, 1)
+    assert line["baseline_pass_s"] > 0.0 and line["pass_s"] > 0.0

@@ -385,6 +385,16 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="finite"):
             market_from_dict(_doc_with(where, key, bad))
 
+    @pytest.mark.parametrize("digits", [401, 5001], ids=["over_float", "over_str_limit"])
+    @pytest.mark.parametrize("sign", [1, -1], ids=["plus", "minus"])
+    def test_huge_integers_rejected_by_size(self, digits, sign):
+        # an integer beyond the float range is reported by its digit count;
+        # one beyond Python's int-to-str limit too, in process where JSON
+        # parsing cannot stop it first
+        with pytest.raises(ConfigError, match=f"maturity must be finite, got an integer "
+                                              f"of {digits} digits$"):
+            market_from_dict(_doc_with(("portfolio",), "maturity", sign * 10 ** (digits - 1)))
+
     @pytest.mark.parametrize("where, key, bad", [
         (("portfolio",), "maturity", "1"),
         (("portfolio", "contracts", 0), "spread", "0.02"),

@@ -4,6 +4,7 @@ import copy
 import importlib.util
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -380,6 +381,16 @@ class TestVerifyReport:
         report = verify(result, n_paths=4_000, seed=20)
         assert report["passed"] is True
         assert report["checks"]["drift_identity"]["max_error"] < 1e-9
+
+    @pytest.mark.parametrize("which", ["upper", "lower"])
+    def test_missing_pocket_is_refused(self, single_name_setup, which):
+        # mu_C_true is set, so the wealth check must run; a result without
+        # its pocket is an error, not a report with fewer checks
+        result = run_engine(*single_name_setup, variants=("actual", "upper", "lower"),
+                            grid_points=50)
+        result.xva[which] = replace(result.xva[which], pocket=None)
+        with pytest.raises(ValueError, match="pocket surface missing"):
+            verify(result, n_paths=10, seed=0)
 
 
 def _benchmark_workloads():

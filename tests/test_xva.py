@@ -23,6 +23,7 @@ from rxva.xva import (
     VARIANTS,
     StateCoeffs,
     _layout,
+    lattice_coefficients,
     lattice_rhs,
     resolve_true_h_c,
     solve_clean,
@@ -310,6 +311,17 @@ class TestGeneratedKernel:
         assert got.tobytes() == want.tobytes()
 
 
+def _rates(draw, doc):
+    """Draws the rates of ``doc``, each funding and margin pair equal or
+    not, so the generated step's one product for an equal pair and its
+    branch for an unequal one both run."""
+    rate = st.floats(0.0, 0.05)
+    rates = doc["rates"] = {key: draw(rate) for key in doc["rates"]}
+    for plus, minus in (("r_f_plus", "r_f_minus"), ("r_m_plus", "r_m_minus")):
+        if draw(st.booleans()):
+            rates[minus] = rates[plus]
+
+
 @st.composite
 def _single_name_case(draw):
     """A single-name config, a variant subset in any order (none for the
@@ -318,8 +330,7 @@ def _single_name_case(draw):
     or positive, and then q is drawn so that the initial margin of either
     direction is positive and varies in time."""
     doc = _load_doc()
-    rate = st.floats(0.0, 0.05)
-    doc["rates"] = {key: draw(rate) for key in doc["rates"]}
+    _rates(draw, doc)
     lo = draw(st.floats(0.05, 0.2))
     hi = lo + draw(st.floats(0.01, 0.2))
     true = draw(st.one_of(st.none(), st.just("model"), st.floats(lo, hi)))
@@ -357,8 +368,7 @@ def _multi_name_case(draw):
     on the default count.  mu_true is a number, "model" or unset; beta is 0,
     since a multi-name initial margin is refused."""
     doc = _load_doc(FIVE_NAME)
-    rate = st.floats(0.0, 0.05)
-    doc["rates"] = {key: draw(rate) for key in doc["rates"]}
+    _rates(draw, doc)
     lo = draw(st.floats(0.01, 0.1))
     hi = lo + draw(st.floats(0.01, 0.1))
     true = draw(st.one_of(st.none(), st.just("model"), st.floats(lo, hi)))
@@ -428,6 +438,33 @@ class TestGeneratedStep:
         assert len(space.classes) == len({c["spread"] for c in doc["portfolio"]["contracts"]})
         assert any(0.0 < b < portfolio.maturity for b in model.breakpoints())
         self.test_engine_pass_matches_loop_pass.hypothesis.inner_test(self, case)
+
+    def test_five_name_step_is_specialised(self, monkeypatch):
+        # the pass folds what it knows into its step: the absorbed state (key
+        # 5) has no body and beta = 0 leaves no initial margin to read, where
+        # lattice_rhs, which takes any y and margin, keeps them; both take
+        # the equal margin rates as one product and keep the funding branch
+        sources = []
+
+        def recording_compile(source, *args):
+            sources.append(source)
+            return compile(source, *args)
+
+        monkeypatch.setattr(xva, "compile", recording_compile, raising=False)
+        cfg, model, portfolio, model_P = market_from_dict(_load_doc(FIVE_NAME))
+        res = run_engine(cfg, model, portfolio, model_P, variants=VARIANTS, grid_points=10,
+                         allow_assumption_violation=True)
+        assert res.space.size == 6 and cfg.r_m_plus == cfg.r_m_minus != 0.0
+        assert cfg.r_f_plus != cfg.r_f_minus
+        states = lattice_coefficients(cfg, model, portfolio, res.space, res.grid[:1])[1][0]
+        lattice_rhs(cfg, portfolio, 6, res.margins.alpha, VARIANTS)(states)
+        step, general = ([line.strip() for line in source.splitlines()] for source in sources)
+        for lines, specialised in ((step, True), (general, False)):
+            assert any(line.startswith("d4 =") for line in lines)
+            assert any(line.startswith("d5 =") for line in lines) != specialised
+            assert any("im0[" in line for line in lines) != specialised
+            assert "fm = rmp * m" in lines
+            assert any("rfp * yf if yf > 0.0 else rfm * yf" in line for line in lines)
 
 
 # ---------------------------------------------------------------------------
