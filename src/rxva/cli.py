@@ -23,7 +23,7 @@ from pathlib import Path
 from . import __version__
 from .engine import run_engine
 from .market import AssumptionError, ConfigError, load_config, read_config
-from .oracle import verify
+from .oracle import MAX_PATH_SLOTS, verify
 from .reporting import (
     write_clean_csv,
     write_json,
@@ -117,10 +117,17 @@ def _engine(args, which: str | None = None):
 
     ``which`` names the XVA variants to solve: None for the clean value
     alone, ``"all"`` for every variant the config can price, or one of them.
+    A ``verify`` whose paths the oracle's memory cannot hold is refused first.
     """
     cfg, model, portfolio, model_P = load_config(args.config)
     if args.gamma == -1:
         portfolio = portfolio.flipped()
+    if args.command == "verify" and args.paths * (portfolio.n + 1) > MAX_PATH_SLOTS:
+        raise ConfigError(
+            f"--paths {args.paths} over {portfolio.n} names exceeds the oracle's bound of "
+            f"{MAX_PATH_SLOTS} paths times (names + 1); at most "
+            f"{MAX_PATH_SLOTS // (portfolio.n + 1)} paths fit"
+        )
     variants = () if which is None else all_variants(cfg)
     if which not in (None, "all"):
         if which not in variants:

@@ -11,16 +11,24 @@ from .collateral import MarginSchedule, margin_schedule
 from .grids import LatticeSurface, StateSpace, build_grid, choose_state_space
 from .market import (
     AssumptionError,
+    ConfigError,
     ContagionModel,
     MarketConfig,
     Portfolio,
     validate_assumptions,
 )
-from .xva import XvaResult, solve_clean, solve_xva
+from .xva import XvaResult, solve_clean, solve_xva, source_length
 
 # Largest lattice the engine allocates, in states times grid nodes: 16 MiB per
 # surface, which admits the full 2^10 lattice at the default 2000 steps.
 MAX_LATTICE_CELLS = 1 << 21
+
+# Longest generated step the engine compiles, in characters of source as
+# xva.source_length bounds it.  Compiling takes about 84 bytes per character,
+# so about 500 MiB here.  The full 2^10 lattice with every variant is 3.2M;
+# verify's drift-identity step is shorter, and compiles after the pass's
+# compile has freed its memory.
+MAX_STEP_SOURCE = 6_000_000
 
 
 @dataclass
@@ -61,12 +69,20 @@ def run_engine(
     schedule is built first.  One lattice pass then integrates the clean
     value together with every requested variant (the clean value alone when
     none is requested), and the variation margin is set from its clean rows.
-    ``timings`` holds the wall time of that pass.
+    ``timings`` holds the wall time of that pass.  A lattice of more cells
+    than MAX_LATTICE_CELLS, or whose step would be longer than
+    MAX_STEP_SOURCE, is refused with ConfigError before any of it is built.
     """
     report = validate_assumptions(cfg, model, horizon=portfolio.maturity)
     if not report.passed and not allow_assumption_violation:
         raise AssumptionError(report)
     space = choose_state_space(model, portfolio, force_full=force_full)
+    chars = source_length(cfg, space, variants)
+    if chars > MAX_STEP_SOURCE:
+        raise ConfigError(
+            f"the lattice step for N = {space.n} names ({space.size} states) would be "
+            f"{chars} characters of source, over the bound of {MAX_STEP_SOURCE}"
+        )
     grid = build_grid(
         portfolio.maturity, grid_breakpoints(model, portfolio), min_points=grid_points,
         space=space, max_cells=MAX_LATTICE_CELLS,

@@ -33,6 +33,15 @@ from .xva import lattice_coefficients, lattice_rhs, resolve_true_h_c
 
 PARTY_NONE, PARTY_I, PARTY_C = 0, 1, 2
 
+# Paths per block: the estimators work through their paths in blocks of this
+# many, so that only the PathBatch and the per-path values grow with the
+# path count.
+BLOCK = 8192
+
+# Most paths times (names + 1) the oracle samples: its memory is gated at 30
+# bytes per path and name (tests/test_oracle.py), so about 1 GiB here.
+MAX_PATH_SLOTS = 32_000_000
+
 
 @dataclass
 class PathBatch:
@@ -53,6 +62,10 @@ class PathBatch:
 
     def __len__(self) -> int:
         return len(self.party)
+
+    def __getitem__(self, rows: slice) -> PathBatch:
+        """The paths ``rows``, as views of these columns."""
+        return PathBatch(**{name: column[rows] for name, column in vars(self).items()})
 
     def default_times(self) -> np.ndarray:
         """(paths, entities) default time of each entity, inf when it survived."""
@@ -129,11 +142,13 @@ def simulate_paths(
     still running, in ascending path order, and one column per clock: the
     names in id order, then the investor and the counterparty.  A path
     reads the columns of its surviving names and of the parties, and ends
-    unless a reference name defaults first before T.
+    unless a reference name defaults first before T.  Each round runs in
+    blocks of at most ``BLOCK`` paths, and drawing the rows block by block
+    gives the same stream as one draw of them all.
     """
     rng = np.random.default_rng(seed)
     clocks = _Clocks(model, portfolio, include_parties, h_C_true)
-    n, n_clocks = clocks.n, len(clocks.h)
+    n = clocks.n
     batch = PathBatch(
         event_time=np.full((n_paths, n), math.inf),
         event_entity=np.zeros((n_paths, n), dtype=np.int64),
@@ -142,32 +157,41 @@ def simulate_paths(
         party_time=np.full(n_paths, math.inf),
     )
     live = np.arange(n_paths)
-    t = np.zeros(n_paths)
-    dead = np.zeros((n_paths, n), dtype=bool)
     for r in range(n + 1):  # every live path has r reference defaults
-        draws = rng.exponential(size=(live.size, n_clocks))
-        t0, alive = t[live], ~dead[live]
-        best_t = np.full(live.size, math.inf)
-        best = np.full(live.size, -1)
-        for c in range(n_clocks):
-            sel = np.flatnonzero(alive[:, c]) if c < n else slice(None)
-            cand = clocks.invert(c, r, t0[sel], draws[sel, c])
-            win = cand < best_t[sel]
-            best_t[sel] = np.where(win, cand, best_t[sel])
-            best[sel] = np.where(win, c, best[sel])
-        ended = (best < 0) | (best_t >= clocks.T)
-        party = ~ended & (best >= n)
-        batch.party[live[party]] = best[party] - n + 1
-        batch.party_time[live[party]] = best_t[party]
-        ref = ~ended & ~party
-        live, who = live[ref], best[ref]
         if not live.size:
             break
-        batch.event_time[live, r] = t[live] = best_t[ref]
-        batch.event_entity[live, r] = who + 1
-        batch.n_events[live] = r + 1
-        dead[live, who] = True
+        live = np.concatenate([_round(batch, clocks, rng, r, live[s:s + BLOCK])
+                               for s in range(0, live.size, BLOCK)])
     return batch
+
+
+def _round(batch: PathBatch, clocks: _Clocks, rng, r: int, rows: np.ndarray) -> np.ndarray:
+    """Round r of the running paths ``rows``: records how each ends the round
+    and returns those a reference default keeps running."""
+    n = clocks.n
+    draws = rng.exponential(size=(rows.size, len(clocks.h)))
+    t0 = batch.event_time[rows, r - 1] if r else np.zeros(rows.size)
+    alive = np.ones((rows.size, n), dtype=bool)
+    alive[np.arange(rows.size)[:, None], batch.event_entity[rows, :r] - 1] = False
+    best_t = np.full(rows.size, math.inf)
+    best = np.full(rows.size, -1)
+    for c in range(len(clocks.h)):
+        sel = np.flatnonzero(alive[:, c]) if c < n else slice(None)
+        cand = clocks.invert(c, r, t0[sel], draws[sel, c])
+        win = cand < best_t[sel]
+        best_t[sel] = np.where(win, cand, best_t[sel])
+        best[sel] = np.where(win, c, best[sel])
+    ended = (best < 0) | (best_t >= clocks.T)
+    party = ~ended & (best >= n)
+    batch.party[rows[party]] = best[party] - n + 1
+    batch.party_time[rows[party]] = best_t[party]
+    ref = ~ended & ~party
+    rows, who = rows[ref], best[ref]
+    if rows.size:  # none in the last round, which has no column
+        batch.event_time[rows, r] = best_t[ref]
+        batch.event_entity[rows, r] = who + 1
+        batch.n_events[rows] = r + 1
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +233,12 @@ def mc_clean_value(
     if portfolio.n == 1:
         return _mc_clean_single_stratified(cfg, model, portfolio, n_paths, seed)
     paths = simulate_paths(model, portfolio, n_paths, seed, include_parties=False)
-    taus = paths.default_times().T
-    return _mean_se(sum(
-        _cash_flow(cfg.r_D, con, tau, portfolio.maturity)
-        for con, tau in zip(portfolio.contracts, taus)
-    ))
+    vals = np.empty(n_paths)
+    for s in range(0, n_paths, BLOCK):
+        taus = paths[s:s + BLOCK].default_times().T
+        vals[s:s + BLOCK] = sum(_cash_flow(cfg.r_D, con, tau, portfolio.maturity)
+                                for con, tau in zip(portfolio.contracts, taus))
+    return _mean_se(vals)
 
 
 def _mc_clean_single_stratified(cfg, model, portfolio, n_paths, seed):
@@ -237,13 +262,15 @@ def _mc_clean_single_stratified(cfg, model, portfolio, n_paths, seed):
     if p_default == 0.0:
         return survival_flow, 0.0
     n_strata = max(1, n_paths // 2)
-    draws = rng.random((n_strata, 2))
-    u = p_default * (np.arange(n_strata)[:, None] + draws) / n_strata
-    exp_draw = -np.log1p(-u)
-    flows = _cash_flow(cfg.r_D, con, np.interp(exp_draw, cum, edges), T)
+    flows = np.empty((n_strata, 2))
+    half_var = np.empty(n_strata)  # each stratum's variance estimate over its two draws
+    for s in range(0, n_strata, BLOCK):
+        e = min(s + BLOCK, n_strata)
+        u = p_default * (np.arange(s, e)[:, None] + rng.random((e - s, 2))) / n_strata
+        flow = flows[s:e] = _cash_flow(cfg.r_D, con, np.interp(-np.log1p(-u), cum, edges), T)
+        half_var[s:e] = 0.5 * (flow[:, 0] - flow[:, 1]) ** 2 / 2.0
     est = (1.0 - p_default) * survival_flow + p_default * float(np.mean(flows))
-    stratum_var = 0.5 * (flows[:, 0] - flows[:, 1]) ** 2
-    se = p_default * float(math.sqrt(np.sum(stratum_var / 2.0)) / n_strata)
+    se = p_default * float(math.sqrt(np.sum(half_var)) / n_strata)
     return est, se
 
 
@@ -297,16 +324,18 @@ def mc_xva_closeout(
     paths = simulate_paths(
         result.model, portfolio, n_paths, seed, include_parties=True, h_C_true=h_true
     )
-    rows = np.flatnonzero(paths.party)
-    tau = paths.party_time[rows]
-    keys = _state_keys(result, paths, rows, tau)
-    theta_I, theta_C = closeout_excess(
-        _at(result.clean, keys, tau), _at(result.margins.m, keys, tau),
-        portfolio.loss_investor, portfolio.loss_counterparty,
-    )
-    payoff = np.where(paths.party[rows] == PARTY_I, theta_I, theta_C)
     vals = np.zeros(n_paths)
-    vals[rows] = np.exp(-cfg.r_D * tau) * payoff
+    for s in range(0, n_paths, BLOCK):
+        block = paths[s:s + BLOCK]
+        rows = np.flatnonzero(block.party)
+        tau = block.party_time[rows]
+        keys = _state_keys(result, block, rows, tau)
+        theta_I, theta_C = closeout_excess(
+            _at(result.clean, keys, tau), _at(result.margins.m, keys, tau),
+            portfolio.loss_investor, portfolio.loss_counterparty,
+        )
+        payoff = np.where(block.party[rows] == PARTY_I, theta_I, theta_C)
+        vals[s + rows] = np.exp(-cfg.r_D * tau) * payoff
     return _mean_se(vals)
 
 

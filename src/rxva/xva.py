@@ -344,6 +344,46 @@ def _kernel_source(shape, layout, n_blocks: int, no_im, one_rate) -> str:
             + "".join(f"    {line}\n" for text in lines for line in text.split("\n")))
 
 
+def source_length(cfg: MarketConfig, space: StateSpace, variants) -> int:
+    """A bound, from counts alone, on the length of the step the pass
+    writes for ``space`` and ``variants`` (see ``_kernel_source``).
+
+    It is the source of a one-state lattice with no move, plus the text
+    written for every other state and every move with each index as wide
+    as the widest of its kind and nothing folded.  Class g has survivors in
+    size * |g| / (|g| + 1) states, so that many moves leave it.
+    """
+    layout, n_blocks = _layout(cfg, variants)
+    size = space.size
+    k, j, b, i = ("9" * len(str(max(count - 1, 0)))
+                  for count in (size, len(space.classes), n_blocks, size * n_blocks))
+    u = f"u{b}_{k}"
+
+    def text(template, **fields):
+        return template.format(k=k, j=j, c=k, b=b, p=b, u=u, uc=u, **fields)
+
+    def lines(body):  # a stage line: eight spaces of indent and a newline
+        return sum(9 + len(line) for line in body.split("\n"))
+
+    # each entry of the coeffs, y and base unpackings and of the return list
+    # carries its ", "; every column has those, its accumulator and its input
+    per_state = len(text(_STATE_COEFFS)) + 2 + lines(text(_CLEAN, moves="")) + n_blocks * (
+        len(f"{u}, Y{i}, acc{i} = Y{i} + h6 * acc{i}, ")
+        + lines(f"acc{i} = acc{i} + a * {u}") + lines(f"{u} = Y{i} + c * {u}"))
+    per_move = len(text(_MOVE_COEFFS)) + 2 + len(text(_CLEAN_MOVE))
+    if layout:
+        per_state += lines(text(_COLLATERAL, im=text(_IM), fm=_FM[0]))
+    pick, h_C = _H_C["upper"]  # a band pick is longer than the true rate
+    for _which, _block, pocket in layout:
+        per_state += lines(text(_VARIANT, pick=pick, h_C=h_C, fy=_FY[0], children="", jumps=""))
+        per_move += len(text(_CHILD)) + len(text(_JUMP))
+        if pocket is not None:
+            per_state += lines(text(_SURPLUS))
+    moves = sum(size * len(g) // (len(g) + 1) for g in space.classes)
+    one = len(_kernel_source(((),), layout, n_blocks, frozenset(), (False, False)))
+    return one + (size - 1) * per_state + moves * per_move
+
+
 # ---------------------------------------------------------------------------
 # Lattice solves
 # ---------------------------------------------------------------------------

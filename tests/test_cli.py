@@ -472,6 +472,52 @@ class TestExitCodes:
                     "--grid-points", "998") == cli.EXIT_OK
         assert [len(grid) for grid in built] == [1000]
 
+    @pytest.mark.parametrize("n, grid_points", [(14, "100"), (20, "1")])
+    def test_oversized_step_refused(self, tmp_path, capsys, monkeypatch, n, grid_points):
+        # 2^n states with distinct spreads: the cell bound admits both grids,
+        # but the clean value's step alone is over 12 million characters
+        def fail(*args):
+            raise AssertionError("the lattice was built")
+
+        monkeypatch.setattr(xva, "_joint_pass", fail)
+        monkeypatch.setattr(engine, "margin_schedule", fail)
+        doc = _minimal_doc()
+        con = doc["portfolio"]["contracts"][0]
+        doc["portfolio"]["contracts"] = [dict(con, spread=0.02 + 0.001 * i) for i in range(n)]
+        out = tmp_path / "out"
+        assert _run("price", "--config", str(_write_config(tmp_path, doc)), "--out-dir", str(out),
+                    "--grid-points", grid_points) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"N = {n} names ({2 ** n} states)" in err
+        assert f"over the bound of {engine.MAX_STEP_SOURCE}" in err
+        assert list(out.iterdir()) == []
+
+    def test_paths_beyond_the_oracles_memory_refused(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the engine ran")
+
+        monkeypatch.setattr(cli, "run_engine", fail)
+        out = tmp_path / "out"
+        assert _run("verify", "--config", str(SINGLE_NAME), "--out-dir", str(out),
+                    "--paths", str(10 ** 9)) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--paths 1000000000 over 1 names exceeds the oracle's bound" in err
+        assert f"at most {cli.MAX_PATH_SLOTS // 2} paths fit" in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("config", [SINGLE_NAME, FIVE_NAME])
+    def test_a_million_paths_admitted(self, tmp_path, monkeypatch, config):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(cli, "run_engine", reached)
+        with pytest.raises(Reached):
+            _run("verify", "--config", str(config), "--out-dir", str(tmp_path / "out"),
+                 "--paths", "1000000")
+
     def test_collapsed_sweep_grid_refused(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert _run("sweep", "--config", str(SINGLE_NAME), "--out-dir", str(out),

@@ -2,8 +2,10 @@
 
 import copy
 import importlib.util
+import json
 import math
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,7 +31,7 @@ from rxva.oracle import (
     simulate_paths,
     verify,
 )
-from rxva.xva import resolve_true_h_c
+from rxva.xva import VARIANTS, resolve_true_h_c
 
 from conftest import FIVE_NAME, SINGLE_NAME
 
@@ -151,6 +153,18 @@ class TestSamplerExactness:
     @pytest.mark.parametrize("include_parties", [False, True])
     @pytest.mark.parametrize("setup", ["single", "five", "general", "edge_breaks"])
     def test_paths_match_scalar_reference(self, setup, include_parties):
+        self._check(setup, include_parties)
+
+    @pytest.mark.parametrize("include_parties", [False, True])
+    @pytest.mark.parametrize("setup", ["single", "five", "general", "edge_breaks"])
+    def test_blocks_of_64_paths_match_scalar_reference(self, monkeypatch, setup,
+                                                       include_parties):
+        # blocks split the 1,500 paths within every round
+        monkeypatch.setattr(oracle, "BLOCK", 64)
+        self._check(setup, include_parties)
+
+    @staticmethod
+    def _check(setup, include_parties):
         if setup in ("general", "edge_breaks"):
             doc = _GENERAL_THREE_NAME if setup == "general" else _EDGE_BREAKS
             cfg, model, portfolio, _ = market_from_dict(doc)
@@ -391,6 +405,98 @@ class TestVerifyReport:
         result.xva[which] = replace(result.xva[which], pocket=None)
         with pytest.raises(ValueError, match="pocket surface missing"):
             verify(result, n_paths=10, seed=0)
+
+
+class TestBlocks:
+    """The estimators work through their paths in blocks of ``oracle.BLOCK``."""
+
+    @pytest.fixture(scope="class")
+    def general_result(self):
+        return run_engine(*market_from_dict(_GENERAL_THREE_NAME), variants=VARIANTS,
+                          grid_points=400, allow_assumption_violation=True)
+
+    @pytest.mark.parametrize("setup", ["single_name_result", "five_name_result",
+                                       "general_result"])
+    def test_report_equal_for_every_block_size(self, request, monkeypatch, setup):
+        result, n_paths = request.getfixturevalue(setup), 3_001
+        reports = []
+        for block in (7, oracle.BLOCK, n_paths):
+            monkeypatch.setattr(oracle, "BLOCK", block)
+            reports.append(json.dumps(verify(result, n_paths=n_paths, seed=9)))
+        assert reports[0] == reports[1] == reports[2]  # repr tells every float apart
+
+    # peak bytes per path that verify may trace on each shipped config at
+    # 200,000 paths: the paths and their values, not the blocks
+    @pytest.mark.parametrize("setup, bound", [("single_name_result", 60),
+                                              ("five_name_result", 130)])
+    def test_verify_memory_per_path(self, request, setup, bound):
+        result, n_paths = request.getfixturevalue(setup), 200_000
+        verify(result, n_paths=1_000, seed=0)  # any first-call allocation
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            verify(result, n_paths=n_paths, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - before) / n_paths <= bound
+
+
+def _doubled(doc):
+    """``doc`` with every contract's spread and loss doubled."""
+    doc = copy.deepcopy(doc)
+    for contract in doc["portfolio"]["contracts"]:
+        contract["spread"] *= 2.0
+        contract["loss"] *= 2.0
+    return doc
+
+
+def _floats(node):
+    """Every float of a report, in order."""
+    if isinstance(node, dict):
+        return [x for value in node.values() for x in _floats(value)]
+    return [node] if isinstance(node, float) else []
+
+
+class TestNotionalDoubling:
+    """Doubling every spread and loss doubles every value, bit for bit.
+
+    The driver is positively homogeneous and doubling is exact in binary
+    floating point away from overflow and subnormals, which no value here
+    comes near.  Numbers are compared, not verdicts: the checks' absolute
+    slacks are not homogeneous.
+    """
+
+    @pytest.mark.parametrize("config, beta, full", [
+        (SINGLE_NAME, None, False),
+        (SINGLE_NAME, 0.5, False),  # the initial margin is nonzero
+        (FIVE_NAME, None, False),
+        (FIVE_NAME, None, True),
+    ], ids=["single", "single-beta", "five", "five-full"])
+    def test_every_surface_and_report_float_doubles(self, config, beta, full):
+        doc = json.loads(Path(config).read_text(encoding="utf-8"))
+        if beta is not None:
+            doc["portfolio"]["collateral"]["beta"] = beta
+        once, twice = (run_engine(*market_from_dict(d), variants=VARIANTS, force_full=full,
+                                  allow_assumption_violation=True)
+                       for d in (doc, _doubled(doc)))
+        if beta is not None:
+            assert np.count_nonzero(once.margins.im.values) > 0
+
+        def surfaces(res):
+            out = [res.clean, res.margins.vm, res.margins.im, res.margins.m]
+            for which in VARIANTS:
+                out += [res.xva[which].surface] + [res.xva[which].pocket] * (which != "actual")
+            return [surface.values for surface in out]
+
+        for a, b in zip(surfaces(once), surfaces(twice)):
+            assert (2.0 * a).tobytes() == b.tobytes()
+        for which in ("upper", "lower"):
+            assert np.array_equal(once.xva[which].regime, twice.xva[which].regime)
+        reports = [verify(res, n_paths=20_000, seed=4) for res in (once, twice)]
+        a, b = (_floats(report) for report in reports)
+        assert len(a) == len(b) > 0
+        assert [2.0 * x for x in a] == b
 
 
 def _benchmark_workloads():

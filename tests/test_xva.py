@@ -311,6 +311,31 @@ class TestGeneratedKernel:
         assert got.tobytes() == want.tobytes()
 
 
+class TestSourceLength:
+    """``source_length`` bounds the generated step from counts alone."""
+
+    @pytest.mark.parametrize("n, classes", [(0, 0), (1, 1), (3, 3), (5, 1), (6, 6), (8, 8),
+                                            (9, 9), (10, 2), (10, 10)])
+    def test_bounds_the_source_within_a_fifth(self, n, classes):
+        # names i and j share a class when i = j mod classes
+        doc = _load_doc(FIVE_NAME)
+        contract = doc["portfolio"]["contracts"][0]
+        doc["portfolio"]["contracts"] = [dict(contract, spread=0.02 + 0.001 * (i % classes))
+                                         for i in range(n)]
+        cfg, model, portfolio, _ = market_from_dict(doc)
+        space = choose_state_space(model, portfolio)
+        assert len(space.classes) == classes
+        shape = tuple(tuple(child for child, _ in space.moves(key)) for key in space.keys)
+        for variants in [(), ("actual",), VARIANTS]:
+            layout, n_blocks = xva._layout(cfg, variants)
+            bound = xva.source_length(cfg, space, variants)
+            unfolded = len(xva._kernel_source(shape, layout, n_blocks, frozenset(), (False, False)))
+            folded = len(xva._kernel_source(shape, layout, n_blocks,
+                                            frozenset(space.keys), (True, True)))
+            assert unfolded <= bound <= 1.2 * unfolded
+            assert folded <= bound
+
+
 def _rates(draw, doc):
     """Draws the rates of ``doc``, each funding and margin pair equal or
     not, so the generated step's one product for an equal pair and its
