@@ -38,8 +38,8 @@ PARTY_NONE, PARTY_I, PARTY_C = 0, 1, 2
 # path count.
 BLOCK = 8192
 
-# Most paths times (names + 1) the oracle samples: its memory is gated at 30
-# bytes per path and name (tests/test_oracle.py), so about 1 GiB here.
+# Most paths times (names + 1) the oracle samples: its memory is gated at 21
+# bytes per path and name (tests/test_oracle.py), so under 0.7 GiB here.
 MAX_PATH_SLOTS = 32_000_000
 
 
@@ -48,15 +48,15 @@ class PathBatch:
     """Sampled scenarios in columns, one row per path.
 
     ``event_time[p, r]`` and ``event_entity[p, r]`` are the time and the
-    1-based entity of the r-th reference default of path p, for
-    r < ``n_events[p]`` (inf and 0 beyond).  ``party[p]`` is PARTY_I or
-    PARTY_C when a trading party defaulted before T, else PARTY_NONE, and
+    1-based entity of the r-th reference default of path p (inf and 0 past
+    its last), the entity in the narrowest unsigned type for the name
+    count: a byte up to 255 names.  ``party[p]`` is PARTY_I or PARTY_C when
+    a trading party defaulted before T, else PARTY_NONE, and
     ``party_time[p]`` is its default time (inf for PARTY_NONE).
     """
 
     event_time: np.ndarray
     event_entity: np.ndarray
-    n_events: np.ndarray
     party: np.ndarray
     party_time: np.ndarray
 
@@ -151,8 +151,7 @@ def simulate_paths(
     n = clocks.n
     batch = PathBatch(
         event_time=np.full((n_paths, n), math.inf),
-        event_entity=np.zeros((n_paths, n), dtype=np.int64),
-        n_events=np.zeros(n_paths, dtype=np.int64),
+        event_entity=np.zeros((n_paths, n), dtype=np.min_scalar_type(n)),
         party=np.zeros(n_paths, dtype=np.int8),
         party_time=np.full(n_paths, math.inf),
     )
@@ -190,7 +189,6 @@ def _round(batch: PathBatch, clocks: _Clocks, rng, r: int, rows: np.ndarray) -> 
     if rows.size:  # none in the last round, which has no column
         batch.event_time[rows, r] = best_t[ref]
         batch.event_entity[rows, r] = who + 1
-        batch.n_events[rows] = r + 1
     return rows
 
 

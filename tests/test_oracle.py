@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from rxva import oracle
 from rxva.engine import run_engine
@@ -34,6 +35,7 @@ from rxva.oracle import (
 from rxva.xva import VARIANTS, resolve_true_h_c
 
 from conftest import FIVE_NAME, SINGLE_NAME
+from test_xva import _multi_name_case, _single_name_case
 
 
 def _cfg(r_D=0.0):
@@ -107,7 +109,7 @@ _PARTY = {oracle.PARTY_NONE: None, oracle.PARTY_I: "I", oracle.PARTY_C: "C"}
 
 def _events(paths, p):
     """Reference defaults of path p as (time, 1-based entity) pairs, in order."""
-    k = int(paths.n_events[p])
+    k = np.count_nonzero(paths.event_entity[p])
     return list(zip(paths.event_time[p, :k].tolist(), paths.event_entity[p, :k].tolist()))
 
 
@@ -259,6 +261,27 @@ class TestSimulatePaths:
         for p in range(len(paths)):
             names = [i for _, i in _events(paths, p)]
             assert len(names) == len(set(names))
+
+    def test_names_past_the_255th_take_two_bytes(self):
+        # one class of 300 names: the entity column widens past one byte and
+        # a default still takes its name out of the race
+        n = 300
+        model = contagion_from_dict({"a10": 0.01, "a20": 0.01, "a30": 0.01}, n)
+        paths = simulate_paths(model, _portfolio(n), 300, seed=9, include_parties=False)
+        assert paths.event_entity.dtype == np.uint16
+        assert np.any(paths.event_entity > 255)
+        for p in range(len(paths)):
+            names = [i for _, i in _events(paths, p)]
+            assert len(names) == len(set(names))
+
+    @pytest.mark.parametrize("config", [SINGLE_NAME, FIVE_NAME], ids=["single", "five"])
+    def test_shipped_configs_keep_integers_in_one_byte(self, config):
+        cfg, model, portfolio, _ = load_config(config)
+        paths = simulate_paths(model, portfolio, 100, seed=1,
+                               h_C_true=resolve_true_h_c(cfg, model))
+        integers = [column for column in vars(paths).values() if column.dtype.kind in "iu"]
+        assert len(integers) == 2
+        assert all(column.itemsize == 1 for column in integers)
 
 
 class TestMcCleanValue:
@@ -427,8 +450,8 @@ class TestBlocks:
 
     # peak bytes per path that verify may trace on each shipped config at
     # 200,000 paths: the paths and their values, not the blocks
-    @pytest.mark.parametrize("setup, bound", [("single_name_result", 60),
-                                              ("five_name_result", 130)])
+    @pytest.mark.parametrize("setup, bound", [("single_name_result", 42),
+                                              ("five_name_result", 85)])
     def test_verify_memory_per_path(self, request, setup, bound):
         result, n_paths = request.getfixturevalue(setup), 200_000
         verify(result, n_paths=1_000, seed=0)  # any first-call allocation
@@ -445,9 +468,9 @@ class TestBlocks:
 def _doubled(doc):
     """``doc`` with every contract's spread and loss doubled."""
     doc = copy.deepcopy(doc)
-    for contract in doc["portfolio"]["contracts"]:
-        contract["spread"] *= 2.0
-        contract["loss"] *= 2.0
+    # new dicts: a drawn class lists one contract dict once per name
+    doc["portfolio"]["contracts"] = [dict(c, spread=2.0 * c["spread"], loss=2.0 * c["loss"])
+                                     for c in doc["portfolio"]["contracts"]]
     return doc
 
 
@@ -456,6 +479,27 @@ def _floats(node):
     if isinstance(node, dict):
         return [x for value in node.values() for x in _floats(value)]
     return [node] if isinstance(node, float) else []
+
+
+def _no_tiny_number(node):
+    """True when every nonzero float of a drawn case is at least 1e-50 in magnitude."""
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, (list, tuple)):
+        return all(map(_no_tiny_number, node))
+    return not isinstance(node, float) or node == 0.0 or abs(node) >= 1e-50
+
+
+def _surfaces(res):
+    """The values of every clean, margin, XVA and pocket surface of ``res``."""
+    out = [res.clean, res.margins.vm, res.margins.im, res.margins.m]
+    for xres in res.xva.values():
+        out += [xres.surface] + [xres.pocket] * (xres.pocket is not None)
+    return [surface.values for surface in out]
+
+
+def _regimes(res):
+    return [xres.regime for xres in res.xva.values() if xres.regime is not None]
 
 
 class TestNotionalDoubling:
@@ -482,21 +526,108 @@ class TestNotionalDoubling:
                        for d in (doc, _doubled(doc)))
         if beta is not None:
             assert np.count_nonzero(once.margins.im.values) > 0
+        assert len(_surfaces(once)) == 9 and len(_regimes(once)) == 2
+        self._check(once, twice, 20_000)
 
-        def surfaces(res):
-            out = [res.clean, res.margins.vm, res.margins.im, res.margins.m]
-            for which in VARIANTS:
-                out += [res.xva[which].surface] + [res.xva[which].pocket] * (which != "actual")
-            return [surface.values for surface in out]
+    # draws as the loop-pass tests make them: a single-name config whose beta
+    # is 0, 0.5 or 1 (any direction), or a multi-name one of two or three
+    # classes with beta = 0, any variant subset and a grid of 3 to 50 points.
+    # Spreads of at least 0.01, losses of at least 0.2 and intensities of at
+    # least 0.01 keep every value normal, and so does leaving out a rate or
+    # an alpha below 1e-50 other than 0: alpha = 5e-324 makes the variation
+    # margin subnormal, where doubling it is not exact.
+    @settings(derandomize=True, deadline=None, max_examples=60,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=_single_name_case().filter(_no_tiny_number))
+    def test_drawn_single_name_configs_double(self, case):
+        self._check_drawn(case)
 
-        for a, b in zip(surfaces(once), surfaces(twice)):
-            assert (2.0 * a).tobytes() == b.tobytes()
-        for which in ("upper", "lower"):
-            assert np.array_equal(once.xva[which].regime, twice.xva[which].regime)
-        reports = [verify(res, n_paths=20_000, seed=4) for res in (once, twice)]
+    @settings(derandomize=True, deadline=None, max_examples=60,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=_multi_name_case().filter(_no_tiny_number))
+    def test_drawn_multi_name_configs_double(self, case):
+        self._check_drawn(case)
+
+    def _check_drawn(self, case):
+        doc, variants, points = case
+        once, twice = (run_engine(*market_from_dict(d), variants=variants, grid_points=points,
+                                  allow_assumption_violation=True)
+                       for d in (doc, _doubled(doc)))
+        self._check(once, twice, 500)
+
+    @staticmethod
+    def _check(once, twice, n_paths):
+        a, b = _surfaces(once), _surfaces(twice)
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert (2.0 * x).tobytes() == y.tobytes()
+        for x, y in zip(_regimes(once), _regimes(twice), strict=True):
+            assert np.array_equal(x, y)
+        reports = [verify(res, n_paths=n_paths, seed=4) for res in (once, twice)]
         a, b = (_floats(report) for report in reports)
         assert len(a) == len(b) > 0
         assert [2.0 * x for x in a] == b
+
+
+def _in_double_units(doc):
+    """``doc`` in a time unit twice as long: every rate, band rate, intensity
+    and spread halved; the maturity, every break and delta doubled."""
+    doc = copy.deepcopy(doc)
+
+    def half(row):
+        return [0.5 * x for x in row] if isinstance(row, list) else 0.5 * row
+
+    def table(spec):
+        if not isinstance(spec, dict):
+            return half(spec)
+        return {"breaks": [2.0 * b for b in spec.get("breaks", [])],
+                "values": [half(row) for row in spec["values"]]}
+
+    doc["rates"] = {key: 0.5 * rate for key, rate in doc["rates"].items()}
+    band = doc["counterparty_band"]
+    for key in ("mu_lower", "mu_upper", "mu_true"):
+        if isinstance(band.get(key), float):
+            band[key] *= 0.5
+    contagion = doc["contagion"]
+    for key, spec in contagion.items():
+        contagion[key] = [table(t) for t in spec] if isinstance(spec, list) else table(spec)
+    portfolio = doc["portfolio"]
+    portfolio["maturity"] *= 2.0
+    portfolio["collateral"]["delta"] *= 2.0
+    portfolio["contracts"] = [dict(c, spread=0.5 * c["spread"]) for c in portfolio["contracts"]]
+    return doc
+
+
+class TestTimeUnit:
+    """A time unit twice as long leaves every value as it was, bit for bit.
+
+    Every rate term is a rate times a span, and halving one while doubling
+    the other is exact in binary floating point, as is doubling each node of
+    the grid, which keeps its breaks.
+    """
+
+    @pytest.mark.parametrize("config, beta, full", [
+        (SINGLE_NAME, None, False),
+        (SINGLE_NAME, 0.5, False),  # the initial margin is nonzero
+        (FIVE_NAME, None, False),
+        (FIVE_NAME, None, True),
+    ], ids=["single", "single-beta", "five", "five-full"])
+    def test_every_surface_equal_and_grid_doubles(self, config, beta, full):
+        doc = json.loads(Path(config).read_text(encoding="utf-8"))
+        if beta is not None:
+            doc["portfolio"]["collateral"]["beta"] = beta
+        once, slow = (run_engine(*market_from_dict(d), variants=VARIANTS, force_full=full,
+                                 allow_assumption_violation=True)
+                      for d in (doc, _in_double_units(doc)))
+        if beta is not None:
+            assert np.count_nonzero(once.margins.im.values) > 0
+        assert (2.0 * once.grid).tobytes() == slow.grid.tobytes()
+        a, b = _surfaces(once), _surfaces(slow)
+        assert len(a) == len(b) == 9
+        for x, y in zip(a, b):
+            assert x.tobytes() == y.tobytes()
+        for x, y in zip(_regimes(once), _regimes(slow), strict=True):
+            assert np.array_equal(x, y)
 
 
 def _benchmark_workloads():
