@@ -6,8 +6,7 @@ compiling included), the compile time and generated source length of that
 run, and its time per RK4 step net of compiling. Compile time is measured by
 binding a timing wrapper as ``compile`` in ``rxva.xva``'s globals. The full
 2^10 lattice (``L10``) runs at 20 grid points, where compiling is most of the
-pass; its line adds the compile time and source length of the drift-identity
-driver that ``verify`` builds on the same lattice.
+pass.
 
 Workloads, each an engine run with every variant the config prices:
 
@@ -40,7 +39,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from rxva import oracle, xva  # noqa: E402
+from rxva import xva  # noqa: E402
 from rxva.engine import run_engine  # noqa: E402
 from rxva.market import market_from_dict  # noqa: E402
 
@@ -93,9 +92,9 @@ class Timer:
 
     def joint_pass(self, *args, **kwargs):
         start = time.perf_counter()
-        path = self._pass(*args, **kwargs)
+        out = self._pass(*args, **kwargs)
         self.pass_s += time.perf_counter() - start
-        return path
+        return out
 
 
 def measure(name: str, timer: Timer, repeat: int | None) -> dict:
@@ -111,14 +110,9 @@ def measure(name: str, timer: Timer, repeat: int | None) -> dict:
         runs.append((timer.pass_s, timer.compile_s, timer.chars))
     pass_s, compile_s, chars = min(runs)
     steps = len(result.grid) - 1
-    line = {"workload": name, "states": result.space.size, "steps": steps,
+    return {"workload": name, "states": result.space.size, "steps": steps,
             "repeat": len(runs), "pass_s": pass_s, "compile_s": compile_s,
             "step_s": (pass_s - compile_s) / steps, "source_chars": chars}
-    if name == "L10":
-        timer.reset()
-        oracle.drift_identity_error(result)
-        line.update(driver_compile_s=timer.compile_s, driver_source_chars=timer.chars)
-    return line
 
 
 # A --baseline round's child: imports the package from the given src first,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,9 +26,8 @@ MAX_LATTICE_CELLS = 1 << 21
 
 # Longest generated step the engine compiles, in characters of source as
 # xva.source_length bounds it.  Compiling takes about 84 bytes per character,
-# so about 500 MiB here.  The full 2^10 lattice with every variant is 3.2M;
-# verify's drift-identity step is shorter, and compiles after the pass's
-# compile has freed its memory.
+# so about 500 MiB here.  The full 2^10 lattice with every variant is 3.2M.
+# A run compiles one step: verify's drift identity runs the pass's own.
 MAX_STEP_SOURCE = 6_000_000
 
 
@@ -42,6 +42,7 @@ class EngineResult:
     margins: MarginSchedule
     xva: dict[str, XvaResult] = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)
+    bind: Callable | None = None  # the XVA pass's xva._binder; None for the clean value alone
 
 
 def grid_breakpoints(model: ContagionModel, portfolio: Portfolio) -> list[float]:
@@ -69,7 +70,8 @@ def run_engine(
     schedule is built first.  One lattice pass then integrates the clean
     value together with every requested variant (the clean value alone when
     none is requested), and the variation margin is set from its clean rows.
-    ``timings`` holds the wall time of that pass.  A lattice of more cells
+    ``timings`` holds the wall time of that pass, and ``bind`` the binder
+    of its step when it solved a variant.  A lattice of more cells
     than MAX_LATTICE_CELLS, or whose step would be longer than
     MAX_STEP_SOURCE, is refused with ConfigError before any of it is built.
     """
@@ -90,10 +92,10 @@ def run_engine(
     margins = margin_schedule(model if model_P is None else model_P, portfolio, grid, space)
     t0 = time.perf_counter()
     if variants:
-        clean, xva = solve_xva(cfg, model, portfolio, grid, space, margins, variants)
+        clean, xva, bind = solve_xva(cfg, model, portfolio, grid, space, margins, variants)
     else:
-        clean, xva = solve_clean(cfg, model, portfolio, grid, space), {}
+        clean, xva, bind = solve_clean(cfg, model, portfolio, grid, space), {}, None
         margins.settle(clean)
     timings = {"pass": time.perf_counter() - t0}
     return EngineResult(cfg=cfg, model=model, portfolio=portfolio, grid=grid, space=space,
-                        clean=clean, margins=margins, xva=xva, timings=timings)
+                        clean=clean, margins=margins, xva=xva, timings=timings, bind=bind)

@@ -24,7 +24,7 @@ from .engine import EngineResult
 from .grids import LatticeSurface
 from .market import ConfigError, ContagionModel, MarketConfig, Portfolio
 from .strategies import robust_strategy, wealth_drift
-from .xva import lattice_coefficients, lattice_rhs, resolve_true_h_c
+from .xva import _layout, lattice_coefficients, resolve_true_h_c
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +203,7 @@ def _cash_flow(r_D: float, con, tau, T: float) -> np.ndarray:
     default time means the name survived.
     """
     stop = np.minimum(tau, T)  # finite, so r_D = 0 never meets inf
-    annuity = stop if r_D == 0.0 else (1.0 - np.exp(-r_D * stop)) / r_D
+    annuity = stop if r_D == 0.0 else -np.expm1(-r_D * stop) / r_D
     loss = np.where(tau <= T, con.loss * np.exp(-r_D * stop), 0.0)
     return con.direction * (-con.spread * annuity + loss)
 
@@ -341,6 +341,9 @@ def mc_xva_closeout(
 # Pathwise wealth of the robust / lower strategies
 # ---------------------------------------------------------------------------
 
+WEALTH_TOLERANCE = 1e-8  # a surplus below minus this violates dominance
+
+
 @dataclass
 class WealthReport:
     n_paths: int
@@ -349,13 +352,8 @@ class WealthReport:
     mean_surplus: float
 
 
-def pathwise_wealth_check(
-    result: EngineResult,
-    which: str,
-    n_paths: int,
-    seed: int,
-    tolerance: float = 1e-8,
-) -> WealthReport:
+def pathwise_wealth_check(result: EngineResult, which: str, n_paths: int,
+                          seed: int) -> WealthReport:
     """Pathwise dominance audit of the robust (or lower) strategy.
 
     The strategy holds the prescribed positions at all times; their value
@@ -395,7 +393,7 @@ def pathwise_wealth_check(
     surplus = (1.0 if which == "upper" else -1.0) * pocket
     return WealthReport(
         n_paths=n_paths,
-        violations=int(np.count_nonzero(surplus < -tolerance)),
+        violations=int(np.count_nonzero(surplus < -WEALTH_TOLERANCE)),
         worst_margin=float(surplus.min()),
         mean_surplus=float(surplus.mean()),
     )
@@ -405,36 +403,48 @@ def pathwise_wealth_check(
 # Wealth drift identity
 # ---------------------------------------------------------------------------
 
-def drift_identity_error(result: EngineResult, which: str = "upper", stride: int = 50) -> float:
+DRIFT_STRIDE = 50  # the drift identity samples every 50th grid node
+
+
+def drift_identity_error(result: EngineResult, which: str = "upper") -> float:
     """Max deviation between position-implied drift and the XVA drift.
 
-    At every sampled node and state, the wealth drift of the strategy
-    holdings under the true counterparty rate must equal the negative of the
-    solver's own reduced driver (``lattice_rhs``) evaluated with the true
-    rate at the same surface value; the difference of the two drivers is
-    exactly the surplus rate.
+    At every sampled node and state, the wealth drift of the ``which``
+    holdings under the true counterparty rate must equal minus the reduced
+    driver under that rate: the pass's own step (``result.bind``), run on
+    the node's columns as one stage of weight 1 from a base of -0.0, gives
+    the ``which`` block's slope less its pocket's surplus rate (``actual``
+    has the true rate and no pocket).
     """
     cfg, model, portfolio = result.cfg, result.model, result.portfolio
     h_true = resolve_true_h_c(cfg, model)
     if h_true is None:
         raise ValueError("the drift identity requires mu_C_true")
+    space, grid, margins, size = result.space, result.grid, result.margins, result.space.size
+    layout, n_blocks = _layout(cfg, tuple(result.xva))
+    blocks = [result.clean.values] * n_blocks  # the pass's row blocks
+    for name, b, p in layout:
+        blocks[b] = result.xva[name].surface.values
+        if p is not None:
+            blocks[p] = result.xva[name].pocket.values
+    b, p = {name: (b, p) for name, b, p in layout}[which]
     surface = result.xva[which].surface
-    space, grid, margins = result.space, result.grid, result.margins
-    index, bundles = lattice_coefficients(cfg, model, portfolio, space, grid[::stride])
-    bind = lattice_rhs(cfg, portfolio, space.size, margins.alpha, ("actual",))
-    drivers = [bind(states) for states in bundles]
+    index, bundles = lattice_coefficients(cfg, model, portfolio, space, grid[::DRIFT_STRIDE])
+    steps = [result.bind(states) for states in bundles]
+    base = [-0.0] * (n_blocks * size)
     worst = 0.0
-    for i, j in enumerate(range(0, len(grid), stride)):
+    for i, j in enumerate(range(0, len(grid), DRIFT_STRIDE)):
         t = float(grid[j])
         im = margins.im.values[:, j].tolist()
-        y = result.clean.values[:, j].tolist() + surface.values[:, j].tolist()
-        g = drivers[index[i]](im, im, 0.0, y)
+        y = np.concatenate([rows[:, j] for rows in blocks]).tolist()
+        g = steps[index[i]](im, im, ((0.0, 1.0, None),), 1.0, y, base)
         for key in space.keys:
             count = space.count(key)
+            driver = g[b * size + key] - (0.0 if p is None else g[p * size + key])
             snap = robust_strategy(surface, result.clean, margins.m, portfolio, t, key)
             mu_true = h_true.at(t, count) + cfg.r_D
             drift = wealth_drift(cfg, model, portfolio, snap, mu_true, t, count)
-            worst = max(worst, abs(drift + g[space.size + key]))
+            worst = max(worst, abs(drift + driver))
     return worst
 
 

@@ -26,6 +26,7 @@ earned by the super-replicating strategy while no default has occurred.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 
@@ -143,36 +144,6 @@ def _layout(cfg: MarketConfig, variants) -> tuple[list[tuple[str, int, int | Non
             pocket, n_blocks = n_blocks, n_blocks + 1
         layout.append((which, block, pocket))
     return layout, n_blocks
-
-
-def lattice_rhs(
-    cfg: MarketConfig,
-    portfolio: Portfolio,
-    size: int,
-    alpha: float,
-    variants: tuple[str, ...] = (),
-):
-    """dy/ds of the joint clean/XVA system on one constant-coefficient piece.
-
-    ``y`` holds blocks of ``size`` values, one per lattice state in key
-    order: the clean value, then one block per entry of ``variants``, then,
-    when mu_C_true is set, one pocket block per upper or lower variant.
-    Returns ``bind(states) -> rhs(im0, im1, w, y) -> list``, where ``states``
-    is a coefficient bundle, ``im0``/``im1`` the initial margin of each state
-    at the two ends of the segment and ``w`` the position of the stage
-    between them.  The true counterparty intensity is the bundle's ``h_C``.
-    ``rhs`` is the generated RK4 step of the pass (see ``_kernel_source``)
-    run as one stage of weight 1 from a base of -0.0, which returns the
-    slope bit for bit.
-    """
-    bind_step = _binder(cfg, portfolio, size, alpha, variants)
-    base = [-0.0] * (size * _layout(cfg, variants)[1])
-
-    def bind(states):
-        step = bind_step(states)
-        return lambda im0, im1, w, y: step(im0, im1, ((w, 1.0, None),), 1.0, y, base)
-
-    return bind
 
 
 def _same(a: float, b: float) -> bool:
@@ -400,10 +371,11 @@ def _joint_pass(cfg, model, portfolio, grid, space, margins, variants):
 
     The sweep runs in reversed time s = T - t, from the last grid segment
     to the first, with one generated step per segment (see
-    ``_kernel_source``).  Returns the pass's array: a row per column of
+    ``_kernel_source``).  Returns the pass's array, a row per column of
     the step (so each state's surface is a contiguous row) and an entry per
-    grid node.  A pass that leaves a non-finite value anywhere is refused
-    with ConfigError.
+    grid node, and the pass's ``bind`` (see ``_binder``), whose step is
+    exact at every grid node.  A pass that leaves a non-finite value
+    anywhere is refused with ConfigError.
     """
     size = space.size
     if margins is not None:
@@ -447,7 +419,7 @@ def _joint_pass(cfg, model, portfolio, grid, space, margins, variants):
         raise ConfigError(f"the lattice pass is not finite: {path[row, node]} in state "
                           f"{row % size} at t = {nodes[node]} of the "
                           f"{surfaces[row // size]} surface")
-    return path
+    return path, bind
 
 
 def solve_clean(
@@ -458,7 +430,7 @@ def solve_clean(
     space: StateSpace,
 ) -> LatticeSurface:
     """Clean value surface for every default state: the pass with no XVA column."""
-    path = _joint_pass(cfg, model, portfolio, grid, space, None, ())
+    path, _bind = _joint_pass(cfg, model, portfolio, grid, space, None, ())
     return LatticeSurface(grid, space, path)
 
 
@@ -470,16 +442,16 @@ def solve_xva(
     space: StateSpace,
     margins: MarginSchedule,
     variants: tuple[str, ...],
-) -> tuple[LatticeSurface, dict[str, XvaResult]]:
+) -> tuple[LatticeSurface, dict[str, XvaResult], Callable]:
     """Solves every requested variant jointly with the clean value, in one pass.
 
-    Returns the clean surface of the pass and one result per variant, and
-    settles ``margins`` (vm and m) on that clean surface.  The upper and
-    lower results carry the regime selected at every node and, when
-    mu_C_true is set, the pocket surface.  Every surface is a row block of
-    the pass's array.
+    Returns the clean surface of the pass, one result per variant and the
+    pass's ``bind``, and settles ``margins`` (vm and m) on that clean
+    surface.  The upper and lower results carry the regime selected at
+    every node and, when mu_C_true is set, the pocket surface.  Every
+    surface is a row block of the pass's array.
     """
-    path = _joint_pass(cfg, model, portfolio, grid, space, margins, variants)
+    path, bind = _joint_pass(cfg, model, portfolio, grid, space, margins, variants)
 
     def rows(block):
         return path[block * space.size:(block + 1) * space.size]
@@ -500,4 +472,4 @@ def solve_xva(
         result.regime = np.where(z_C == 0.0, REGIME_TIE, np.where(hi, REGIME_HI, REGIME_LO))
         if pocket is not None:
             result.pocket = LatticeSurface(grid, space, rows(pocket))
-    return clean, results
+    return clean, results, bind

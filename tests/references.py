@@ -5,7 +5,8 @@ clean value and the initial margin in closed form, the single-name
 replication value from its unreduced drift, the lattice right-hand side and
 pass as a loop over the states, with RK4 on numpy arrays (``rk4_sweep``),
 the wealth of a strategy snapshot, and a monotonicity test for the sweep
-columns.  None of them is used by the program.
+columns.  None of them is used by the program, nor is ``lattice_rhs``, the
+pass's step run as one stage, which the tests of the step call.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from rxva.collateral import MarginSchedule, closeout_excess
 from rxva.grids import LatticeSurface, StateSpace
 from rxva.market import ContagionModel, MarketConfig, PiecewiseTable, Portfolio
 from rxva.strategies import StrategySnapshot
-from rxva.xva import VARIANTS, _layout, lattice_coefficients, resolve_true_h_c
+from rxva.xva import VARIANTS, _binder, _layout, lattice_coefficients, resolve_true_h_c
 
 
 def clean_closed_form_single(
@@ -155,6 +156,36 @@ def rk4_sweep(grid: np.ndarray, y0: np.ndarray, rhs) -> np.ndarray:
     return path
 
 
+def lattice_rhs(
+    cfg: MarketConfig,
+    portfolio: Portfolio,
+    size: int,
+    alpha: float,
+    variants: tuple[str, ...] = (),
+):
+    """dy/ds of the joint clean/XVA system on one constant-coefficient piece.
+
+    ``y`` holds blocks of ``size`` values, one per lattice state in key
+    order: the clean value, then one block per entry of ``variants``, then,
+    when mu_C_true is set, one pocket block per upper or lower variant.
+    Returns ``bind(states) -> rhs(im0, im1, w, y) -> list``, where ``states``
+    is a coefficient bundle, ``im0``/``im1`` the initial margin of each state
+    at the two ends of the segment and ``w`` the position of the stage
+    between them.  The true counterparty intensity is the bundle's ``h_C``.
+    ``rhs`` is the generated RK4 step of the pass (see
+    ``xva._kernel_source``), without the folds of a pass, run as one stage
+    of weight 1 from a base of -0.0, which returns the slope bit for bit.
+    """
+    bind_step = _binder(cfg, portfolio, size, alpha, variants)
+    base = [-0.0] * (size * _layout(cfg, variants)[1])
+
+    def bind(states):
+        step = bind_step(states)
+        return lambda im0, im1, w, y: step(im0, im1, ((w, 1.0, None),), 1.0, y, base)
+
+    return bind
+
+
 def loop_lattice_rhs(
     cfg: MarketConfig,
     portfolio: Portfolio,
@@ -162,7 +193,7 @@ def loop_lattice_rhs(
     alpha: float,
     variants: tuple[str, ...] = (),
 ):
-    """``xva.lattice_rhs`` as a plain loop over states, moves and blocks.
+    """``lattice_rhs`` as a plain loop over states, moves and blocks.
 
     The scalar driver the generated kernels unroll: same arguments, same
     ``rhs(states, im0, im1, w, y) -> list``, and the same float operations

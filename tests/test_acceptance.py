@@ -29,7 +29,7 @@ from rxva.market import (
     load_config,
     market_from_dict,
 )
-from rxva.oracle import mc_clean_value, mc_xva_closeout, pathwise_wealth_check
+from rxva.oracle import WEALTH_TOLERANCE, mc_clean_value, mc_xva_closeout, pathwise_wealth_check
 from rxva.sweeps import SweepSpec, default_grid, run_sweep
 from rxva.xva import solve_clean
 import rxva.cli as cli
@@ -85,7 +85,7 @@ def _clean_by_expm(cfg, model, portfolio):
 def _reference_xva(cfg, model, portfolio, mode, v_hat):
     """Robust XVA bound on the homogeneous lattice by adaptive DOP853.
 
-    Written out from the driver documented in ``rxva.xva`` (``lattice_rhs``):
+    Written out from the driver documented in ``rxva.xva`` (``_VARIANT``):
     theta_I_tilde = -L_I (v - m)^+, theta_C_tilde =
     L_C (v - m)^-, z_I/z_C = theta_tilde - u, and the band extreme is
     mu_upper (``upper``) or mu_lower (``lower``) where z_C >= 0.  ``v_hat(t)``
@@ -370,11 +370,9 @@ def test_ac07_superreplication_dominance(single_name_result):
     res = single_name_result
     band_mid = 0.5 * (res.cfg.mu_C_lower + res.cfg.mu_C_upper)
     assert abs(res.cfg.mu_C_true - band_mid) < 1e-12
-    upper = pathwise_wealth_check(res, "upper", 10_000, seed=103,
-                                  tolerance=1e-8)
-    lower = pathwise_wealth_check(res, "lower", 10_000, seed=104,
-                                  tolerance=1e-8)
-    ok = upper.violations == 0 and lower.violations == 0
+    upper = pathwise_wealth_check(res, "upper", 10_000, seed=103)
+    lower = pathwise_wealth_check(res, "lower", 10_000, seed=104)
+    ok = WEALTH_TOLERANCE == 1e-8 and upper.violations == 0 and lower.violations == 0
     _report("AC-07", ok,
             f"10^4 Q-paths at the band midpoint: upper violations "
             f"{upper.violations} (worst margin {upper.worst_margin:.2e}), "

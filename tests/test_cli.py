@@ -250,6 +250,22 @@ class TestSinglePass:
                     "--grid-points", "200") == cli.EXIT_OK
         assert len(calls) == 1
 
+    def test_one_compile_per_verify_run(self, tmp_path, monkeypatch):
+        # the drift identity runs the pass's own step, so the run compiles
+        # the full lattice's step once and no driver of its own
+        sources = []
+
+        def counting_compile(source, *args):
+            sources.append(source)
+            return compile(source, *args)
+
+        monkeypatch.setattr(xva, "compile", counting_compile, raising=False)
+        _run("verify", "--config", str(FIVE_NAME), "--out-dir", str(tmp_path), "--full-lattice",
+             "--grid-points", "50", "--paths", "500", "--allow-assumption-violation")
+        report = json.loads((tmp_path / "verify.json").read_text(encoding="utf-8"))
+        assert "drift_identity" in report["checks"]
+        assert len(sources) == 1
+
 
 class TestExitCodes:
     def test_missing_config(self, tmp_path):

@@ -385,12 +385,22 @@ class TestPathwiseWealth:
 
 
 class TestDriftIdentity:
+    # the pass's step gives each variant's driver: the block less its
+    # pocket, or the actual block alone
     def test_single_name(self, single_name_result):
-        assert drift_identity_error(single_name_result, "upper") < 1e-9
-        assert drift_identity_error(single_name_result, "lower") < 1e-9
+        for which in VARIANTS:
+            assert drift_identity_error(single_name_result, which) < 1e-15
 
     def test_five_name_homogeneous(self, five_name_result):
-        assert drift_identity_error(five_name_result, "upper") < 1e-9
+        for which in VARIANTS:
+            assert drift_identity_error(five_name_result, which) < 1e-15
+
+    @pytest.mark.parametrize("which", ["upper", "lower"])
+    def test_result_of_one_variant(self, single_name_setup, which):
+        cfg, model, portfolio, model_P = single_name_setup
+        result = run_engine(cfg, model, portfolio, model_P, variants=(which,), grid_points=200)
+        assert tuple(result.xva) == (which,)
+        assert drift_identity_error(result, which) < 1e-15
 
 
 class TestVerifyReport:
@@ -403,6 +413,15 @@ class TestVerifyReport:
         assert checks["dominance"]["violations"] == 0
         assert checks["subreplication"]["violations"] == 0
         assert checks["drift_identity"]["max_error"] < 1e-9
+
+    def test_clean_value_at_tiny_rates(self):
+        # r_D * T is far below the float epsilon, where 1 - exp(-r_D * T)
+        # cancels to 0 and would drop the premium leg from every path
+        doc = json.loads(SINGLE_NAME.read_text(encoding="utf-8"))
+        doc["rates"] = dict.fromkeys(doc["rates"], 1e-17)
+        result = run_engine(*market_from_dict(doc), variants=VARIANTS, grid_points=200)
+        check = verify(result, n_paths=20_000, seed=0)["checks"]["clean_value"]
+        assert check["within_3se"], check
 
     def test_grouped_lattice_report_passes(self):
         # two classes of two names: a 3 x 3 lattice in place of 2^4 states

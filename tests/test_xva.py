@@ -24,14 +24,13 @@ from rxva.xva import (
     StateCoeffs,
     _layout,
     lattice_coefficients,
-    lattice_rhs,
     resolve_true_h_c,
     solve_clean,
     solve_xva,
 )
 
 from conftest import FIVE_NAME, SINGLE_NAME
-from references import loop_lattice_rhs, loop_pass, solve_value_direct
+from references import lattice_rhs, loop_lattice_rhs, loop_pass, solve_value_direct
 
 
 def _load_doc(path=SINGLE_NAME):
