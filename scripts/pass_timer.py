@@ -1,12 +1,12 @@
-"""In-process timer of the lattice pass on fixed workloads.
+"""In-process timer of the lattice pass and of the Monte Carlo oracle on fixed workloads.
 
-Prints one JSON line per workload. Each line holds the lattice size and step
-count, the fastest of ``--repeat`` runs of the joint pass (``xva._joint_pass``,
-compiling included), the compile time and generated source length of that
-run, and its time per RK4 step net of compiling. Compile time is measured by
-binding a timing wrapper as ``compile`` in ``rxva.xva``'s globals. The full
-2^10 lattice (``L10``) runs at 20 grid points, where compiling is most of the
-pass.
+Prints one JSON line per workload. For a pass workload the line holds the
+lattice size and step count, the fastest of ``--repeat`` runs of the joint
+pass (``xva._joint_pass``, compiling included), the compile time and generated
+source length of that run, and its time per RK4 step net of compiling. Compile
+time is measured by binding a timing wrapper as ``compile`` in ``rxva.xva``'s
+globals. The full 2^10 lattice (``L10``) runs at 20 grid points, where
+compiling is most of the pass.
 
 Workloads, each an engine run with every variant the config prices:
 
@@ -16,12 +16,17 @@ Workloads, each an engine run with every variant the config prices:
 * W4: eight names with spreads 0.02 + 0.001 i, 500 steps (256 states);
 * L10: ten names with spreads 0.02 + 0.001 i, 20 steps (1,024 states).
 
+The oracle workload ``V1`` solves W1 once, then times ``oracle.verify`` on
+that result at 100,000 paths with seed 0. Its line holds the paths sampled
+(counted by wrapping ``oracle.simulate_paths``: 120,000), the fastest of
+``--repeat`` runs as ``verify_s`` and the paths sampled per second of it.
+
 With ``--baseline DIR`` it compares this tree's pass with that of the
 checkout ``DIR`` instead: each round times one run of every chosen workload
 from ``DIR/src`` and one from this tree's ``src``, each in a fresh
 subprocess, in alternating order. It prints one JSON line per workload with
-the two medians over ``--repeat`` rounds and the number of rounds in which
-this tree was faster.
+the two medians over ``--repeat`` rounds (``pass_s``, or ``verify_s`` for
+``V1``) and the number of rounds in which this tree was faster.
 
 Usage: ``python scripts/pass_timer.py [--repeat K] [--baseline DIR] [WORKLOAD ...]``
 """
@@ -39,7 +44,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from rxva import xva  # noqa: E402
+from rxva import oracle, xva  # noqa: E402
 from rxva.engine import run_engine  # noqa: E402
 from rxva.market import market_from_dict  # noqa: E402
 
@@ -65,6 +70,9 @@ WORKLOADS = {
     "W4": (_distinct_names(8), 500, False, 3),
     "L10": (_distinct_names(10), 20, False, 3),
 }
+
+# name -> (pass workload solved, paths, seed, default repeats)
+VERIFY_WORKLOADS = {"V1": ("W1", 100_000, 0, 5)}
 
 
 class Timer:
@@ -97,22 +105,47 @@ class Timer:
         return out
 
 
-def measure(name: str, timer: Timer, repeat: int | None) -> dict:
-    doc, points, full, default_repeat = WORKLOADS[name]
+def _solve(name: str):
+    """The engine result of pass workload ``name``, every variant priced."""
+    doc, points, full, _ = WORKLOADS[name]
     cfg, model, portfolio, model_P = market_from_dict(doc)
-    variants = xva.all_variants(cfg)
+    return run_engine(cfg, model, portfolio, model_P, variants=xva.all_variants(cfg),
+                      grid_points=points, force_full=full, allow_assumption_violation=True)
+
+
+def measure(name: str, timer: Timer, repeat: int | None) -> dict:
     runs = []
-    for _ in range(repeat or default_repeat):
+    for _ in range(repeat or WORKLOADS[name][3]):
         timer.reset()
-        result = run_engine(cfg, model, portfolio, model_P, variants=variants,
-                            grid_points=points, force_full=full,
-                            allow_assumption_violation=True)
+        result = _solve(name)
         runs.append((timer.pass_s, timer.compile_s, timer.chars))
     pass_s, compile_s, chars = min(runs)
     steps = len(result.grid) - 1
     return {"workload": name, "states": result.space.size, "steps": steps,
             "repeat": len(runs), "pass_s": pass_s, "compile_s": compile_s,
             "step_s": (pass_s - compile_s) / steps, "source_chars": chars}
+
+
+def measure_verify(name: str, repeat: int | None) -> dict:
+    solved, n_paths, seed, default_repeat = VERIFY_WORKLOADS[name]
+    result = _solve(solved)
+    sampled = []
+    simulate = oracle.simulate_paths
+
+    def counted(model, portfolio, count, *args, **kwargs):
+        sampled.append(count)
+        return simulate(model, portfolio, count, *args, **kwargs)
+
+    oracle.simulate_paths = counted
+    runs = []
+    for _ in range(repeat or default_repeat):
+        sampled.clear()
+        start = time.perf_counter()
+        oracle.verify(result, n_paths, seed)
+        runs.append(time.perf_counter() - start)
+    verify_s = min(runs)
+    return {"workload": name, "paths": sum(sampled), "repeat": len(runs),
+            "verify_s": verify_s, "paths_per_s": sum(sampled) / verify_s}
 
 
 # A --baseline round's child: imports the package from the given src first,
@@ -126,51 +159,56 @@ runpy.run_path(sys.argv[0], run_name="__main__")
 """
 
 
-def _time_once(name: str, src: Path) -> float:
+def _time_once(name: str, src: Path, key: str) -> float:
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, str(src), str(Path(__file__).resolve()),
          "--repeat", "1", name], capture_output=True, text=True)
     if proc.returncode:
         raise SystemExit(f"{name} from {src} failed:\n{proc.stderr}")
-    return json.loads(proc.stdout)["pass_s"]
+    return json.loads(proc.stdout)[key]
 
 
 def compare(name: str, baseline: Path, repeat: int | None) -> dict:
-    """Paired pass times of ``name``: the baseline's and this tree's."""
+    """Paired times of ``name``: the baseline's and this tree's."""
+    key, default_repeat = (("verify_s", VERIFY_WORKLOADS[name][3]) if name in VERIFY_WORKLOADS
+                           else ("pass_s", WORKLOADS[name][3]))
     sides = [("baseline", baseline / "src"), ("this", ROOT / "src")]
     times = {"baseline": [], "this": []}
-    rounds = repeat or WORKLOADS[name][3]
+    rounds = repeat or default_repeat
     for i in range(rounds):
         for side, src in sides if i % 2 == 0 else sides[::-1]:
-            times[side].append(_time_once(name, src))
+            times[side].append(_time_once(name, src, key))
     return {"workload": name, "rounds": rounds,
-            "baseline_pass_s": statistics.median(times["baseline"]),
-            "pass_s": statistics.median(times["this"]),
+            f"baseline_{key}": statistics.median(times["baseline"]),
+            key: statistics.median(times["this"]),
             "faster_rounds": sum(t < b for t, b in zip(times["this"], times["baseline"]))}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    names = [*WORKLOADS, *VERIFY_WORKLOADS]
     parser.add_argument("workloads", nargs="*", metavar="WORKLOAD",
-                        help=f"any of {', '.join(WORKLOADS)} (default: all)")
+                        help=f"any of {', '.join(names)} (default: all)")
     parser.add_argument("--repeat", type=int, default=None,
                         help="runs per workload (default 5, W4 and L10: 3)")
     parser.add_argument("--baseline", type=Path, metavar="DIR",
-                        help="compare with the pass of the checkout DIR, in paired rounds")
+                        help="compare with the checkout DIR, in paired rounds")
     args = parser.parse_args(argv)
-    unknown = set(args.workloads) - set(WORKLOADS)
+    unknown = set(args.workloads) - set(names)
     if unknown:
         parser.error(f"unknown workloads: {', '.join(sorted(unknown))}")
     if args.baseline is not None:
         if not (args.baseline / "src" / "rxva").is_dir():
             parser.error(f"no src/rxva under {args.baseline}")
-        for name in args.workloads or WORKLOADS:
+        for name in args.workloads or names:
             print(json.dumps(compare(name, args.baseline.resolve(), args.repeat)), flush=True)
         return 0
     timer = Timer()
     timer.install()
-    for name in args.workloads or WORKLOADS:
-        print(json.dumps(measure(name, timer, args.repeat)), flush=True)
+    for name in args.workloads or names:
+        line = (measure_verify(name, args.repeat) if name in VERIFY_WORKLOADS
+                else measure(name, timer, args.repeat))
+        print(json.dumps(line), flush=True)
     return 0
 
 

@@ -107,7 +107,7 @@ class StateSpace:
 
     def child(self, key, entity):
         """State after the default of the surviving ``entity``.  ``key`` and
-        ``entity`` may be int arrays of one shape (entities >= 1)."""
+        ``entity`` may be int arrays of one shape; entity 0 leaves the key."""
         return key + self._entity_stride[entity]
 
     def moves(self, key: int) -> list[tuple[int, list[int]]]:

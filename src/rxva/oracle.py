@@ -21,7 +21,6 @@ import numpy as np
 
 from .collateral import closeout_excess
 from .engine import EngineResult
-from .grids import LatticeSurface
 from .market import ConfigError, ContagionModel, MarketConfig, Portfolio
 from .strategies import robust_strategy, wealth_drift
 from .xva import _layout, lattice_coefficients, resolve_true_h_c
@@ -180,15 +179,15 @@ def _round(batch: PathBatch, clocks: _Clocks, rng, r: int, rows: np.ndarray) -> 
         win = cand < best_t[sel]
         best_t[sel] = np.where(win, cand, best_t[sel])
         best[sel] = np.where(win, c, best[sel])
-    ended = (best < 0) | (best_t >= clocks.T)
-    party = ~ended & (best >= n)
+    fired = best_t < clocks.T  # no clock firing leaves best_t inf
+    party = np.flatnonzero(fired & (best >= n))
     batch.party[rows[party]] = best[party] - n + 1
     batch.party_time[rows[party]] = best_t[party]
-    ref = ~ended & ~party
-    rows, who = rows[ref], best[ref]
+    ref = np.flatnonzero(fired & (best < n))
+    rows = rows[ref]
     if rows.size:  # none in the last round, which has no column
         batch.event_time[rows, r] = best_t[ref]
-        batch.event_entity[rows, r] = who + 1
+        batch.event_entity[rows, r] = best[ref] + 1
     return rows
 
 
@@ -289,21 +288,31 @@ def is_linear_driver(cfg: MarketConfig, portfolio: Portfolio) -> bool:
 
 def _state_keys(result: EngineResult, paths: PathBatch, rows, times) -> np.ndarray:
     """State key of each path in ``rows`` at ``times``: its earlier defaults."""
-    space = result.space
-    keys = np.zeros(len(rows), dtype=np.int64)
-    for r in range(space.n):  # events are in time order
-        before = paths.event_time[rows, r] < times
-        keys[before] = space.child(keys[before], paths.event_entity[rows[before], r])
-    return keys
+    entity = np.where(paths.event_time[rows] < times[:, None], paths.event_entity[rows], 0)
+    return result.space.child(0, entity).sum(axis=1)
 
 
-def _at(surface: LatticeSurface, keys: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """``surface.at(key, t)`` for paired arrays, one np.interp per distinct key."""
-    out = np.empty(len(times))
-    for key in np.unique(keys).tolist():
-        sel = keys == key
-        out[sel] = np.interp(times[sel], surface.grid, surface.values[key])
-    return out
+@np.errstate(over="ignore", invalid="ignore")  # a slope that overflows is inf, as in np.interp
+def _at(surfaces, keys: np.ndarray, times: np.ndarray) -> list[np.ndarray]:
+    """``surface.at(key, t)`` of each surface for paired arrays, bit for bit.
+
+    With the grid cut into ``len(grid) - 1`` equal buckets, a time starts from
+    the last node of the buckets below its own (bucket indices never decrease,
+    so that node is below it), steps up to its cell and reads it with
+    np.interp's arithmetic.  A finite surface never reaches its NaN fallback.
+    """
+    grid = surfaces[0].grid
+    t, width = np.clip(times, grid[0], grid[-1]), (grid[-1] - grid[0]) / (len(grid) - 1)
+    ends = np.cumsum(np.bincount(((grid - grid[0]) / width).astype(np.intp))) - 1
+    c = np.concatenate(([0], ends)).take(((t - grid[0]) / width).astype(np.intp))
+    above = np.append(grid[1:-1], math.inf)  # the right node of each cell; the last one holds T
+    while (up := above.take(c) <= t).any():
+        c += up
+    i, lo_t, hi_t = keys * len(grid) + c, grid.take(c), grid.take(c + 1)
+    span, dt = hi_t - lo_t, times - lo_t
+    reads = ((s.values.take(i), s.values.take(i + 1)) for s in surfaces)  # a surface at a time
+    return [np.where(t == lo_t, lo, np.where(t == hi_t, hi, (hi - lo) / span * dt + lo))
+            for lo, hi in reads]
 
 
 def mc_xva_closeout(
@@ -329,7 +338,7 @@ def mc_xva_closeout(
         tau = block.party_time[rows]
         keys = _state_keys(result, block, rows, tau)
         theta_I, theta_C = closeout_excess(
-            _at(result.clean, keys, tau), _at(result.margins.m, keys, tau),
+            *_at((result.clean, result.margins.m), keys, tau),
             portfolio.loss_investor, portfolio.loss_counterparty,
         )
         payoff = np.where(block.party[rows] == PARTY_I, theta_I, theta_C)
@@ -375,7 +384,7 @@ def pathwise_wealth_check(result: EngineResult, which: str, n_paths: int,
         result.model, result.portfolio, n_paths, seed,
         include_parties=True, h_C_true=h_true,
     )
-    pocket_surface = xres.pocket
+    surfaces = (xres.pocket,)
     end = np.where(paths.party == PARTY_NONE, result.portfolio.maturity, paths.party_time)
     pocket = np.zeros(n_paths)
     key = np.zeros(n_paths, dtype=np.int64)
@@ -383,13 +392,13 @@ def pathwise_wealth_check(result: EngineResult, which: str, n_paths: int,
     rows = np.arange(n_paths)
     for r in range(result.portfolio.n):
         t_ev = paths.event_time[rows, r]
-        keep = t_ev < end[rows]  # events before the path's end; padding is inf
+        keep = np.flatnonzero(t_ev < end[rows])  # events before the path's end; padding is inf
         rows, t_ev = rows[keep], t_ev[keep]
         k = key[rows]
-        pocket[rows] += _at(pocket_surface, k, t_prev[rows]) - _at(pocket_surface, k, t_ev)
+        pocket[rows] += _at(surfaces, k, t_prev[rows])[0] - _at(surfaces, k, t_ev)[0]
         key[rows] = result.space.child(k, paths.event_entity[rows, r])
         t_prev[rows] = t_ev
-    pocket += _at(pocket_surface, key, t_prev) - _at(pocket_surface, key, end)
+    pocket += _at(surfaces, key, t_prev)[0] - _at(surfaces, key, end)[0]
     surplus = (1.0 if which == "upper" else -1.0) * pocket
     return WealthReport(
         n_paths=n_paths,

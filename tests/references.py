@@ -4,9 +4,11 @@ Each one computes a value the engine also produces, by another method: the
 clean value and the initial margin in closed form, the single-name
 replication value from its unreduced drift, the lattice right-hand side and
 pass as a loop over the states, with RK4 on numpy arrays (``rk4_sweep``),
-the wealth of a strategy snapshot, and a monotonicity test for the sweep
-columns.  None of them is used by the program, nor is ``lattice_rhs``, the
-pass's step run as one stage, which the tests of the step call.
+the wealth of a strategy snapshot, a monotonicity test for the sweep
+columns, and the Monte Carlo oracle's surface reads by np.interp
+(``interp_at``).  None of them is used by the program, nor is
+``lattice_rhs``, the pass's step run as one stage, which the tests of the
+step call.
 """
 
 from __future__ import annotations
@@ -301,3 +303,14 @@ def is_monotone(values: np.ndarray, direction: str, slack: float = 1e-10) -> boo
     if direction == "constant":
         return bool(np.all(np.abs(diffs) <= slack))
     raise ValueError(f"unknown direction {direction!r}")
+
+
+def interp_at(surfaces, keys: np.ndarray, times: np.ndarray) -> list[np.ndarray]:
+    """``surface.at(key, t)`` of each surface for paired arrays, one np.interp
+    per surface and distinct key: the reference for ``oracle._at``."""
+    out = [np.empty(len(times)) for _ in surfaces]
+    for key in np.unique(keys).tolist():
+        sel = keys == key
+        for values, surface in zip(out, surfaces):
+            values[sel] = np.interp(times[sel], surface.grid, surface.values[key])
+    return out

@@ -759,3 +759,25 @@ def test_pass_timer_baseline_prints_paired_medians():
     assert (line["workload"], line["rounds"]) == ("W1", 1)
     assert line["faster_rounds"] in (0, 1)
     assert line["baseline_pass_s"] > 0.0 and line["pass_s"] > 0.0
+
+
+def test_pass_timer_times_verify():
+    # V1 times oracle.verify on W1's result at 100,000 paths, alone and
+    # paired with a baseline checkout (here this tree)
+    root = Path(cli.__file__).resolve().parents[2]
+    script = str(root / "scripts" / "pass_timer.py")
+    lines = []
+    for args in (["--repeat", "1", "V1"], ["--baseline", ".", "--repeat", "1", "V1"]):
+        proc = subprocess.run([sys.executable, script, *args], cwd=root, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert len(proc.stdout.splitlines()) == 1
+        lines.append(json.loads(proc.stdout))
+    alone, paired = lines
+    assert set(alone) == {"workload", "paths", "repeat", "verify_s", "paths_per_s"}
+    assert (alone["workload"], alone["paths"], alone["repeat"]) == ("V1", 120_000, 1)
+    assert alone["paths_per_s"] == pytest.approx(120_000 / alone["verify_s"])
+    assert set(paired) == {"workload", "rounds", "baseline_verify_s", "verify_s", "faster_rounds"}
+    assert (paired["workload"], paired["rounds"]) == ("V1", 1)
+    assert paired["faster_rounds"] in (0, 1)
+    assert paired["baseline_verify_s"] > 0.0 and paired["verify_s"] > 0.0

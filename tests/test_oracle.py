@@ -6,15 +6,18 @@ import json
 import math
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rxva import oracle
 from rxva.engine import run_engine
+from rxva.grids import LatticeSurface, StateSpace, build_grid
 from rxva.market import (
     Contract,
     MarketConfig,
@@ -35,6 +38,7 @@ from rxva.oracle import (
 from rxva.xva import VARIANTS, resolve_true_h_c
 
 from conftest import FIVE_NAME, SINGLE_NAME
+from references import interp_at
 from test_xva import _multi_name_case, _single_name_case
 
 
@@ -482,6 +486,94 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert (peak - before) / n_paths <= bound
+
+
+@st.composite
+def _read_case(draw):
+    """Three four-state surfaces on a grid of ``build_grid``, with keys and times.
+
+    The grid has 1 to 3,000 segments, drawn breakpoints, two breakpoints
+    closer than one average step and one within 1e-9 of an anchor.  The
+    values reach 1e300 in magnitude and hold signed zeros.  The times are
+    uniform draws, every node and the floats on either side of it, 0, T and
+    times outside [0, T].
+    """
+    T = draw(st.floats(0.01, 50.0))
+    min_points = draw(st.integers(1, 3000))
+    breaks = draw(st.lists(st.floats(-0.5 * T, 1.5 * T), max_size=4))
+    first = draw(st.floats(0.0, T))
+    breaks += [first, first + draw(st.floats(0.0, T / min_points, exclude_max=True))]
+    near = draw(st.sampled_from([0.0, T, *breaks]))
+    breaks.append(near + draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1e-15, 1e-9)))
+    grid = build_grid(T, breaks, min_points)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    surfaces = []
+    for _ in range(3):
+        values = rng.standard_normal((4, len(grid)))
+        values[1:] *= 10.0 ** rng.integers(-300, 300, size=(3, len(grid)))
+        values = np.clip(values, -1e300, 1e300)
+        edge = rng.random(values.shape) < 0.1
+        values[edge] = rng.choice([0.0, -0.0, 1e300, -1e300], size=np.count_nonzero(edge))
+        surfaces.append(LatticeSurface(grid, StateSpace(((1, 2, 3),)), values))
+    times = np.concatenate([
+        rng.uniform(0.0, T, 2000), grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
+        [0.0, T, -1e-300, -1.0, 2.0 * T, -1e300, 1e300],
+    ])
+    return surfaces, rng.integers(0, 4, len(times)), times
+
+
+def _bits(values):
+    return values.view(np.uint64).tolist()
+
+
+class TestSurfaceReads:
+    """``oracle._at`` reads the surfaces as np.interp does, bit for bit."""
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(case=_read_case())
+    def test_read_equals_np_interp(self, case):
+        surfaces, keys, times = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning, as from np.interp
+            got = oracle._at(surfaces, keys, times)
+            alone = [oracle._at([surface], keys, times)[0] for surface in surfaces]
+        want = interp_at(surfaces, keys, times)
+        assert len(got) == len(want) == 3
+        for values, one, reference in zip(got, alone, want):
+            assert _bits(values) == _bits(reference)
+            assert _bits(one) == _bits(reference)
+
+    @pytest.fixture(scope="class", params=["single", "five", "general", "edge_breaks"])
+    def result(self, request):
+        if request.param in ("single", "five"):
+            return request.getfixturevalue(f"{request.param}_name_result")
+        doc = _GENERAL_THREE_NAME if request.param == "general" else _EDGE_BREAKS
+        return run_engine(*market_from_dict(doc), variants=VARIANTS,
+                          allow_assumption_violation=True)
+
+    @staticmethod
+    def _estimates(result, seed):
+        return (mc_xva_closeout(result, 3_001, seed),
+                [pathwise_wealth_check(result, which, 3_001, seed) for which in ("upper", "lower")])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_estimators_equal_np_interp_reads(self, monkeypatch, result, seed):
+        got = self._estimates(result, seed)
+        monkeypatch.setattr(oracle, "_at", interp_at)
+        assert repr(got) == repr(self._estimates(result, seed))  # repr tells every float apart
+
+    def test_estimators_warn_nothing(self, result):
+        # outside verify's np.errstate; the wealth check reads every path
+        # without a party default at T, and here _at reads every node
+        grid = result.grid
+        keys = np.arange(result.space.size).repeat(len(grid))
+        times = np.tile(grid, result.space.size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self._estimates(result, 0)
+            clean, margin = oracle._at((result.clean, result.margins.m), keys, times)
+        assert _bits(clean) == _bits(result.clean.values.ravel())
+        assert _bits(margin) == _bits(result.margins.m.values.ravel())
 
 
 def _doubled(doc):
