@@ -4,9 +4,11 @@ The total collateral is M = VM + IM with VM = alpha * v_hat (the clean value
 already carries the portfolio direction) and IM = beta * (VaR_q of the
 clean-value increment over the margin period delta)^+.  The single-name
 increment law admits a closed form for constant intensities; for a
-piecewise-constant intensity the quantile equation is solved exactly by
-inverting the piecewise-linear cumulated hazard.  Multi-name portfolios would
-need an empirical quantile, which is not implemented.
+piecewise-constant intensity the quantile equation is solved exactly, at every
+time of the grid in one call, by ``market.invert_hazard``: the program's one
+inversion of the piecewise-linear cumulated hazard, which the Monte Carlo
+sampler uses too.  Multi-name portfolios would need an empirical quantile,
+which is not implemented.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import LatticeSurface, StateSpace, zero_surface
-from .market import ConfigError, ContagionModel, PiecewiseTable, Portfolio
+from .market import ConfigError, ContagionModel, PiecewiseTable, Portfolio, invert_hazard
 
 
 # ---------------------------------------------------------------------------
@@ -51,36 +53,6 @@ def variation_margin(v_hat: LatticeSurface, alpha: float) -> LatticeSurface:
 # Initial margin
 # ---------------------------------------------------------------------------
 
-def _pieces(table: PiecewiseTable, t0: float, t1: float):
-    """(start, end, intensity) of each constant piece of ``table`` in [t0, t1],
-    the intensity read at the start of the right-continuous piece."""
-    edges = [t0] + [b for b in table.breaks if t0 < b < t1] + [t1]
-    return [(a, b, table.at(a, 0)) for a, b in zip(edges, edges[1:])]
-
-
-def _cum_hazard(table: PiecewiseTable, t0: float, t1: float) -> float:
-    """Integral of a piecewise-constant intensity over [t0, t1]."""
-    if t1 <= t0:
-        return 0.0
-    return sum(h * (b - a) for a, b, h in _pieces(table, t0, t1))
-
-
-def _hazard_horizon(table: PiecewiseTable, t0: float, t1: float, target: float) -> float:
-    """Shortest h with int_t0^{t0+h} table = target, over the pieces of [t0, t1].
-
-    The cumulated hazard is piecewise linear in h, so the crossing is exact
-    on the piece where it happens; t1 - t0 when rounding leaves the target
-    just out of reach.
-    """
-    acc = 0.0
-    for a, b, h in _pieces(table, t0, t1):
-        mass = h * (b - a)
-        if h > 0.0 and acc + mass >= target:
-            return a - t0 + (target - acc) / h
-        acc += mass
-    return t1 - t0
-
-
 def initial_margin_var(
     h_P,
     S: float,
@@ -89,42 +61,44 @@ def initial_margin_var(
     delta: float,
     beta: float,
     gamma: int,
-    t: float,
+    t: float | np.ndarray,
     T: float,
-) -> float:
-    """Single-name VaR-based initial margin at time t.
+) -> float | np.ndarray:
+    """Single-name VaR-based initial margin at each time t, a float or an array.
 
     ``h_P`` is the physical default intensity, a scalar or a PiecewiseTable.
+    Let x be the time from t at which the cumulated hazard of h_P reaches
+    -log q (inf when not before T), from one ``invert_hazard`` call over the
+    table's pieces of [0, T], and delta_eff = min(delta, T - t).
     For gamma = -1 the margin is beta * K where K solves the quantile
     equation exp(-int_t^{t+((L-K)/S) ^ delta_eff} h_P) = q, that is
-    K = L - S * Lambda^{-1}(-log q) with Lambda the cumulated hazard from t;
-    the constant-intensity case with t < T - delta reduces to the closed form
-    beta * (L + S log(q) / h_P) when q > exp(-h_P delta), and 0 otherwise.
+    K = L - S x when x is below min(L / S, delta_eff)^+ (delta_eff when
+    S = 0), and 0 otherwise; the constant-intensity case with t < T - delta
+    reduces to the closed form beta * (L + S log(q) / h_P) when
+    q > exp(-h_P delta), and 0 otherwise.
     For gamma = +1 the adverse outcomes are capped by the spread paid over
     the window: the margin is beta * S * delta_eff unless a default within
-    min(L / S, delta_eff) has probability at least 1 - q, and then it is 0.
+    min(L / S, delta_eff) (delta_eff when S <= 0) has probability at least
+    1 - q (x is not beyond it), and then it is 0.  t >= T gives 0.
     """
+    if gamma not in (-1, 1):
+        raise ValueError(f"gamma must be +1 or -1, got {gamma}")
     if isinstance(h_P, (int, float)):
         h_P = PiecewiseTable(breaks=(), values=((float(h_P),),))
-    if t >= T:
-        return 0.0
-    delta_eff = min(delta, T - t)
+    t = np.asarray(t, dtype=float)
+    edges = np.array([b for b in h_P.breaks if 0.0 < b < T] + [T])
+    h = np.array([h_P.at(a, 0) for a in (0.0, *edges[:-1])])
+    x = invert_hazard(edges, h, t.reshape(-1), -np.log(q)).reshape(t.shape) - t
+    delta_eff = np.minimum(delta, T - t)
     if gamma == -1:
-        if np.exp(-_cum_hazard(h_P, t, t + delta_eff)) >= q:
-            return 0.0
-        if S == 0.0:
-            # the loss leg alone drives the increment; the quantile sits at L
-            return beta * max(L, 0.0)
-        if np.exp(-_cum_hazard(h_P, t, t + max(min(L / S, delta_eff), 0.0))) >= q:
-            return 0.0
-        k_star = L - S * _hazard_horizon(h_P, t, t + delta_eff, -np.log(q))
-        return beta * max(k_star, 0.0)
-    if gamma == 1:
-        horizon = min(L / S, delta_eff) if S > 0.0 else delta_eff
-        if 1.0 - np.exp(-_cum_hazard(h_P, t, t + horizon)) >= 1.0 - q:
-            return 0.0
-        return beta * (S * delta_eff)
-    raise ValueError(f"gamma must be +1 or -1, got {gamma}")
+        cap = delta_eff if S == 0.0 else np.maximum(np.minimum(L / S, delta_eff), 0.0)
+        hit = (t < T) & (x < cap)
+        k_star = L - S * np.where(hit, x, 0.0)  # x is inf where the hazard falls short
+        im = np.where(hit, beta * np.where(0.0 > k_star, 0.0, k_star), 0.0)
+    else:
+        horizon = np.minimum(L / S, delta_eff) if S > 0.0 else delta_eff
+        im = np.where((t < T) & (x > horizon), beta * (S * delta_eff), 0.0)
+    return im[()]
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +151,9 @@ def margin_schedule(
         table = model_P.table(1)
         # only the root state carries exposure: after the single reference
         # defaults there is nothing left to margin
-        im.values[space.root()] = [
-            initial_margin_var(
-                table, con.spread, con.loss, coll.q, coll.delta,
-                coll.beta, con.direction, t, portfolio.maturity,
-            )
-            for t in grid
-        ]
+        im.values[space.root()] = initial_margin_var(
+            table, con.spread, con.loss, coll.q, coll.delta,
+            coll.beta, con.direction, grid, portfolio.maturity,
+        )
     return MarginSchedule(alpha=coll.alpha, im=im)
 

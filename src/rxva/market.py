@@ -13,6 +13,8 @@ import math
 import numbers
 from dataclasses import dataclass, field
 
+import numpy as np
+
 INVESTOR = "I"
 COUNTERPARTY = "C"
 
@@ -91,6 +93,33 @@ class PiecewiseTable:
     def at(self, t: float, count: int) -> float:
         row = self.values[bisect.bisect_right(self.breaks, t)]
         return row[min(count, len(row) - 1)]
+
+
+def invert_hazard(edges: np.ndarray, h: np.ndarray, t0: np.ndarray, target) -> np.ndarray:
+    """First time after each t0 at which the cumulated intensity reaches target.
+
+    ``edges`` ends the pieces of [0, edges[-1]] and ``h[j]`` is the intensity
+    on piece j; ``target`` is an array aligned with ``t0`` or one number.
+    Crosses the pieces one at a time with the scalar recursion
+    (``remaining -= h * span``, then ``prev + remaining / h``), so each time
+    is bit-identical to a per-element loop; inf when the pieces up to the
+    last edge hold less than the target.
+    """
+    last = len(edges) - 1
+    out = np.full(len(t0), math.inf)
+    rows = np.arange(len(t0))
+    j = np.searchsorted(edges[:-1], t0, side="right")
+    prev, remaining = t0, np.broadcast_to(target, t0.shape)
+    while rows.size:
+        edge, h_j = edges[j], h[j]
+        mass = h_j * (edge - prev)
+        hit = (h_j > 0.0) & (mass >= remaining)
+        k = np.flatnonzero(hit)
+        out[rows[k]] = prev[k] + remaining[k] / h_j[k]
+        go = np.flatnonzero(~hit & (j < last))
+        rows, j = rows[go], j[go] + 1
+        prev, remaining = edge[go], (remaining - mass)[go]
+    return out
 
 
 def _number(value, where: str) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .collateral import closeout_excess
 from .engine import EngineResult
-from .market import ConfigError, ContagionModel, MarketConfig, Portfolio
+from .market import ConfigError, ContagionModel, MarketConfig, Portfolio, invert_hazard
 from .strategies import robust_strategy, wealth_drift
 from .xva import _layout, lattice_coefficients, resolve_true_h_c
 
@@ -83,6 +83,8 @@ class _Clocks:
     [0, T]: every model break in (0, T), then T.  ``h[c, k, j]`` is the
     intensity of clock c with k prior reference defaults on segment j, read
     at its start; the pieces are right-continuous, so that is its value.
+    A clock's default time is ``market.invert_hazard`` of its row, the one
+    inversion of a cumulated hazard that the initial margin uses too.
     """
 
     def __init__(self, model, portfolio, include_parties, h_C_true):
@@ -95,30 +97,6 @@ class _Clocks:
         starts = [0.0, *self.edges[:-1].tolist()]
         self.h = np.array([[[tab.at(t, k) for t in starts] for k in range(n + 1)]
                            for tab in tables])
-
-    def invert(self, clock: int, count: int, t0: np.ndarray, target: np.ndarray) -> np.ndarray:
-        """First time after t0 at which the cumulated intensity reaches target.
-
-        Crosses the pieces one segment at a time with the scalar recursion
-        (``remaining -= h * span``, then ``prev + remaining / h``), so each
-        time is bit-identical to a per-path loop; inf when not before T.
-        """
-        h_of_piece = self.h[clock, count]
-        last = len(self.edges) - 1
-        out = np.full(len(t0), math.inf)
-        rows = np.arange(len(t0))
-        j = np.searchsorted(self.edges[:-1], t0, side="right")
-        prev, remaining = t0, target
-        while rows.size:
-            edge, h = self.edges[j], h_of_piece[j]
-            mass = h * (edge - prev)
-            hit = (h > 0.0) & (mass >= remaining)
-            k = np.flatnonzero(hit)
-            out[rows[k]] = prev[k] + remaining[k] / h[k]
-            go = np.flatnonzero(~hit & (j < last))
-            rows, j = rows[go], j[go] + 1
-            prev, remaining = edge[go], (remaining - mass)[go]
-        return out
 
 
 def simulate_paths(
@@ -174,8 +152,8 @@ def _round(batch: PathBatch, clocks: _Clocks, rng, r: int, rows: np.ndarray) -> 
     best_t = np.full(rows.size, math.inf)
     best = np.full(rows.size, -1)
     for c in range(len(clocks.h)):
-        sel = np.flatnonzero(alive[:, c]) if c < n else slice(None)
-        cand = clocks.invert(c, r, t0[sel], draws[sel, c])
+        sel = np.flatnonzero(alive[:, c]) if r and c < n else slice(None)  # round 0: all alive
+        cand = invert_hazard(clocks.edges, clocks.h[c, r], t0[sel], draws[sel, c])
         win = cand < best_t[sel]
         best_t[sel] = np.where(win, cand, best_t[sel])
         best[sel] = np.where(win, c, best[sel])
@@ -498,7 +476,7 @@ def verify(result: EngineResult, n_paths: int, seed: int) -> dict:
                 "passed": rep.violations == 0,
             }
 
-    if "upper" in result.xva and resolve_true_h_c(cfg, model) is not None:
+    if "upper" in result.xva and cfg.mu_C_true is not None:
         err = drift_identity_error(result, "upper")
         checks["drift_identity"] = {"max_error": err, "passed": err < 1e-9}
 

@@ -1,5 +1,7 @@
 """Closeout maps, variation margin, and VaR-based initial margin."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from rxva.collateral import (
     margin_schedule,
     variation_margin,
 )
+import rxva.collateral as collateral
 import rxva.engine as engine
 from rxva.engine import run_engine
 from rxva.grids import StateSpace, zero_surface
@@ -208,6 +211,102 @@ class TestInitialMargin:
         with pytest.raises(ValueError):
             initial_margin_var(0.3, 0.02, 0.5, 0.99, 0.05, 1.0, 0, 0.0, 1.0)
 
+    def test_random_draws_match_the_quantile_equation(self):
+        # derandomized draws: both directions, S < 0, S = 0 and S > 0, tables
+        # of 0-2 breaks with zero pieces, windows that straddle a break, t at
+        # 0, T - delta, T - 1e-12, T and past T; one call per draw over its
+        # times, each margin against _reference_margin
+        rng = np.random.default_rng(20251019)
+        seen = dict.fromkeys(("plus", "minus", "S=0", "S<0", "straddle", "past T"), 0)
+        for i in range(300):
+            T = rng.uniform(0.2, 5.0)
+            breaks = tuple(np.sort(rng.uniform(0.0, 1.2 * T, i % 3)).tolist())
+            values = (rng.uniform(0.01, 3.0, i % 3 + 1) * (rng.random(i % 3 + 1) < 0.85)).tolist()
+            table = PiecewiseTable(breaks=breaks, values=tuple((v,) for v in values))
+            S = (-1.0, 0.0, 1.0)[i % 3 if i % 5 else (i // 5) % 3] * rng.uniform(0.0, 0.5)
+            L, q = rng.uniform(-0.1, 1.0), 1.0 - 10.0 ** rng.uniform(-4.0, -0.5)
+            delta, beta = rng.uniform(0.005, 0.5), rng.uniform(0.1, 2.0)
+            ts = [0.0, max(T - delta, 0.0), T - 1e-12, T, T + 0.5, rng.uniform(0.0, T)]
+            ts += [b - 0.5 * delta for b in breaks if 0.0 < b - 0.5 * delta < T]
+            for gamma in (-1, 1):
+                got = initial_margin_var(table, S, L, q, delta, beta, gamma, np.array(ts), T)
+                assert got.shape == (len(ts),)
+                for t, im in zip(ts, got.tolist()):
+                    want, ambiguous = _reference_margin(breaks, values, S, L, q, delta,
+                                                        beta, gamma, t, T)
+                    if ambiguous and im != want:
+                        continue  # within rounding of the cap both answers are legitimate
+                    assert im == pytest.approx(want, rel=1e-9, abs=1e-12), (i, gamma, t)
+                    if im != 0.0:
+                        seen["plus" if gamma == 1 else "minus"] += 1
+                        seen["S=0"] += S == 0.0
+                        seen["straddle"] += any(t < b < t + delta for b in breaks)
+                    seen["S<0"] += S < 0.0
+                    seen["past T"] += t >= T
+        # each kind of case is drawn, with nonzero margins where it has them;
+        # none of these draws falls within rounding of its cap
+        assert min(seen.values()) >= 50, seen
+
+    def test_scalar_and_array_times_agree_bit_for_bit(self):
+        table = PiecewiseTable(breaks=(0.4, 0.7), values=((0.9,), (0.0,), (2.5,)))
+        ts = np.concatenate([np.linspace(0.0, 1.0, 201), [1.0 - 1e-12, 1.5]])
+        for gamma, S in ((-1, 0.3), (-1, 0.0), (1, 0.3), (1, -0.1)):
+            whole = initial_margin_var(table, S, 0.5, 0.97, 0.08, 1.5, gamma, ts, 1.0)
+            each = np.array([initial_margin_var(table, S, 0.5, 0.97, 0.08, 1.5, gamma, t, 1.0)
+                             for t in ts.tolist()])
+            assert np.array_equal(whole.view(np.uint64), each.view(np.uint64))
+            assert np.count_nonzero(whole) > 0 and not whole[ts >= 1.0].any()
+
+    def test_no_warning_when_the_hazard_never_reaches_the_quantile(self):
+        # S = 0 and a zero hazard: the crossing time is inf and is never multiplied
+        ts = np.linspace(0.0, 1.0, 11)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for h_P in (0.0, PiecewiseTable(breaks=(0.5,), values=((0.0,), (0.01,)))):
+                for gamma in (-1, 1):
+                    got = initial_margin_var(h_P, 0.0, 0.5, 0.99, 0.05, 1.0, gamma, ts, 1.0)
+                    assert got.tolist() == [0.0] * 11
+
+
+def _reference_margin(breaks, values, S, L, q, delta, beta, gamma, t, T):
+    """(margin, whether rounding may flip it), from the quantile equation.
+
+    The cumulated hazard is the sum over the table's pieces of the intensity
+    times the overlap with the window.  For gamma = -1 the margin is beta * K
+    with K in [0, L] solving exp(-Lambda(t, t + ((L - K) / S) ^ delta_eff)) = q
+    by bisection (0 when no K does: with S < 0 the window is empty for every
+    such K), and beta * L when S = 0 and a default within delta_eff has
+    probability above 1 - q.  For gamma = +1 it is beta * S * delta_eff unless
+    a default within min(L / S, delta_eff) (delta_eff when S <= 0) has
+    probability at least 1 - q.  The margin jumps where Lambda over the
+    window that decides it equals -log q, so within 1e-12 of that either
+    answer is a legitimate rounding.
+    """
+    starts, ends = (-np.inf, *breaks), (*breaks, np.inf)
+
+    def cum_hazard(span):
+        span = max(span, 0.0)
+        return sum(h * max(0.0, min(t + span, b) - max(t, a))
+                   for a, b, h in zip(starts, ends, values))
+
+    if t >= T:
+        return 0.0, False
+    d, target = min(delta, T - t), -np.log(q)
+    if gamma == 1:
+        lam = cum_hazard(min(L / S, d) if S > 0.0 else d)
+        return (beta * S * d if lam < target else 0.0), abs(lam - target) < 1e-12
+    if S == 0.0:
+        lam = cum_hazard(d)
+        return (beta * max(L, 0.0) if lam > target else 0.0), abs(lam - target) < 1e-12
+    lam = cum_hazard(min(L / S, d)) if S > 0.0 and L > 0.0 else 0.0
+    if lam <= target:
+        return 0.0, abs(lam - target) < 1e-12
+    lo, hi = 0.0, L  # the window shrinks, so Lambda falls, as K grows
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if cum_hazard(min((L - mid) / S, d)) >= target else (lo, mid)
+    return beta * 0.5 * (lo + hi), False
+
 
 # ---------------------------------------------------------------------------
 # Margin schedule
@@ -257,6 +356,17 @@ class TestMarginSchedule:
         inside = grid < T - coll.delta - 1e-9
         want = initial_margin_closed_form(0.3, 0.02, 0.5, coll.q, coll.delta, 1.0)
         assert res.margins.im.values[0][inside][0] == pytest.approx(want, abs=1e-8)
+
+    def test_one_margin_call_per_schedule(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return initial_margin_var(*args)
+
+        monkeypatch.setattr(collateral, "initial_margin_var", counted)
+        res = _single_name_engine(alpha=0.0, beta=1.0)
+        assert len(calls) == 1 and calls[0][7] is res.grid
 
     def test_multi_name_needs_var_callback(self, monkeypatch):
         cfg = MarketConfig(

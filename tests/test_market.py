@@ -3,6 +3,7 @@
 import json
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from rxva.market import (
     Portfolio,
     _as_table,
     contagion_from_dict,
+    invert_hazard,
     load_config,
     market_from_dict,
     validate_assumptions,
@@ -121,6 +123,51 @@ class TestPiecewiseTable:
         mapped = _as_table({"breaks": [1.0], "values": [0.1, [0.2, 0.4]]})
         assert mapped.at(0.5, 7) == 0.1
         assert mapped.at(1.5, 1) == 0.4
+
+
+class TestInvertHazard:
+    """The one inversion of a piecewise-constant cumulated hazard (pieces
+    ending at ``edges``, intensity ``h``), shared by the Monte Carlo sampler
+    and the initial margin."""
+
+    EDGES = np.array([1.0, 2.0, 3.0])
+
+    def test_target_equal_to_a_piece_mass_lands_on_its_edge(self):
+        # the first piece holds 0.5 * 1.0 and the first two 0.5 + 2.0, exactly
+        h = np.array([0.5, 2.0, 4.0])
+        got = invert_hazard(self.EDGES, h, np.array([0.0, 0.0, 1.0, 1.0]),
+                            np.array([0.5, 2.5, 2.0, 6.0]))
+        assert got.tolist() == [1.0, 2.0, 2.0, 3.0]  # the last edge is reached, not passed
+
+    def test_zero_intensity_piece_is_crossed_to_the_next_positive_one(self):
+        h = np.array([1.0, 0.0, 2.0])
+        got = invert_hazard(self.EDGES, h, np.array([0.5, 1.25, 1.25, 0.0]),
+                            np.array([1.0, 0.5, 0.0, 0.0]))
+        # 0.5 of the target is left at t = 1, none of it is spent on [1, 2);
+        # even a zero target is reached only where the intensity is positive
+        assert got.tolist() == [2.25, 2.25, 2.0, 0.0]
+
+    def test_target_beyond_the_horizon_is_inf(self):
+        h = np.array([1.0, 0.0, 2.0])
+        got = invert_hazard(self.EDGES, h, np.array([0.0, 0.0, 2.5, 3.0, 1.5]),
+                            np.array([2.5, 3.5, 1.5, 0.1, 2.5]))
+        assert got[0] == 2.75
+        assert np.isinf(got[1:]).all()
+
+    def test_one_call_equals_per_element_calls_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for n_pieces in (1, 2, 3, 5):
+            edges = np.sort(rng.uniform(0.0, 4.0, n_pieces))
+            h = rng.uniform(0.0, 3.0, n_pieces) * (rng.random(n_pieces) < 0.8)
+            t0 = np.concatenate([rng.uniform(0.0, edges[-1], 200), [0.0], edges])
+            target = rng.exponential(size=t0.size)
+            whole = invert_hazard(edges, h, t0, target)
+            each = np.concatenate([invert_hazard(edges, h, t0[i:i + 1], target[i:i + 1])
+                                   for i in range(t0.size)])
+            assert np.array_equal(whole.view(np.uint64), each.view(np.uint64))
+            one = invert_hazard(edges, h, t0, target[0])  # one number for every start
+            assert np.array_equal(one, invert_hazard(edges, h, t0, np.full(t0.size, target[0])))
+            assert np.isfinite(whole).any() and np.isinf(whole).any()
 
 
 # ---------------------------------------------------------------------------
