@@ -21,12 +21,18 @@ that result at 100,000 paths with seed 0. Its line holds the paths sampled
 (counted by wrapping ``oracle.simulate_paths``: 120,000), the fastest of
 ``--repeat`` runs as ``verify_s`` and the paths sampled per second of it.
 
+The drift-identity workloads ``D1`` and ``D4`` solve W1 and W4 once, then
+time ``oracle.drift_identity_error(result, "upper")`` on that result, the
+check ``verify`` runs. Their line holds the state count, the fastest of
+``--repeat`` runs as ``drift_s`` and the ``max_error`` it returned.
+
 With ``--baseline DIR`` it compares this tree's pass with that of the
 checkout ``DIR`` instead: each round times one run of every chosen workload
 from ``DIR/src`` and one from this tree's ``src``, each in a fresh
 subprocess, in alternating order. It prints one JSON line per workload with
-the two medians over ``--repeat`` rounds (``pass_s``, or ``verify_s`` for
-``V1``) and the number of rounds in which this tree was faster.
+the two medians over ``--repeat`` rounds (``pass_s``, ``verify_s`` for
+``V1`` or ``drift_s`` for ``D1`` and ``D4``) and the number of rounds in
+which this tree was faster.
 
 Usage: ``python scripts/pass_timer.py [--repeat K] [--baseline DIR] [WORKLOAD ...]``
 """
@@ -73,6 +79,9 @@ WORKLOADS = {
 
 # name -> (pass workload solved, paths, seed, default repeats)
 VERIFY_WORKLOADS = {"V1": ("W1", 100_000, 0, 5)}
+
+# name -> (pass workload solved, default repeats)
+DRIFT_WORKLOADS = {"D1": ("W1", 5), "D4": ("W4", 3)}
 
 
 class Timer:
@@ -148,6 +157,18 @@ def measure_verify(name: str, repeat: int | None) -> dict:
             "verify_s": verify_s, "paths_per_s": sum(sampled) / verify_s}
 
 
+def measure_drift(name: str, repeat: int | None) -> dict:
+    solved, default_repeat = DRIFT_WORKLOADS[name]
+    result = _solve(solved)
+    runs = []
+    for _ in range(repeat or default_repeat):
+        start = time.perf_counter()
+        max_error = oracle.drift_identity_error(result, "upper")
+        runs.append(time.perf_counter() - start)
+    return {"workload": name, "states": result.space.size, "repeat": len(runs),
+            "drift_s": min(runs), "max_error": max_error}
+
+
 # A --baseline round's child: imports the package from the given src first,
 # so that the script, which then puts its own src first, times that tree.
 _CHILD = """\
@@ -170,8 +191,12 @@ def _time_once(name: str, src: Path, key: str) -> float:
 
 def compare(name: str, baseline: Path, repeat: int | None) -> dict:
     """Paired times of ``name``: the baseline's and this tree's."""
-    key, default_repeat = (("verify_s", VERIFY_WORKLOADS[name][3]) if name in VERIFY_WORKLOADS
-                           else ("pass_s", WORKLOADS[name][3]))
+    if name in VERIFY_WORKLOADS:
+        key, default_repeat = "verify_s", VERIFY_WORKLOADS[name][3]
+    elif name in DRIFT_WORKLOADS:
+        key, default_repeat = "drift_s", DRIFT_WORKLOADS[name][1]
+    else:
+        key, default_repeat = "pass_s", WORKLOADS[name][3]
     sides = [("baseline", baseline / "src"), ("this", ROOT / "src")]
     times = {"baseline": [], "this": []}
     rounds = repeat or default_repeat
@@ -186,11 +211,11 @@ def compare(name: str, baseline: Path, repeat: int | None) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    names = [*WORKLOADS, *VERIFY_WORKLOADS]
+    names = [*WORKLOADS, *VERIFY_WORKLOADS, *DRIFT_WORKLOADS]
     parser.add_argument("workloads", nargs="*", metavar="WORKLOAD",
                         help=f"any of {', '.join(names)} (default: all)")
     parser.add_argument("--repeat", type=int, default=None,
-                        help="runs per workload (default 5, W4 and L10: 3)")
+                        help="runs per workload (default 5; W4, L10 and D4: 3)")
     parser.add_argument("--baseline", type=Path, metavar="DIR",
                         help="compare with the checkout DIR, in paired rounds")
     args = parser.parse_args(argv)
@@ -206,8 +231,12 @@ def main(argv=None) -> int:
     timer = Timer()
     timer.install()
     for name in args.workloads or names:
-        line = (measure_verify(name, args.repeat) if name in VERIFY_WORKLOADS
-                else measure(name, timer, args.repeat))
+        if name in VERIFY_WORKLOADS:
+            line = measure_verify(name, args.repeat)
+        elif name in DRIFT_WORKLOADS:
+            line = measure_drift(name, args.repeat)
+        else:
+            line = measure(name, timer, args.repeat)
         print(json.dumps(line), flush=True)
     return 0
 

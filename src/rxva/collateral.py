@@ -137,6 +137,8 @@ def margin_schedule(
     Only the single-name initial margin has an analytic law; multi-name
     portfolios with beta > 0 would need an empirical quantile of the
     clean-value increment, which is not implemented, so they are refused.
+    So is a negative spread with beta > 0: the margin would then be
+    negative for direction +1, against IM = beta * (VaR)^+.
     """
     coll = portfolio.collateral
     if coll.beta > 0.0 and portfolio.n > 1:
@@ -144,6 +146,11 @@ def margin_schedule(
             "initial margin (beta > 0) is priced for single-name "
             "portfolios only; multi-name portfolios need an empirical "
             "VaR callback"
+        )
+    if coll.beta > 0.0 and portfolio.n == 1 and (spread := portfolio.contracts[0].spread) < 0.0:
+        raise ConfigError(
+            f"initial margin (beta = {coll.beta} > 0) is priced for a nonnegative "
+            f"spread only; the contract's spread is {spread}"
         )
     im = zero_surface(grid, space)
     if coll.beta > 0.0 and portfolio.n == 1:

@@ -143,10 +143,6 @@ class LatticeSurface:
     space: StateSpace
     values: np.ndarray
 
-    def at(self, key: int, t: float) -> float:
-        """Linear interpolation in time within one state."""
-        return float(np.interp(t, self.grid, self.values[key]))
-
     def at0(self, key: int = 0) -> float:
         return float(self.values[key][0])
 

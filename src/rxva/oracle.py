@@ -272,7 +272,8 @@ def _state_keys(result: EngineResult, paths: PathBatch, rows, times) -> np.ndarr
 
 @np.errstate(over="ignore", invalid="ignore")  # a slope that overflows is inf, as in np.interp
 def _at(surfaces, keys: np.ndarray, times: np.ndarray) -> list[np.ndarray]:
-    """``surface.at(key, t)`` of each surface for paired arrays, bit for bit.
+    """``np.interp(t, surface.grid, surface.values[key])`` of each surface for
+    paired arrays, bit for bit.
 
     With the grid cut into ``len(grid) - 1`` equal buckets, a time starts from
     the last node of the buckets below its own (bucket indices never decrease,
@@ -419,19 +420,20 @@ def drift_identity_error(result: EngineResult, which: str = "upper") -> float:
     index, bundles = lattice_coefficients(cfg, model, portfolio, space, grid[::DRIFT_STRIDE])
     steps = [result.bind(states) for states in bundles]
     base = [-0.0] * (n_blocks * size)
+    counts = np.array([space.count(key) for key in space.keys])
     worst = 0.0
     for i, j in enumerate(range(0, len(grid), DRIFT_STRIDE)):
         t = float(grid[j])
         im = margins.im.values[:, j].tolist()
         y = np.concatenate([rows[:, j] for rows in blocks]).tolist()
-        g = steps[index[i]](im, im, ((0.0, 1.0, None),), 1.0, y, base)
-        for key in space.keys:
-            count = space.count(key)
-            driver = g[b * size + key] - (0.0 if p is None else g[p * size + key])
-            snap = robust_strategy(surface, result.clean, margins.m, portfolio, t, key)
-            mu_true = h_true.at(t, count) + cfg.r_D
-            drift = wealth_drift(cfg, model, portfolio, snap, mu_true, t, count)
-            worst = max(worst, abs(drift + driver))
+        g = np.reshape(steps[index[i]](im, im, ((0.0, 1.0, None),), 1.0, y, base),
+                       (n_blocks, size))
+        driver = g[b] - (0.0 if p is None else g[p])
+        holdings = robust_strategy(surface, result.clean, margins.m, portfolio, j)
+        mu_true = np.array([h_true.at(t, k) for k in range(portfolio.n + 1)])
+        mu_true = mu_true.take(counts) + cfg.r_D
+        drift = wealth_drift(cfg, model, portfolio, holdings, mu_true, t, counts)
+        worst = max(worst, float(np.abs(drift + driver).max()))
     return worst
 
 

@@ -1,7 +1,8 @@
-"""Replication and super-replication holdings at a grid node and state.
+"""Replication and super-replication holdings of every state at a grid node.
 
 Holdings are quoted as position values (shares times account price, the
-quantity the exported tables carry).  Identities maintained here:
+quantity the exported tables carry), one array over the states, read from the
+node's column of each surface.  Identities maintained here:
 
 * wealth: sum of all position values minus the collateral account equals the
   replicated surface value;
@@ -12,27 +13,11 @@ quantity the exported tables carry).  Identities maintained here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numpy as np
 
 from .collateral import closeout_excess
 from .grids import LatticeSurface
 from .market import ContagionModel, MarketConfig, Portfolio
-
-
-@dataclass(frozen=True)
-class StrategySnapshot:
-    """Holdings at one (time, state) point.
-
-    ``xi_ref_values[i]`` is the position value in the account of surviving
-    entity i (1-based ids in ``alive``).
-    """
-
-    alive: tuple[int, ...]
-    xi_ref_values: dict[int, float]
-    xi_I_value: float
-    xi_C_value: float
-    xi_f_value: float
-    psi_m_value: float
 
 
 def robust_strategy(
@@ -40,69 +25,62 @@ def robust_strategy(
     v_hat: LatticeSurface,
     m_surface: LatticeSurface,
     portfolio: Portfolio,
-    t: float,
-    key: int,
-) -> StrategySnapshot:
-    """Holdings that replicate the XVA surface ``u_surface`` at (t, key).
+    j: int,
+) -> tuple[np.ndarray, ...]:
+    """Holdings that replicate the XVA surface ``u_surface`` in every state at node ``j``.
 
     Built from the upper surface they super-replicate, from the lower one
-    they sub-replicate, and from the actual one they replicate.
+    they sub-replicate, and from the actual one they replicate.  Returns
+    ``(xi_ref, alive, xi_I, xi_C, xi_f, psi_m)``: ``xi_ref[key, i - 1]`` is
+    the position in the account of name i, u - u_child for its class's move
+    where ``alive[key, i - 1]``, and 0 once the name has defaulted; the other
+    four hold one position per state.
     """
     space = u_surface.space
-    u = u_surface.at(key, t)
-    v = v_hat.at(key, t)
-    m = m_surface.at(key, t)
+    u, v, m = (s.values[:, j] for s in (u_surface, v_hat, m_surface))
     theta_I, theta_C = closeout_excess(v, m, portfolio.loss_investor,
                                        portfolio.loss_counterparty)
-    ref_vals = {}
-    for child, entities in space.moves(key):
-        ref_vals.update(dict.fromkeys(entities, u - u_surface.at(child, t)))
-    alive = tuple(ref_vals)
-    xi_I_value = float(-theta_I + u)
-    xi_C_value = float(-theta_C + u)
-    psi_m_value = -m
-    xi_f_value = float(-u - sum(ref_vals.values()) + theta_C + theta_I - m)
-    return StrategySnapshot(
-        alive=alive,
-        xi_ref_values=ref_vals,
-        xi_I_value=xi_I_value,
-        xi_C_value=xi_C_value,
-        xi_f_value=xi_f_value,
-        psi_m_value=psi_m_value,
-    )
+    keys = np.arange(space.size)
+    alive = np.zeros((space.size, space.n), dtype=bool)
+    xi_ref = np.zeros((space.size, space.n))
+    for c, stride in zip(space.classes, space.strides):
+        names = np.array(c) - 1
+        survivors = len(c) - keys // stride % (len(c) + 1)
+        alive[:, names] = np.arange(len(c)) < survivors[:, None]
+        drop = u - u.take(keys + stride, mode="clip")  # read only where a name survives
+        xi_ref[:, names] = np.where(alive[:, names], drop[:, None], 0.0)
+    xi_f = -u - sum(xi_ref.T) + theta_C + theta_I - m
+    return xi_ref, alive, -theta_I + u, -theta_C + u, xi_f, -m
 
 
 def wealth_drift(
     cfg: MarketConfig,
     model: ContagionModel,
     portfolio: Portfolio,
-    snapshot: StrategySnapshot,
-    mu_C_true: float,
+    holdings: tuple[np.ndarray, ...],
+    mu_C_true: np.ndarray,
     t: float,
-    count: int,
-) -> float:
-    """Instantaneous wealth growth of the holdings under the true rate.
+    counts: np.ndarray,
+) -> np.ndarray:
+    """Instantaneous wealth growth of ``robust_strategy``'s holdings under the true rate.
 
-    Accounts for the defaultable-account drifts at their account rates
-    mu = h + r_D, the sign-dependent treasury rate on the funding balance
-    (which finances the surviving loss notionals on top of the funding
-    account itself), and the collateral remuneration.  The collateral is
-    read from the holdings: psi_m * B_m = -M.
+    ``mu_C_true`` and ``counts``, the default count of each state, are per
+    state; each intensity is read once per default count.  Accounts for the
+    defaultable-account drifts at their account rates mu = h + r_D, the
+    sign-dependent treasury rate on the funding balance (which finances the
+    surviving loss notionals on top of the funding account itself), and the
+    collateral remuneration.  The collateral is read from the holdings:
+    psi_m * B_m = -M.
     """
-    m = -snapshot.psi_m_value
-    loss_sum = sum(
-        portfolio.contracts[i - 1].direction * portfolio.contracts[i - 1].loss
-        for i in snapshot.alive
-    )
-    mu_I = model.intensity_by_count("I", t, count) + cfg.r_D
-    drift = 0.0
-    for i in snapshot.alive:
-        mu_i = model.intensity_by_count(i, t, count) + cfg.r_D
-        drift += snapshot.xi_ref_values[i] * mu_i
-    drift += snapshot.xi_I_value * mu_I
-    drift += snapshot.xi_C_value * mu_C_true
-    y = snapshot.xi_f_value + loss_sum
-    drift += cfg.r_f_plus * max(y, 0.0) - cfg.r_f_minus * max(-y, 0.0)
+    xi_ref, alive, xi_I, xi_C, xi_f, psi_m = holdings
+    m = -psi_m
+    who = ("I", *range(1, portfolio.n + 1))
+    mu = np.array([[model.intensity_by_count(w, t, k) for w in who]
+                   for k in range(portfolio.n + 1)]).take(counts, axis=0) + cfg.r_D
+    loss_sum = sum((alive * [c.direction * c.loss for c in portfolio.contracts]).T)
+    drift = sum((xi_ref * mu[:, 1:]).T) + xi_I * mu[:, 0] + xi_C * mu_C_true
+    y = xi_f + loss_sum
+    drift += cfg.r_f_plus * np.maximum(y, 0.0) - cfg.r_f_minus * np.maximum(-y, 0.0)
     drift += -cfg.r_D * loss_sum
-    drift += cfg.r_m_plus * max(m, 0.0) - cfg.r_m_minus * max(-m, 0.0)
+    drift += cfg.r_m_plus * np.maximum(m, 0.0) - cfg.r_m_minus * np.maximum(-m, 0.0)
     return drift

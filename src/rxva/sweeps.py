@@ -164,15 +164,11 @@ def sweep_point(
         row.xva_lower = result.xva["lower"].surface.at0(root)
         if "actual" in result.xva:
             row.xva_actual = result.xva["actual"].surface.at0(root)
-        snap = robust_strategy(
-            result.xva["upper"].surface, result.clean, result.margins.m,
-            portfolio, 0.0, root,
-        )
-        if snap.alive:
-            row.xi_ref_val = snap.xi_ref_values[snap.alive[0]]
-        row.xi_I_val = snap.xi_I_value
-        row.xi_C_val = snap.xi_C_value
-        row.xi_f_val = snap.xi_f_value
+        xi_ref, _, xi_I, xi_C, xi_f, _ = robust_strategy(
+            result.xva["upper"].surface, result.clean, result.margins.m, portfolio, 0)
+        if portfolio.n:  # every name survives at the root: name 1's position
+            row.xi_ref_val = float(xi_ref[root, 0])
+        row.xi_I_val, row.xi_C_val, row.xi_f_val = (float(x[root]) for x in (xi_I, xi_C, xi_f))
         row.timings = result.timings
         row.ok = True
     except Exception as exc:  # noqa: BLE001 - sweep must keep going

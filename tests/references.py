@@ -4,7 +4,7 @@ Each one computes a value the engine also produces, by another method: the
 clean value and the initial margin in closed form, the single-name
 replication value from its unreduced drift, the lattice right-hand side and
 pass as a loop over the states, with RK4 on numpy arrays (``rk4_sweep``),
-the wealth of a strategy snapshot, a monotonicity test for the sweep
+the wealth of the holdings at a grid node, a monotonicity test for the sweep
 columns, and the Monte Carlo oracle's surface reads by np.interp
 (``interp_at``).  None of them is used by the program, nor is
 ``lattice_rhs``, the pass's step run as one stage, which the tests of the
@@ -18,7 +18,6 @@ import numpy as np
 from rxva.collateral import MarginSchedule, closeout_excess
 from rxva.grids import LatticeSurface, StateSpace
 from rxva.market import ContagionModel, MarketConfig, PiecewiseTable, Portfolio
-from rxva.strategies import StrategySnapshot
 from rxva.xva import VARIANTS, _binder, _layout, lattice_coefficients, resolve_true_h_c
 
 
@@ -282,15 +281,11 @@ def loop_pass(cfg, model, portfolio, grid, space, margins, variants) -> np.ndarr
         return rk4_sweep(grid, np.zeros(_layout(cfg, variants)[1] * size), rhs)
 
 
-def wealth(snap: StrategySnapshot) -> float:
-    """Total portfolio value carried by the holdings of ``snap``."""
-    return (
-        sum(snap.xi_ref_values.values())
-        + snap.xi_I_value
-        + snap.xi_C_value
-        + snap.xi_f_value
-        - snap.psi_m_value
-    )
+def wealth(holdings) -> np.ndarray:
+    """Total portfolio value of each state carried by ``robust_strategy``'s
+    holdings at a node: every position less the collateral account."""
+    xi_ref, _, xi_I, xi_C, xi_f, psi_m = holdings
+    return xi_ref.sum(axis=1) + xi_I + xi_C + xi_f - psi_m
 
 
 def is_monotone(values: np.ndarray, direction: str, slack: float = 1e-10) -> bool:
@@ -306,8 +301,9 @@ def is_monotone(values: np.ndarray, direction: str, slack: float = 1e-10) -> boo
 
 
 def interp_at(surfaces, keys: np.ndarray, times: np.ndarray) -> list[np.ndarray]:
-    """``surface.at(key, t)`` of each surface for paired arrays, one np.interp
-    per surface and distinct key: the reference for ``oracle._at``."""
+    """``np.interp(t, surface.grid, surface.values[key])`` of each surface for
+    paired arrays, one np.interp per surface and distinct key: the reference
+    for ``oracle._at``."""
     out = [np.empty(len(times)) for _ in surfaces]
     for key in np.unique(keys).tolist():
         sel = keys == key

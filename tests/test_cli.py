@@ -436,6 +436,21 @@ class TestExitCodes:
                     "--grid-points", "100") == cli.EXIT_CONFIG
         assert "VaR callback" in capsys.readouterr().err
 
+    def test_negative_spread_with_initial_margin_refused(self, tmp_path, capsys):
+        # direction +1 would carry a margin of beta * S * delta_eff < 0 where
+        # no default within the window reaches probability 1 - q
+        doc = _minimal_doc()
+        doc["portfolio"]["contracts"] = [{"spread": -0.05, "loss": 0.5, "direction": 1}]
+        doc["portfolio"]["maturity"] = 2.0
+        doc["portfolio"]["collateral"] = {"beta": 1.0, "delta": 0.04, "q": 0.99}
+        doc["contagion"]["a30"] = 0.3
+        cfg, out = _write_config(tmp_path, doc), tmp_path / "o"
+        assert _run("price", "--config", str(cfg), "--out-dir", str(out),
+                    "--grid-points", "200") == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "spread is -0.05" in err and "beta = 1.0" in err
+        assert not (out / "clean.csv").exists()
+
     def test_zero_intensity_entity_fails_validation(self, tmp_path):
         doc = _minimal_doc()
         doc["portfolio"]["contracts"] *= 2
@@ -781,3 +796,25 @@ def test_pass_timer_times_verify():
     assert (paired["workload"], paired["rounds"]) == ("V1", 1)
     assert paired["faster_rounds"] in (0, 1)
     assert paired["baseline_verify_s"] > 0.0 and paired["verify_s"] > 0.0
+
+
+def test_pass_timer_times_the_drift_identity():
+    # D1 times oracle.drift_identity_error on W1's result, alone and paired
+    # with a baseline checkout (here this tree)
+    root = Path(cli.__file__).resolve().parents[2]
+    script = str(root / "scripts" / "pass_timer.py")
+    lines = []
+    for args in (["--repeat", "1", "D1"], ["--baseline", ".", "--repeat", "1", "D1"]):
+        proc = subprocess.run([sys.executable, script, *args], cwd=root, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert len(proc.stdout.splitlines()) == 1
+        lines.append(json.loads(proc.stdout))
+    alone, paired = lines
+    assert set(alone) == {"workload", "states", "repeat", "drift_s", "max_error"}
+    assert (alone["workload"], alone["states"], alone["repeat"]) == ("D1", 2, 1)
+    assert alone["drift_s"] > 0.0 and alone["max_error"] < 1e-15
+    assert set(paired) == {"workload", "rounds", "baseline_drift_s", "drift_s", "faster_rounds"}
+    assert (paired["workload"], paired["rounds"]) == ("D1", 1)
+    assert paired["faster_rounds"] in (0, 1)
+    assert paired["baseline_drift_s"] > 0.0 and paired["drift_s"] > 0.0

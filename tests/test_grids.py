@@ -11,6 +11,7 @@ from rxva.grids import (
     zero_surface,
 )
 from rxva.market import ConfigError, Contract, Portfolio, contagion_from_dict
+from rxva.oracle import _at
 from rxva.reporting import write_clean_csv
 
 from references import rk4_sweep
@@ -142,7 +143,8 @@ class TestLatticeSurface:
         space = StateSpace(((1,),))
         surf = LatticeSurface(grid=grid, space=space,
                               values=np.array([[0.0, 2.0, 4.0], [0.0, 0.0, 0.0]]))
-        assert surf.at(0, 0.5) == pytest.approx(1.0)
+        # the oracle's read between nodes, the one interpolation of a surface
+        assert _at((surf,), np.array([0, 0]), np.array([0.5, 2.0]))[0].tolist() == [1.0, 4.0]
         assert surf.at0(0) == 0.0
         assert surf.values[0][-1] == 4.0
 

@@ -1,5 +1,6 @@
 """Replication holdings: wealth identity, collateral leg, and position values."""
 
+import copy
 import json
 
 import numpy as np
@@ -12,44 +13,46 @@ from rxva.xva import REGIME_HI
 
 from conftest import SINGLE_NAME
 from references import wealth
+from test_oracle import _GENERAL_THREE_NAME
 
 
-def _sample_points(result, n_times=7):
-    grid = result.grid
-    idx = np.linspace(0, len(grid) - 1, n_times).astype(int)
-    return [float(grid[i]) for i in idx]
+def _sample_nodes(result, n_nodes=7):
+    return np.linspace(0, len(result.grid) - 1, n_nodes).astype(int).tolist()
+
+
+def _node(result, t):
+    """The first grid node at or after t."""
+    return int(np.searchsorted(result.grid, t))
+
+
+def _holdings(result, which, j):
+    return robust_strategy(result.xva[which].surface, result.clean, result.margins.m,
+                           result.portfolio, j)
 
 
 class TestWealthIdentity:
     @pytest.mark.parametrize("which", ["upper", "actual", "lower"])
     def test_single_name(self, single_name_result, which):
         res = single_name_result
-        surf = res.xva[which].surface
-        for key in res.space.keys:
-            for t in _sample_points(res):
-                snap = robust_strategy(surf, res.clean, res.margins.m,
-                                       res.portfolio, t, key)
-                assert wealth(snap) == pytest.approx(surf.at(key, t), abs=1e-9)
+        for j in _sample_nodes(res):
+            assert wealth(_holdings(res, which, j)) == pytest.approx(
+                res.xva[which].surface.values[:, j], abs=1e-9)
 
     def test_five_name_homogeneous(self, five_name_result):
         res = five_name_result
-        surf = res.xva["upper"].surface
-        for key in res.space.keys:
-            for t in _sample_points(res, n_times=4):
-                snap = robust_strategy(surf, res.clean, res.margins.m,
-                                       res.portfolio, t, key)
-                assert wealth(snap) == pytest.approx(surf.at(key, t), abs=1e-9)
-                assert len(snap.alive) == res.portfolio.n - key
+        for j in _sample_nodes(res, n_nodes=4):
+            holdings = _holdings(res, "upper", j)
+            assert wealth(holdings) == pytest.approx(
+                res.xva["upper"].surface.values[:, j], abs=1e-9)
+            # one class: the key is the default count
+            alive = holdings[1]
+            assert alive.sum(axis=1).tolist() == [res.portfolio.n - k for k in res.space.keys]
 
     def test_collateral_leg_carries_margin(self, five_name_result):
         res = five_name_result
-        surf = res.xva["upper"].surface
-        for t in _sample_points(res, n_times=5):
-            snap = robust_strategy(surf, res.clean, res.margins.m,
-                                   res.portfolio, t, 0)
-            assert snap.psi_m_value == pytest.approx(
-                -res.margins.m.at(0, t), abs=1e-15
-            )
+        for j in _sample_nodes(res, n_nodes=5):
+            psi_m = _holdings(res, "upper", j)[5]
+            assert psi_m == pytest.approx(-res.margins.m.values[:, j], abs=1e-15)
 
 
 class TestHoldings:
@@ -57,37 +60,57 @@ class TestHoldings:
         # xi_C = u* - theta_C_tilde = -z_C: the account is shorted exactly
         # when the switching rule sits on the high extreme
         res = single_name_result
-        xres = res.xva["upper"]
-        surf = xres.surface
-        for idx in range(0, len(res.grid), 97):
-            t = float(res.grid[idx])
-            snap = robust_strategy(surf, res.clean, res.margins.m,
-                                   res.portfolio, t, 0)
-            regime = int(xres.regime[0][idx])
-            if snap.xi_C_value < -1e-14:
-                assert regime == REGIME_HI
-            elif snap.xi_C_value > 1e-14:
-                assert regime != REGIME_HI
+        regime = res.xva["upper"].regime[0]
+        for j in range(0, len(res.grid), 97):
+            xi_C = _holdings(res, "upper", j)[3][0]
+            if xi_C < -1e-14:
+                assert int(regime[j]) == REGIME_HI
+            elif xi_C > 1e-14:
+                assert int(regime[j]) != REGIME_HI
 
     def test_reference_leg_is_value_drop(self, single_name_result):
         res = single_name_result
-        surf = res.xva["upper"].surface
-        t = 1.0
-        snap = robust_strategy(surf, res.clean, res.margins.m,
-                               res.portfolio, t, 0)
-        child = surf.at(1, t)
-        assert snap.xi_ref_values[1] == pytest.approx(
-            surf.at(0, t) - child, abs=1e-14
-        )
+        u = res.xva["upper"].surface.values
+        j = _node(res, 1.0)
+        xi_ref, alive = _holdings(res, "upper", j)[:2]
+        assert xi_ref[0, 0] == pytest.approx(u[0, j] - u[1, j], abs=1e-14)
+        # after the default the name holds no position
+        assert alive.tolist() == [[True], [False]]
+        assert xi_ref[1, 0] == 0.0
 
     def test_homogeneous_slots_share_value(self, five_name_result):
         res = five_name_result
-        surf = res.xva["upper"].surface
-        snap = robust_strategy(surf, res.clean, res.margins.m,
-                               res.portfolio, 0.5, 2)
-        vals = list(snap.xi_ref_values.values())
+        xi_ref, alive = _holdings(res, "upper", _node(res, 0.5))[:2]
+        vals = xi_ref[2][alive[2]]
         assert len(vals) == 3
         assert max(vals) - min(vals) == 0.0
+        assert xi_ref[2][~alive[2]].tolist() == [0.0, 0.0]
+
+
+class TestEntityColumns:
+    def test_grouped_and_full_lattice_agree_name_by_name(self):
+        # names 1 and 3 hold contract A and names 2 and 4 contract B: the
+        # grouped run reads classes (1, 3) and (2, 4), the full run one class
+        # per name, and each puts a name's position in that name's column
+        doc = copy.deepcopy(_GENERAL_THREE_NAME)
+        doc["contagion"] = {"a10": 0.2, "a20": 0.2, "a30": 0.2, "a33": 0.1}
+        doc["counterparty_band"] = {"mu_lower": 0.1501, "mu_upper": 0.6501,
+                                    "mu_true": 0.2001}
+        a, b = doc["portfolio"]["contracts"][:2]
+        doc["portfolio"]["contracts"] = [a, b, a, b]
+        grouped, full = (run_engine(*market_from_dict(doc), variants=("upper",),
+                                    grid_points=400, force_full=force_full)
+                         for force_full in (False, True))
+        assert grouped.space.classes == ((1, 3), (2, 4)) and full.space.size == 16
+        assert np.array_equal(grouped.grid, full.grid)
+        worst_ab = 0.0
+        for j in range(0, len(grouped.grid), 20):
+            root = _holdings(grouped, "upper", j)[0][0]
+            assert root == pytest.approx(_holdings(full, "upper", j)[0][0], abs=1e-12)
+            assert root[0] == root[2] and root[1] == root[3]
+            worst_ab = max(worst_ab, abs(root[0] - root[1]))
+        # the A and B columns differ, so a column in the wrong place fails
+        assert worst_ab > 1e-4
 
 
 class TestBandCollapse:
@@ -101,13 +124,6 @@ class TestBandCollapse:
         res = run_engine(cfg, model, portfolio, model_P,
                          variants=("actual", "upper"), grid_points=400)
         for t in (0.0, 1.1, 2.5):
-            rob = robust_strategy(res.xva["upper"].surface, res.clean,
-                                  res.margins.m, res.portfolio, t, 0)
-            act = robust_strategy(res.xva["actual"].surface, res.clean,
-                                  res.margins.m, res.portfolio, t, 0)
-            assert rob.xi_I_value == pytest.approx(act.xi_I_value, abs=1e-10)
-            assert rob.xi_C_value == pytest.approx(act.xi_C_value, abs=1e-10)
-            assert rob.xi_f_value == pytest.approx(act.xi_f_value, abs=1e-10)
-            assert rob.xi_ref_values[1] == pytest.approx(
-                act.xi_ref_values[1], abs=1e-10
-            )
+            j = _node(res, t)
+            for rob, act in zip(_holdings(res, "upper", j), _holdings(res, "actual", j)):
+                assert rob == pytest.approx(act, abs=1e-10)

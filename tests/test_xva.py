@@ -8,7 +8,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import rxva.xva as xva
@@ -495,6 +495,58 @@ class TestGeneratedStep:
 # Lattice solves
 # ---------------------------------------------------------------------------
 
+def _plug_ins(doc, grid_points):
+    """u_lower, the plug-ins at mu_lower and at mu_upper, and u_upper, each a
+    (states x nodes) array, or None when the plug-in configs fail
+    validate_assumptions.  A plug-in is the actual variant with mu_true at
+    one end of the band: the valuation equation at that extreme."""
+    runs = []
+    for end, variants in (("mu_lower", ("actual", "upper", "lower")), ("mu_upper", ("actual",))):
+        doc = copy.deepcopy(doc)
+        doc["counterparty_band"]["mu_true"] = doc["counterparty_band"][end]
+        cfg, model, portfolio, model_P = market_from_dict(doc)
+        if not validate_assumptions(cfg, model, horizon=portfolio.maturity).passed:
+            return None
+        runs.append(run_engine(cfg, model, portfolio, model_P, variants=variants,
+                               grid_points=grid_points).xva)
+    low, high = runs
+    return (low["lower"].surface.values, low["actual"].surface.values,
+            high["actual"].surface.values, low["upper"].surface.values)
+
+
+class TestPlugInOrdering:
+    """The robust bounds enclose both plug-in bounds, at every node and state.
+
+    Comparison argument: in a state's driver a child's value enters with the
+    coefficient R + c (r_D - r_f) = c (mu_i - r_f), where R = c h_i and
+    mu_i = h_i + r_D.  So the system is cooperative (no state's driver
+    decreases in a child's value) when r_f <= mu_i for every name, which a
+    config that passes validate_assumptions guarantees.  The band pick
+    maximises h_C z_C over the two extremes for the upper driver and
+    minimises it for the lower one, so the upper driver is at least each
+    plug-in driver and the lower at most, with the same terminal value.  The
+    comparison theorem for cooperative systems then orders the solutions:
+    u_lower <= plug-in(mu_lower), plug-in(mu_upper) <= u_upper.
+    """
+
+    @settings(derandomize=True, deadline=None, max_examples=80,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(case=st.one_of(_single_name_case(), _multi_name_case()))
+    def test_robust_bounds_enclose_the_plug_ins(self, case):
+        doc, _, points = case
+        bounds = _plug_ins(doc, points)
+        assume(bounds is not None)
+        lower, at_low, at_high, upper = bounds
+        for plug_in in (at_low, at_high):
+            assert np.all(lower <= plug_in) and np.all(plug_in <= upper)
+
+    def test_robust_bounds_beat_the_plug_ins_on_the_single_name_config(self):
+        # the super-replicating value is not a plug-in at either extreme
+        lower, at_low, at_high, upper = (u[0, 0] for u in _plug_ins(_load_doc(), 2000))
+        assert upper > max(at_low, at_high)
+        assert lower < min(at_low, at_high)
+
+
 class TestSolveXva:
     def test_ordering_everywhere(self, single_name_result):
         res = single_name_result
@@ -615,9 +667,9 @@ class TestRXvaProcess:
         # at the first trading-party default the rXVA settles into the
         # collateral-netted closeout value
         res = single_name_result
-        t = 1.0
-        v = res.clean.at(0, t)
-        m = res.margins.m.at(0, t)
+        j = int(np.searchsorted(res.grid, 1.0))
+        v = res.clean.values[0, j]
+        m = res.margins.m.values[0, j]
         theta_I, theta_C = closeout_excess(v, m, res.portfolio.loss_investor,
                                            res.portfolio.loss_counterparty)
         assert theta_I == pytest.approx(-0.5 * max(v - m, 0.0), abs=1e-15)
