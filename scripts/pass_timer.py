@@ -26,13 +26,21 @@ time ``oracle.drift_identity_error(result, "upper")`` on that result, the
 check ``verify`` runs. Their line holds the state count, the fastest of
 ``--repeat`` runs as ``drift_s`` and the ``max_error`` it returned.
 
+The sweep workload ``S9`` times ``sweeps.run_sweep`` of a30 over the 9-point
+default grid on the five-name config at 50 grid points, worker processes
+included. Its line holds the point count, the failed points and the fastest
+of ``--repeat`` runs as ``sweep_s``; the first run of a process also pays for
+any module that ``run_sweep`` imports on its first call.
+
 With ``--baseline DIR`` it compares this tree's pass with that of the
 checkout ``DIR`` instead: each round times one run of every chosen workload
 from ``DIR/src`` and one from this tree's ``src``, each in a fresh
 subprocess, in alternating order. It prints one JSON line per workload with
 the two medians over ``--repeat`` rounds (``pass_s``, ``verify_s`` for
-``V1`` or ``drift_s`` for ``D1`` and ``D4``) and the number of rounds in
-which this tree was faster.
+``V1``, ``drift_s`` for ``D1`` and ``D4`` or ``sweep_s`` for ``S9``) and the
+number of rounds in which this tree was faster. Each round is one run in a
+fresh process, so ``sweep_s`` there counts ``run_sweep``'s first-call
+imports.
 
 Usage: ``python scripts/pass_timer.py [--repeat K] [--baseline DIR] [WORKLOAD ...]``
 """
@@ -50,7 +58,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from rxva import oracle, xva  # noqa: E402
+from rxva import oracle, sweeps, xva  # noqa: E402
 from rxva.engine import run_engine  # noqa: E402
 from rxva.market import market_from_dict  # noqa: E402
 
@@ -82,6 +90,9 @@ VERIFY_WORKLOADS = {"V1": ("W1", 100_000, 0, 5)}
 
 # name -> (pass workload solved, default repeats)
 DRIFT_WORKLOADS = {"D1": ("W1", 5), "D4": ("W4", 3)}
+
+# name -> (config document, parameter, sweep points, grid points, default repeats)
+SWEEP_WORKLOADS = {"S9": (_config("five_name_benchmark.json"), "a30", 9, 50, 5)}
 
 
 class Timer:
@@ -169,6 +180,21 @@ def measure_drift(name: str, repeat: int | None) -> dict:
             "drift_s": min(runs), "max_error": max_error}
 
 
+def measure_sweep(name: str, repeat: int | None) -> dict:
+    doc, param, points, grid_points, default_repeat = SWEEP_WORKLOADS[name]
+    spec = sweeps.SweepSpec(
+        param, sweeps.default_grid(sweeps.base_value(doc, param), points=points))
+    runs = []
+    for _ in range(repeat or default_repeat):
+        start = time.perf_counter()
+        result = sweeps.run_sweep(doc, spec, grid_points=grid_points,
+                                  allow_assumption_violation=True)
+        runs.append(time.perf_counter() - start)
+    return {"workload": name, "points": len(result.rows),
+            "failed": sum(not row.ok for row in result.rows), "repeat": len(runs),
+            "sweep_s": min(runs)}
+
+
 # A --baseline round's child: imports the package from the given src first,
 # so that the script, which then puts its own src first, times that tree.
 _CHILD = """\
@@ -195,6 +221,8 @@ def compare(name: str, baseline: Path, repeat: int | None) -> dict:
         key, default_repeat = "verify_s", VERIFY_WORKLOADS[name][3]
     elif name in DRIFT_WORKLOADS:
         key, default_repeat = "drift_s", DRIFT_WORKLOADS[name][1]
+    elif name in SWEEP_WORKLOADS:
+        key, default_repeat = "sweep_s", SWEEP_WORKLOADS[name][4]
     else:
         key, default_repeat = "pass_s", WORKLOADS[name][3]
     sides = [("baseline", baseline / "src"), ("this", ROOT / "src")]
@@ -211,7 +239,7 @@ def compare(name: str, baseline: Path, repeat: int | None) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    names = [*WORKLOADS, *VERIFY_WORKLOADS, *DRIFT_WORKLOADS]
+    names = [*WORKLOADS, *VERIFY_WORKLOADS, *DRIFT_WORKLOADS, *SWEEP_WORKLOADS]
     parser.add_argument("workloads", nargs="*", metavar="WORKLOAD",
                         help=f"any of {', '.join(names)} (default: all)")
     parser.add_argument("--repeat", type=int, default=None,
@@ -235,6 +263,8 @@ def main(argv=None) -> int:
             line = measure_verify(name, args.repeat)
         elif name in DRIFT_WORKLOADS:
             line = measure_drift(name, args.repeat)
+        elif name in SWEEP_WORKLOADS:
+            line = measure_sweep(name, args.repeat)
         else:
             line = measure(name, timer, args.repeat)
         print(json.dumps(line), flush=True)

@@ -96,10 +96,6 @@ class StateSpace:
         """Number of defaults |J| in the state."""
         return sum(self.digits(key))
 
-    def alive(self, key: int) -> list[int]:
-        """Surviving 1-based entity ids, class by class."""
-        return [i for _, entities in self.moves(key) for i in entities]
-
     @cached_property
     def _entity_stride(self) -> np.ndarray:
         by_entity = {i: stride for c, stride in zip(self.classes, self.strides) for i in c}

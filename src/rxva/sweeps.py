@@ -5,6 +5,8 @@ from __future__ import annotations
 import copy
 import functools
 import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,7 +56,10 @@ class SweepSpec:
 
 
 def default_grid(base_value: float, points: int = 21, span: float = 0.5) -> tuple[float, ...]:
-    """Grid of ``points`` values spanning +-span (relative) around the base."""
+    """Grid of ``points`` values spanning +-span (relative) around the base;
+    one point is the base itself."""
+    if points == 1:
+        return (base_value,)
     if base_value == 0.0:
         return tuple(np.linspace(0.0, 1.0, points))
     lo, hi = base_value * (1.0 - span), base_value * (1.0 + span)
@@ -194,21 +199,15 @@ def run_sweep(
     is a contagion parameter that a table of the config overrides, since
     every row would be the same.
 
-    The points are independent, so they run in worker processes forked from
-    this one: one per CPU in the process's affinity mask, at most one per
-    point. Forked, not spawned: a forked worker starts with the modules this
-    process has loaded, where a spawned one would import numpy and the
-    package again. The CLI starts no thread of its own before a sweep.
-    Rows come back in grid order and equal, bit for bit, what
-    ``sweep_point`` gives in this process. A point whose worker died, or
-    that could not be submitted because a worker had died, gets a failed row
-    naming ``BrokenProcessPool``.
+    The points are independent, so they run in W processes forked from this
+    one, which start with its modules loaded (the CLI starts no thread): one
+    per CPU in the affinity mask, at most one per point. Worker w solves
+    points w, w + W, ... and pickles each row to its own pipe once solved.
+    Rows are read in grid order and equal, bit for bit, what ``sweep_point``
+    gives in this process. A point whose row never arrives, because its
+    worker died, gets a failed row naming the worker's exit code or signal.
+    Every worker is reaped before this returns or raises.
     """
-    # imported here, so that importing the CLI does not pay for them
-    import multiprocessing
-    from concurrent.futures import Future, ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
     market_from_dict(base_doc)
     for table in _OVERRIDDEN_BY.get(spec.param, ()):
         if table in base_doc["contagion"]:
@@ -225,20 +224,40 @@ def run_sweep(
     )
     workers = min(len(os.sched_getaffinity(0)), len(spec.values))
     out = SweepResult(spec=spec)
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        # one future per point, not pool.map: when a worker dies, the points
-        # that finished keep their rows and only the others fail
-        futures = []
-        for value in spec.values:
-            try:
-                futures.append(pool.submit(point, value))
-            except BrokenProcessPool as exc:  # a worker died before this point went in
-                futures.append(Future())
-                futures[-1].set_exception(exc)
-        for value, future in zip(spec.values, futures):
-            try:
-                out.rows.append(future.result())
-            except BrokenProcessPool as exc:
-                out.rows.append(SweepRow(value=value, ok=False,
-                                         error=f"{type(exc).__name__}: {exc}"))
-    return out
+    pids, pipes, died = [], [], {}  # died: worker -> the error of its missing rows
+    try:
+        for w in range(workers):
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
+            # closed here before the next fork, so a dead worker's pipe reads as EOF
+            with open(write, "wb") as sink:
+                if (pid := os.fork()) == 0:  # the worker, which never leaves this block
+                    status = 1
+                    try:
+                        for value in spec.values[w::workers]:
+                            pickle.dump(point(value), sink)
+                            sink.flush()
+                        status = 0
+                    finally:
+                        os._exit(status)
+            pids.append(pid)
+        for i, value in enumerate(spec.values):
+            w = i % workers
+            if w not in died:
+                try:
+                    out.rows.append(pickle.load(pipes[w]))
+                    continue
+                except (EOFError, pickle.UnpicklingError):  # no row, or a cut one
+                    code = os.waitstatus_to_exitcode(os.waitpid(pids[w], 0)[1])
+                    died[w] = (f"worker died: exit code {code}" if code >= 0
+                               else f"worker died: signal {-code}")
+            out.rows.append(SweepRow(value=value, ok=False, error=died[w]))
+        return out
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for w, pid in enumerate(pids):
+            if w not in died:
+                if len(out.rows) < len(spec.values):  # raising: stop the worker
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)

@@ -692,7 +692,7 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
-    # run_sweep imports its pool when it runs, so a CLI start does not pay for it
+    # run_sweep forks its workers with os.fork, so no CLI start loads a process pool
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
@@ -743,19 +743,24 @@ def test_benchmark_trace_hooks_run(tmp_path, args, counts):
 
 def test_pass_timer_prints_one_line_per_workload():
     # scripts/pass_timer.py rebinds compile and _joint_pass in rxva.xva, so
-    # a refactor of the lattice pass can break it without any other test
+    # a refactor of the lattice pass can break it without any other test;
+    # S9 times sweeps.run_sweep, workers included
     root = Path(cli.__file__).resolve().parents[2]
     proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "pass_timer.py"), "--repeat", "1", "W1"],
+        [sys.executable, str(root / "scripts" / "pass_timer.py"), "--repeat", "1", "W1", "S9"],
         cwd=root, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 1
-    line = json.loads(lines[0])
+    assert len(lines) == 2
+    line, sweep = map(json.loads, lines)
     assert set(line) == {"workload", "states", "steps", "repeat", "pass_s", "compile_s",
                          "step_s", "source_chars"}
     assert (line["workload"], line["states"], line["repeat"]) == ("W1", 2, 1)
     assert line["source_chars"] > 0
+    assert set(sweep) == {"workload", "points", "failed", "repeat", "sweep_s"}
+    assert (sweep["workload"], sweep["points"], sweep["failed"], sweep["repeat"]) == \
+        ("S9", 9, 0, 1)
+    assert sweep["sweep_s"] > 0.0
 
 
 def test_pass_timer_baseline_prints_paired_medians():
@@ -764,16 +769,16 @@ def test_pass_timer_baseline_prints_paired_medians():
     root = Path(cli.__file__).resolve().parents[2]
     proc = subprocess.run(
         [sys.executable, str(root / "scripts" / "pass_timer.py"),
-         "--baseline", ".", "--repeat", "1", "W1"],
+         "--baseline", ".", "--repeat", "1", "W1", "S9"],
         cwd=root, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 1
-    line = json.loads(lines[0])
-    assert set(line) == {"workload", "rounds", "baseline_pass_s", "pass_s", "faster_rounds"}
-    assert (line["workload"], line["rounds"]) == ("W1", 1)
-    assert line["faster_rounds"] in (0, 1)
-    assert line["baseline_pass_s"] > 0.0 and line["pass_s"] > 0.0
+    assert len(lines) == 2
+    for line, key in zip(map(json.loads, lines), ("pass_s", "sweep_s")):
+        assert set(line) == {"workload", "rounds", f"baseline_{key}", key, "faster_rounds"}
+        assert (line["workload"], line["rounds"]) == ("W1" if key == "pass_s" else "S9", 1)
+        assert line["faster_rounds"] in (0, 1)
+        assert line[f"baseline_{key}"] > 0.0 and line[key] > 0.0
 
 
 def test_pass_timer_times_verify():

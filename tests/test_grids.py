@@ -56,7 +56,7 @@ class TestStateSpace:
         space = StateSpace(((1,), (2,), (3,)))
         assert space.size == 8
         assert space.count(0b101) == 2
-        assert space.alive(0b101) == [2]
+        assert [i for _, e in space.moves(0b101) for i in e] == [2]
         assert space.child(0b001, 3) == 0b101
         assert space.root() == 0
 
@@ -65,8 +65,8 @@ class TestStateSpace:
         assert space.size == 6
         assert space.count(3) == 3
         assert space.child(2, 3) == 3
-        assert space.alive(2) == [1, 2, 3]
-        assert space.alive(5) == []
+        assert [i for _, e in space.moves(2) for i in e] == [1, 2, 3]
+        assert [i for _, e in space.moves(5) for i in e] == []
 
     def test_moves(self):
         full = StateSpace(((1,), (2,), (3,)))
@@ -83,14 +83,15 @@ class TestStateSpace:
         space = StateSpace(((1, 2, 3, 4),) if homogeneous else ((1,), (2,), (3,), (4,)))
         for key in space.keys:
             moves = space.moves(key)
-            assert [i for _, entities in moves for i in entities] == space.alive(key)
+            survivors = [i for _, entities in moves for i in entities]
+            assert len(set(survivors)) == len(survivors) == space.n - space.count(key)
             assert all(child == space.child(key, entities[0]) for child, entities in moves)
             assert all(space.count(child) == space.count(key) + 1 for child, _ in moves)
 
     @pytest.mark.parametrize("homogeneous", [False, True])
     def test_child_on_arrays(self, homogeneous):
         space = StateSpace(((1, 2, 3, 4),) if homogeneous else ((1,), (2,), (3,), (4,)))
-        pairs = [(key, i) for key in space.keys for i in space.alive(key)]
+        pairs = [(key, i) for key in space.keys for _, e in space.moves(key) for i in e]
         keys = np.array([key for key, _ in pairs], dtype=np.int64)
         entities = np.array([i for _, i in pairs], dtype=np.int64)
         got = space.child(keys, entities)
@@ -105,7 +106,7 @@ class TestStateSpace:
         assert not space.homogeneous
         assert [space.digits(key) for key in space.keys] == \
             [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1]]
-        assert space.count(4) == 2 and space.alive(4) == [1]
+        assert space.count(4) == 2 and [i for _, e in space.moves(4) for i in e] == [1]
         assert space.moves(0) == [(1, [1, 3]), (3, [2])]
         assert space.moves(1) == [(2, [1]), (4, [2])]
         assert space.moves(5) == []

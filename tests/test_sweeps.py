@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,7 @@ class TestSweepSpec:
             SweepSpec(param="a20", values=(0.2, 0.1))
 
     def test_empty_grid_refused(self):
-        # the pool that runs the points needs at least one worker
+        # a sweep forks at least one worker
         with pytest.raises(ConfigError, match="sweep grid is empty"):
             SweepSpec(param="a20", values=())
 
@@ -73,6 +74,15 @@ class TestDefaultGrid:
     def test_negative_base_reorders(self):
         grid = default_grid(-0.1, points=3, span=0.5)
         assert grid[0] < grid[-1]
+
+    def test_one_point_is_the_base(self):
+        # linspace(lo, hi, 1) is lo, base * (1 - span): a30 = 0.005 on the
+        # five-name config, whose a30 is 0.01
+        with open(FIVE_NAME, "r", encoding="utf-8") as fh:
+            a30 = base_value(json.load(fh), "a30")
+        assert a30 == 0.01
+        for base in (a30, -0.1, 0.0):
+            assert default_grid(base, points=1, span=0.5) == (base,)
 
 
 class TestApplyParam:
@@ -183,25 +193,6 @@ sys.exit(cli.main(["sweep", "--config", sys.argv[3], "--out-dir", sys.argv[1],
 """
 
 
-# Prefix to _DYING_WORKER: every submit after the first waits until the first
-# point's future has failed, so the pool is broken before the later points
-# are submitted and pool.submit itself raises BrokenProcessPool.
-_SUBMIT_AFTER_DEATH = """
-from concurrent.futures import ProcessPoolExecutor
-
-submit = ProcessPoolExecutor.submit
-futures = []
-
-def submit_after_death(self, *args, **kwargs):
-    for first in futures[:1]:
-        first.exception()
-    futures.append(submit(self, *args, **kwargs))
-    return futures[-1]
-
-ProcessPoolExecutor.submit = submit_after_death
-"""
-
-
 class TestParallelSweep:
     @pytest.mark.parametrize("config, param, values, grid_points", [
         (FIVE_NAME, "a30", None, 200),
@@ -236,47 +227,102 @@ class TestParallelSweep:
         write_sweep_csv(tmp_path / "without.csv", result)
         assert (tmp_path / "with.csv").read_bytes() == (tmp_path / "without.csv").read_bytes()
 
-    @pytest.mark.parametrize("doomed", ["0.5", "0.0,0.5,1.0"], ids=["one", "every"])
-    def test_dying_worker_fails_the_unfinished_points(self, tmp_path, doomed):
+    @staticmethod
+    def _dying_sweep(out, doomed):
+        """Runs _DYING_WORKER into ``out``: its exit code, stderr and CSV rows."""
         src = Path(sweeps.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-        out = tmp_path / "out"
-        # a hung pool fails the test here instead of blocking the suite
+        # a hung sweep fails the test here instead of blocking the suite
         proc = subprocess.run(
             [sys.executable, "-c", _DYING_WORKER, str(out), doomed, str(SINGLE_NAME)],
-            env=env, capture_output=True, text=True, timeout=120)
-        with open(out / "sweep_alpha.csv", "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert [float(r["param"]) for r in rows] == [0.0, 0.5, 1.0]
-        status = {float(r["param"]): r["status"] for r in rows}
-        for alpha in map(float, doomed.split(",")):
-            assert status[alpha].startswith("failed(BrokenProcessPool")
-        failed = [s for s in status.values() if s != "ok"]
-        assert all(s.startswith("failed(BrokenProcessPool") for s in failed)
-        every_failed = len(failed) == len(rows)
-        assert proc.returncode == (2 if every_failed else 0), proc.stderr
-        assert ("every sweep point failed" in proc.stderr) == every_failed
-
-
-    def test_points_submitted_after_a_worker_died_fail(self, tmp_path):
-        src = Path(sweeps.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-        out = tmp_path / "out"
-        # only the first point's worker dies; the other two are never solved
-        proc = subprocess.run(
-            [sys.executable, "-c", _SUBMIT_AFTER_DEATH + _DYING_WORKER, str(out), "0.0",
-             str(SINGLE_NAME)],
             env=env, capture_output=True, text=True, timeout=120)
         assert "Traceback" not in proc.stderr, proc.stderr
         with open(out / "sweep_alpha.csv", "r", encoding="utf-8", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [float(r["param"]) for r in rows] == [0.0, 0.5, 1.0]
-        assert all(r["status"].startswith("failed(BrokenProcessPool: ") for r in rows)
-        assert proc.returncode == 2
-        assert "every sweep point failed" in proc.stderr
         assert json.loads((out / "manifest.json").read_text())["outputs"] == ["sweep_alpha.csv"]
+        return proc.returncode, proc.stderr, {float(r["param"]): r["status"] for r in rows}
+
+    @pytest.mark.parametrize("doomed", ["0.5", "0.0,0.5,1.0"], ids=["one", "every"])
+    def test_dying_worker_fails_the_unfinished_points(self, tmp_path, doomed):
+        # a point fails only when its row never arrives: every doomed point,
+        # and on one CPU the points after a doomed one in the same worker
+        rc, stderr, status = self._dying_sweep(tmp_path / "out", doomed)
+        for alpha in map(float, doomed.split(",")):
+            assert status[alpha] == "failed(worker died: exit code 1)"
+        failed = [s for s in status.values() if s != "ok"]
+        assert all(s == "failed(worker died: exit code 1)" for s in failed)
+        every_failed = len(failed) == len(status)
+        assert rc == (2 if every_failed else 0), stderr
+        assert ("every sweep point failed" in stderr) == every_failed
+
+    def test_rows_sent_before_a_worker_died_are_kept(self, tmp_path):
+        # on any CPU count, worker 0 sends 0.0 before it reaches 1.0, and
+        # 0.5 is solved by worker 0 before 1.0 or by a worker of its own
+        rc, stderr, status = self._dying_sweep(tmp_path / "out", "1.0")
+        assert status == {0.0: "ok", 0.5: "ok", 1.0: "failed(worker died: exit code 1)"}
+        assert rc == 0, stderr
+        assert "every sweep point failed" not in stderr
+
+    def test_a_cli_sweep_imports_no_process_pool(self, tmp_path):
+        src = Path(sweeps.__file__).resolve().parents[1]
+        script = (
+            "import sys\n"
+            "import rxva.cli as cli\n"
+            "rc = cli.main(['sweep', '--config', sys.argv[1], '--out-dir', sys.argv[2],\n"
+            "               '--param', 'alpha', '--points', '3', '--grid-points', '50'])\n"
+            "print(rc, sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(SINGLE_NAME), str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "[]"]
+
+    def test_no_thread_is_started_and_no_child_is_left(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def recorded(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recorded)
+        threads = threading.active_count()
+        result = run_sweep(_load_doc(), SweepSpec(param="alpha", values=(0.0, 0.5, 1.0)),
+                           grid_points=50)
+        assert [row.ok for row in result.rows] == [True, True, True]
+        assert started == [] and threading.active_count() == threads
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_no_child_is_left_when_the_sweep_raises(self, monkeypatch):
+        # the first row read interrupts the sweep while the workers still solve
+        def interrupted(_file):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(sweeps.pickle, "load", interrupted)
+        spec = SweepSpec(param="alpha", values=tuple(np.linspace(0.0, 1.0, 8)))
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(_load_doc(), spec, grid_points=2000)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_rows_larger_than_a_pipe_buffer_equal_a_sequential_loop(self):
+        # about 371 pickled bytes a row and 200 rows a worker: each worker
+        # sends more than a 64 KiB pipe buffer holds, so it blocks until read
+        doc = _load_doc()
+        points = 200 * max(2, len(os.sched_getaffinity(0)))
+        spec = SweepSpec(param="alpha",
+                         values=default_grid(base_value(doc, "alpha"), points=points))
+        options = dict(grid_points=1, allow_assumption_violation=True, gamma=1,
+                       force_full=False)
+        sequential = [sweep_point(doc, spec, value, **options) for value in spec.values]
+        assert all(row.ok for row in sequential)
+        parallel = run_sweep(doc, spec, **options).rows
+        assert [_bits(row) for row in parallel] == [_bits(row) for row in sequential]
 
 
 class TestIsMonotone:
