@@ -147,18 +147,18 @@ def _engine(args, which: str | None = None):
 
 def _cmd_price(args, out_dir: Path) -> tuple[list[str], int]:
     result = _engine(args)
-    write_clean_csv(out_dir / "clean.csv", result.clean)
-    write_margin_csv(out_dir / "margins.csv", result.margins.vm, result.margins.im,
-                     result.margins.m)
+    write_clean_csv(out_dir / "clean.csv", result.grid, result.clean)
+    write_margin_csv(out_dir / "margins.csv", result.grid, result.margins.vm,
+                     result.margins.im, result.margins.m)
     return ["clean.csv", "margins.csv"], EXIT_OK
 
 
 def _cmd_xva(args, out_dir: Path) -> tuple[list[str], int]:
     result = _engine(args, args.which)
-    write_xva_csv(out_dir / "xva.csv", result.xva)
+    write_xva_csv(out_dir / "xva.csv", result.grid, result.xva)
     if args.which == "actual":
         return ["xva.csv"], EXIT_OK
-    write_regime_csv(out_dir / "regime.csv", result.xva)
+    write_regime_csv(out_dir / "regime.csv", result.grid, result.xva)
     return ["xva.csv", "regime.csv"], EXIT_OK
 
 

@@ -5,10 +5,10 @@ already carries the portfolio direction) and IM = beta * (VaR_q of the
 clean-value increment over the margin period delta)^+.  The single-name
 increment law admits a closed form for constant intensities; for a
 piecewise-constant intensity the quantile equation is solved exactly, at every
-time of the grid in one call, by ``market.invert_hazard``: the program's one
-inversion of the piecewise-linear cumulated hazard, which the Monte Carlo
-sampler uses too.  Multi-name portfolios would need an empirical quantile,
-which is not implemented.
+time of the grid in one call, by ``market.invert_hazard``, as the Monte Carlo
+sampler's clocks are (the stratified single-name clean estimator inverts its
+hazard with ``np.interp``).  Multi-name portfolios would need an empirical
+quantile, which is not implemented.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import LatticeSurface, StateSpace, zero_surface
+from .grids import StateSpace
 from .market import ConfigError, ContagionModel, PiecewiseTable, Portfolio, invert_hazard
 
 
@@ -38,15 +38,6 @@ def closeout_excess(v_hat, m, L_I: float, L_C: float):
     """
     gap = v_hat - m
     return -L_I * np.where(0.0 > gap, 0.0, gap), L_C * np.where(0.0 > -gap, 0.0, -gap)
-
-
-# ---------------------------------------------------------------------------
-# Variation margin
-# ---------------------------------------------------------------------------
-
-def variation_margin(v_hat: LatticeSurface, alpha: float) -> LatticeSurface:
-    """VM surface: alpha * v_hat nodewise."""
-    return LatticeSurface(v_hat.grid, v_hat.space, alpha * v_hat.values)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +98,7 @@ def initial_margin_var(
 
 @dataclass
 class MarginSchedule:
-    """Collateral surfaces: vm, im and their sum m.
+    """Collateral surfaces, each a (states x nodes) array: vm, im and their sum m.
 
     The initial margin is a function of time and state only, so it is built
     before the lattice pass; the pass consumes ``alpha`` and ``im`` and
@@ -116,14 +107,14 @@ class MarginSchedule:
     """
 
     alpha: float
-    im: LatticeSurface
-    vm: LatticeSurface | None = None
-    m: LatticeSurface | None = None
+    im: np.ndarray
+    vm: np.ndarray | None = None
+    m: np.ndarray | None = None
 
-    def settle(self, v_hat: LatticeSurface) -> None:
+    def settle(self, v_hat: np.ndarray) -> None:
         """Sets vm = alpha * v_hat and m = vm + im, each one array operation."""
-        self.vm = variation_margin(v_hat, self.alpha)
-        self.m = LatticeSurface(v_hat.grid, v_hat.space, self.vm.values + self.im.values)
+        self.vm = self.alpha * v_hat
+        self.m = self.vm + self.im
 
 
 def margin_schedule(
@@ -152,13 +143,13 @@ def margin_schedule(
             f"initial margin (beta = {coll.beta} > 0) is priced for a nonnegative "
             f"spread only; the contract's spread is {spread}"
         )
-    im = zero_surface(grid, space)
+    im = np.zeros((space.size, len(grid)))
     if coll.beta > 0.0 and portfolio.n == 1:
         con = portfolio.contracts[0]
         table = model_P.table(1)
         # only the root state carries exposure: after the single reference
         # defaults there is nothing left to margin
-        im.values[space.root()] = initial_margin_var(
+        im[space.root()] = initial_margin_var(
             table, con.spread, con.loss, coll.q, coll.delta,
             coll.beta, con.direction, grid, portfolio.maturity,
         )

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .collateral import MarginSchedule, margin_schedule
-from .grids import LatticeSurface, StateSpace, build_grid, choose_state_space
+from .grids import StateSpace, build_grid, choose_state_space
 from .market import (
     AssumptionError,
     ConfigError,
@@ -38,7 +38,7 @@ class EngineResult:
     portfolio: Portfolio
     grid: np.ndarray
     space: StateSpace
-    clean: LatticeSurface
+    clean: np.ndarray
     margins: MarginSchedule
     xva: dict[str, XvaResult] = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)

@@ -1,7 +1,10 @@
-"""Time grids, default-state enumeration, and gridded value surfaces.
+"""Time grids and default-state enumeration.
 
-The solvers integrate in reversed time s = T - t, but every surface is stored
-on the calendar-time grid with index 0 at t = 0 and the last index at t = T.
+A surface (the clean value, a margin, an XVA variant, its pocket or regime)
+is a plain (states x nodes) array: row ``key`` holds state ``key`` of the
+StateSpace over the grid, both held once on ``engine.EngineResult``.  The
+solvers integrate in reversed time s = T - t, but every surface is stored on
+the calendar-time grid with index 0 at t = 0 and the last index at t = T.
 """
 
 from __future__ import annotations
@@ -125,23 +128,3 @@ def choose_state_space(model: ContagionModel, portfolio: Portfolio, force_full: 
         tag = i if force_full else (portfolio.contracts[i - 1], model.table(i))
         classes.setdefault(tag, []).append(i)
     return StateSpace(tuple(map(tuple, classes.values())))
-
-
-@dataclass
-class LatticeSurface:
-    """One scalar function of time per default state.
-
-    ``values`` is a (states x nodes) array: row ``values[key]`` holds state
-    ``key`` over ``grid``.
-    """
-
-    grid: np.ndarray
-    space: StateSpace
-    values: np.ndarray
-
-    def at0(self, key: int = 0) -> float:
-        return float(self.values[key][0])
-
-
-def zero_surface(grid: np.ndarray, space: StateSpace) -> LatticeSurface:
-    return LatticeSurface(grid=grid, space=space, values=np.zeros((space.size, len(grid))))

@@ -83,8 +83,9 @@ class _Clocks:
     [0, T]: every model break in (0, T), then T.  ``h[c, k, j]`` is the
     intensity of clock c with k prior reference defaults on segment j, read
     at its start; the pieces are right-continuous, so that is its value.
-    A clock's default time is ``market.invert_hazard`` of its row, the one
-    inversion of a cumulated hazard that the initial margin uses too.
+    A clock's default time is ``market.invert_hazard`` of its row, the
+    inversion of a cumulated hazard that the initial margin uses too; only
+    ``_mc_clean_single_stratified`` inverts its hazard with ``np.interp``.
     """
 
     def __init__(self, model, portfolio, include_parties, h_C_true):
@@ -271,16 +272,15 @@ def _state_keys(result: EngineResult, paths: PathBatch, rows, times) -> np.ndarr
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a slope that overflows is inf, as in np.interp
-def _at(surfaces, keys: np.ndarray, times: np.ndarray) -> list[np.ndarray]:
-    """``np.interp(t, surface.grid, surface.values[key])`` of each surface for
-    paired arrays, bit for bit.
+def _at(grid: np.ndarray, surfaces, keys: np.ndarray, times: np.ndarray) -> list[np.ndarray]:
+    """``np.interp(t, grid, surface[key])`` of each (states x nodes) surface on
+    ``grid`` for paired arrays of keys and times, bit for bit.
 
     With the grid cut into ``len(grid) - 1`` equal buckets, a time starts from
     the last node of the buckets below its own (bucket indices never decrease,
     so that node is below it), steps up to its cell and reads it with
     np.interp's arithmetic.  A finite surface never reaches its NaN fallback.
     """
-    grid = surfaces[0].grid
     t, width = np.clip(times, grid[0], grid[-1]), (grid[-1] - grid[0]) / (len(grid) - 1)
     ends = np.cumsum(np.bincount(((grid - grid[0]) / width).astype(np.intp))) - 1
     c = np.concatenate(([0], ends)).take(((t - grid[0]) / width).astype(np.intp))
@@ -289,7 +289,7 @@ def _at(surfaces, keys: np.ndarray, times: np.ndarray) -> list[np.ndarray]:
         c += up
     i, lo_t, hi_t = keys * len(grid) + c, grid.take(c), grid.take(c + 1)
     span, dt = hi_t - lo_t, times - lo_t
-    reads = ((s.values.take(i), s.values.take(i + 1)) for s in surfaces)  # a surface at a time
+    reads = ((s.take(i), s.take(i + 1)) for s in surfaces)  # a surface at a time
     return [np.where(t == lo_t, lo, np.where(t == hi_t, hi, (hi - lo) / span * dt + lo))
             for lo, hi in reads]
 
@@ -317,7 +317,7 @@ def mc_xva_closeout(
         tau = block.party_time[rows]
         keys = _state_keys(result, block, rows, tau)
         theta_I, theta_C = closeout_excess(
-            *_at((result.clean, result.margins.m), keys, tau),
+            *_at(result.grid, (result.clean, result.margins.m), keys, tau),
             portfolio.loss_investor, portfolio.loss_counterparty,
         )
         payoff = np.where(block.party[rows] == PARTY_I, theta_I, theta_C)
@@ -363,7 +363,7 @@ def pathwise_wealth_check(result: EngineResult, which: str, n_paths: int,
         result.model, result.portfolio, n_paths, seed,
         include_parties=True, h_C_true=h_true,
     )
-    surfaces = (xres.pocket,)
+    grid, surfaces = result.grid, (xres.pocket,)
     end = np.where(paths.party == PARTY_NONE, result.portfolio.maturity, paths.party_time)
     pocket = np.zeros(n_paths)
     key = np.zeros(n_paths, dtype=np.int64)
@@ -374,10 +374,10 @@ def pathwise_wealth_check(result: EngineResult, which: str, n_paths: int,
         keep = np.flatnonzero(t_ev < end[rows])  # events before the path's end; padding is inf
         rows, t_ev = rows[keep], t_ev[keep]
         k = key[rows]
-        pocket[rows] += _at(surfaces, k, t_prev[rows])[0] - _at(surfaces, k, t_ev)[0]
+        pocket[rows] += _at(grid, surfaces, k, t_prev[rows])[0] - _at(grid, surfaces, k, t_ev)[0]
         key[rows] = result.space.child(k, paths.event_entity[rows, r])
         t_prev[rows] = t_ev
-    pocket += _at(surfaces, key, t_prev)[0] - _at(surfaces, key, end)[0]
+    pocket += _at(grid, surfaces, key, t_prev)[0] - _at(grid, surfaces, key, end)[0]
     surplus = (1.0 if which == "upper" else -1.0) * pocket
     return WealthReport(
         n_paths=n_paths,
@@ -410,11 +410,11 @@ def drift_identity_error(result: EngineResult, which: str = "upper") -> float:
         raise ValueError("the drift identity requires mu_C_true")
     space, grid, margins, size = result.space, result.grid, result.margins, result.space.size
     layout, n_blocks = _layout(cfg, tuple(result.xva))
-    blocks = [result.clean.values] * n_blocks  # the pass's row blocks
+    blocks = [result.clean] * n_blocks  # the pass's row blocks
     for name, b, p in layout:
-        blocks[b] = result.xva[name].surface.values
+        blocks[b] = result.xva[name].surface
         if p is not None:
-            blocks[p] = result.xva[name].pocket.values
+            blocks[p] = result.xva[name].pocket
     b, p = {name: (b, p) for name, b, p in layout}[which]
     surface = result.xva[which].surface
     index, bundles = lattice_coefficients(cfg, model, portfolio, space, grid[::DRIFT_STRIDE])
@@ -424,12 +424,12 @@ def drift_identity_error(result: EngineResult, which: str = "upper") -> float:
     worst = 0.0
     for i, j in enumerate(range(0, len(grid), DRIFT_STRIDE)):
         t = float(grid[j])
-        im = margins.im.values[:, j].tolist()
+        im = margins.im[:, j].tolist()
         y = np.concatenate([rows[:, j] for rows in blocks]).tolist()
         g = np.reshape(steps[index[i]](im, im, ((0.0, 1.0, None),), 1.0, y, base),
                        (n_blocks, size))
         driver = g[b] - (0.0 if p is None else g[p])
-        holdings = robust_strategy(surface, result.clean, margins.m, portfolio, j)
+        holdings = robust_strategy(space, surface, result.clean, margins.m, portfolio, j)
         mu_true = np.array([h_true.at(t, k) for k in range(portfolio.n + 1)])
         mu_true = mu_true.take(counts) + cfg.r_D
         drift = wealth_drift(cfg, model, portfolio, holdings, mu_true, t, counts)
@@ -454,7 +454,7 @@ def verify(result: EngineResult, n_paths: int, seed: int) -> dict:
     report: dict = {"n_paths": n_paths, "seed": seed, "checks": checks}
 
     est, se = mc_clean_value(cfg, model, portfolio, n_paths, seed)
-    ode_v0 = result.clean.at0(result.space.root())
+    ode_v0 = float(result.clean[result.space.root(), 0])
     checks["clean_value"] = {
         "mc": est, "se": se, "ode": ode_v0,
         "within_3se": abs(est - ode_v0) <= 3.0 * se + 1e-12,
@@ -462,7 +462,7 @@ def verify(result: EngineResult, n_paths: int, seed: int) -> dict:
 
     if "actual" in result.xva and is_linear_driver(cfg, portfolio):
         mc_u, mc_se = mc_xva_closeout(result, n_paths, seed + 1)
-        ode_u0 = result.xva["actual"].surface.at0(result.space.root())
+        ode_u0 = float(result.xva["actual"].surface[result.space.root(), 0])
         checks["xva_closeout"] = {
             "mc": mc_u, "se": mc_se, "ode": ode_u0,
             "within_3se": abs(mc_u - ode_u0) <= 3.0 * mc_se + 1e-12,

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .grids import LatticeSurface
 from .xva import REGIME_LABELS, XvaResult
 
 
@@ -27,25 +26,23 @@ def _write_lattice_csv(path, header: str, grid, columns, cell=fmt) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_clean_csv(path, surface: LatticeSurface) -> None:
-    _write_lattice_csv(path, "time,state,value", surface.grid, [surface.values])
+def write_clean_csv(path, grid, clean) -> None:
+    _write_lattice_csv(path, "time,state,value", grid, [clean])
 
 
-def write_margin_csv(path, vm: LatticeSurface, im: LatticeSurface, m: LatticeSurface) -> None:
-    _write_lattice_csv(path, "time,state,vm,im,m", m.grid, [vm.values, im.values, m.values])
+def write_margin_csv(path, grid, vm, im, m) -> None:
+    _write_lattice_csv(path, "time,state,vm,im,m", grid, [vm, im, m])
 
 
-def write_xva_csv(path, results: dict[str, XvaResult]) -> None:
+def write_xva_csv(path, grid, results: dict[str, XvaResult]) -> None:
     order = [w for w in ("actual", "upper", "lower") if w in results]
-    _write_lattice_csv(path, "time,state," + ",".join(f"u_{w}" for w in order),
-                       results[order[0]].surface.grid,
-                       [results[w].surface.values for w in order])
+    _write_lattice_csv(path, "time,state," + ",".join(f"u_{w}" for w in order), grid,
+                       [results[w].surface for w in order])
 
 
-def write_regime_csv(path, results: dict[str, XvaResult]) -> None:
+def write_regime_csv(path, grid, results: dict[str, XvaResult]) -> None:
     order = [w for w in ("upper", "lower") if w in results]
-    _write_lattice_csv(path, "time,state," + ",".join(f"regime_{w}" for w in order),
-                       results[order[0]].surface.grid,
+    _write_lattice_csv(path, "time,state," + ",".join(f"regime_{w}" for w in order), grid,
                        [results[w].regime for w in order], cell=REGIME_LABELS.__getitem__)
 
 

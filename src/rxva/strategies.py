@@ -16,14 +16,15 @@ from __future__ import annotations
 import numpy as np
 
 from .collateral import closeout_excess
-from .grids import LatticeSurface
+from .grids import StateSpace
 from .market import ContagionModel, MarketConfig, Portfolio
 
 
 def robust_strategy(
-    u_surface: LatticeSurface,
-    v_hat: LatticeSurface,
-    m_surface: LatticeSurface,
+    space: StateSpace,
+    u_surface: np.ndarray,
+    v_hat: np.ndarray,
+    m_surface: np.ndarray,
     portfolio: Portfolio,
     j: int,
 ) -> tuple[np.ndarray, ...]:
@@ -36,8 +37,7 @@ def robust_strategy(
     where ``alive[key, i - 1]``, and 0 once the name has defaulted; the other
     four hold one position per state.
     """
-    space = u_surface.space
-    u, v, m = (s.values[:, j] for s in (u_surface, v_hat, m_surface))
+    u, v, m = u_surface[:, j], v_hat[:, j], m_surface[:, j]
     theta_I, theta_C = closeout_excess(v, m, portfolio.loss_investor,
                                        portfolio.loss_counterparty)
     keys = np.arange(space.size)

@@ -61,11 +61,11 @@ def default_grid(base_value: float, points: int = 21, span: float = 0.5) -> tupl
     if points == 1:
         return (base_value,)
     if base_value == 0.0:
-        return tuple(np.linspace(0.0, 1.0, points))
+        return tuple(np.linspace(0.0, 1.0, points).tolist())
     lo, hi = base_value * (1.0 - span), base_value * (1.0 + span)
     if lo > hi:
         lo, hi = hi, lo
-    return tuple(np.linspace(lo, hi, points))
+    return tuple(np.linspace(lo, hi, points).tolist())
 
 
 @dataclass
@@ -164,13 +164,14 @@ def sweep_point(
             allow_assumption_violation=allow_assumption_violation,
         )
         root = result.space.root()
-        row.v_hat_0 = result.clean.at0(root)
-        row.xva_upper = result.xva["upper"].surface.at0(root)
-        row.xva_lower = result.xva["lower"].surface.at0(root)
+        row.v_hat_0 = float(result.clean[root, 0])
+        row.xva_upper = float(result.xva["upper"].surface[root, 0])
+        row.xva_lower = float(result.xva["lower"].surface[root, 0])
         if "actual" in result.xva:
-            row.xva_actual = result.xva["actual"].surface.at0(root)
+            row.xva_actual = float(result.xva["actual"].surface[root, 0])
         xi_ref, _, xi_I, xi_C, xi_f, _ = robust_strategy(
-            result.xva["upper"].surface, result.clean, result.margins.m, portfolio, 0)
+            result.space, result.xva["upper"].surface, result.clean, result.margins.m,
+            portfolio, 0)
         if portfolio.n:  # every name survives at the root: name 1's position
             row.xi_ref_val = float(xi_ref[root, 0])
         row.xi_I_val, row.xi_C_val, row.xi_f_val = (float(x[root]) for x in (xi_I, xi_C, xi_f))

@@ -33,7 +33,7 @@ from functools import partial
 import numpy as np
 
 from .collateral import MarginSchedule, closeout_excess
-from .grids import LatticeSurface, StateSpace
+from .grids import StateSpace
 from .market import ConfigError, ContagionModel, MarketConfig, PiecewiseTable, Portfolio
 
 REGIME_LO = 0
@@ -361,9 +361,9 @@ def source_length(cfg: MarketConfig, space: StateSpace, variants) -> int:
 
 @dataclass
 class XvaResult:
-    surface: LatticeSurface
+    surface: np.ndarray
     regime: np.ndarray | None = None
-    pocket: LatticeSurface | None = None
+    pocket: np.ndarray | None = None
 
 
 def _joint_pass(cfg, model, portfolio, grid, space, margins, variants):
@@ -379,7 +379,7 @@ def _joint_pass(cfg, model, portfolio, grid, space, margins, variants):
     """
     size = space.size
     if margins is not None:
-        alpha, im_rows = margins.alpha, margins.im.values
+        alpha, im_rows = margins.alpha, margins.im
         zero_im = frozenset(np.flatnonzero(
             ((im_rows == 0.0) & ~np.signbit(im_rows)).all(axis=1)).tolist())
         im = im_rows.T.tolist()
@@ -428,10 +428,9 @@ def solve_clean(
     portfolio: Portfolio,
     grid: np.ndarray,
     space: StateSpace,
-) -> LatticeSurface:
+) -> np.ndarray:
     """Clean value surface for every default state: the pass with no XVA column."""
-    path, _bind = _joint_pass(cfg, model, portfolio, grid, space, None, ())
-    return LatticeSurface(grid, space, path)
+    return _joint_pass(cfg, model, portfolio, grid, space, None, ())[0]
 
 
 def solve_xva(
@@ -442,7 +441,7 @@ def solve_xva(
     space: StateSpace,
     margins: MarginSchedule,
     variants: tuple[str, ...],
-) -> tuple[LatticeSurface, dict[str, XvaResult], Callable]:
+) -> tuple[np.ndarray, dict[str, XvaResult], Callable]:
     """Solves every requested variant jointly with the clean value, in one pass.
 
     Returns the clean surface of the pass, one result per variant and the
@@ -456,20 +455,20 @@ def solve_xva(
     def rows(block):
         return path[block * space.size:(block + 1) * space.size]
 
-    clean = LatticeSurface(grid, space, rows(0))
+    clean = rows(0)
     margins.settle(clean)
     _, theta_C = closeout_excess(
-        clean.values, margins.m.values, portfolio.loss_investor, portfolio.loss_counterparty,
+        clean, margins.m, portfolio.loss_investor, portfolio.loss_counterparty,
     )
     results = {}
     for which, block, pocket in _layout(cfg, variants)[0]:
         u = rows(block)
-        result = results[which] = XvaResult(LatticeSurface(grid, space, u))
+        result = results[which] = XvaResult(u)
         if which == "actual":
             continue
         z_C = theta_C - u
         hi = (z_C > 0.0) == (which == "upper")
         result.regime = np.where(z_C == 0.0, REGIME_TIE, np.where(hi, REGIME_HI, REGIME_LO))
         if pocket is not None:
-            result.pocket = LatticeSurface(grid, space, rows(pocket))
+            result.pocket = rows(pocket)
     return clean, results, bind

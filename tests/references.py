@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from rxva.collateral import MarginSchedule, closeout_excess
-from rxva.grids import LatticeSurface, StateSpace
 from rxva.market import ContagionModel, MarketConfig, PiecewiseTable, Portfolio
 from rxva.xva import VARIANTS, _binder, _layout, lattice_coefficients, resolve_true_h_c
 
@@ -76,8 +75,8 @@ def solve_value_direct(
     portfolio: Portfolio,
     grid: np.ndarray,
     margins: MarginSchedule,
-) -> LatticeSurface:
-    """Single-name replication value from the unreduced drift.
+) -> np.ndarray:
+    """Single-name replication value from the unreduced drift, a (2 x nodes) surface.
 
     Solves the ODE for the full replication price U-bar whose drift carries
     the contract spread and the un-netted closeout values theta_I, theta_C;
@@ -93,8 +92,7 @@ def solve_value_direct(
     gamma = con.direction
     L_I, L_C = portfolio.loss_investor, portfolio.loss_counterparty
     alpha = margins.alpha
-    space = StateSpace(((1,),))
-    im0 = margins.im.values[0]
+    im0 = margins.im[0]
     T = grid[-1]
     mids = 0.5 * (grid[:-1] + grid[1:])
 
@@ -128,7 +126,7 @@ def solve_value_direct(
         return np.array([dv, du])
 
     u_bar = rk4_sweep(grid, np.zeros(2), rhs)[1]
-    return LatticeSurface(grid, space, np.stack([u_bar, np.zeros_like(u_bar)]))
+    return np.stack([u_bar, np.zeros_like(u_bar)])
 
 
 def rk4_sweep(grid: np.ndarray, y0: np.ndarray, rhs) -> np.ndarray:
@@ -268,7 +266,7 @@ def loop_pass(cfg, model, portfolio, grid, space, margins, variants) -> np.ndarr
     kernel = loop_lattice_rhs(cfg, portfolio, size, margins.alpha, variants)
     index, bundles = lattice_coefficients(cfg, model, portfolio, space,
                                           0.5 * (grid[:-1] + grid[1:]))
-    im = margins.im.values.T.tolist()
+    im = margins.im.T.tolist()
     nodes = grid.tolist()
     T = nodes[-1]
 
@@ -300,13 +298,13 @@ def is_monotone(values: np.ndarray, direction: str, slack: float = 1e-10) -> boo
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def interp_at(surfaces, keys: np.ndarray, times: np.ndarray) -> list[np.ndarray]:
-    """``np.interp(t, surface.grid, surface.values[key])`` of each surface for
+def interp_at(grid: np.ndarray, surfaces, keys: np.ndarray, times: np.ndarray) -> list[np.ndarray]:
+    """``np.interp(t, grid, surface[key])`` of each surface on ``grid`` for
     paired arrays, one np.interp per surface and distinct key: the reference
     for ``oracle._at``."""
     out = [np.empty(len(times)) for _ in surfaces]
     for key in np.unique(keys).tolist():
         sel = keys == key
         for values, surface in zip(out, surfaces):
-            values[sel] = np.interp(times[sel], surface.grid, surface.values[key])
+            values[sel] = np.interp(times[sel], grid, surface[key])
     return out

@@ -161,15 +161,15 @@ def test_ac01_benchmark_ordering_and_switch_time():
 
     slack = np.inf
     for key in res.space.keys:
-        lo = res.xva["lower"].surface.values[key]
-        ac = res.xva["actual"].surface.values[key]
-        up = res.xva["upper"].surface.values[key]
+        lo = res.xva["lower"].surface[key]
+        ac = res.xva["actual"].surface[key]
+        up = res.xva["upper"].surface[key]
         slack = min(slack, float(np.min(ac - lo)), float(np.min(up - ac)))
     ordering_ok = slack >= -1e-10
 
     L_C = portfolio.loss_counterparty
-    v = res.clean.values[0]
-    u_star = res.xva["upper"].surface.values[0]
+    v = res.clean[0]
+    u_star = res.xva["upper"].surface[0]
     z_c = L_C * np.maximum(-v, 0.0) - u_star
     crossings = _sign_changes(res.grid, z_c)
     runtime_ok = runtime < 1.0
@@ -189,7 +189,7 @@ def test_ac01_benchmark_ordering_and_switch_time():
     switch_ok = len(crossings) == len(ref_switches) and all(
         abs(c - r) <= step for c, r in zip(crossings, ref_switches)
     )
-    u_up, u_lo = res.xva["upper"].surface.at0(0), res.xva["lower"].surface.at0(0)
+    u_up, u_lo = res.xva["upper"].surface[0, 0], res.xva["lower"].surface[0, 0]
     value_ok = abs(u_up - ref_u[0]) <= 1e-8
 
     # the robust bounds are not plug-in solves at either band extreme
@@ -202,7 +202,7 @@ def test_ac01_benchmark_ordering_and_switch_time():
         p_cfg, p_model, p_portfolio, p_model_P = market_from_dict(d)
         p_res = run_engine(p_cfg, p_model, p_portfolio, p_model_P,
                            variants=("actual",), grid_points=2000)
-        plug_in.append(p_res.xva["actual"].surface.at0(0))
+        plug_in.append(p_res.xva["actual"].surface[0, 0])
     plug_in_ok = (u_up >= max(plug_in) + 1e-4 and u_lo <= min(plug_in) - 1e-4)
 
     detail = (
@@ -229,11 +229,11 @@ def test_ac02_five_name_clean_value():
                           allow_assumption_violation=True)
     runtime = time.perf_counter() - t0
 
-    v0 = res.clean.at0(0)
+    v0 = res.clean[0, 0]
     ref = float(_clean_by_expm(cfg, model, portfolio)(0.0)[0])
     value_ok = abs(v0 - ref) <= 1e-8
     runtime_ok = runtime < 5.0
-    consistent = abs(v0 - res_full.clean.at0(0)) < 1e-12
+    consistent = abs(v0 - res_full.clean[0, 0]) < 1e-12
     detail = (
         f"v_hat(0) = {v0:.14f}, matrix-exponential reference {ref:.14f} "
         f"(<= 1e-8: {value_ok}); full 2^5 lattice agrees (< 1e-12): "
@@ -269,7 +269,7 @@ def test_ac03_clean_ode_vs_closed_form():
         surface = solve_clean(cfg, model, portfolio, grid,
                               StateSpace(((1,),)))
         worst = max(
-            abs(surface.values[0][idx] - clean_closed_form_single(
+            abs(surface[0][idx] - clean_closed_form_single(
                 r_D, table, S, L, T, float(t), direction
             ))
             for idx, t in enumerate(grid)
@@ -327,9 +327,9 @@ def test_ac05_band_collapse():
         res = run_engine(cfg, model, portfolio, variants=TRIPLE,
                          grid_points=1000)
         for key in res.space.keys:
-            a = res.xva["actual"].surface.values[key]
-            u = res.xva["upper"].surface.values[key]
-            lo = res.xva["lower"].surface.values[key]
+            a = res.xva["actual"].surface[key]
+            u = res.xva["upper"].surface[key]
+            lo = res.xva["lower"].surface[key]
             worst = max(worst, float(np.max(np.abs(u - a))),
                         float(np.max(np.abs(lo - a))))
     ok = worst < 1e-10
@@ -342,7 +342,7 @@ def test_ac06_oracle_equivalence(single_name_result):
     res = single_name_result
     est, se = mc_clean_value(res.cfg, res.model, res.portfolio,
                              100_000, seed=101)
-    ode = res.clean.at0(0)
+    ode = res.clean[0, 0]
     clean_ok = abs(est - ode) <= 3.0 * se
     se_ok = se < 5e-4
 
@@ -355,7 +355,7 @@ def test_ac06_oracle_equivalence(single_name_result):
     collapsed = run_engine(cfg, model, portfolio, model_P,
                            variants=TRIPLE, grid_points=2000)
     mc_u, mc_se = mc_xva_closeout(collapsed, 100_000, seed=102)
-    ode_u = collapsed.xva["upper"].surface.at0(0)
+    ode_u = collapsed.xva["upper"].surface[0, 0]
     xva_ok = abs(mc_u - ode_u) <= 3.0 * mc_se
 
     ok = clean_ok and se_ok and xva_ok
@@ -400,7 +400,7 @@ def test_ac08_homogeneous_reduction():
     for _, h_surf, f_surf in surfaces:
         for mask in full.space.keys:
             count = bin(mask).count("1")
-            diff = np.max(np.abs(f_surf.values[mask] - h_surf.values[count]))
+            diff = np.max(np.abs(f_surf[mask] - h_surf[count]))
             worst = max(worst, float(diff))
     match_ok = worst < 1e-10
     speedup = min(t_full) / min(t_homo)

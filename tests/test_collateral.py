@@ -8,15 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rxva.collateral import (
+    MarginSchedule,
     closeout_excess,
     initial_margin_var,
     margin_schedule,
-    variation_margin,
 )
 import rxva.collateral as collateral
 import rxva.engine as engine
 from rxva.engine import run_engine
-from rxva.grids import StateSpace, zero_surface
 from rxva.market import (
     CollateralSpec,
     Contract,
@@ -74,17 +73,31 @@ class TestCloseout:
 # ---------------------------------------------------------------------------
 
 class TestVariationMargin:
+    """``MarginSchedule.settle`` sets vm = alpha * v_hat and m = vm + im."""
+
+    @staticmethod
+    def _settled(v_hat, alpha):
+        margins = MarginSchedule(alpha=alpha, im=np.zeros_like(v_hat))
+        margins.settle(v_hat)
+        return margins
+
     def test_scaling(self):
-        grid = np.array([0.0, 1.0])
-        space = StateSpace(((1,),))
-        v_hat = zero_surface(grid, space)
         # a short (gamma = -1) position: the direction sits in the clean value
-        v_hat.values[0] = np.array([-0.00483043, 0.0])
-        vm = variation_margin(v_hat, alpha=0.8)
-        assert vm.values[0][0] == pytest.approx(-0.00386434, abs=1e-8)
-        assert np.all(variation_margin(v_hat, alpha=0.0).values[0] == 0.0)
-        full = variation_margin(v_hat, alpha=1.0)
-        assert np.array_equal(full.values[0], v_hat.values[0])
+        v_hat = np.array([[-0.00483043, 0.0], [0.0, 0.0]])
+        vm = self._settled(v_hat, alpha=0.8).vm
+        assert vm[0][0] == pytest.approx(-0.00386434, abs=1e-8)
+        assert np.all(self._settled(v_hat, alpha=0.0).vm == 0.0)
+        full = self._settled(v_hat, alpha=1.0)
+        assert np.array_equal(full.vm, v_hat) and np.array_equal(full.m, v_hat)
+
+    def test_settle_adds_a_nonzero_initial_margin_bit_for_bit(self):
+        res = _single_name_engine(alpha=0.5, beta=1.0)
+        margins = margin_schedule(res.model, res.portfolio, res.grid, res.space)
+        assert np.count_nonzero(margins.im) > 0
+        margins.settle(res.clean)
+        assert margins.vm.tobytes() == (0.5 * res.clean).tobytes()
+        assert margins.m.tobytes() == (margins.vm + margins.im).tobytes()
+        assert margins.m.tobytes() == res.margins.m.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -330,32 +343,32 @@ def _single_name_engine(alpha=0.0, beta=0.0, direction=-1, a30=0.3):
 class TestMarginSchedule:
     def test_no_collateral_all_zero(self):
         res = _single_name_engine(alpha=0.0, beta=0.0)
-        assert np.all(res.margins.m.values[0] == 0.0)
-        assert np.all(res.margins.im.values[0] == 0.0)
+        assert np.all(res.margins.m[0] == 0.0)
+        assert np.all(res.margins.im[0] == 0.0)
 
     def test_m_is_vm_plus_im(self):
         res = _single_name_engine(alpha=0.5, beta=1.0)
         for key in res.space.keys:
-            total = res.margins.vm.values[key] + res.margins.im.values[key]
-            assert np.array_equal(res.margins.m.values[key], total)
+            total = res.margins.vm[key] + res.margins.im[key]
+            assert np.array_equal(res.margins.m[key], total)
 
     def test_im_nonnegative_and_zero_after_reference_default(self):
         res = _single_name_engine(alpha=0.0, beta=1.0)
-        assert np.all(res.margins.im.values[0] >= 0.0)
-        assert np.any(res.margins.im.values[0] > 0.0)
-        assert np.all(res.margins.im.values[1] == 0.0)
+        assert np.all(res.margins.im[0] >= 0.0)
+        assert np.any(res.margins.im[0] > 0.0)
+        assert np.all(res.margins.im[1] == 0.0)
 
     def test_im_vanishes_inside_final_window(self):
         res = _single_name_engine(alpha=0.0, beta=1.0)
         grid = res.grid
         T = res.portfolio.maturity
         # at t = T the remaining window is empty
-        assert res.margins.im.values[0][-1] == 0.0
+        assert res.margins.im[0][-1] == 0.0
         # just before T - delta the margin is still at the closed-form level
         coll = res.portfolio.collateral
         inside = grid < T - coll.delta - 1e-9
         want = initial_margin_closed_form(0.3, 0.02, 0.5, coll.q, coll.delta, 1.0)
-        assert res.margins.im.values[0][inside][0] == pytest.approx(want, abs=1e-8)
+        assert res.margins.im[0][inside][0] == pytest.approx(want, abs=1e-8)
 
     def test_one_margin_call_per_schedule(self, monkeypatch):
         calls = []

@@ -62,8 +62,8 @@ RUNS = _matrix()
 
 
 def _roots_of_result(result) -> dict:
-    return {"v_hat_0": result.clean.at0(),
-            "u_0": {which: x.surface.at0() for which, x in result.xva.items()}}
+    return {"v_hat_0": float(result.clean[0, 0]),
+            "u_0": {which: float(x.surface[0, 0]) for which, x in result.xva.items()}}
 
 
 def _roots_of_row(row) -> dict:

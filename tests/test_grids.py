@@ -1,15 +1,9 @@
-"""Grid construction, state spaces, surfaces, and the RK4 integrator."""
+"""Grid construction, state spaces, surface arrays, and the RK4 integrator."""
 
 import numpy as np
 import pytest
 
-from rxva.grids import (
-    LatticeSurface,
-    StateSpace,
-    build_grid,
-    choose_state_space,
-    zero_surface,
-)
+from rxva.grids import StateSpace, build_grid, choose_state_space
 from rxva.market import ConfigError, Contract, Portfolio, contagion_from_dict
 from rxva.oracle import _at
 from rxva.reporting import write_clean_csv
@@ -138,27 +132,42 @@ class TestStateSpace:
         assert not choose_state_space(model, hetero).homogeneous
 
 
-class TestLatticeSurface:
+class TestSurfaceArrays:
+    """A surface is a plain (states x nodes) array on the engine's grid."""
+
     def test_interpolation(self):
         grid = np.array([0.0, 1.0, 2.0])
-        space = StateSpace(((1,),))
-        surf = LatticeSurface(grid=grid, space=space,
-                              values=np.array([[0.0, 2.0, 4.0], [0.0, 0.0, 0.0]]))
+        surf = np.array([[0.0, 2.0, 4.0], [0.0, 0.0, 0.0]])
         # the oracle's read between nodes, the one interpolation of a surface
-        assert _at((surf,), np.array([0, 0]), np.array([0.5, 2.0]))[0].tolist() == [1.0, 4.0]
-        assert surf.at0(0) == 0.0
-        assert surf.values[0][-1] == 4.0
+        assert _at(grid, (surf,), np.array([0, 0]), np.array([0.5, 2.0]))[0].tolist() == [1.0, 4.0]
 
     def test_rows_order(self, tmp_path):
         # CSV export walks the states in key order, each over the whole grid
         grid = np.array([0.0, 1.0])
-        space = StateSpace(((1,),))
-        surf = zero_surface(grid, space)
-        assert surf.values.shape == (2, 2)
-        write_clean_csv(tmp_path / "clean.csv", surf)
+        write_clean_csv(tmp_path / "clean.csv", grid, np.zeros((2, len(grid))))
         rows = (tmp_path / "clean.csv").read_text().splitlines()[1:]
         assert [(float(r.split(",")[0]), int(r.split(",")[1])) for r in rows] == \
             [(0.0, 0), (1.0, 0), (0.0, 1), (1.0, 1)]
+
+    @pytest.mark.parametrize("fixture", ["single_name_result", "five_name_result"])
+    def test_engine_surfaces_are_row_blocks_of_the_pass(self, request, fixture):
+        res = request.getfixturevalue(fixture)
+        assert set(res.xva) == {"actual", "upper", "lower"}
+        shape = (res.space.size, len(res.grid))
+        arrays = [res.clean, res.margins.vm, res.margins.im, res.margins.m]
+        blocks = [res.clean]  # the rows the pass integrated
+        for which, xres in res.xva.items():
+            assert (xres.regime is None) == (which == "actual")
+            pocket = [] if xres.pocket is None else [xres.pocket]
+            arrays += [xres.surface, *pocket] + [xres.regime] * (xres.regime is not None)
+            blocks += [xres.surface, *pocket]
+        assert all(type(a) is np.ndarray and a.shape == shape for a in arrays)
+        # one base array, cut into consecutive (states x nodes) row blocks
+        base = res.clean.base
+        assert base is not None and base.shape == (len(blocks) * shape[0], shape[1])
+        assert all(b.base is base for b in blocks)
+        starts = sorted((b.ctypes.data - base.ctypes.data) // b.nbytes for b in blocks)
+        assert starts == list(range(len(blocks)))
 
 
 class TestRk4Sweep:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from rxva import oracle
 from rxva.engine import run_engine
-from rxva.grids import LatticeSurface, StateSpace, build_grid
+from rxva.grids import build_grid
 from rxva.market import (
     Contract,
     MarketConfig,
@@ -320,7 +320,7 @@ class TestMcCleanValue:
         res = five_name_result
         est, se = mc_clean_value(res.cfg, res.model, res.portfolio,
                                  20_000, seed=13)
-        assert abs(est - res.clean.at0(0)) <= 3.0 * se
+        assert abs(est - res.clean[0, 0]) <= 3.0 * se
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("r_D", [0.0, 0.001])
@@ -353,8 +353,8 @@ class TestMcCleanValue:
         res = single_name_result
         est, se = mc_clean_value(res.cfg, res.model, res.portfolio,
                                  10_000, seed=14)
-        assert abs(est - res.clean.at0(0)) <= 3.0 * se
-        assert se < 5e-4 * max(1.0, abs(res.clean.at0(0)))
+        assert abs(est - res.clean[0, 0]) <= 3.0 * se
+        assert se < 5e-4 * max(1.0, abs(res.clean[0, 0]))
 
 
 class TestMcXvaCloseout:
@@ -367,7 +367,7 @@ class TestMcXvaCloseout:
     def test_matches_ode(self, single_name_result):
         res = single_name_result
         est, se = mc_xva_closeout(res, 20_000, seed=15)
-        ode = res.xva["actual"].surface.at0(0)
+        ode = res.xva["actual"].surface[0, 0]
         assert abs(est - ode) <= 3.0 * se
 
 
@@ -514,12 +514,12 @@ def _read_case(draw):
         values = np.clip(values, -1e300, 1e300)
         edge = rng.random(values.shape) < 0.1
         values[edge] = rng.choice([0.0, -0.0, 1e300, -1e300], size=np.count_nonzero(edge))
-        surfaces.append(LatticeSurface(grid, StateSpace(((1, 2, 3),)), values))
+        surfaces.append(values)
     times = np.concatenate([
         rng.uniform(0.0, T, 2000), grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
         [0.0, T, -1e-300, -1.0, 2.0 * T, -1e300, 1e300],
     ])
-    return surfaces, rng.integers(0, 4, len(times)), times
+    return grid, surfaces, rng.integers(0, 4, len(times)), times
 
 
 def _bits(values):
@@ -532,12 +532,12 @@ class TestSurfaceReads:
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(case=_read_case())
     def test_read_equals_np_interp(self, case):
-        surfaces, keys, times = case
+        grid, surfaces, keys, times = case
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no RuntimeWarning, as from np.interp
-            got = oracle._at(surfaces, keys, times)
-            alone = [oracle._at([surface], keys, times)[0] for surface in surfaces]
-        want = interp_at(surfaces, keys, times)
+            got = oracle._at(grid, surfaces, keys, times)
+            alone = [oracle._at(grid, [surface], keys, times)[0] for surface in surfaces]
+        want = interp_at(grid, surfaces, keys, times)
         assert len(got) == len(want) == 3
         for values, one, reference in zip(got, alone, want):
             assert _bits(values) == _bits(reference)
@@ -571,9 +571,9 @@ class TestSurfaceReads:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             self._estimates(result, 0)
-            clean, margin = oracle._at((result.clean, result.margins.m), keys, times)
-        assert _bits(clean) == _bits(result.clean.values.ravel())
-        assert _bits(margin) == _bits(result.margins.m.values.ravel())
+            clean, margin = oracle._at(grid, (result.clean, result.margins.m), keys, times)
+        assert _bits(clean) == _bits(result.clean.ravel())
+        assert _bits(margin) == _bits(result.margins.m.ravel())
 
 
 def _doubled(doc):
@@ -602,11 +602,11 @@ def _no_tiny_number(node):
 
 
 def _surfaces(res):
-    """The values of every clean, margin, XVA and pocket surface of ``res``."""
+    """Every clean, margin, XVA and pocket surface of ``res``."""
     out = [res.clean, res.margins.vm, res.margins.im, res.margins.m]
     for xres in res.xva.values():
         out += [xres.surface] + [xres.pocket] * (xres.pocket is not None)
-    return [surface.values for surface in out]
+    return out
 
 
 def _regimes(res):
@@ -636,7 +636,7 @@ class TestNotionalDoubling:
                                   allow_assumption_violation=True)
                        for d in (doc, _doubled(doc)))
         if beta is not None:
-            assert np.count_nonzero(once.margins.im.values) > 0
+            assert np.count_nonzero(once.margins.im) > 0
         assert len(_surfaces(once)) == 9 and len(_regimes(once)) == 2
         self._check(once, twice, 20_000)
 
@@ -731,7 +731,7 @@ class TestTimeUnit:
                                  allow_assumption_violation=True)
                       for d in (doc, _in_double_units(doc)))
         if beta is not None:
-            assert np.count_nonzero(once.margins.im.values) > 0
+            assert np.count_nonzero(once.margins.im) > 0
         assert (2.0 * once.grid).tobytes() == slow.grid.tobytes()
         a, b = _surfaces(once), _surfaces(slow)
         assert len(a) == len(b) == 9

@@ -26,8 +26,8 @@ def _node(result, t):
 
 
 def _holdings(result, which, j):
-    return robust_strategy(result.xva[which].surface, result.clean, result.margins.m,
-                           result.portfolio, j)
+    return robust_strategy(result.space, result.xva[which].surface, result.clean,
+                           result.margins.m, result.portfolio, j)
 
 
 class TestWealthIdentity:
@@ -36,14 +36,14 @@ class TestWealthIdentity:
         res = single_name_result
         for j in _sample_nodes(res):
             assert wealth(_holdings(res, which, j)) == pytest.approx(
-                res.xva[which].surface.values[:, j], abs=1e-9)
+                res.xva[which].surface[:, j], abs=1e-9)
 
     def test_five_name_homogeneous(self, five_name_result):
         res = five_name_result
         for j in _sample_nodes(res, n_nodes=4):
             holdings = _holdings(res, "upper", j)
             assert wealth(holdings) == pytest.approx(
-                res.xva["upper"].surface.values[:, j], abs=1e-9)
+                res.xva["upper"].surface[:, j], abs=1e-9)
             # one class: the key is the default count
             alive = holdings[1]
             assert alive.sum(axis=1).tolist() == [res.portfolio.n - k for k in res.space.keys]
@@ -52,7 +52,7 @@ class TestWealthIdentity:
         res = five_name_result
         for j in _sample_nodes(res, n_nodes=5):
             psi_m = _holdings(res, "upper", j)[5]
-            assert psi_m == pytest.approx(-res.margins.m.values[:, j], abs=1e-15)
+            assert psi_m == pytest.approx(-res.margins.m[:, j], abs=1e-15)
 
 
 class TestHoldings:
@@ -70,7 +70,7 @@ class TestHoldings:
 
     def test_reference_leg_is_value_drop(self, single_name_result):
         res = single_name_result
-        u = res.xva["upper"].surface.values
+        u = res.xva["upper"].surface
         j = _node(res, 1.0)
         xi_ref, alive = _holdings(res, "upper", j)[:2]
         assert xi_ref[0, 0] == pytest.approx(u[0, j] - u[1, j], abs=1e-14)

@@ -84,6 +84,14 @@ class TestDefaultGrid:
         for base in (a30, -0.1, 0.0):
             assert default_grid(base, points=1, span=0.5) == (base,)
 
+    def test_values_are_python_floats(self):
+        # a numpy float64 pickles through numpy's scalar reconstructor, which
+        # makes every row a sweep worker sends about a third longer
+        for base, points in ((0.01, 9), (0.0, 3), (0.01, 1)):
+            grid = default_grid(base, points=points)
+            assert len(grid) == points and all(type(v) is float for v in grid)
+        assert default_grid(0.01, points=9) == tuple(np.linspace(0.005, 0.015, 9))
+
 
 class TestApplyParam:
     def test_contagion_params(self):

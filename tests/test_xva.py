@@ -305,7 +305,7 @@ class TestGeneratedKernel:
         want = loop_pass(cfg, model, portfolio, res.grid, res.space, res.margins, VARIANTS)
         surfaces = [res.clean] + [res.xva[w].surface for w in VARIANTS]
         surfaces += [res.xva[w].pocket for w in ("upper", "lower")]
-        got = np.concatenate([surface.values for surface in surfaces])
+        got = np.concatenate(surfaces)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -439,7 +439,7 @@ class TestGeneratedStep:
         res = run_engine(cfg, model, portfolio, model_P, variants=variants, grid_points=points,
                          allow_assumption_violation=True)
         if portfolio.collateral.beta > 0.0:
-            assert np.ptp(res.margins.im.values[0]) > 0.0
+            assert np.ptp(res.margins.im[0]) > 0.0
         want = loop_pass(cfg, model, portfolio, res.grid, res.space, res.margins, variants)
         layout, n_blocks = _layout(cfg, variants)
         surfaces = [res.clean] + [None] * (n_blocks - 1)
@@ -447,7 +447,7 @@ class TestGeneratedStep:
             surfaces[block] = res.xva[which].surface
             if pocket is not None:
                 surfaces[pocket] = res.xva[which].pocket
-        got = np.concatenate([surface.values for surface in surfaces])
+        got = np.concatenate(surfaces)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -510,8 +510,8 @@ def _plug_ins(doc, grid_points):
         runs.append(run_engine(cfg, model, portfolio, model_P, variants=variants,
                                grid_points=grid_points).xva)
     low, high = runs
-    return (low["lower"].surface.values, low["actual"].surface.values,
-            high["actual"].surface.values, low["upper"].surface.values)
+    return (low["lower"].surface, low["actual"].surface,
+            high["actual"].surface, low["upper"].surface)
 
 
 class TestPlugInOrdering:
@@ -551,9 +551,9 @@ class TestSolveXva:
     def test_ordering_everywhere(self, single_name_result):
         res = single_name_result
         for key in res.space.keys:
-            lower = res.xva["lower"].surface.values[key]
-            actual = res.xva["actual"].surface.values[key]
-            upper = res.xva["upper"].surface.values[key]
+            lower = res.xva["lower"].surface[key]
+            actual = res.xva["actual"].surface[key]
+            upper = res.xva["upper"].surface[key]
             assert np.min(actual - lower) >= -1e-10
             assert np.min(upper - actual) >= -1e-10
 
@@ -561,8 +561,8 @@ class TestSolveXva:
         res = single_name_result
         for which in ("actual", "upper", "lower"):
             surf = res.xva[which].surface
-            assert surf.values[0][-1] == 0.0
-            assert np.all(surf.values[1] == 0.0)
+            assert surf[0][-1] == 0.0
+            assert np.all(surf[1] == 0.0)
 
     def test_band_collapse_single_name(self):
         doc = _load_doc()
@@ -572,7 +572,7 @@ class TestSolveXva:
         cfg, model, portfolio, model_P = market_from_dict(doc)
         res = run_engine(cfg, model, portfolio, model_P,
                          variants=("actual", "upper", "lower"), grid_points=500)
-        surfs = [res.xva[w].surface.values[0] for w in ("actual", "upper", "lower")]
+        surfs = [res.xva[w].surface[0] for w in ("actual", "upper", "lower")]
         spread = np.max(np.abs(surfs[0] - surfs[1])) + np.max(np.abs(surfs[0] - surfs[2]))
         assert spread < 1e-10
 
@@ -584,10 +584,10 @@ class TestSolveXva:
         cfg, model, portfolio, model_P = market_from_dict(doc)
         wide = run_engine(cfg, model, portfolio, model_P,
                           variants=("upper", "lower"), grid_points=2000)
-        up_n = narrow.xva["upper"].surface.values[0]
-        up_w = wide.xva["upper"].surface.values[0]
-        lo_n = narrow.xva["lower"].surface.values[0]
-        lo_w = wide.xva["lower"].surface.values[0]
+        up_n = narrow.xva["upper"].surface[0]
+        up_w = wide.xva["upper"].surface[0]
+        lo_n = narrow.xva["lower"].surface[0]
+        lo_w = wide.xva["lower"].surface[0]
         assert np.min(up_w - up_n) >= -1e-10
         assert np.max(lo_w - lo_n) <= 1e-10
 
@@ -598,9 +598,9 @@ class TestSolveXva:
         for which, hi_sign in (("upper", 1.0), ("lower", -1.0)):
             xres = res.xva[which]
             for key in res.space.keys:
-                v = res.clean.values[key]
-                m = res.margins.m.values[key]
-                u = xres.surface.values[key]
+                v = res.clean[key]
+                m = res.margins.m[key]
+                u = xres.surface[key]
                 z_C = L_C * np.maximum(-(v - m), 0.0) - u
                 regime = xres.regime[key]
                 mu_sel = np.where(regime == REGIME_HI, hi, lo)
@@ -637,9 +637,9 @@ class TestSolveXva:
 
     def test_pocket_zero_at_origin_grows_backwards(self, single_name_result):
         pocket = single_name_result.xva["upper"].pocket
-        assert pocket.values[0][-1] == 0.0
+        assert pocket[0][-1] == 0.0
         # accumulated surplus from t to T is nonnegative for the upper solve
-        assert np.min(pocket.values[0]) >= -1e-12
+        assert np.min(pocket[0]) >= -1e-12
 
 
 class TestDirectValueSolve:
@@ -647,8 +647,8 @@ class TestDirectValueSolve:
         res = single_name_result
         u_bar = solve_value_direct(res.cfg, res.model, res.portfolio,
                                    res.grid, res.margins)
-        diff = u_bar.values[0] - res.clean.values[0] \
-            - res.xva["actual"].surface.values[0]
+        diff = u_bar[0] - res.clean[0] \
+            - res.xva["actual"].surface[0]
         assert np.max(np.abs(diff)) < 1e-8
 
     def test_multi_name_rejected(self, five_name_result):
@@ -668,8 +668,8 @@ class TestRXvaProcess:
         # collateral-netted closeout value
         res = single_name_result
         j = int(np.searchsorted(res.grid, 1.0))
-        v = res.clean.values[0, j]
-        m = res.margins.m.values[0, j]
+        v = res.clean[0, j]
+        m = res.margins.m[0, j]
         theta_I, theta_C = closeout_excess(v, m, res.portfolio.loss_investor,
                                            res.portfolio.loss_counterparty)
         assert theta_I == pytest.approx(-0.5 * max(v - m, 0.0), abs=1e-15)
@@ -692,10 +692,9 @@ class TestJointPass:
                        grid_points=400, allow_assumption_violation=True).xva[which]
             for variants in ((which,), ("actual", "upper", "lower"))
         )
-        for key in alone.surface.space.keys:
-            assert np.array_equal(alone.surface.values[key], joint.surface.values[key])
-            assert np.array_equal(alone.pocket.values[key], joint.pocket.values[key])
-            assert np.array_equal(alone.regime[key], joint.regime[key])
+        assert np.array_equal(alone.surface, joint.surface)
+        assert np.array_equal(alone.pocket, joint.pocket)
+        assert np.array_equal(alone.regime, joint.regime)
 
     def test_one_pass_timed(self, single_name_result):
         assert set(single_name_result.timings) == {"pass"}
@@ -713,7 +712,7 @@ class TestJointPass:
         alone = solve_clean(cfg, model, portfolio, res.grid, res.space)
         names = range(1, portfolio.n + 1)
         assert res.space.classes == (tuple((i,) for i in names) if full else (tuple(names),))
-        assert np.array_equal(res.clean.values, alone.values)
+        assert np.array_equal(res.clean, alone)
 
 
 # each party's table key and affine pair in a contagion block
@@ -755,12 +754,12 @@ class TestAffineShorthand:
                        grid_points=300, force_full=full, allow_assumption_violation=True)
             for d in (doc, other)
         )
-        assert np.array_equal(want.clean.values, got.clean.values)
-        assert np.array_equal(want.margins.m.values, got.margins.m.values)
+        assert np.array_equal(want.clean, got.clean)
+        assert np.array_equal(want.margins.m, got.margins.m)
         for which, result in want.xva.items():
-            assert np.array_equal(result.surface.values, got.xva[which].surface.values)
+            assert np.array_equal(result.surface, got.xva[which].surface)
             if which != "actual":
-                assert np.array_equal(result.pocket.values, got.xva[which].pocket.values)
+                assert np.array_equal(result.pocket, got.xva[which].pocket)
                 assert np.array_equal(result.regime, got.xva[which].regime)
 
 
@@ -825,16 +824,16 @@ class TestJointPassProperties:
         band["mu_upper"] = band["mu_true"] = band["mu_lower"]
         res = _solve(doc, grid_points)
         for key in res.space.keys:
-            actual = res.xva["actual"].surface.values[key]
+            actual = res.xva["actual"].surface[key]
             for which in ("upper", "lower"):
-                assert np.max(np.abs(res.xva[which].surface.values[key] - actual)) <= 1e-10
+                assert np.max(np.abs(res.xva[which].surface[key] - actual)) <= 1e-10
 
     @_PROPERTY
     @given(_small_config())
     def test_bounds_order_every_node(self, case):
         res = _solve(*case)
         for key in res.space.keys:
-            lower, actual, upper = (res.xva[w].surface.values[key]
+            lower, actual, upper = (res.xva[w].surface[key]
                                     for w in ("lower", "actual", "upper"))
             assert np.min(actual - lower) >= -1e-10
             assert np.min(upper - actual) >= -1e-10
@@ -846,8 +845,7 @@ class TestJointPassProperties:
         cfg, model, portfolio, model_P = market_from_dict(doc)
         clean = [run_engine(cfg, model, p, model_P, grid_points=grid_points).clean
                  for p in (portfolio, portfolio.flipped())]
-        for key in clean[0].space.keys:
-            assert np.array_equal(-clean[0].values[key], clean[1].values[key])
+        assert np.array_equal(-clean[0], clean[1])
 
     @_PROPERTY
     @given(_small_config(n=3))
@@ -860,7 +858,7 @@ class TestJointPassProperties:
         for h_surf, f_surf in pairs:
             for mask in full.space.keys:
                 count = full.space.count(mask)
-                assert np.max(np.abs(f_surf.values[mask] - h_surf.values[count])) <= 1e-12
+                assert np.max(np.abs(f_surf[mask] - h_surf[count])) <= 1e-12
 
     @_PROPERTY
     @given(_two_class_config())
@@ -876,7 +874,7 @@ class TestJointPassProperties:
         pairs += [(grouped.xva[w].surface, full.xva[w].surface) for w in grouped.xva]
         pairs += [(grouped.xva[w].pocket, full.xva[w].pocket) for w in ("upper", "lower")]
         for g_surf, f_surf in pairs:
-            assert np.max(np.abs(f_surf.values - g_surf.values[keys])) <= 1e-12
+            assert np.max(np.abs(f_surf - g_surf[keys])) <= 1e-12
 
     @_PROPERTY
     @given(_small_config())
@@ -885,4 +883,4 @@ class TestJointPassProperties:
         surfaces = [res.clean, res.margins.m] + [res.xva[w].surface for w in res.xva]
         surfaces += [res.xva[w].pocket for w in ("upper", "lower")]
         for surface in surfaces:
-            assert np.all(np.isfinite(surface.values))
+            assert np.all(np.isfinite(surface))
