@@ -7,8 +7,10 @@ increment law admits a closed form for constant intensities; for a
 piecewise-constant intensity the quantile equation is solved exactly, at every
 time of the grid in one call, by ``market.invert_hazard``, as the Monte Carlo
 sampler's clocks are (the stratified single-name clean estimator inverts its
-hazard with ``np.interp``).  Multi-name portfolios would need an empirical
-quantile, which is not implemented.
+hazard with ``np.interp``).  Like the clocks, it reads the intensity on the
+pieces of [0, T] that ``market.cut`` makes, with the one array reader of a
+table, ``PiecewiseTable.rates``.  Multi-name portfolios would need an
+empirical quantile, which is not implemented.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import StateSpace
-from .market import ConfigError, ContagionModel, PiecewiseTable, Portfolio, invert_hazard
+from .market import ConfigError, ContagionModel, PiecewiseTable, Portfolio, cut, invert_hazard
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +62,7 @@ def initial_margin_var(
     ``h_P`` is the physical default intensity, a scalar or a PiecewiseTable.
     Let x be the time from t at which the cumulated hazard of h_P reaches
     -log q (inf when not before T), from one ``invert_hazard`` call over the
-    table's pieces of [0, T], and delta_eff = min(delta, T - t).
+    table's pieces of [0, T] (``cut``), and delta_eff = min(delta, T - t).
     For gamma = -1 the margin is beta * K where K solves the quantile
     equation exp(-int_t^{t+((L-K)/S) ^ delta_eff} h_P) = q, that is
     K = L - S x when x is below min(L / S, delta_eff)^+ (delta_eff when
@@ -77,9 +79,9 @@ def initial_margin_var(
     if isinstance(h_P, (int, float)):
         h_P = PiecewiseTable(breaks=(), values=((float(h_P),),))
     t = np.asarray(t, dtype=float)
-    edges = np.array([b for b in h_P.breaks if 0.0 < b < T] + [T])
-    h = np.array([h_P.at(a, 0) for a in (0.0, *edges[:-1])])
-    x = invert_hazard(edges, h, t.reshape(-1), -np.log(q)).reshape(t.shape) - t
+    pieces = cut(h_P.breaks, T)
+    h = h_P.rates(pieces[:-1], [0])[:, 0]
+    x = invert_hazard(pieces[1:], h, t.reshape(-1), -np.log(q)).reshape(t.shape) - t
     delta_eff = np.minimum(delta, T - t)
     if gamma == -1:
         cap = delta_eff if S == 0.0 else np.maximum(np.minimum(L / S, delta_eff), 0.0)

@@ -46,12 +46,12 @@ class EngineResult:
 
 
 def grid_breakpoints(model: ContagionModel, portfolio: Portfolio) -> list[float]:
-    """Time nodes the integrator must not step across."""
+    """Times the integrator must not step across; ``build_grid`` keeps those in (0, T)."""
     pts = list(model.breakpoints())
     coll = portfolio.collateral
     if coll.beta > 0.0:
         pts.append(portfolio.maturity - coll.delta)
-    return sorted({p for p in pts if 0.0 < p < portfolio.maturity})
+    return pts
 
 
 def run_engine(

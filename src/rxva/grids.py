@@ -16,7 +16,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .market import ConfigError, ContagionModel, Portfolio
+from .market import ConfigError, ContagionModel, Portfolio, cut
 
 
 def build_grid(
@@ -37,7 +37,7 @@ def build_grid(
     """
     if T <= 0.0:
         raise ValueError(f"maturity must be positive, got {T}")
-    anchors = [0.0] + sorted({float(b) for b in breakpoints if 0.0 < b < T}) + [T]
+    anchors = cut(breakpoints, T).tolist()
     steps = [max(1, int(np.ceil((b - a) / T * min_points))) for a, b in zip(anchors, anchors[1:])]
     n_nodes = 1 + sum(steps)
     if space is not None and space.size * n_nodes > max_cells:

@@ -94,6 +94,22 @@ class PiecewiseTable:
         row = self.values[bisect.bisect_right(self.breaks, t)]
         return row[min(count, len(row) - 1)]
 
+    def rates(self, times, counts) -> np.ndarray:
+        """Entry [i, k] is ``at(times[i], counts[k])``; a row is padded with its last entry."""
+        width = max(map(len, self.values))
+        rows = np.array([row + row[-1:] * (width - len(row)) for row in self.values])
+        pieces = np.searchsorted(np.array(self.breaks), times, side="right")
+        return rows.take(pieces, 0).take(np.minimum(counts, width - 1), 1)
+
+
+def cut(breaks, T: float) -> np.ndarray:
+    """[0, T] cut into pieces at ``breaks``: 0, every distinct break in (0, T) in order, then T.
+
+    Piece j is [cut[j], cut[j + 1]); a table read at ``cut[:-1]`` gives its
+    value on each piece, and ``cut[1:]`` are the edges ``invert_hazard`` takes.
+    """
+    return np.array([0.0, *sorted({float(b) for b in breaks if 0.0 < b < T}), T])
+
 
 def invert_hazard(edges: np.ndarray, h: np.ndarray, t0: np.ndarray, target) -> np.ndarray:
     """First time after each t0 at which the cumulated intensity reaches target.
@@ -196,27 +212,10 @@ class ContagionModel:
             return self.counterparty
         return self.references[0 if len(self.references) == 1 else int(who) - 1]
 
-    def intensity_by_count(self, who, t: float, count: int) -> float:
-        """Risk-neutral default intensity h_who(t, J) with ``count`` = |J|.
-
-        Every intensity of the model depends on the defaulted set through its
-        size (a surviving entity i has |J \\ {i}| == |J|).
-        """
-        return self.table(who).at(t, count)
-
     def breakpoints(self) -> tuple[float, ...]:
         """Sorted time breakpoints of all piecewise-constant intensities."""
         tables = (self.investor, self.counterparty, *self.references)
         return tuple(sorted({b for table in tables for b in table.breaks}))
-
-    def intensities(self, who, horizon: float) -> list[float]:
-        """h_who on every time piece meeting [0, horizon], at every default count."""
-        times = [0.0] + [b for b in self.breakpoints() if b < horizon]
-        return [self.intensity_by_count(who, t, k) for t in times for k in range(self.n + 1)]
-
-    def min_intensity(self, who, horizon: float) -> float:
-        """Infimum of h_who over t in [0, horizon] and all default counts."""
-        return min(self.intensities(who, horizon))
 
 
 # ---------------------------------------------------------------------------
@@ -341,15 +340,14 @@ def validate_assumptions(
     strictly positive intensities plus upper bounds on the funding rates.
     For multi-name portfolios the comparison argument additionally needs
     r_f- below the same minimum.  The true counterparty rate must lie in the
-    band; with ``mu_C_true = "model"`` that is h_C(t, J) + r_D on every time
-    piece and at every default count.
+    band; with ``mu_C_true = "model"`` that is h_C(t, J) + r_D.  Intensities
+    are read on each time piece meeting [0, horizon), at every default count.
     """
-    horizon = horizon if horizon is not None else float("inf")
-    mu_refs = [
-        model.min_intensity(i, horizon) + cfg.r_D for i in range(1, model.n + 1)
-    ]
-    mu_i = model.min_intensity(INVESTOR, horizon) + cfg.r_D
-    mu_min = min(mu_refs + [mu_i, cfg.mu_C_lower])
+    starts = cut(model.breakpoints(), math.inf if horizon is None else horizon)[:-1]
+    counts = np.arange(model.n + 1)
+    tables = (*model.references[:model.n], model.investor)  # no reference table without names
+    mu_min = min(min(float(tab.rates(starts, counts).min()) for tab in tables) + cfg.r_D,
+                 cfg.mu_C_lower)
     checks = [
         InequalityCheck("r_D < min(mu_1..mu_N, mu_I, mu_C_lower)", cfg.r_D, mu_min),
         InequalityCheck("r_f_plus < min(mu_1..mu_N, mu_I, mu_C_lower)", cfg.r_f_plus, mu_min),
@@ -363,7 +361,7 @@ def validate_assumptions(
         )
     if cfg.mu_C_true is not None:
         if cfg.mu_C_true == "model":
-            mu_true = [h + cfg.r_D for h in model.intensities(COUNTERPARTY, horizon)]
+            mu_true = (model.counterparty.rates(starts, counts) + cfg.r_D).ravel().tolist()
         else:
             mu_true = [cfg.mu_C_true]
         checks.append(InequalityCheck(

@@ -21,7 +21,7 @@ import numpy as np
 
 from .collateral import closeout_excess
 from .engine import EngineResult
-from .market import ConfigError, ContagionModel, MarketConfig, Portfolio, invert_hazard
+from .market import ConfigError, ContagionModel, MarketConfig, Portfolio, cut, invert_hazard
 from .strategies import robust_strategy, wealth_drift
 from .xva import _layout, lattice_coefficients, resolve_true_h_c
 
@@ -76,13 +76,13 @@ class PathBatch:
 
 
 class _Clocks:
-    """Competing default clocks of one portfolio, tabulated per segment of [0, T].
+    """Competing default clocks of one portfolio, tabulated per piece of [0, T].
 
     Clock c < n is reference entity c + 1; with parties, clocks n and n + 1
-    are the investor and the counterparty.  ``edges`` ends the segments of
-    [0, T]: every model break in (0, T), then T.  ``h[c, k, j]`` is the
-    intensity of clock c with k prior reference defaults on segment j, read
-    at its start; the pieces are right-continuous, so that is its value.
+    are the investor and the counterparty.  ``pieces`` is [0, T] cut at
+    the model's breaks by ``market.cut``.  ``h[c, k, j]`` is the intensity
+    of clock c with k prior reference defaults on piece j, read at its
+    start by ``PiecewiseTable.rates``: the pieces are right-continuous.
     A clock's default time is ``market.invert_hazard`` of its row, the
     inversion of a cumulated hazard that the initial margin uses too; only
     ``_mc_clean_single_stratified`` inverts its hazard with ``np.interp``.
@@ -91,13 +91,11 @@ class _Clocks:
     def __init__(self, model, portfolio, include_parties, h_C_true):
         n, T = portfolio.n, portfolio.maturity
         self.n, self.T = n, T
-        self.edges = np.array([b for b in model.breakpoints() if 0.0 < b < T] + [T])
+        self.pieces = cut(model.breakpoints(), T)
         tables = [model.table(i) for i in range(1, n + 1)]
         if include_parties:
             tables += [model.investor, h_C_true if h_C_true is not None else model.counterparty]
-        starts = [0.0, *self.edges[:-1].tolist()]
-        self.h = np.array([[[tab.at(t, k) for t in starts] for k in range(n + 1)]
-                           for tab in tables])
+        self.h = np.array([tab.rates(self.pieces[:-1], np.arange(n + 1)).T for tab in tables])
 
 
 def simulate_paths(
@@ -154,7 +152,7 @@ def _round(batch: PathBatch, clocks: _Clocks, rng, r: int, rows: np.ndarray) -> 
     best = np.full(rows.size, -1)
     for c in range(len(clocks.h)):
         sel = np.flatnonzero(alive[:, c]) if r and c < n else slice(None)  # round 0: all alive
-        cand = invert_hazard(clocks.edges, clocks.h[c, r], t0[sel], draws[sel, c])
+        cand = invert_hazard(clocks.pieces[1:], clocks.h[c, r], t0[sel], draws[sel, c])
         win = cand < best_t[sel]
         best_t[sel] = np.where(win, cand, best_t[sel])
         best[sel] = np.where(win, c, best[sel])
@@ -231,7 +229,7 @@ def _mc_clean_single_stratified(cfg, model, portfolio, n_paths, seed):
     con = portfolio.contracts[0]
     T = portfolio.maturity
     clocks = _Clocks(model, portfolio, False, None)
-    edges = np.concatenate([[0.0], clocks.edges])
+    edges = clocks.pieces
     cum = np.concatenate([[0.0], np.cumsum(clocks.h[0, 0] * np.diff(edges))])
     p_default = -math.expm1(-cum[-1])  # P(tau <= T)
     survival_flow = float(_cash_flow(cfg.r_D, con, math.inf, T))
@@ -417,22 +415,24 @@ def drift_identity_error(result: EngineResult, which: str = "upper") -> float:
             blocks[p] = result.xva[name].pocket
     b, p = {name: (b, p) for name, b, p in layout}[which]
     surface = result.xva[which].surface
-    index, bundles = lattice_coefficients(cfg, model, portfolio, space, grid[::DRIFT_STRIDE])
+    times = grid[::DRIFT_STRIDE]
+    index, bundles = lattice_coefficients(cfg, model, portfolio, space, times)
     steps = [result.bind(states) for states in bundles]
     base = [-0.0] * (n_blocks * size)
     counts = np.array([space.count(key) for key in space.keys])
+    # account rates h + r_D at every sampled node and state: the investor's, then each name's
+    mu = np.stack([model.table(who).rates(times, counts)
+                   for who in ("I", *range(1, portfolio.n + 1))], axis=2) + cfg.r_D
+    mu_true = h_true.rates(times, counts) + cfg.r_D
     worst = 0.0
     for i, j in enumerate(range(0, len(grid), DRIFT_STRIDE)):
-        t = float(grid[j])
         im = margins.im[:, j].tolist()
         y = np.concatenate([rows[:, j] for rows in blocks]).tolist()
         g = np.reshape(steps[index[i]](im, im, ((0.0, 1.0, None),), 1.0, y, base),
                        (n_blocks, size))
         driver = g[b] - (0.0 if p is None else g[p])
         holdings = robust_strategy(space, surface, result.clean, margins.m, portfolio, j)
-        mu_true = np.array([h_true.at(t, k) for k in range(portfolio.n + 1)])
-        mu_true = mu_true.take(counts) + cfg.r_D
-        drift = wealth_drift(cfg, model, portfolio, holdings, mu_true, t, counts)
+        drift = wealth_drift(cfg, portfolio, holdings, mu[i], mu_true[i])
         worst = max(worst, float(np.abs(drift + driver).max()))
     return worst
 

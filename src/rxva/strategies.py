@@ -17,7 +17,7 @@ import numpy as np
 
 from .collateral import closeout_excess
 from .grids import StateSpace
-from .market import ContagionModel, MarketConfig, Portfolio
+from .market import MarketConfig, Portfolio
 
 
 def robust_strategy(
@@ -55,28 +55,23 @@ def robust_strategy(
 
 def wealth_drift(
     cfg: MarketConfig,
-    model: ContagionModel,
     portfolio: Portfolio,
     holdings: tuple[np.ndarray, ...],
+    mu: np.ndarray,
     mu_C_true: np.ndarray,
-    t: float,
-    counts: np.ndarray,
 ) -> np.ndarray:
     """Instantaneous wealth growth of ``robust_strategy``'s holdings under the true rate.
 
-    ``mu_C_true`` and ``counts``, the default count of each state, are per
-    state; each intensity is read once per default count.  Accounts for the
-    defaultable-account drifts at their account rates mu = h + r_D, the
-    sign-dependent treasury rate on the funding balance (which finances the
-    surviving loss notionals on top of the funding account itself), and the
-    collateral remuneration.  The collateral is read from the holdings:
-    psi_m * B_m = -M.
+    ``mu[key]`` holds the account rates mu = h + r_D of state ``key``: the
+    investor's, then those of names 1..N; ``mu_C_true`` holds the true
+    counterparty rate per state.  Accounts for the defaultable-account
+    drifts at those rates, the sign-dependent treasury rate on the funding
+    balance (which finances the surviving loss notionals on top of the
+    funding account itself), and the collateral remuneration.  The
+    collateral is read from the holdings: psi_m * B_m = -M.
     """
     xi_ref, alive, xi_I, xi_C, xi_f, psi_m = holdings
     m = -psi_m
-    who = ("I", *range(1, portfolio.n + 1))
-    mu = np.array([[model.intensity_by_count(w, t, k) for w in who]
-                   for k in range(portfolio.n + 1)]).take(counts, axis=0) + cfg.r_D
     loss_sum = sum((alive * [c.direction * c.loss for c in portfolio.contracts]).T)
     drift = sum((xi_ref * mu[:, 1:]).T) + xi_I * mu[:, 0] + xi_C * mu_C_true
     y = xi_f + loss_sum

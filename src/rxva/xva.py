@@ -120,11 +120,11 @@ def _state_coeffs(model, portfolio, space, h_C_true, t: float, key: int) -> Stat
         con = portfolio.contracts[entities[0] - 1]
         sum_S += w * con.direction * con.spread
         sum_L += w * con.direction * con.loss
-        h = model.intensity_by_count(entities[0], t, count)
+        h = model.table(entities[0]).at(t, count)
         transitions.append((child, w * h, con.direction * con.loss, w))
     return StateCoeffs(
         sum_S=sum_S, sum_L=sum_L,
-        h_I=model.intensity_by_count("I", t, count),
+        h_I=model.investor.at(t, count),
         h_C=math.nan if h_C_true is None else h_C_true.at(t, count),
         alive_count=portfolio.n - count, transitions=tuple(transitions),
     )

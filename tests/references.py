@@ -105,8 +105,8 @@ def solve_value_direct(
         m = alpha * v + (im0[seg] * (1.0 - w) + im0[seg + 1] * w)
         theta_I, theta_C = closeout_excess(v, m, L_I, L_C)
         theta_I, theta_C = v + theta_I, v + theta_C
-        h_1 = model.intensity_by_count(1, t_mid, 0)
-        h_I = model.intensity_by_count("I", t_mid, 0)
+        h_1 = model.table(1).at(t_mid, 0)
+        h_I = model.table("I").at(t_mid, 0)
         h_C = h_true.at(t_mid, 0)
         gL, gS = gamma * con.loss, gamma * con.spread
         dv = -cfg.r_D * v - gS + h_1 * (gL + 0.0 - v)

@@ -74,7 +74,7 @@ def _clean_by_expm(cfg, model, portfolio):
     G = np.zeros((n + 2, n + 2))
     for k in range(n):
         alive = n - k
-        rate = alive * model.intensity_by_count(1, 0.0, k)
+        rate = alive * model.table(1).at(0.0, k)
         G[k, k] = -cfg.r_D - rate
         G[k, k + 1] = rate
         G[k, n + 1] = rate * L - alive * S
@@ -120,8 +120,8 @@ def _reference_xva(cfg, model, portfolio, mode, v_hat):
 
     def du_dt(t, u):
         m, z_I, z_C = exposures(t, u)
-        h_I = np.array([model.intensity_by_count("I", t, k) for k in counts])
-        h_ref = np.array([model.intensity_by_count(1, t, k) for k in counts])
+        h_I = np.array([model.table("I").at(t, k) for k in counts])
+        h_ref = np.array([model.table(1).at(t, k) for k in counts])
         h_C = np.where(z_C >= 0.0, h_on_pos, h_on_neg)
         z = alive * (np.append(u[1:], 0.0) - u)
         y = u + z + z_I + z_C + sum_L - m

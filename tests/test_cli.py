@@ -472,6 +472,20 @@ class TestExitCodes:
         assert "mu_C_true <= mu_C_upper" in capsys.readouterr().err
         assert _run(*args, "--allow-assumption-violation") == cli.EXIT_OK
 
+    def test_piece_before_time_zero_is_not_validated(self, tmp_path, capsys):
+        # the zero-intensity piece [-2, -1) ends before t = 0: nothing reads
+        # it, so the config prices as the shipped one, bit for bit
+        doc = json.loads(SINGLE_NAME.read_text(encoding="utf-8"))
+        doc["contagion"]["reference_tables"] = [
+            {"breaks": [-2.0, -1.0, 2.0], "values": [0.5, 0.0, 0.2999, 0.0999]}]
+        outs = tmp_path / "early", tmp_path / "shipped"
+        for config, out in zip((_write_config(tmp_path, doc), SINGLE_NAME), outs):
+            assert _run("xva", "--config", str(config), "--out-dir", str(out),
+                        "--grid-points", "300") == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+        for name in ("xva.csv", "regime.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     def test_oversized_lattice_refused(self, tmp_path, capsys, monkeypatch):
         # five names over 201 nodes: 6 * 201 cells homogeneous, 32 * 201 full
         monkeypatch.setattr(engine, "MAX_LATTICE_CELLS", 2000)

@@ -1,6 +1,7 @@
 """Market data layer: tables, contagion intensities, validation."""
 
 import json
+import math
 from dataclasses import fields, replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from rxva.market import (
     Portfolio,
     _as_table,
     contagion_from_dict,
+    cut,
     invert_hazard,
     load_config,
     market_from_dict,
@@ -33,27 +35,27 @@ from rxva.market import (
 class TestIntensity:
     def test_counterparty_affine(self):
         model = contagion_from_dict({"a20": 0.05, "a23": 0.01}, 3)
-        assert model.intensity_by_count("C", 0.7, 2) == pytest.approx(0.07, abs=1e-15)
+        assert model.table("C").at(0.7, 2) == pytest.approx(0.07, abs=1e-15)
 
     def test_reference_excludes_self(self):
         # a surviving entity counts the other defaults: |J \ {3}| == |J|
         model = contagion_from_dict({"a30": 0.01, "a33": 0.01}, 3)
-        assert model.intensity_by_count(3, 0.0, 0) == pytest.approx(0.01, abs=1e-15)
-        assert model.intensity_by_count(3, 0.0, 2) == pytest.approx(0.03, abs=1e-15)
+        assert model.table(3).at(0.0, 0) == pytest.approx(0.01, abs=1e-15)
+        assert model.table(3).at(0.0, 2) == pytest.approx(0.03, abs=1e-15)
 
     def test_general_mode_table(self):
         table = PiecewiseTable(breaks=(1.0,), values=((0.1,), (0.3,)))
         model = replace(contagion_from_dict({}, 1), references=(table,))
-        assert model.intensity_by_count(1, 0.5, 0) == 0.1
-        assert model.intensity_by_count(1, 1.5, 0) == 0.3
-        assert model.intensity_by_count(1, 1.0, 0) == 0.3  # right-continuous pieces
+        assert model.table(1).at(0.5, 0) == 0.1
+        assert model.table(1).at(1.5, 0) == 0.3
+        assert model.table(1).at(1.0, 0) == 0.3  # right-continuous pieces
 
     def test_permutation_invariance_count_based(self):
         # states {1, 2} and {3, 4} have the same count, so the same intensities
         model = contagion_from_dict({"a30": 0.02, "a33": 0.015}, 4)
         a, b = bin(0b0011).count("1"), bin(0b1100).count("1")
-        assert model.intensity_by_count(3, 0.3, a) == model.intensity_by_count(1, 0.3, b)
-        assert model.intensity_by_count("C", 0.3, a) == model.intensity_by_count("C", 0.3, b)
+        assert model.table(3).at(0.3, a) == model.table(1).at(0.3, b)
+        assert model.table("C").at(0.3, a) == model.table("C").at(0.3, b)
 
     @given(
         a=st.floats(min_value=1e-4, max_value=1.0),
@@ -66,11 +68,11 @@ class TestIntensity:
         model = contagion_from_dict(
             {"a10": a, "a13": b, "a20": a, "a23": b, "a30": a, "a33": b}, 4)
         count = bin(mask).count("1")
-        assert model.intensity_by_count("I", t, count) > 0.0
-        assert model.intensity_by_count("C", t, count) > 0.0
+        assert model.table("I").at(t, count) > 0.0
+        assert model.table("C").at(t, count) > 0.0
         for i in range(1, 5):
             if not mask >> (i - 1) & 1:
-                assert model.intensity_by_count(i, t, count) > 0.0
+                assert model.table(i).at(t, count) > 0.0
 
     def test_breakpoints_merged_and_sorted(self):
         model = ContagionModel(
@@ -86,17 +88,24 @@ class TestIntensity:
     def test_min_intensity_scans_counts_and_pieces(self):
         table = PiecewiseTable(breaks=(1.0,), values=((0.3, 0.2), (0.5,)))
         model = replace(contagion_from_dict({"a30": 0.1}, 2), counterparty=table)
-        assert model.min_intensity("C", 2.0) == 0.2
-        assert model.min_intensity("C", 0.5) == 0.2
+        assert _min_intensity(model, "C", 2.0) == 0.2
+        assert _min_intensity(model, "C", 0.5) == 0.2
 
     def test_min_intensity_reads_each_entity_table(self):
         model = replace(
             contagion_from_dict({"a10": 0.2}, 2),
             references=(_as_table(0.2), _as_table({"breaks": [1.0], "values": [0.3, 0.0]})),
         )
-        assert model.min_intensity(1, 2.0) == 0.2
-        assert model.min_intensity(2, 0.5) == 0.3
-        assert model.min_intensity(2, 2.0) == 0.0
+        assert _min_intensity(model, 1, 2.0) == 0.2
+        assert _min_intensity(model, 2, 0.5) == 0.3
+        assert _min_intensity(model, 2, 2.0) == 0.0
+
+
+def _min_intensity(model, who, horizon):
+    """Least h_who over the pieces of [0, horizon) and every default count,
+    read as validate_assumptions reads it."""
+    starts = cut(model.breakpoints(), horizon)[:-1]
+    return model.table(who).rates(starts, np.arange(model.n + 1)).min()
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +132,27 @@ class TestPiecewiseTable:
         mapped = _as_table({"breaks": [1.0], "values": [0.1, [0.2, 0.4]]})
         assert mapped.at(0.5, 7) == 0.1
         assert mapped.at(1.5, 1) == 0.4
+
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=200)
+    def test_rates_equal_at_bit_for_bit(self, data):
+        # no break or several; rows shorter than the counts read (clamped);
+        # times at every break, before the first and past the last
+        breaks = sorted(data.draw(st.sets(st.floats(-5.0, 5.0), max_size=4)))
+        values = data.draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+                                    min_size=len(breaks) + 1, max_size=len(breaks) + 1))
+        table = PiecewiseTable(tuple(breaks), tuple(map(tuple, values)))
+        times = breaks + [-6.0, 6.0] + data.draw(st.lists(st.floats(-6.0, 6.0), max_size=5))
+        counts = data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=6))
+        expected = np.array([[table.at(t, k) for k in counts] for t in times])
+        got = table.rates(np.array(times), counts)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    def test_cut_keeps_the_distinct_breaks_inside(self):
+        assert cut((2.0, -1.0, 0.0, 0.5, 2.0, 3.0, 4.0), 3.0).tolist() == [0.0, 0.5, 2.0, 3.0]
+        assert cut((), 1.5).tolist() == [0.0, 1.5]
+        assert cut((1.0,), math.inf).tolist() == [0.0, 1.0, math.inf]
 
 
 class TestInvertHazard:
@@ -364,6 +394,59 @@ class TestValidation:
         report = validate_assumptions(cfg, model)
         assert not report.passed
         assert report.checks[0].rhs == cfg.r_D
+
+    def test_piece_before_time_zero_is_not_read(self, single_name_setup):
+        # the zero piece [-2, -1) ends before t = 0, where the pass and the
+        # sampler start; from 0 on the table is the shipped one
+        cfg, model, portfolio, _ = single_name_setup
+        early = replace(model, references=(
+            _as_table({"breaks": [-2.0, -1.0, 2.0], "values": [0.5, 0.0, 0.2999, 0.0999]}),))
+        for horizon in (portfolio.maturity, None):
+            report = validate_assumptions(cfg, early, horizon=horizon)
+            assert report == validate_assumptions(cfg, model, horizon=horizon)
+            assert report.passed
+
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=100)
+    def test_positive_breaks_validate_as_a_scan_of_every_piece(self, data):
+        # with every break positive, the checks are those of reading each
+        # table with ``at`` at 0 and at every break below the horizon
+        def table():
+            breaks = sorted(data.draw(st.sets(st.sampled_from([0.5, 1.0, 2.0, 4.0]))))
+            rows = st.lists(st.sampled_from([0.0, 0.05, 0.1, 0.2]), min_size=1, max_size=3)
+            return _as_table({"breaks": breaks, "values": data.draw(
+                st.lists(rows, min_size=len(breaks) + 1, max_size=len(breaks) + 1))})
+
+        n = data.draw(st.integers(0, 3))
+        model = ContagionModel(n=n, investor=table(), counterparty=table(), references=tuple(
+            table() for _ in range(data.draw(st.sampled_from(sorted({1, n or 1}))))))
+        rates = st.sampled_from([0.0, 0.01, 0.06, 0.15])
+        lower, width = data.draw(rates), data.draw(rates)
+        cfg = MarketConfig(
+            r_D=data.draw(rates), r_f_plus=data.draw(rates), r_f_minus=data.draw(rates),
+            r_m_plus=0.0, r_m_minus=0.0, mu_C_lower=lower, mu_C_upper=lower + width,
+            mu_C_true=data.draw(st.sampled_from([None, "model", 0.1])))
+        horizon = data.draw(st.sampled_from([None, 0.5, 1.5, 3.0]))
+        times = [0.0] + [b for b in model.breakpoints() if horizon is None or b < horizon]
+
+        def scan(who):
+            return [model.table(who).at(t, k) + cfg.r_D for t in times for k in range(n + 1)]
+
+        mu_min = min([min(scan(i)) for i in range(1, n + 1)] + [min(scan("I")), lower])
+        expected = [("r_D < min(mu_1..mu_N, mu_I, mu_C_lower)", cfg.r_D, mu_min),
+                    ("r_f_plus < min(mu_1..mu_N, mu_I, mu_C_lower)", cfg.r_f_plus, mu_min),
+                    ("r_D < mu_C_lower", cfg.r_D, lower)]
+        if n > 1:
+            expected.append(("r_f_minus < min(mu_1..mu_N, mu_I, mu_C_lower)",
+                             cfg.r_f_minus, mu_min))
+        if cfg.mu_C_true is not None:
+            mu_true = scan("C") if cfg.mu_C_true == "model" else [cfg.mu_C_true]
+            expected += [("mu_C_lower <= mu_C_true", lower - 1e-15, min(mu_true) + 1e-15),
+                         ("mu_C_true <= mu_C_upper", max(mu_true) - 1e-15,
+                          cfg.mu_C_upper + 1e-15)]
+        report = validate_assumptions(cfg, model, horizon=horizon)
+        assert [(c.name, c.lhs, c.rhs) for c in report.checks] == expected
+        assert all(type(c.rhs) is float for c in report.checks)
 
 
 # ---------------------------------------------------------------------------

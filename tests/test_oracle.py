@@ -84,10 +84,10 @@ def _reference_paths(model, portfolio, n_paths, seed, include_parties, h_C_true)
         for p in running:
             mask, t = state[p]
             k = len(events[p])
-            clocks = [(i, lambda tt, i=i: model.intensity_by_count(i, tt, k))
+            clocks = [(i, lambda tt, i=i: model.table(i).at(tt, k))
                       for i in range(1, n + 1)]
             if include_parties:
-                clocks.append(("I", lambda tt: model.intensity_by_count("I", tt, k)))
+                clocks.append(("I", lambda tt: model.table("I").at(tt, k)))
                 clocks.append(("C", lambda tt: h_C_true.at(tt, k)))
             best_t, best_who = math.inf, None
             for (who, h), draw in zip(clocks, [rng.exponential() for _ in clocks]):
