@@ -32,15 +32,22 @@ included. Its line holds the point count, the failed points and the fastest
 of ``--repeat`` runs as ``sweep_s``; the first run of a process also pays for
 any module that ``run_sweep`` imports on its first call.
 
+The start workload ``C1`` runs ``python -m rxva.cli price`` on the
+single-name config in a fresh process, with ``PYTHONPATH`` set to the ``src``
+it times. Its line holds the fastest of ``--repeat`` runs as ``wall_s`` and
+the lowest peak resident memory, from ``os.wait4``'s ``ru_maxrss``, as
+``peak_rss_mb``: the interpreter's start and the package's imports included.
+
 With ``--baseline DIR`` it compares this tree's pass with that of the
 checkout ``DIR`` instead: each round times one run of every chosen workload
 from ``DIR/src`` and one from this tree's ``src``, each in a fresh
 subprocess, in alternating order. It prints one JSON line per workload with
 the two medians over ``--repeat`` rounds (``pass_s``, ``verify_s`` for
-``V1``, ``drift_s`` for ``D1`` and ``D4`` or ``sweep_s`` for ``S9``) and the
-number of rounds in which this tree was faster. Each round is one run in a
-fresh process, so ``sweep_s`` there counts ``run_sweep``'s first-call
-imports.
+``V1``, ``drift_s`` for ``D1`` and ``D4``, ``sweep_s`` for ``S9``, or
+``wall_s`` and ``peak_rss_mb`` for ``C1``) and the number of rounds in which
+this tree was faster; for ``C1`` also the rounds in which its peak memory was
+lower. Each round is one run in a fresh process, so ``sweep_s`` there counts
+``run_sweep``'s first-call imports.
 
 Usage: ``python scripts/pass_timer.py [--repeat K] [--baseline DIR] [WORKLOAD ...]``
 """
@@ -49,15 +56,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+import rxva  # noqa: E402
 from rxva import oracle, sweeps, xva  # noqa: E402
 from rxva.engine import run_engine  # noqa: E402
 from rxva.market import market_from_dict  # noqa: E402
@@ -93,6 +103,11 @@ DRIFT_WORKLOADS = {"D1": ("W1", 5), "D4": ("W4", 3)}
 
 # name -> (config document, parameter, sweep points, grid points, default repeats)
 SWEEP_WORKLOADS = {"S9": (_config("five_name_benchmark.json"), "a30", 9, 50, 5)}
+
+# name -> (CLI arguments, default repeats)
+CLI_WORKLOADS = {
+    "C1": (("price", "--config", str(ROOT / "configs" / "single_name_switching.json")), 5),
+}
 
 
 class Timer:
@@ -195,6 +210,24 @@ def measure_sweep(name: str, repeat: int | None) -> dict:
             "sweep_s": min(runs)}
 
 
+def measure_cli(name: str, repeat: int | None) -> dict:
+    args, default_repeat = CLI_WORKLOADS[name]
+    env = dict(os.environ, PYTHONPATH=str(Path(rxva.__file__).resolve().parents[1]))
+    runs = []
+    with tempfile.TemporaryDirectory() as out:
+        for _ in range(repeat or default_repeat):
+            start = time.perf_counter()
+            proc = subprocess.Popen([sys.executable, "-m", "rxva.cli", *args, "--out-dir", out],
+                                    env=env, stdout=subprocess.DEVNULL)
+            _, status, usage = os.wait4(proc.pid, 0)  # reaps it: Popen must not wait
+            runs.append((time.perf_counter() - start, usage.ru_maxrss / 1024.0))
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            if proc.returncode:
+                raise SystemExit(f"{name} exited with {proc.returncode}")
+    return {"workload": name, "repeat": len(runs), "wall_s": min(w for w, _ in runs),
+            "peak_rss_mb": min(m for _, m in runs)}
+
+
 # A --baseline round's child: imports the package from the given src first,
 # so that the script, which then puts its own src first, times that tree.
 _CHILD = """\
@@ -206,40 +239,51 @@ runpy.run_path(sys.argv[0], run_name="__main__")
 """
 
 
-def _time_once(name: str, src: Path, key: str) -> float:
+def _run_once(name: str, src: Path) -> dict:
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, str(src), str(Path(__file__).resolve()),
          "--repeat", "1", name], capture_output=True, text=True)
     if proc.returncode:
         raise SystemExit(f"{name} from {src} failed:\n{proc.stderr}")
-    return json.loads(proc.stdout)[key]
+    return json.loads(proc.stdout)
 
 
 def compare(name: str, baseline: Path, repeat: int | None) -> dict:
-    """Paired times of ``name``: the baseline's and this tree's."""
+    """Paired measures of ``name``: the baseline's and this tree's."""
     if name in VERIFY_WORKLOADS:
-        key, default_repeat = "verify_s", VERIFY_WORKLOADS[name][3]
+        keys, default_repeat = ("verify_s",), VERIFY_WORKLOADS[name][3]
     elif name in DRIFT_WORKLOADS:
-        key, default_repeat = "drift_s", DRIFT_WORKLOADS[name][1]
+        keys, default_repeat = ("drift_s",), DRIFT_WORKLOADS[name][1]
     elif name in SWEEP_WORKLOADS:
-        key, default_repeat = "sweep_s", SWEEP_WORKLOADS[name][4]
+        keys, default_repeat = ("sweep_s",), SWEEP_WORKLOADS[name][4]
+    elif name in CLI_WORKLOADS:
+        keys, default_repeat = ("wall_s", "peak_rss_mb"), CLI_WORKLOADS[name][1]
     else:
-        key, default_repeat = "pass_s", WORKLOADS[name][3]
+        keys, default_repeat = ("pass_s",), WORKLOADS[name][3]
     sides = [("baseline", baseline / "src"), ("this", ROOT / "src")]
-    times = {"baseline": [], "this": []}
+    runs = {"baseline": [], "this": []}
     rounds = repeat or default_repeat
     for i in range(rounds):
         for side, src in sides if i % 2 == 0 else sides[::-1]:
-            times[side].append(_time_once(name, src, key))
-    return {"workload": name, "rounds": rounds,
-            f"baseline_{key}": statistics.median(times["baseline"]),
-            key: statistics.median(times["this"]),
-            "faster_rounds": sum(t < b for t, b in zip(times["this"], times["baseline"]))}
+            runs[side].append(_run_once(name, src))
+
+    def lower(key):
+        return sum(t[key] < b[key] for t, b in zip(runs["this"], runs["baseline"]))
+
+    line = {"workload": name, "rounds": rounds}
+    for key in keys:
+        line[f"baseline_{key}"] = statistics.median(r[key] for r in runs["baseline"])
+        line[key] = statistics.median(r[key] for r in runs["this"])
+    line["faster_rounds"] = lower(keys[0])
+    if "peak_rss_mb" in keys:
+        line["lower_rss_rounds"] = lower("peak_rss_mb")
+    return line
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    names = [*WORKLOADS, *VERIFY_WORKLOADS, *DRIFT_WORKLOADS, *SWEEP_WORKLOADS]
+    names = [*WORKLOADS, *VERIFY_WORKLOADS, *DRIFT_WORKLOADS, *SWEEP_WORKLOADS,
+             *CLI_WORKLOADS]
     parser.add_argument("workloads", nargs="*", metavar="WORKLOAD",
                         help=f"any of {', '.join(names)} (default: all)")
     parser.add_argument("--repeat", type=int, default=None,
@@ -265,6 +309,8 @@ def main(argv=None) -> int:
             line = measure_drift(name, args.repeat)
         elif name in SWEEP_WORKLOADS:
             line = measure_sweep(name, args.repeat)
+        elif name in CLI_WORKLOADS:
+            line = measure_cli(name, args.repeat)
         else:
             line = measure(name, timer, args.repeat)
         print(json.dumps(line), flush=True)

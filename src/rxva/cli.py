@@ -14,7 +14,6 @@ the override flag, 4 verification failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import math
 import sys
 import time
@@ -215,10 +214,16 @@ def main(argv=None) -> int:
         print("rerun with --allow-assumption-violation to proceed anyway",
               file=sys.stderr)
         return EXIT_ASSUMPTION
+    # CPython's own SHA-256 gives hashlib's digest without mapping OpenSSL's
+    # libcrypto (about 3.6 MiB resident) for this one call
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        from _sha256 import sha256  # Python 3.10-3.11
     # identical manifests (wall clock aside) imply byte-identical artifacts
     write_json(out_dir / "manifest.json", {
         "subcommand": args.command,
-        "config_sha256": hashlib.sha256(Path(args.config).read_bytes()).hexdigest(),
+        "config_sha256": sha256(Path(args.config).read_bytes()).hexdigest(),
         "engine_version": __version__,
         "seed": getattr(args, "seed", None),
         "grid_points": args.grid_points,

@@ -75,7 +75,7 @@ def run_engine(
     than MAX_LATTICE_CELLS, or whose step would be longer than
     MAX_STEP_SOURCE, is refused with ConfigError before any of it is built.
     """
-    report = validate_assumptions(cfg, model, horizon=portfolio.maturity)
+    report = validate_assumptions(cfg, model, horizon=portfolio.maturity, physical=model_P)
     if not report.passed and not allow_assumption_violation:
         raise AssumptionError(report)
     space = choose_state_space(model, portfolio, force_full=force_full)

@@ -331,7 +331,8 @@ class AssumptionError(RuntimeError):
 
 
 def validate_assumptions(
-    cfg: MarketConfig, model: ContagionModel, horizon: float | None = None
+    cfg: MarketConfig, model: ContagionModel, horizon: float | None = None,
+    physical: ContagionModel | None = None,
 ) -> ValidationReport:
     """Checks the rate inequalities required for an arbitrage-free market.
 
@@ -342,8 +343,11 @@ def validate_assumptions(
     r_f- below the same minimum.  The true counterparty rate must lie in the
     band; with ``mu_C_true = "model"`` that is h_C(t, J) + r_D.  Intensities
     are read on each time piece meeting [0, horizon), at every default count.
+    A ``physical`` model other than ``model`` (a ``physical_contagion``
+    block) must give no party a negative intensity there.
     """
-    starts = cut(model.breakpoints(), math.inf if horizon is None else horizon)[:-1]
+    horizon = math.inf if horizon is None else horizon
+    starts = cut(model.breakpoints(), horizon)[:-1]
     counts = np.arange(model.n + 1)
     tables = (*model.references[:model.n], model.investor)  # no reference table without names
     mu_min = min(min(float(tab.rates(starts, counts).min()) for tab in tables) + cfg.r_D,
@@ -369,6 +373,14 @@ def validate_assumptions(
         ))
         checks.append(InequalityCheck(
             "mu_C_true <= mu_C_upper", max(mu_true) - 1e-15, cfg.mu_C_upper + 1e-15
+        ))
+    if physical is not None and physical is not model:
+        starts = cut(physical.breakpoints(), horizon)[:-1]
+        tables = (*physical.references[:physical.n], physical.investor, physical.counterparty)
+        # the least float below 0 < h_min holds exactly when h_min >= 0
+        checks.append(InequalityCheck(
+            "0 <= min(physical_contagion intensities)", -math.ulp(0.0),
+            min(float(tab.rates(starts, counts).min()) for tab in tables),
         ))
     return ValidationReport(tuple(checks))
 

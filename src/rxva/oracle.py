@@ -131,7 +131,7 @@ def simulate_paths(
         party=np.zeros(n_paths, dtype=np.int8),
         party_time=np.full(n_paths, math.inf),
     )
-    live = np.arange(n_paths)
+    live = np.arange(n_paths, dtype=np.int32)  # MAX_PATH_SLOTS fits, in half the bytes
     for r in range(n + 1):  # every live path has r reference defaults
         if not live.size:
             break

@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import hashlib
 import json
 import math
 import os
@@ -486,6 +487,26 @@ class TestExitCodes:
         for name in ("xva.csv", "regime.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    def test_negative_physical_intensity_fails_validation(self, tmp_path, capsys):
+        # the initial margin reads the physical model: a negative piece that
+        # meets [0, T) is refused as a negative risk-neutral one is, and a
+        # piece that ends before t = 0 is not read
+        doc = json.loads(SINGLE_NAME.read_text(encoding="utf-8"))
+        doc["portfolio"]["collateral"]["beta"] = 0.5
+        doc["physical_contagion"] = {"investor_table": 0.2, "counterparty_table": 0.2,
+                                     "reference_tables": [-0.5]}
+        out = tmp_path / "o"
+        args = ("price", "--config", str(_write_config(tmp_path, doc)), "--out-dir", str(out),
+                "--grid-points", "100")
+        assert _run(*args) == cli.EXIT_ASSUMPTION
+        assert "physical_contagion" in capsys.readouterr().err
+        assert not (out / "margins.csv").exists()
+        assert _run(*args, "--allow-assumption-violation") == cli.EXIT_OK
+        doc["physical_contagion"]["reference_tables"] = [{"breaks": [-1.0], "values": [-0.5, 0.3]}]
+        args = ("price", "--config", str(_write_config(tmp_path, doc)), "--out-dir",
+                str(tmp_path / "early"), "--grid-points", "100")
+        assert _run(*args) == cli.EXIT_OK
+
     def test_oversized_lattice_refused(self, tmp_path, capsys, monkeypatch):
         # five names over 201 nodes: 6 * 201 cells homogeneous, 32 * 201 full
         monkeypatch.setattr(engine, "MAX_LATTICE_CELLS", 2000)
@@ -706,15 +727,36 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
-    # run_sweep forks its workers with os.fork, so no CLI start loads a process pool
+    # run_sweep forks its workers with os.fork, so no CLI start loads a process
+    # pool; the manifest's digest needs no hashlib, so none maps OpenSSL either
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     probe = ("import sys, rxva.cli; print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+             "if m.split('.')[0] in ('multiprocessing', 'concurrent', '_hashlib')))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", [("price",), ("xva",)])
+def test_cli_run_leaves_openssl_unloaded(tmp_path, command):
+    # config_sha256 is CPython's own SHA-256: the digest hashlib gives, with
+    # no _hashlib (OpenSSL) loaded by the run
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = tmp_path / "out"
+    probe = ("import sys, rxva.cli; rc = rxva.cli.main(sys.argv[1:]); "
+             "print(rc, '_hashlib' in sys.modules)")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, *command, "--config", str(SINGLE_NAME),
+         "--out-dir", str(out), "--grid-points", "50"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config_sha256"] == hashlib.sha256(SINGLE_NAME.read_bytes()).hexdigest()
 
 
 def test_benchmark_trace_hooks_bind():
@@ -837,3 +879,27 @@ def test_pass_timer_times_the_drift_identity():
     assert (paired["workload"], paired["rounds"]) == ("D1", 1)
     assert paired["faster_rounds"] in (0, 1)
     assert paired["baseline_drift_s"] > 0.0 and paired["drift_s"] > 0.0
+
+
+def test_pass_timer_times_a_cli_start():
+    # C1 runs `python -m rxva.cli price` on the single-name config in a fresh
+    # process, alone and paired with a baseline checkout (here this tree)
+    root = Path(cli.__file__).resolve().parents[2]
+    script = str(root / "scripts" / "pass_timer.py")
+    lines = []
+    for args in (["--repeat", "1", "C1"], ["--baseline", ".", "--repeat", "1", "C1"]):
+        proc = subprocess.run([sys.executable, script, *args], cwd=root, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert len(proc.stdout.splitlines()) == 1
+        lines.append(json.loads(proc.stdout))
+    alone, paired = lines
+    assert set(alone) == {"workload", "repeat", "wall_s", "peak_rss_mb"}
+    assert (alone["workload"], alone["repeat"]) == ("C1", 1)
+    assert alone["wall_s"] > 0.0 and alone["peak_rss_mb"] > 0.0
+    assert set(paired) == {"workload", "rounds", "baseline_wall_s", "wall_s",
+                           "baseline_peak_rss_mb", "peak_rss_mb", "faster_rounds",
+                           "lower_rss_rounds"}
+    assert (paired["workload"], paired["rounds"]) == ("C1", 1)
+    assert paired["faster_rounds"] in (0, 1) and paired["lower_rss_rounds"] in (0, 1)
+    assert paired["baseline_peak_rss_mb"] > 0.0 and paired["peak_rss_mb"] > 0.0

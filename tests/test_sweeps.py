@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -274,13 +275,16 @@ class TestParallelSweep:
         assert "every sweep point failed" not in stderr
 
     def test_a_cli_sweep_imports_no_process_pool(self, tmp_path):
+        # nor _hashlib (OpenSSL): the manifest's digest is CPython's own
+        # SHA-256, equal to hashlib's
         src = Path(sweeps.__file__).resolve().parents[1]
         script = (
             "import sys\n"
             "import rxva.cli as cli\n"
             "rc = cli.main(['sweep', '--config', sys.argv[1], '--out-dir', sys.argv[2],\n"
             "               '--param', 'alpha', '--points', '3', '--grid-points', '50'])\n"
-            "print(rc, sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
+            "print(rc, sorted({'multiprocessing', 'concurrent.futures', '_hashlib'}\n"
+            "                 & set(sys.modules)))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script, str(SINGLE_NAME), str(tmp_path / "out")],
@@ -288,6 +292,8 @@ class TestParallelSweep:
             timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0", "[]"]
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["config_sha256"] == hashlib.sha256(SINGLE_NAME.read_bytes()).hexdigest()
 
     def test_no_thread_is_started_and_no_child_is_left(self, monkeypatch):
         started = []
