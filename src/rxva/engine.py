@@ -40,6 +40,7 @@ class EngineResult:
     space: StateSpace
     clean: np.ndarray
     margins: MarginSchedule
+    solution: np.ndarray  # the pass's (columns x nodes) array; every surface is a row block
     xva: dict[str, XvaResult] = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)
     bind: Callable | None = None  # the XVA pass's xva._binder; None for the clean value alone
@@ -70,10 +71,11 @@ def run_engine(
     schedule is built first.  One lattice pass then integrates the clean
     value together with every requested variant (the clean value alone when
     none is requested), and the variation margin is set from its clean rows.
-    ``timings`` holds the wall time of that pass, and ``bind`` the binder
-    of its step when it solved a variant.  A lattice of more cells
-    than MAX_LATTICE_CELLS, or whose step would be longer than
-    MAX_STEP_SOURCE, is refused with ConfigError before any of it is built.
+    ``solution`` is the pass's array, ``timings`` holds the wall time of
+    that pass, and ``bind`` the binder of its step when it solved a
+    variant.  A lattice of more cells than MAX_LATTICE_CELLS, or whose step
+    would be longer than MAX_STEP_SOURCE, is refused with ConfigError
+    before any of it is built.
     """
     report = validate_assumptions(cfg, model, horizon=portfolio.maturity, physical=model_P)
     if not report.passed and not allow_assumption_violation:
@@ -92,10 +94,13 @@ def run_engine(
     margins = margin_schedule(model if model_P is None else model_P, portfolio, grid, space)
     t0 = time.perf_counter()
     if variants:
-        clean, xva, bind = solve_xva(cfg, model, portfolio, grid, space, margins, variants)
+        clean, xva, bind, solution = solve_xva(cfg, model, portfolio, grid, space, margins,
+                                               variants)
     else:
-        clean, xva, bind = solve_clean(cfg, model, portfolio, grid, space), {}, None
+        clean = solution = solve_clean(cfg, model, portfolio, grid, space)
+        xva, bind = {}, None
         margins.settle(clean)
     timings = {"pass": time.perf_counter() - t0}
     return EngineResult(cfg=cfg, model=model, portfolio=portfolio, grid=grid, space=space,
-                        clean=clean, margins=margins, xva=xva, timings=timings, bind=bind)
+                        clean=clean, margins=margins, solution=solution, xva=xva,
+                        timings=timings, bind=bind)

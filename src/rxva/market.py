@@ -480,7 +480,11 @@ def contagion_from_dict(doc: dict, n: int, where: str = "contagion") -> Contagio
 
     if "reference_tables" in doc:
         specs = doc["reference_tables"]
-        references = tuple(_as_table(s) for s in (specs if isinstance(specs, list) else [specs]))
+        if "reference_table" in doc:
+            raise ConfigError(f"{where} gives both reference_table and reference_tables")
+        if not isinstance(specs, list):
+            raise ConfigError(f"{where}.reference_tables must be a list, got {specs!r}")
+        references = tuple(_as_table(s) for s in specs)
     else:
         references = (table("reference_table", "a30", "a33"),)
     return ContagionModel(

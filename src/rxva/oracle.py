@@ -330,17 +330,9 @@ def mc_xva_closeout(
 WEALTH_TOLERANCE = 1e-8  # a surplus below minus this violates dominance
 
 
-@dataclass
-class WealthReport:
-    n_paths: int
-    violations: int
-    worst_margin: float
-    mean_surplus: float
-
-
-def pathwise_wealth_check(result: EngineResult, which: str, n_paths: int,
-                          seed: int) -> WealthReport:
-    """Pathwise dominance audit of the robust (or lower) strategy.
+def pathwise_wealth_check(result: EngineResult, which: str, n_paths: int, seed: int) -> dict:
+    """Pathwise dominance audit of the robust (or lower) strategy, as its
+    ``verify`` entry.
 
     The strategy holds the prescribed positions at all times; their value
     follows the corresponding XVA surface, is continuous across reference
@@ -349,7 +341,10 @@ def pathwise_wealth_check(result: EngineResult, which: str, n_paths: int,
     the surplus rate integrated in the pocket surface, so terminal wealth
     equals the rXVA payoff plus the accumulated pocket.  Dominance requires
     the pocket to stay nonnegative for the upper strategy (nonpositive for
-    the lower one).
+    the lower one).  The entry gives the path count, the paths whose surplus
+    is below minus WEALTH_TOLERANCE, the worst surplus, the mean surplus
+    (``mean_surplus`` for the upper strategy, ``mean_deficit`` for the
+    lower) and whether no path violated.
     """
     if which not in ("upper", "lower"):
         raise ValueError("which must be 'upper' or 'lower'")
@@ -377,12 +372,10 @@ def pathwise_wealth_check(result: EngineResult, which: str, n_paths: int,
         t_prev[rows] = t_ev
     pocket += _at(grid, surfaces, key, t_prev)[0] - _at(grid, surfaces, key, end)[0]
     surplus = (1.0 if which == "upper" else -1.0) * pocket
-    return WealthReport(
-        n_paths=n_paths,
-        violations=int(np.count_nonzero(surplus < -WEALTH_TOLERANCE)),
-        worst_margin=float(surplus.min()),
-        mean_surplus=float(surplus.mean()),
-    )
+    violations = int(np.count_nonzero(surplus < -WEALTH_TOLERANCE))
+    return {"paths": n_paths, "violations": violations, "worst_margin": float(surplus.min()),
+            "mean_surplus" if which == "upper" else "mean_deficit": float(surplus.mean()),
+            "passed": violations == 0}
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +391,8 @@ def drift_identity_error(result: EngineResult, which: str = "upper") -> float:
     At every sampled node and state, the wealth drift of the ``which``
     holdings under the true counterparty rate must equal minus the reduced
     driver under that rate: the pass's own step (``result.bind``), run on
-    the node's columns as one stage of weight 1 from a base of -0.0, gives
+    the node's column of the pass's array (``result.solution``) as one
+    stage of weight 1 from a base of -0.0, gives
     the ``which`` block's slope less its pocket's surplus rate (``actual``
     has the true rate and no pocket).
     """
@@ -407,18 +401,12 @@ def drift_identity_error(result: EngineResult, which: str = "upper") -> float:
     if h_true is None:
         raise ValueError("the drift identity requires mu_C_true")
     space, grid, margins, size = result.space, result.grid, result.margins, result.space.size
-    layout, n_blocks = _layout(cfg, tuple(result.xva))
-    blocks = [result.clean] * n_blocks  # the pass's row blocks
-    for name, b, p in layout:
-        blocks[b] = result.xva[name].surface
-        if p is not None:
-            blocks[p] = result.xva[name].pocket
-    b, p = {name: (b, p) for name, b, p in layout}[which]
+    b, p = {name: (b, p) for name, b, p in _layout(cfg, tuple(result.xva))[0]}[which]
     surface = result.xva[which].surface
     times = grid[::DRIFT_STRIDE]
     index, bundles = lattice_coefficients(cfg, model, portfolio, space, times)
     steps = [result.bind(states) for states in bundles]
-    base = [-0.0] * (n_blocks * size)
+    base = [-0.0] * len(result.solution)
     counts = np.array([space.count(key) for key in space.keys])
     # account rates h + r_D at every sampled node and state: the investor's, then each name's
     mu = np.stack([model.table(who).rates(times, counts)
@@ -427,9 +415,8 @@ def drift_identity_error(result: EngineResult, which: str = "upper") -> float:
     worst = 0.0
     for i, j in enumerate(range(0, len(grid), DRIFT_STRIDE)):
         im = margins.im[:, j].tolist()
-        y = np.concatenate([rows[:, j] for rows in blocks]).tolist()
-        g = np.reshape(steps[index[i]](im, im, ((0.0, 1.0, None),), 1.0, y, base),
-                       (n_blocks, size))
+        y = result.solution[:, j].tolist()
+        g = np.reshape(steps[index[i]](im, im, ((0.0, 1.0, None),), 1.0, y, base), (-1, size))
         driver = g[b] - (0.0 if p is None else g[p])
         holdings = robust_strategy(space, surface, result.clean, margins.m, portfolio, j)
         drift = wealth_drift(cfg, portfolio, holdings, mu[i], mu_true[i])
@@ -440,6 +427,13 @@ def drift_identity_error(result: EngineResult, which: str = "upper") -> float:
 # ---------------------------------------------------------------------------
 # Verification report
 # ---------------------------------------------------------------------------
+
+def _within_3se(estimate: tuple[float, float], ode) -> dict:
+    """The entry of a Monte Carlo ``(mean, se)`` checked against the ODE's root value."""
+    mc, se = estimate
+    ode = float(ode)
+    return {"mc": mc, "se": se, "ode": ode, "within_3se": abs(mc - ode) <= 3.0 * se + 1e-12}
+
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite number is refused instead
 def verify(result: EngineResult, n_paths: int, seed: int) -> dict:
@@ -453,30 +447,18 @@ def verify(result: EngineResult, n_paths: int, seed: int) -> dict:
     checks: dict = {}
     report: dict = {"n_paths": n_paths, "seed": seed, "checks": checks}
 
-    est, se = mc_clean_value(cfg, model, portfolio, n_paths, seed)
-    ode_v0 = float(result.clean[result.space.root(), 0])
-    checks["clean_value"] = {
-        "mc": est, "se": se, "ode": ode_v0,
-        "within_3se": abs(est - ode_v0) <= 3.0 * se + 1e-12,
-    }
+    root = result.space.root()
+    checks["clean_value"] = _within_3se(mc_clean_value(cfg, model, portfolio, n_paths, seed),
+                                        result.clean[root, 0])
 
     if "actual" in result.xva and is_linear_driver(cfg, portfolio):
-        mc_u, mc_se = mc_xva_closeout(result, n_paths, seed + 1)
-        ode_u0 = float(result.xva["actual"].surface[result.space.root(), 0])
-        checks["xva_closeout"] = {
-            "mc": mc_u, "se": mc_se, "ode": ode_u0,
-            "within_3se": abs(mc_u - ode_u0) <= 3.0 * mc_se + 1e-12,
-        }
+        checks["xva_closeout"] = _within_3se(mc_xva_closeout(result, n_paths, seed + 1),
+                                             result.xva["actual"].surface[root, 0])
 
-    for which, name, mean_key, offset in (("upper", "dominance", "mean_surplus", 2),
-                                          ("lower", "subreplication", "mean_deficit", 3)):
+    for which, name, offset in (("upper", "dominance", 2), ("lower", "subreplication", 3)):
         if which in result.xva and cfg.mu_C_true is not None:
-            rep = pathwise_wealth_check(result, which, min(n_paths, 10_000), seed + offset)
-            checks[name] = {
-                "paths": rep.n_paths, "violations": rep.violations,
-                "worst_margin": rep.worst_margin, mean_key: rep.mean_surplus,
-                "passed": rep.violations == 0,
-            }
+            checks[name] = pathwise_wealth_check(result, which, min(n_paths, 10_000),
+                                                 seed + offset)
 
     if "upper" in result.xva and cfg.mu_C_true is not None:
         err = drift_identity_error(result, "upper")

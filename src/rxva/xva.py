@@ -441,14 +441,14 @@ def solve_xva(
     space: StateSpace,
     margins: MarginSchedule,
     variants: tuple[str, ...],
-) -> tuple[np.ndarray, dict[str, XvaResult], Callable]:
+) -> tuple[np.ndarray, dict[str, XvaResult], Callable, np.ndarray]:
     """Solves every requested variant jointly with the clean value, in one pass.
 
-    Returns the clean surface of the pass, one result per variant and the
-    pass's ``bind``, and settles ``margins`` (vm and m) on that clean
-    surface.  The upper and lower results carry the regime selected at
-    every node and, when mu_C_true is set, the pocket surface.  Every
-    surface is a row block of the pass's array.
+    Returns the clean surface of the pass, one result per variant, the
+    pass's ``bind`` and the pass's array, and settles ``margins`` (vm and
+    m) on that clean surface.  The upper and lower results carry the
+    regime selected at every node and, when mu_C_true is set, the pocket
+    surface.  Every surface is a row block of the pass's array.
     """
     path, bind = _joint_pass(cfg, model, portfolio, grid, space, margins, variants)
 
@@ -471,4 +471,4 @@ def solve_xva(
         result.regime = np.where(z_C == 0.0, REGIME_TIE, np.where(hi, REGIME_HI, REGIME_LO))
         if pocket is not None:
             result.pocket = rows(pocket)
-    return clean, results, bind
+    return clean, results, bind, path

@@ -13,6 +13,7 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 SINGLE_NAME = CONFIG_DIR / "single_name_switching.json"
 FIVE_NAME = CONFIG_DIR / "five_name_benchmark.json"
+TWO_CLASS = CONFIG_DIR / "two_class_contagion.json"
 
 
 @pytest.fixture(scope="session")

@@ -372,12 +372,12 @@ def test_ac07_superreplication_dominance(single_name_result):
     assert abs(res.cfg.mu_C_true - band_mid) < 1e-12
     upper = pathwise_wealth_check(res, "upper", 10_000, seed=103)
     lower = pathwise_wealth_check(res, "lower", 10_000, seed=104)
-    ok = WEALTH_TOLERANCE == 1e-8 and upper.violations == 0 and lower.violations == 0
+    ok = WEALTH_TOLERANCE == 1e-8 and upper["violations"] == 0 and lower["violations"] == 0
     _report("AC-07", ok,
             f"10^4 Q-paths at the band midpoint: upper violations "
-            f"{upper.violations} (worst margin {upper.worst_margin:.2e}), "
-            f"lower violations {lower.violations} "
-            f"(worst margin {lower.worst_margin:.2e}); tolerance 1e-8")
+            f"{upper['violations']} (worst margin {upper['worst_margin']:.2e}), "
+            f"lower violations {lower['violations']} "
+            f"(worst margin {lower['worst_margin']:.2e}); tolerance 1e-8")
 
 
 def test_ac08_homogeneous_reduction():

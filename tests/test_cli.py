@@ -54,6 +54,15 @@ def _minimal_doc():
     }
 
 
+def _case_ids(cases):
+    """Each case's command and key path; a repeated one also names its value's type."""
+    ids = []
+    for command, where, bad, _message in cases:
+        name = f"{command[0]}-{'.'.join(map(str, where))}"
+        ids.append(f"{name}-{type(bad).__name__}" if name in ids else name)
+    return ids
+
+
 class TestPrice:
     def test_artifacts_written(self, tmp_path):
         out = tmp_path / "out"
@@ -410,11 +419,16 @@ class TestExitCodes:
         (("price",), ("portfolio", "contracts"), 5, "contracts must be a list"),
         (("price",), ("physical_contagion",), [1], "physical_contagion must be a JSON object"),
         (("price",), ("contagion", "reference_tables"), [{"values": [[]]}], "nonempty list"),
+        (("price",), ("contagion", "reference_tables"), {"values": [0.3]},
+         "reference_tables must be a list"),
+        (("price",), ("contagion", "reference_tables"), 0.3, "reference_tables must be a list"),
+        (("price",), ("contagion",),
+         {"a10": 0.2, "a20": 0.2, "reference_table": 0.3, "reference_tables": [0.3]},
+         "both reference_table and reference_tables"),
     ]
 
     @pytest.mark.parametrize("command, where, bad, message", _MALFORMED_BLOCKS,
-                             ids=[f"{c[0]}-{'.'.join(map(str, w))}"
-                                  for c, w, _, _ in _MALFORMED_BLOCKS])
+                             ids=_case_ids(_MALFORMED_BLOCKS))
     def test_malformed_block_refused(self, tmp_path, capsys, command, where, bad, message):
         doc = _minimal_doc()
         node = doc

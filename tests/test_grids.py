@@ -165,6 +165,7 @@ class TestSurfaceArrays:
         # one base array, cut into consecutive (states x nodes) row blocks
         base = res.clean.base
         assert base is not None and base.shape == (len(blocks) * shape[0], shape[1])
+        assert res.solution is base  # the result keeps the pass's array
         assert all(b.base is base for b in blocks)
         starts = sorted((b.ctypes.data - base.ctypes.data) // b.nbytes for b in blocks)
         assert starts == list(range(len(blocks)))

@@ -372,16 +372,21 @@ class TestMcXvaCloseout:
 
 
 class TestPathwiseWealth:
+    # the check returns its verify entry as it stands
     def test_upper_dominates(self, single_name_result):
         rep = pathwise_wealth_check(single_name_result, "upper", 2_000, seed=16)
-        assert rep.violations == 0
-        assert rep.worst_margin >= -1e-8
-        assert rep.mean_surplus >= 0.0
+        assert list(rep) == ["paths", "violations", "worst_margin", "mean_surplus", "passed"]
+        assert rep["paths"] == 2_000 and rep["passed"] is True
+        assert rep["violations"] == 0
+        assert rep["worst_margin"] >= -1e-8
+        assert rep["mean_surplus"] >= 0.0
 
     def test_lower_subreplicates(self, single_name_result):
         rep = pathwise_wealth_check(single_name_result, "lower", 2_000, seed=17)
-        assert rep.violations == 0
-        assert rep.worst_margin >= -1e-8
+        assert list(rep) == ["paths", "violations", "worst_margin", "mean_deficit", "passed"]
+        assert rep["paths"] == 2_000 and rep["passed"] is True
+        assert rep["violations"] == 0
+        assert rep["worst_margin"] >= -1e-8
 
     def test_bad_variant(self, single_name_result):
         with pytest.raises(ValueError):

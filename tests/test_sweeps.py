@@ -25,7 +25,7 @@ from rxva.sweeps import (
     sweep_point,
 )
 
-from conftest import FIVE_NAME, SINGLE_NAME
+from conftest import FIVE_NAME, SINGLE_NAME, TWO_CLASS
 from references import is_monotone
 
 
@@ -162,6 +162,22 @@ class TestRunSweep:
         doc["contagion"]["reference_table"] = doc["contagion"].pop("reference_tables")[0]
         with pytest.raises(ConfigError, match=r"contagion\.reference_table in"):
             run_sweep(doc, SweepSpec(param="a33", values=(0.1, 0.2)), grid_points=50)
+
+    def test_contagion_is_nonlinear_beyond_the_step_error(self):
+        # the paper's claim that credit contagion moves the bounds, the actual
+        # XVA and the root holdings nonlinearly: over a33 within half its value
+        # of the two-class config, every second difference of the root values
+        # exceeds, by a factor of 1000, any change from 1000 to 2000 steps
+        with open(TWO_CLASS, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        spec = SweepSpec(param="a33", values=default_grid(doc["contagion"]["a33"], points=9))
+        assert (spec.values[0], spec.values[-1]) == pytest.approx((0.0025, 0.0075))
+        coarse, fine = (run_sweep(doc, spec, grid_points=n) for n in (1000, 2000))
+        columns = ("xva_lower", "xva_actual", "xva_upper", "xi_ref_val")
+        assert all(r.ok for r in coarse.rows + fine.rows)
+        curvature = min(np.abs(np.diff(fine.column(c), 2)).min() for c in columns)
+        step_error = max(np.abs(fine.column(c) - coarse.column(c)).max() for c in columns)
+        assert curvature > 1000.0 * step_error, (curvature, step_error)
 
     def test_failed_points_recorded_and_skipped(self):
         doc = _load_doc()

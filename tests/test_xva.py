@@ -29,7 +29,7 @@ from rxva.xva import (
     solve_xva,
 )
 
-from conftest import FIVE_NAME, SINGLE_NAME
+from conftest import FIVE_NAME, SINGLE_NAME, TWO_CLASS
 from references import lattice_rhs, loop_lattice_rhs, loop_pass, solve_value_direct
 
 
@@ -545,6 +545,12 @@ class TestPlugInOrdering:
         lower, at_low, at_high, upper = (u[0, 0] for u in _plug_ins(_load_doc(), 2000))
         assert upper > max(at_low, at_high)
         assert lower < min(at_low, at_high)
+
+    def test_robust_bounds_beat_the_plug_ins_on_the_two_class_config(self):
+        # a multi-name config inside the assumptions, where the ordering is a theorem
+        lower, at_low, at_high, upper = (u[0, 0] for u in _plug_ins(_load_doc(TWO_CLASS), 2000))
+        assert upper - max(at_low, at_high) == pytest.approx(9.33e-3, rel=1e-2)
+        assert min(at_low, at_high) - lower == pytest.approx(8.07e-3, rel=1e-2)
 
 
 class TestSolveXva:
