@@ -55,6 +55,12 @@ def _matrix() -> dict[str, list[str]]:
     runs["five/sweep-a30"] = ["sweep", "--config", str(CONFIGS / "five_name_benchmark.json"),
                               "--param", "a30", "--points", "9",
                               "--allow-assumption-violation"]
+    # the multi-name config inside the paper's assumptions, run without the override
+    two = str(CONFIGS / "two_class_contagion.json")
+    runs.update({f"two/{command}/{variant}": [command, "--config", two, *v_args, *extra]
+                 for command, extra in commands.items()
+                 for variant, v_args in (("plain", []), ("full", ["--full-lattice"]))})
+    runs["two/sweep-a33"] = ["sweep", "--config", two, "--param", "a33", "--points", "9"]
     return runs
 
 
