@@ -392,9 +392,9 @@ def drift_identity_error(result: EngineResult, which: str = "upper") -> float:
     holdings under the true counterparty rate must equal minus the reduced
     driver under that rate: the pass's own step (``result.bind``), run on
     the node's column of the pass's array (``result.solution``) as one
-    stage of weight 1 from a base of -0.0, gives
-    the ``which`` block's slope less its pocket's surplus rate (``actual``
-    has the true rate and no pocket).
+    stage of weight 1 from a base of -0.0, gives the ``which`` block's slope
+    less its pocket's surplus rate (``actual`` has the true rate and no
+    pocket).
     """
     cfg, model, portfolio = result.cfg, result.model, result.portfolio
     h_true = resolve_true_h_c(cfg, model)
