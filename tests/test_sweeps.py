@@ -165,8 +165,8 @@ class TestRunSweep:
 
     def test_contagion_is_nonlinear_beyond_the_step_error(self):
         # the paper's claim that credit contagion moves the bounds, the actual
-        # XVA and the root holdings nonlinearly: over a33 within half its value
-        # of the two-class config, every second difference of the root values
+        # XVA and the root holdings nonlinearly: over a33 within +-50% of the
+        # two-class config's value, every second difference of the root values
         # exceeds, by a factor of 1000, any change from 1000 to 2000 steps
         with open(TWO_CLASS, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
