@@ -14,6 +14,7 @@ Workloads, each an engine run with every variant the config prices:
 * W2: the five-name homogeneous config, 2000 steps (6 states);
 * W3: the five-name config with ``--full-lattice``, 2000 steps (32 states);
 * W4: eight names with spreads 0.02 + 0.001 i, 500 steps (256 states);
+* W5: the two-class config, 2000 steps (9 states);
 * L10: ten names with spreads 0.02 + 0.001 i, 20 steps (1,024 states).
 
 The oracle workload ``V1`` solves W1 once, then times ``oracle.verify`` on
@@ -21,10 +22,11 @@ that result at 100,000 paths with seed 0. Its line holds the paths sampled
 (counted by wrapping ``oracle.simulate_paths``: 120,000), the fastest of
 ``--repeat`` runs as ``verify_s`` and the paths sampled per second of it.
 
-The drift-identity workloads ``D1`` and ``D4`` solve W1 and W4 once, then
-time ``oracle.drift_identity_error(result, "upper")`` on that result, the
-check ``verify`` runs. Their line holds the state count, the fastest of
-``--repeat`` runs as ``drift_s`` and the ``max_error`` it returned.
+The drift-identity workloads ``D1``, ``D4`` and ``D5`` solve W1, W4 and W5
+once, then time ``oracle.drift_identity_error(result, "upper")`` on that
+result, the check ``verify`` runs. Their line holds the state count, the
+fastest of ``--repeat`` runs as ``drift_s`` and the ``max_error`` it
+returned.
 
 The sweep workload ``S9`` times ``sweeps.run_sweep`` of a30 over the 9-point
 default grid on the five-name config at 50 grid points, worker processes
@@ -43,7 +45,7 @@ checkout ``DIR`` instead: each round times one run of every chosen workload
 from ``DIR/src`` and one from this tree's ``src``, each in a fresh
 subprocess, in alternating order. It prints one JSON line per workload with
 the two medians over ``--repeat`` rounds (``pass_s``, ``verify_s`` for
-``V1``, ``drift_s`` for ``D1`` and ``D4``, ``sweep_s`` for ``S9``, or
+``V1``, ``drift_s`` for ``D1``, ``D4`` and ``D5``, ``sweep_s`` for ``S9``, or
 ``wall_s`` and ``peak_rss_mb`` for ``C1``) and the number of rounds in which
 this tree was faster; for ``C1`` also the rounds in which its peak memory was
 lower. Each round is one run in a fresh process, so ``sweep_s`` there counts
@@ -92,6 +94,7 @@ WORKLOADS = {
     "W2": (_config("five_name_benchmark.json"), 2000, False, 5),
     "W3": (_config("five_name_benchmark.json"), 2000, True, 5),
     "W4": (_distinct_names(8), 500, False, 3),
+    "W5": (_config("two_class_contagion.json"), 2000, False, 5),
     "L10": (_distinct_names(10), 20, False, 3),
 }
 
@@ -99,7 +102,7 @@ WORKLOADS = {
 VERIFY_WORKLOADS = {"V1": ("W1", 100_000, 0, 5)}
 
 # name -> (pass workload solved, default repeats)
-DRIFT_WORKLOADS = {"D1": ("W1", 5), "D4": ("W4", 3)}
+DRIFT_WORKLOADS = {"D1": ("W1", 5), "D4": ("W4", 3), "D5": ("W5", 5)}
 
 # name -> (config document, parameter, sweep points, grid points, default repeats)
 SWEEP_WORKLOADS = {"S9": (_config("five_name_benchmark.json"), "a30", 9, 50, 5)}

@@ -91,12 +91,12 @@ class StateSpace:
     def keys(self) -> range:
         return range(self.size)
 
-    def digits(self, key: int) -> list[int]:
-        """Default count of each class in the state."""
+    def digits(self, key):
+        """Default count of each class in the state; ``key`` may be an int array."""
         return [key // stride % (len(c) + 1) for c, stride in zip(self.classes, self.strides)]
 
-    def count(self, key: int) -> int:
-        """Number of defaults |J| in the state."""
+    def count(self, key):
+        """Number of defaults |J| in the state; ``key`` may be an int array."""
         return sum(self.digits(key))
 
     @cached_property

@@ -394,7 +394,7 @@ def drift_identity_error(result: EngineResult, which: str = "upper") -> float:
     the node's column of the pass's array (``result.solution``) as one
     stage of weight 1 from a base of -0.0, gives the ``which`` block's slope
     less its pocket's surplus rate (``actual`` has the true rate and no
-    pocket).
+    pocket).  One call each gives every node's holdings and their drift.
     """
     cfg, model, portfolio = result.cfg, result.model, result.portfolio
     h_true = resolve_true_h_c(cfg, model)
@@ -403,25 +403,24 @@ def drift_identity_error(result: EngineResult, which: str = "upper") -> float:
     space, grid, margins, size = result.space, result.grid, result.margins, result.space.size
     b, p = {name: (b, p) for name, b, p in _layout(cfg, tuple(result.xva))[0]}[which]
     surface = result.xva[which].surface
-    times = grid[::DRIFT_STRIDE]
+    nodes = np.arange(0, len(grid), DRIFT_STRIDE)
+    times = grid[nodes]
     index, bundles = lattice_coefficients(cfg, model, portfolio, space, times)
     steps = [result.bind(states) for states in bundles]
     base = [-0.0] * len(result.solution)
-    counts = np.array([space.count(key) for key in space.keys])
+    counts = space.count(np.arange(size))
     # account rates h + r_D at every sampled node and state: the investor's, then each name's
     mu = np.stack([model.table(who).rates(times, counts)
                    for who in ("I", *range(1, portfolio.n + 1))], axis=2) + cfg.r_D
     mu_true = h_true.rates(times, counts) + cfg.r_D
-    worst = 0.0
-    for i, j in enumerate(range(0, len(grid), DRIFT_STRIDE)):
+    holdings = robust_strategy(space, surface, result.clean, margins.m, portfolio, nodes)
+    drift = wealth_drift(cfg, portfolio, holdings, mu, mu_true)
+    for i, j in enumerate(nodes):
         im = margins.im[:, j].tolist()
         y = result.solution[:, j].tolist()
         g = np.reshape(steps[index[i]](im, im, ((0.0, 1.0, None),), 1.0, y, base), (-1, size))
-        driver = g[b] - (0.0 if p is None else g[p])
-        holdings = robust_strategy(space, surface, result.clean, margins.m, portfolio, j)
-        drift = wealth_drift(cfg, portfolio, holdings, mu[i], mu_true[i])
-        worst = max(worst, float(np.abs(drift + driver).max()))
-    return worst
+        drift[i] += g[b] - (0.0 if p is None else g[p])
+    return float(np.abs(drift).max())
 
 
 # ---------------------------------------------------------------------------

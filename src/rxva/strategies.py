@@ -1,8 +1,8 @@
-"""Replication and super-replication holdings of every state at a grid node.
+"""Replication and super-replication holdings of every state at grid nodes.
 
 Holdings are quoted as position values (shares times account price, the
-quantity the exported tables carry), one array over the states, read from the
-node's column of each surface.  Identities maintained here:
+quantity the exported tables carry), one array over the states per node, read
+from the nodes' columns of each surface.  Identities maintained here:
 
 * wealth: sum of all position values minus the collateral account equals the
   replicated surface value;
@@ -26,30 +26,30 @@ def robust_strategy(
     v_hat: np.ndarray,
     m_surface: np.ndarray,
     portfolio: Portfolio,
-    j: int,
+    nodes,
 ) -> tuple[np.ndarray, ...]:
-    """Holdings that replicate the XVA surface ``u_surface`` in every state at node ``j``.
+    """Holdings that replicate the XVA surface ``u_surface`` in every state at grid ``nodes``.
 
     Built from the upper surface they super-replicate, from the lower one
     they sub-replicate, and from the actual one they replicate.  Returns
     ``(xi_ref, alive, xi_I, xi_C, xi_f, psi_m)``: ``xi_ref[key, i - 1]`` is
     the position in the account of name i, u - u_child for its class's move
     where ``alive[key, i - 1]``, and 0 once the name has defaulted; the other
-    four hold one position per state.
+    four hold one position per state.  An index array ``nodes``, in place of
+    one grid index, puts a leading node axis on every array but ``alive``.
     """
-    u, v, m = u_surface[:, j], v_hat[:, j], m_surface[:, j]
+    u, v, m = u_surface[:, nodes].T, v_hat[:, nodes].T, m_surface[:, nodes].T
     theta_I, theta_C = closeout_excess(v, m, portfolio.loss_investor,
                                        portfolio.loss_counterparty)
     keys = np.arange(space.size)
     alive = np.zeros((space.size, space.n), dtype=bool)
-    xi_ref = np.zeros((space.size, space.n))
-    for c, stride in zip(space.classes, space.strides):
+    xi_ref = np.zeros((*u.shape, space.n))
+    for c, stride, defaults in zip(space.classes, space.strides, space.digits(keys)):
         names = np.array(c) - 1
-        survivors = len(c) - keys // stride % (len(c) + 1)
-        alive[:, names] = np.arange(len(c)) < survivors[:, None]
-        drop = u - u.take(keys + stride, mode="clip")  # read only where a name survives
-        xi_ref[:, names] = np.where(alive[:, names], drop[:, None], 0.0)
-    xi_f = -u - sum(xi_ref.T) + theta_C + theta_I - m
+        alive[:, names] = np.arange(len(c)) < len(c) - defaults[:, None]
+        drop = u - u.take(keys + stride, -1, mode="clip")  # read only where a name survives
+        xi_ref[..., names] = np.where(alive[:, names], drop[..., None], 0.0)
+    xi_f = -u - sum(np.moveaxis(xi_ref, -1, 0)) + theta_C + theta_I - m
     return xi_ref, alive, -theta_I + u, -theta_C + u, xi_f, -m
 
 
@@ -62,18 +62,18 @@ def wealth_drift(
 ) -> np.ndarray:
     """Instantaneous wealth growth of ``robust_strategy``'s holdings under the true rate.
 
-    ``mu[key]`` holds the account rates mu = h + r_D of state ``key``: the
-    investor's, then those of names 1..N; ``mu_C_true`` holds the true
-    counterparty rate per state.  Accounts for the defaultable-account
-    drifts at those rates, the sign-dependent treasury rate on the funding
-    balance (which finances the surviving loss notionals on top of the
-    funding account itself), and the collateral remuneration.  The
-    collateral is read from the holdings: psi_m * B_m = -M.
+    ``mu[..., key, :]`` holds the account rates mu = h + r_D of state ``key``:
+    the investor's, then those of names 1..N; ``mu_C_true`` holds the true
+    counterparty rate per state, both with the holdings' node axis.  Accounts
+    for the defaultable-account drifts at those rates, the sign-dependent
+    treasury rate on the funding balance (which finances the surviving loss
+    notionals on top of the funding account itself), and the collateral
+    remuneration.  The collateral is read from the holdings: psi_m * B_m = -M.
     """
     xi_ref, alive, xi_I, xi_C, xi_f, psi_m = holdings
     m = -psi_m
     loss_sum = sum((alive * [c.direction * c.loss for c in portfolio.contracts]).T)
-    drift = sum((xi_ref * mu[:, 1:]).T) + xi_I * mu[:, 0] + xi_C * mu_C_true
+    drift = sum(np.moveaxis(xi_ref * mu[..., 1:], -1, 0)) + xi_I * mu[..., 0] + xi_C * mu_C_true
     y = xi_f + loss_sum
     drift += cfg.r_f_plus * np.maximum(y, 0.0) - cfg.r_f_minus * np.maximum(-y, 0.0)
     drift += -cfg.r_D * loss_sum

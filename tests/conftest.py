@@ -42,3 +42,14 @@ def five_name_result(five_name_setup):
         variants=("actual", "upper", "lower"),
         allow_assumption_violation=True,
     )
+
+
+@pytest.fixture(scope="session", params=[False, True], ids=["grouped", "full"])
+def two_class_result(request):
+    """The two-class config priced grouped (9 states) and ``--full-lattice`` (16)."""
+    cfg, model, portfolio, model_P = load_config(TWO_CLASS)
+    return run_engine(
+        cfg, model, portfolio, model_P,
+        variants=("actual", "upper", "lower"),
+        force_full=request.param,
+    )

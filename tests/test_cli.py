@@ -895,6 +895,19 @@ def test_pass_timer_times_the_drift_identity():
     assert paired["baseline_drift_s"] > 0.0 and paired["drift_s"] > 0.0
 
 
+def test_pass_timer_times_the_two_class_config():
+    # W5 times the pass on the two-class config, D5 the drift identity on it
+    root = Path(cli.__file__).resolve().parents[2]
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "pass_timer.py"), "--repeat",
+                           "1", "W5", "D5"], cwd=root, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    run, drift = map(json.loads, proc.stdout.splitlines())
+    assert (run["workload"], run["states"], run["steps"]) == ("W5", 9, 2000)
+    assert run["pass_s"] > run["compile_s"] > 0.0
+    assert (drift["workload"], drift["states"]) == ("D5", 9)
+    assert drift["drift_s"] > 0.0 and drift["max_error"] < 1e-15
+
+
 def test_pass_timer_times_a_cli_start():
     # C1 runs `python -m rxva.cli price` on the single-name config in a fresh
     # process, alone and paired with a baseline checkout (here this tree)

@@ -404,6 +404,10 @@ class TestDriftIdentity:
         for which in VARIANTS:
             assert drift_identity_error(five_name_result, which) < 1e-15
 
+    def test_two_class(self, two_class_result):
+        for which in VARIANTS:
+            assert drift_identity_error(two_class_result, which) < 1e-15
+
     @pytest.mark.parametrize("which", ["upper", "lower"])
     def test_result_of_one_variant(self, single_name_setup, which):
         cfg, model, portfolio, model_P = single_name_setup

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from rxva.engine import run_engine
-from rxva.market import market_from_dict
-from rxva.strategies import robust_strategy
-from rxva.xva import REGIME_HI
+from rxva.market import load_config, market_from_dict
+from rxva.oracle import DRIFT_STRIDE
+from rxva.strategies import robust_strategy, wealth_drift
+from rxva.xva import REGIME_HI, all_variants
 
-from conftest import SINGLE_NAME
+from conftest import FIVE_NAME, SINGLE_NAME, TWO_CLASS
 from references import wealth
 from test_oracle import _GENERAL_THREE_NAME
 
@@ -127,3 +128,53 @@ class TestBandCollapse:
             j = _node(res, t)
             for rob, act in zip(_holdings(res, "upper", j), _holdings(res, "actual", j)):
                 assert rob == pytest.approx(act, abs=1e-10)
+
+
+@pytest.fixture(scope="module",
+                params=[(path, full) for path in (SINGLE_NAME, FIVE_NAME, TWO_CLASS)
+                        for full in (False, True)],
+                ids=lambda case: f"{case[0].stem}-{'full' if case[1] else 'grouped'}")
+def lattice_result(request):
+    """Each shipped config at 400 steps, grouped and ``--full-lattice``."""
+    path, full = request.param
+    cfg, model, portfolio, model_P = load_config(path)
+    return run_engine(cfg, model, portfolio, model_P, variants=all_variants(cfg),
+                      grid_points=400, force_full=full, allow_assumption_violation=True)
+
+
+class TestNodeAxis:
+    def test_one_call_equals_the_per_node_calls(self, lattice_result):
+        res = lattice_result
+        nodes = np.arange(0, len(res.grid), 23)
+        size, n = res.space.size, res.portfolio.n
+        rng = np.random.default_rng(7)
+        mu = rng.uniform(0.01, 0.5, (len(nodes), size, 1 + n))
+        mu_C = rng.uniform(0.01, 0.5, (len(nodes), size))
+        for which in res.xva:
+            many = _holdings(res, which, nodes)
+            each = [_holdings(res, which, int(j)) for j in nodes]
+            assert many[0].shape == (len(nodes), size, n)
+            assert many[1].shape == (size, n)  # alive does not depend on the node
+            for k, array in enumerate(many):
+                stacked = each[0][1] if k == 1 else np.stack([h[k] for h in each])
+                assert np.array_equal(array, stacked), (which, k)
+            drift = wealth_drift(res.cfg, res.portfolio, many, mu, mu_C)
+            assert drift.shape == (len(nodes), size)
+            for i, holdings in enumerate(each):
+                assert np.array_equal(
+                    drift[i], wealth_drift(res.cfg, res.portfolio, holdings, mu[i], mu_C[i]))
+
+    def test_reference_position_is_its_moves_jump(self, two_class_result):
+        # read through the lattice's moves, not through the key's digits
+        res = two_class_result
+        space = res.space
+        nodes = np.arange(0, len(res.grid), DRIFT_STRIDE)
+        for which in res.xva:
+            u = res.xva[which].surface[:, nodes]
+            xi_ref = _holdings(res, which, nodes)[0]
+            for key in space.keys:
+                expected = np.zeros((len(nodes), space.n))
+                for child, entities in space.moves(key):
+                    for e in entities:
+                        expected[:, e - 1] = u[key] - u[child]
+                assert np.array_equal(xi_ref[:, key], expected), (which, key)
