@@ -44,11 +44,13 @@ With ``--baseline DIR`` it compares this tree's pass with that of the
 checkout ``DIR`` instead: each round times one run of every chosen workload
 from ``DIR/src`` and one from this tree's ``src``, each in a fresh
 subprocess, in alternating order. It prints one JSON line per workload with
-the two medians over ``--repeat`` rounds (``pass_s``, ``verify_s`` for
-``V1``, ``drift_s`` for ``D1``, ``D4`` and ``D5``, ``sweep_s`` for ``S9``, or
-``wall_s`` and ``peak_rss_mb`` for ``C1``) and the number of rounds in which
-this tree was faster; for ``C1`` also the rounds in which its peak memory was
-lower. Each round is one run in a fresh process, so ``sweep_s`` there counts
+the two medians over ``--repeat`` rounds of its time (``pass_s``, ``verify_s``
+for ``V1``, ``drift_s`` for ``D1``, ``D4`` and ``D5``, ``sweep_s`` for ``S9``,
+or ``wall_s`` for ``C1``) and of its ``peak_rss_mb``, and the numbers of rounds
+in which this tree was faster and in which its peak memory was lower. The
+peak is the round's process's ``ru_maxrss`` from ``os.wait4``, imports and
+the script's own setup included (``C1``'s is that of the CLI process). Each
+round is one run in a fresh process, so ``sweep_s`` there counts
 ``run_sweep``'s first-call imports.
 
 Usage: ``python scripts/pass_timer.py [--repeat K] [--baseline DIR] [WORKLOAD ...]``
@@ -243,26 +245,35 @@ runpy.run_path(sys.argv[0], run_name="__main__")
 
 
 def _run_once(name: str, src: Path) -> dict:
-    proc = subprocess.run(
+    """One run of ``name`` from ``src`` in a child process: its line, with
+    the child's peak resident memory as ``peak_rss_mb`` unless the line has
+    its own (``C1``'s, of the CLI process it starts)."""
+    proc = subprocess.Popen(
         [sys.executable, "-c", _CHILD, str(src), str(Path(__file__).resolve()),
-         "--repeat", "1", name], capture_output=True, text=True)
+         "--repeat", "1", name], stdout=subprocess.PIPE, text=True)
+    with proc.stdout:
+        out = proc.stdout.read()
+    _, status, usage = os.wait4(proc.pid, 0)  # reaps it: Popen must not wait
+    proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode:
-        raise SystemExit(f"{name} from {src} failed:\n{proc.stderr}")
-    return json.loads(proc.stdout)
+        raise SystemExit(f"{name} from {src} failed; its stderr is above")
+    line = json.loads(out)
+    line.setdefault("peak_rss_mb", usage.ru_maxrss / 1024.0)
+    return line
 
 
 def compare(name: str, baseline: Path, repeat: int | None) -> dict:
     """Paired measures of ``name``: the baseline's and this tree's."""
     if name in VERIFY_WORKLOADS:
-        keys, default_repeat = ("verify_s",), VERIFY_WORKLOADS[name][3]
+        key, default_repeat = "verify_s", VERIFY_WORKLOADS[name][3]
     elif name in DRIFT_WORKLOADS:
-        keys, default_repeat = ("drift_s",), DRIFT_WORKLOADS[name][1]
+        key, default_repeat = "drift_s", DRIFT_WORKLOADS[name][1]
     elif name in SWEEP_WORKLOADS:
-        keys, default_repeat = ("sweep_s",), SWEEP_WORKLOADS[name][4]
+        key, default_repeat = "sweep_s", SWEEP_WORKLOADS[name][4]
     elif name in CLI_WORKLOADS:
-        keys, default_repeat = ("wall_s", "peak_rss_mb"), CLI_WORKLOADS[name][1]
+        key, default_repeat = "wall_s", CLI_WORKLOADS[name][1]
     else:
-        keys, default_repeat = ("pass_s",), WORKLOADS[name][3]
+        key, default_repeat = "pass_s", WORKLOADS[name][3]
     sides = [("baseline", baseline / "src"), ("this", ROOT / "src")]
     runs = {"baseline": [], "this": []}
     rounds = repeat or default_repeat
@@ -270,16 +281,15 @@ def compare(name: str, baseline: Path, repeat: int | None) -> dict:
         for side, src in sides if i % 2 == 0 else sides[::-1]:
             runs[side].append(_run_once(name, src))
 
-    def lower(key):
-        return sum(t[key] < b[key] for t, b in zip(runs["this"], runs["baseline"]))
+    def lower(measure):
+        return sum(t[measure] < b[measure] for t, b in zip(runs["this"], runs["baseline"]))
 
     line = {"workload": name, "rounds": rounds}
-    for key in keys:
-        line[f"baseline_{key}"] = statistics.median(r[key] for r in runs["baseline"])
-        line[key] = statistics.median(r[key] for r in runs["this"])
-    line["faster_rounds"] = lower(keys[0])
-    if "peak_rss_mb" in keys:
-        line["lower_rss_rounds"] = lower("peak_rss_mb")
+    for measure in (key, "peak_rss_mb"):
+        line[f"baseline_{measure}"] = statistics.median(r[measure] for r in runs["baseline"])
+        line[measure] = statistics.median(r[measure] for r in runs["this"])
+    line["faster_rounds"] = lower(key)
+    line["lower_rss_rounds"] = lower("peak_rss_mb")
     return line
 
 

@@ -96,8 +96,9 @@ class StateSpace:
         return [key // stride % (len(c) + 1) for c, stride in zip(self.classes, self.strides)]
 
     def count(self, key):
-        """Number of defaults |J| in the state; ``key`` may be an int array."""
-        return sum(self.digits(key))
+        """Number of defaults |J| in the state; ``key`` may be an int array,
+        which gives an array of its shape even when there is no class."""
+        return sum(self.digits(key), 0 * key)
 
     @cached_property
     def _entity_stride(self) -> np.ndarray:

@@ -26,8 +26,8 @@ earned by the super-replicating strategy while no default has occurred.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -66,23 +66,15 @@ def all_variants(cfg: MarketConfig) -> tuple[str, ...]:
 # Lattice coefficients and right-hand side
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StateCoeffs:
-    """Coefficients of one default state on one constant-coefficient piece.
+StateCoeffs = namedtuple("StateCoeffs", "sum_S sum_L h_I h_C alive_count transitions")
+StateCoeffs.__doc__ = """Coefficients of one default state on one constant-coefficient piece.
 
-    ``transitions`` lists the one-default moves out of the state as tuples
-    ``(child, rate, loss, count)``: the target state, the aggregate intensity
-    of the move, the signed loss paid on it, and the number of contracts it
-    retires (see ``StateSpace.moves``).  ``h_C`` is the true counterparty
-    intensity (see ``resolve_true_h_c``), NaN when the config does not give one.
-    """
-
-    sum_S: float
-    sum_L: float
-    h_I: float
-    h_C: float
-    alive_count: int
-    transitions: tuple
+``transitions`` lists the one-default moves out of the state as tuples
+``(child, rate, loss, count)``: the target state, the aggregate intensity
+of the move, the signed loss paid on it, and the number of contracts it
+retires (see ``StateSpace.moves``).  ``h_C`` is the true counterparty
+intensity (see ``resolve_true_h_c``), NaN when the config does not give one.
+"""
 
 
 def lattice_coefficients(
@@ -359,11 +351,9 @@ def source_length(cfg: MarketConfig, space: StateSpace, variants) -> int:
 # Lattice solves
 # ---------------------------------------------------------------------------
 
-@dataclass
-class XvaResult:
-    surface: np.ndarray
-    regime: np.ndarray | None = None
-    pocket: np.ndarray | None = None
+XvaResult = namedtuple("XvaResult", "surface regime pocket", defaults=(None, None))
+XvaResult.__doc__ = """One variant's (states x nodes) surface, and for upper and lower the
+regime selected at every node and, when mu_C_true is set, the pocket surface."""
 
 
 def _joint_pass(cfg, model, portfolio, grid, space, margins, variants):
@@ -378,15 +368,11 @@ def _joint_pass(cfg, model, portfolio, grid, space, margins, variants):
     anywhere is refused with ConfigError.
     """
     size = space.size
-    if margins is not None:
-        alpha, im_rows = margins.alpha, margins.im
-        zero_im = frozenset(np.flatnonzero(
-            ((im_rows == 0.0) & ~np.signbit(im_rows)).all(axis=1)).tolist())
-        im = im_rows.T.tolist()
-    else:
-        alpha, zero_im = 0.0, frozenset(range(size))
-        im = [[0.0] * size] * len(grid)
-    bind = _binder(cfg, portfolio, size, alpha, variants, zero_im)
+    zero_im = frozenset(np.flatnonzero(
+        ((margins.im == 0.0) & ~np.signbit(margins.im)).all(axis=1)).tolist())
+    # the step reads the margin rows of the states outside zero_im only
+    im = margins.im.T.tolist() if len(zero_im) < size else [[0.0] * size] * len(grid)
+    bind = _binder(cfg, portfolio, size, margins.alpha, variants, zero_im)
     # each segment's coefficients at its start node: every model break is a
     # node (see engine.grid_breakpoints) and the pieces are right-continuous
     index, bundles = lattice_coefficients(cfg, model, portfolio, space, grid[:-1])
@@ -429,8 +415,9 @@ def solve_clean(
     grid: np.ndarray,
     space: StateSpace,
 ) -> np.ndarray:
-    """Clean value surface for every default state: the pass with no XVA column."""
-    return _joint_pass(cfg, model, portfolio, grid, space, None, ())[0]
+    """Clean value surface of every default state: the pass with no XVA column or margin."""
+    margins = MarginSchedule(0.0, np.zeros((space.size, len(grid))))
+    return _joint_pass(cfg, model, portfolio, grid, space, margins, ())[0]
 
 
 def solve_xva(
@@ -462,13 +449,10 @@ def solve_xva(
     )
     results = {}
     for which, block, pocket in _layout(cfg, variants)[0]:
-        u = rows(block)
-        result = results[which] = XvaResult(u)
-        if which == "actual":
-            continue
-        z_C = theta_C - u
-        hi = (z_C > 0.0) == (which == "upper")
-        result.regime = np.where(z_C == 0.0, REGIME_TIE, np.where(hi, REGIME_HI, REGIME_LO))
-        if pocket is not None:
-            result.pocket = rows(pocket)
+        u, regime = rows(block), None
+        if which != "actual":
+            z_C = theta_C - u
+            hi = (z_C > 0.0) == (which == "upper")
+            regime = np.where(z_C == 0.0, REGIME_TIE, np.where(hi, REGIME_HI, REGIME_LO))
+        results[which] = XvaResult(u, regime, None if pocket is None else rows(pocket))
     return clean, results, bind, path

@@ -184,6 +184,19 @@ class TestVerify:
         man = json.loads((out / "manifest.json").read_text())
         assert man["seed"] == 1
 
+    def test_empty_portfolio_passes(self, tmp_path):
+        # a lattice with no class: the drift identity's default counts are
+        # still one per state
+        doc = json.loads(SINGLE_NAME.read_text(encoding="utf-8"))
+        doc["portfolio"]["contracts"] = []
+        out = tmp_path / "out"
+        assert _run("verify", "--config", str(_write_config(tmp_path, doc)),
+                    "--out-dir", str(out), "--grid-points", "100",
+                    "--paths", "1000") == cli.EXIT_OK
+        report = json.loads((out / "verify.json").read_text())
+        assert report["passed"] is True
+        assert report["checks"]["drift_identity"]["max_error"] == 0.0
+
     def test_failure_exit_code(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
             cli, "verify",
@@ -788,11 +801,13 @@ def test_benchmark_trace_hooks_bind():
 
 @pytest.mark.parametrize("args, counts", [
     (["xva", "--grid-points", "20"], {}),
+    # the clean-only run: the tracer's clean hook binds solve_clean
+    (["price", "--grid-points", "20"], {"clean.edge_updates": 84}),
     # the benchmark's audit run: 100,000 clean and closeout paths and
     # 2 x 10,000 pathwise ones; seed 0 passes (test_benchmark_audit_seeds_pass)
     (["verify", "--paths", "100000", "--seed", "0"],
      {"oracle.paths": 120_000, "oracle.checks_failed": 0}),
-], ids=["xva", "verify"])
+], ids=["xva", "price", "verify"])
 def test_benchmark_trace_hooks_run(tmp_path, args, counts):
     # the tracer's after-hooks read attributes of the engine's and the
     # oracle's objects (such as space.n and the verify report); a traced run
@@ -845,10 +860,12 @@ def test_pass_timer_baseline_prints_paired_medians():
     lines = proc.stdout.splitlines()
     assert len(lines) == 2
     for line, key in zip(map(json.loads, lines), ("pass_s", "sweep_s")):
-        assert set(line) == {"workload", "rounds", f"baseline_{key}", key, "faster_rounds"}
+        assert set(line) == {"workload", "rounds", f"baseline_{key}", key, "faster_rounds",
+                             "baseline_peak_rss_mb", "peak_rss_mb", "lower_rss_rounds"}
         assert (line["workload"], line["rounds"]) == ("W1" if key == "pass_s" else "S9", 1)
-        assert line["faster_rounds"] in (0, 1)
+        assert line["faster_rounds"] in (0, 1) and line["lower_rss_rounds"] in (0, 1)
         assert line[f"baseline_{key}"] > 0.0 and line[key] > 0.0
+        assert line["baseline_peak_rss_mb"] > 0.0 and line["peak_rss_mb"] > 0.0
 
 
 def test_pass_timer_times_verify():
@@ -867,7 +884,8 @@ def test_pass_timer_times_verify():
     assert set(alone) == {"workload", "paths", "repeat", "verify_s", "paths_per_s"}
     assert (alone["workload"], alone["paths"], alone["repeat"]) == ("V1", 120_000, 1)
     assert alone["paths_per_s"] == pytest.approx(120_000 / alone["verify_s"])
-    assert set(paired) == {"workload", "rounds", "baseline_verify_s", "verify_s", "faster_rounds"}
+    assert set(paired) == {"workload", "rounds", "baseline_verify_s", "verify_s", "faster_rounds",
+                           "baseline_peak_rss_mb", "peak_rss_mb", "lower_rss_rounds"}
     assert (paired["workload"], paired["rounds"]) == ("V1", 1)
     assert paired["faster_rounds"] in (0, 1)
     assert paired["baseline_verify_s"] > 0.0 and paired["verify_s"] > 0.0
@@ -889,7 +907,8 @@ def test_pass_timer_times_the_drift_identity():
     assert set(alone) == {"workload", "states", "repeat", "drift_s", "max_error"}
     assert (alone["workload"], alone["states"], alone["repeat"]) == ("D1", 2, 1)
     assert alone["drift_s"] > 0.0 and alone["max_error"] < 1e-15
-    assert set(paired) == {"workload", "rounds", "baseline_drift_s", "drift_s", "faster_rounds"}
+    assert set(paired) == {"workload", "rounds", "baseline_drift_s", "drift_s", "faster_rounds",
+                           "baseline_peak_rss_mb", "peak_rss_mb", "lower_rss_rounds"}
     assert (paired["workload"], paired["rounds"]) == ("D1", 1)
     assert paired["faster_rounds"] in (0, 1)
     assert paired["baseline_drift_s"] > 0.0 and paired["drift_s"] > 0.0

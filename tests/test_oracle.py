@@ -7,7 +7,6 @@ import math
 import sys
 import tracemalloc
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -457,7 +456,7 @@ class TestVerifyReport:
         # its pocket is an error, not a report with fewer checks
         result = run_engine(*single_name_setup, variants=("actual", "upper", "lower"),
                             grid_points=50)
-        result.xva[which] = replace(result.xva[which], pocket=None)
+        result.xva[which] = result.xva[which]._replace(pocket=None)
         with pytest.raises(ValueError, match="pocket surface missing"):
             verify(result, n_paths=10, seed=0)
 

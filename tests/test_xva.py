@@ -3,7 +3,6 @@
 import copy
 import json
 import math
-from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
@@ -70,7 +69,7 @@ def _xva_drift(cfg, which, v, m, u, L_I=0.5, L_C=0.5, state=None, u_child=0.0):
     initial margin of ``m`` make the collateral exactly ``m``.
     """
     rhs = lattice_rhs(cfg, _losses(L_I, L_C), 2, 0.0, (which,))
-    states = (replace(state or _state(), h_C=_h_true(cfg)), _state(h_C=_h_true(cfg)))
+    states = ((state or _state())._replace(h_C=_h_true(cfg)), _state(h_C=_h_true(cfg)))
     return rhs(states)([m, 0.0], [m, 0.0], 0.0, [v, 0.0, u, u_child])[2]
 
 
