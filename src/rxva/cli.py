@@ -141,29 +141,38 @@ def _engine(args, which: str | None = None):
     )
 
 
+def _write(writer, path: Path, *args) -> None:
+    """``writer(path, *args)``, with a path that cannot be written refused as a
+    configuration error."""
+    try:
+        writer(path, *args)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 # Each subcommand writes its artifacts into the output directory and returns
 # their file names and the exit code.
 
 def _cmd_price(args, out_dir: Path) -> tuple[list[str], int]:
     result = _engine(args)
-    write_clean_csv(out_dir / "clean.csv", result.grid, result.clean)
-    write_margin_csv(out_dir / "margins.csv", result.grid, result.margins.vm,
-                     result.margins.im, result.margins.m)
+    _write(write_clean_csv, out_dir / "clean.csv", result.grid, result.clean)
+    _write(write_margin_csv, out_dir / "margins.csv", result.grid, result.margins.vm,
+           result.margins.im, result.margins.m)
     return ["clean.csv", "margins.csv"], EXIT_OK
 
 
 def _cmd_xva(args, out_dir: Path) -> tuple[list[str], int]:
     result = _engine(args, args.which)
-    write_xva_csv(out_dir / "xva.csv", result.grid, result.xva)
+    _write(write_xva_csv, out_dir / "xva.csv", result.grid, result.xva)
     if args.which == "actual":
         return ["xva.csv"], EXIT_OK
-    write_regime_csv(out_dir / "regime.csv", result.grid, result.xva)
+    _write(write_regime_csv, out_dir / "regime.csv", result.grid, result.xva)
     return ["xva.csv", "regime.csv"], EXIT_OK
 
 
 def _cmd_verify(args, out_dir: Path) -> tuple[list[str], int]:
     report = verify(_engine(args, "all"), n_paths=args.paths, seed=args.seed)
-    write_json(out_dir / "verify.json", report)
+    _write(write_json, out_dir / "verify.json", report)
     if not report["passed"]:
         print("verification failed; see verify.json", file=sys.stderr)
         return ["verify.json"], EXIT_VERIFY
@@ -184,7 +193,7 @@ def _cmd_sweep(args, out_dir: Path) -> tuple[list[str], int]:
         force_full=args.full_lattice,
     )
     name = f"sweep_{args.param}.csv"
-    write_sweep_csv(out_dir / name, result)
+    _write(write_sweep_csv, out_dir / name, result)
     if all(not row.ok for row in result.rows):
         print("every sweep point failed; see the status column", file=sys.stderr)
         return [name], EXIT_CONFIG
@@ -192,6 +201,27 @@ def _cmd_sweep(args, out_dir: Path) -> tuple[list[str], int]:
 
 
 COMMANDS = {"price": _cmd_price, "xva": _cmd_xva, "verify": _cmd_verify, "sweep": _cmd_sweep}
+
+
+def _manifest(args, outputs: list[str], started: float) -> dict:
+    """The run's manifest: identical manifests (wall clock aside) imply
+    byte-identical artifacts."""
+    # CPython's own SHA-256 gives hashlib's digest without mapping OpenSSL's
+    # libcrypto (about 3.6 MiB resident) for this one call
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        from _sha256 import sha256  # Python 3.10-3.11
+    return {
+        "subcommand": args.command,
+        "config_sha256": sha256(Path(args.config).read_bytes()).hexdigest(),
+        "engine_version": __version__,
+        "seed": getattr(args, "seed", None),
+        "grid_points": args.grid_points,
+        "flags": {k: v for k, v in vars(args).items() if k in ARTIFACT_FLAGS},
+        "outputs": sorted(outputs),
+        "wall_clock_s": time.perf_counter() - started,
+    }
 
 
 def main(argv=None) -> int:
@@ -206,6 +236,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         outputs, code = COMMANDS[args.command](args, out_dir)
+        _write(write_json, out_dir / "manifest.json", _manifest(args, outputs, started))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -214,23 +245,6 @@ def main(argv=None) -> int:
         print("rerun with --allow-assumption-violation to proceed anyway",
               file=sys.stderr)
         return EXIT_ASSUMPTION
-    # CPython's own SHA-256 gives hashlib's digest without mapping OpenSSL's
-    # libcrypto (about 3.6 MiB resident) for this one call
-    try:
-        from _sha2 import sha256  # Python 3.12+
-    except ImportError:
-        from _sha256 import sha256  # Python 3.10-3.11
-    # identical manifests (wall clock aside) imply byte-identical artifacts
-    write_json(out_dir / "manifest.json", {
-        "subcommand": args.command,
-        "config_sha256": sha256(Path(args.config).read_bytes()).hexdigest(),
-        "engine_version": __version__,
-        "seed": getattr(args, "seed", None),
-        "grid_points": args.grid_points,
-        "flags": {k: v for k, v in vars(args).items() if k in ARTIFACT_FLAGS},
-        "outputs": sorted(outputs),
-        "wall_clock_s": time.perf_counter() - started,
-    })
     return code
 
 

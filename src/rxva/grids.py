@@ -51,7 +51,10 @@ def build_grid(
         nodes.extend(np.linspace(a, b, k + 1)[1:])
     grid = np.asarray(nodes)
     if np.any(np.diff(grid) <= 0.0):
-        raise ValueError("grid construction produced non-increasing nodes")
+        raise ConfigError(
+            f"maturity {T} is too short for {n_nodes - 1} grid steps: the grid nodes "
+            f"do not increase"
+        )
     return grid
 
 

@@ -46,6 +46,14 @@ def write_regime_csv(path, grid, results: dict[str, XvaResult]) -> None:
                        [results[w].regime for w in order], cell=REGIME_LABELS.__getitem__)
 
 
+def _quoted(cell: str) -> str:
+    """``cell`` as one CSV field: in double quotes, its own doubled, when it
+    holds a comma, a double quote or a line break (RFC 4180)."""
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def write_sweep_csv(path, sweep_result) -> None:
     cols = (
         "xva_lower", "xva_actual", "xva_upper",
@@ -54,7 +62,7 @@ def write_sweep_csv(path, sweep_result) -> None:
     lines = ["param," + ",".join(cols) + ",status"]
     for row in sweep_result.rows:
         cells = ",".join(fmt(getattr(row, c)) for c in cols)
-        status = "ok" if row.ok else f"failed({row.error})"
+        status = "ok" if row.ok else _quoted(f"failed({row.error})")
         lines.append(f"{fmt(row.value)},{cells},{status}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

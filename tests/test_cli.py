@@ -325,6 +325,17 @@ class TestExitCodes:
             assert "cannot create the output directory" in capsys.readouterr().err
         assert afile.read_text(encoding="utf-8") == ""
 
+    @pytest.mark.parametrize("command, blocked", [("price", "clean.csv"),
+                                                  ("xva", "manifest.json")])
+    def test_unwritable_artifact_refused(self, tmp_path, capsys, command, blocked):
+        # a directory in an artifact's place makes its write fail
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        assert _run(command, "--config", str(SINGLE_NAME), "--out-dir", str(out),
+                    "--grid-points", "50") == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"configuration error: cannot write {out / blocked}: Is a directory\n"
+
     _DEGENERATE = [
         (("verify",), "--paths", "0"), (("verify",), "--paths", "-5"),
         (("verify",), "--paths", "1"), (("verify",), "--grid-points", "0"),
@@ -616,6 +627,17 @@ class TestExitCodes:
         assert _run("sweep", "--config", str(SINGLE_NAME), "--out-dir", str(out),
                     "--param", "band_width", "--span", "0", "--points", "3") == cli.EXIT_CONFIG
         assert "sweep grid must be strictly increasing" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_maturity_too_short_for_the_grid_refused(self, tmp_path, capsys):
+        doc = _minimal_doc()
+        doc["portfolio"]["maturity"] = 5e-324  # the least positive float
+        out = tmp_path / "o"
+        assert _run("price", "--config", str(_write_config(tmp_path, doc)), "--out-dir",
+                    str(out), "--grid-points", "20") == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: maturity 5e-324 ")
+        assert "20 grid steps" in err
         assert list(out.iterdir()) == []
 
     def test_assumption_violation_gate(self, tmp_path):
@@ -949,3 +971,20 @@ def test_pass_timer_times_a_cli_start():
     assert (paired["workload"], paired["rounds"]) == ("C1", 1)
     assert paired["faster_rounds"] in (0, 1) and paired["lower_rss_rounds"] in (0, 1)
     assert paired["baseline_peak_rss_mb"] > 0.0 and paired["peak_rss_mb"] > 0.0
+
+
+def test_pass_timer_peak_is_the_cli_process_own():
+    # Linux carries the spawner's high-water mark into a child's ru_maxrss,
+    # so C1 run after W4 in one process must still read what C1 alone reads
+    root = Path(cli.__file__).resolve().parents[2]
+    script = str(root / "scripts" / "pass_timer.py")
+    peaks = []
+    for names in (["W4", "C1"], ["C1"]):
+        proc = subprocess.run([sys.executable, script, "--repeat", "1", *names], cwd=root,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        line = json.loads(proc.stdout.splitlines()[-1])
+        assert line["workload"] == "C1"
+        peaks.append(line["peak_rss_mb"])
+    after_w4, alone = peaks
+    assert abs(after_w4 - alone) < 1.0, peaks

@@ -252,6 +252,28 @@ class TestParallelSweep:
         write_sweep_csv(tmp_path / "without.csv", result)
         assert (tmp_path / "with.csv").read_bytes() == (tmp_path / "without.csv").read_bytes()
 
+    def test_csv_quotes_a_status_that_holds_a_separator(self, tmp_path):
+        # the five-name config fails its rate inequalities, so every point's
+        # error names min(mu_1..mu_N, mu_I, mu_C_lower), commas included
+        with open(FIVE_NAME, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        spec = SweepSpec(param="a30", values=default_grid(base_value(doc, "a30"), points=2))
+        result = run_sweep(doc, spec, grid_points=20)
+        assert all(not row.ok and "," in row.error for row in result.rows)
+        result.rows += [sweeps.SweepRow(value=1.0, ok=False, error='a "quoted"\nerror'),
+                        sweeps.SweepRow(value=2.0, ok=False, error="plain"),
+                        sweeps.SweepRow(value=3.0, ok=True)]
+        write_sweep_csv(tmp_path / "sweep.csv", result)
+        with open(tmp_path / "sweep.csv", "r", encoding="utf-8", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert len(rows) == len(result.rows)
+        assert all(len(cells) == len(header) for cells in rows)
+        assert [cells[-1] for cells in rows] == \
+            ["ok" if row.ok else f"failed({row.error})" for row in result.rows]
+        # a status without a separator is written bare, as before
+        lines = (tmp_path / "sweep.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[-2].endswith(",failed(plain)") and lines[-1].endswith(",ok")
+
     @staticmethod
     def _dying_sweep(out, doomed):
         """Runs _DYING_WORKER into ``out``: its exit code, stderr and CSV rows."""
