@@ -29,10 +29,14 @@ function names the time key of its line. Each time is the fastest of
   workers included. Its line holds the point count and the failed points;
   the first run of a process also pays for the modules ``run_sweep`` imports
   on its first call.
-* ``measure_cli`` (``wall_s``): ``C1`` runs ``python -m rxva.cli price`` on
-  the single-name config in a fresh process, with ``PYTHONPATH`` set to the
-  ``src`` it times. Its line holds the lowest peak resident memory of the
-  runs as ``peak_rss_mb``, the interpreter's start and the imports included.
+* ``measure_cli`` (``wall_s``) runs ``python -m rxva.cli`` in a fresh
+  process, with ``PYTHONPATH`` set to the ``src`` it times. Its line holds
+  the lowest peak resident memory of the runs as ``peak_rss_mb``, the
+  interpreter's start and the imports included. C1: ``price`` on the
+  single-name config; C2: ``verify --paths 100000 --seed 0`` on it (the
+  benchmark's ``audit`` run); X3: ``xva --full-lattice
+  --allow-assumption-violation`` on the five-name config (32 states, 2000
+  steps), where writing ``xva.csv`` and ``regime.csv`` is a visible share.
 
 Every measured process is started by ``LAUNCHER``, a ``python -c`` program
 that imports neither numpy nor ``rxva``: it spawns the command, reaps it
@@ -53,12 +57,27 @@ included; ``C1``'s is that of the CLI process the round starts. A round is
 a fresh process, so its ``sweep_s`` counts ``run_sweep``'s first-call
 imports.
 
-Usage: ``python scripts/pass_timer.py [--repeat K] [--baseline DIR] [WORKLOAD ...]``
+``--record PATH`` (with ``--baseline``) also writes the run to ``PATH`` as
+one JSON object:
+
+* ``workloads``: the printed lines, in order;
+* ``baseline`` and ``this``: each side's ``commit`` (the full hash of its
+  ``HEAD``, suffixed ``-dirty`` when tracked files differ from it, or null
+  when the side is not the top of a git checkout) and its ``src_sha256``,
+  the SHA-256 of every ``src/rxva/*.py`` file's name and bytes in name
+  order;
+* ``host``: ``cpu_count`` (``os.cpu_count()``), ``affinity`` (the size of
+  ``os.sched_getaffinity(0)``), ``python`` and ``numpy`` (their versions);
+* ``repeat``: the rounds per workload, as given (null for the defaults).
+
+Usage: ``python scripts/pass_timer.py [--repeat K] [--baseline DIR [--record PATH]]
+[WORKLOAD ...]``
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -68,11 +87,14 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 import rxva  # noqa: E402
 from rxva import oracle, sweeps, xva  # noqa: E402
+from rxva.cli import _count  # noqa: E402
 from rxva.engine import run_engine  # noqa: E402
 from rxva.market import market_from_dict  # noqa: E402
 
@@ -249,6 +271,10 @@ WORKLOADS = {
     "S9": (measure_sweep, (_config("five_name_benchmark.json"), "a30", 9, 50), 5),
     "C1": (measure_cli, ("price", "--config",
                          str(ROOT / "configs" / "single_name_switching.json")), 5),
+    "C2": (measure_cli, ("verify", "--paths", "100000", "--seed", "0", "--config",
+                         str(ROOT / "configs" / "single_name_switching.json")), 5),
+    "X3": (measure_cli, ("xva", "--full-lattice", "--allow-assumption-violation", "--config",
+                         str(ROOT / "configs" / "five_name_benchmark.json")), 5),
 }
 
 # A --baseline round's child: imports the package from the given src first,
@@ -294,27 +320,56 @@ def compare(name: str, baseline: Path, repeat: int) -> dict:
     return line
 
 
+def _side(checkout: Path) -> dict:
+    """What identifies the code of ``checkout`` in a ``--record`` file."""
+    digest = hashlib.sha256()
+    for path in sorted((checkout / "src" / "rxva").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    commit = None
+    if (checkout / ".git").exists():
+        commit = subprocess.run(
+            ["git", "-C", str(checkout), "describe", "--always", "--dirty", "--abbrev=40",
+             "--exclude=*"], stdout=subprocess.PIPE, text=True).stdout.strip() or None
+    return {"commit": commit, "src_sha256": digest.hexdigest()}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("workloads", nargs="*", metavar="WORKLOAD",
                         help=f"any of {', '.join(WORKLOADS)} (default: all)")
-    parser.add_argument("--repeat", type=int, default=None,
-                        help="runs per workload (default 5; W4, L10 and D4: 3)")
+    parser.add_argument("--repeat", type=_count(1), default=None,
+                        help="runs per workload, at least 1 (default 5; W4, L10 and D4: 3)")
     parser.add_argument("--baseline", type=Path, metavar="DIR",
                         help="compare with the checkout DIR, in paired rounds")
+    parser.add_argument("--record", type=Path, metavar="PATH",
+                        help="with --baseline: also write the lines and the host to PATH")
     args = parser.parse_args(argv)
     unknown = set(args.workloads) - set(WORKLOADS)
     if unknown:
         parser.error(f"unknown workloads: {', '.join(sorted(unknown))}")
     if args.baseline is not None and not (args.baseline / "src" / "rxva").is_dir():
         parser.error(f"no src/rxva under {args.baseline}")
+    if args.record is not None and args.baseline is None:
+        parser.error("--record needs --baseline")
     TIMER.install()
+    lines = []
     for name in args.workloads or WORKLOADS:
         measure, measure_args, default_repeat = WORKLOADS[name]
-        repeat = args.repeat or default_repeat
+        repeat = default_repeat if args.repeat is None else args.repeat
         line = (measure(name, repeat, *measure_args) if args.baseline is None
                 else compare(name, args.baseline.resolve(), repeat))
         print(json.dumps(line), flush=True)
+        lines.append(line)
+    if args.record is not None:
+        record = {
+            "workloads": lines,
+            "baseline": _side(args.baseline.resolve()),
+            "this": _side(ROOT),
+            "host": {"cpu_count": os.cpu_count(), "affinity": len(os.sched_getaffinity(0)),
+                     "python": sys.version.split()[0], "numpy": numpy.__version__},
+            "repeat": args.repeat,
+        }
+        args.record.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 from .xva import REGIME_LABELS, XvaResult
@@ -15,15 +16,29 @@ def fmt(x: float) -> str:
 def _write_lattice_csv(path, header: str, grid, columns, cell=fmt) -> None:
     """One line per state and node, states in key order: time, state, cells.
 
-    ``columns`` are (states x nodes) arrays on ``grid``, converted to Python
-    numbers once; ``cell`` formats one entry of a column.
+    ``columns`` are (states x nodes) arrays on ``grid``; ``cell`` formats one
+    entry of a column. One state's rows are converted to Python numbers and
+    written at a time, so the file is never held whole. It is written under
+    a temporary name beside ``path`` and renamed onto it when complete; a
+    failed write removes the temporary file and leaves ``path`` as it was.
     """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     times = [fmt(t) for t in grid.tolist()]
-    lines = [header]
-    for key, rows in enumerate(zip(*(c.tolist() for c in columns))):
-        lines.extend(f"{t},{key}," + ",".join(map(cell, node))
-                     for t, node in zip(times, zip(*rows)))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    spec = "%.12e" if cell is fmt else "%s"  # "%.12e" % x is fmt(x), one % per line
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(header + "\n")
+            for key, rows in enumerate(zip(*columns)):
+                rows = [row.tolist() for row in rows]
+                if cell is not fmt:
+                    rows = [list(map(cell, row)) for row in rows]
+                line = f"%s,{key}," + ",".join([spec] * len(rows)) + "\n"
+                fh.write("".join([line % node for node in zip(times, *rows)]))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_clean_csv(path, grid, clean) -> None:

@@ -788,10 +788,11 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     assert out.strip() == "[]"
 
 
-@pytest.mark.parametrize("command", [("price",), ("xva",)])
+@pytest.mark.parametrize("command", [("price",), ("xva",), ("verify", "--paths", "2000")])
 def test_cli_run_leaves_openssl_unloaded(tmp_path, command):
     # config_sha256 is CPython's own SHA-256: the digest hashlib gives, with
-    # no _hashlib (OpenSSL) loaded by the run
+    # no _hashlib (OpenSSL) loaded by the run; verify imports numpy.random
+    # with _hashlib held out, and draws what it draws with _hashlib loaded
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
@@ -806,6 +807,12 @@ def test_cli_run_leaves_openssl_unloaded(tmp_path, command):
     assert proc.stdout.split() == ["0", "False"]
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["config_sha256"] == hashlib.sha256(SINGLE_NAME.read_bytes()).hexdigest()
+    if command[0] == "verify":
+        assert "_hashlib" in sys.modules  # hashlib, imported by this module
+        assert _run(*command, "--config", str(SINGLE_NAME), "--out-dir",
+                    str(tmp_path / "in_process"), "--grid-points", "50") == 0
+        assert (out / "verify.json").read_bytes() == \
+            (tmp_path / "in_process" / "verify.json").read_bytes()
 
 
 def test_benchmark_trace_hooks_bind():
@@ -988,3 +995,48 @@ def test_pass_timer_peak_is_the_cli_process_own():
         peaks.append(line["peak_rss_mb"])
     after_w4, alone = peaks
     assert abs(after_w4 - alone) < 1.0, peaks
+
+
+def test_pass_timer_times_the_audit_and_writer_starts():
+    # C2 is the benchmark's audit run (verify --paths 100000 --seed 0) and X3
+    # an xva run on the 32-state lattice, each a fresh CLI process
+    root = Path(cli.__file__).resolve().parents[2]
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "pass_timer.py"), "--repeat",
+                           "1", "C2", "X3"], cwd=root, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = list(map(json.loads, proc.stdout.splitlines()))
+    assert [line["workload"] for line in lines] == ["C2", "X3"]
+    for line in lines:
+        assert set(line) == {"workload", "repeat", "wall_s", "peak_rss_mb"}
+        assert line["repeat"] == 1 and line["wall_s"] > 0.0 and line["peak_rss_mb"] > 0.0
+
+
+def test_pass_timer_records_a_baseline_run(tmp_path):
+    # --record writes the printed lines with what identifies each side and
+    # the host
+    root = Path(cli.__file__).resolve().parents[2]
+    record = tmp_path / "record.json"
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "pass_timer.py"), "--baseline", ".",
+         "--repeat", "1", "--record", str(record), "C1"],
+        cwd=root, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(record.read_text(encoding="utf-8"))
+    assert doc["workloads"] == list(map(json.loads, proc.stdout.splitlines()))
+    assert [line["workload"] for line in doc["workloads"]] == ["C1"]
+    assert doc["baseline"] == doc["this"]  # both sides are this tree
+    assert set(doc["this"]) == {"commit", "src_sha256"}
+    assert len(doc["this"]["src_sha256"]) == 64
+    assert set(doc["host"]) == {"cpu_count", "affinity", "python", "numpy"}
+    assert doc["host"]["affinity"] >= 1 and doc["repeat"] == 1
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_pass_timer_refuses_a_repeat_below_one(value):
+    root = Path(cli.__file__).resolve().parents[2]
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "pass_timer.py"),
+                           "--repeat", value, "C1"], cwd=root, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"argument --repeat: must be at least 1, got {value}" in proc.stderr
